@@ -1,14 +1,16 @@
 """Command-line interface.
 
-    mfj check file.mfj...
+    mfj check file.mfj... [--json]
     mfj run file.mfj [--monad exc|list|dist|id] [--fuel N] [--prefix K]
                      [--approx N] [--trace] [--json] [--unchecked]
-    mfj soundness file.mfj... [--monad M] [--interp forall|exists] ...
+    mfj soundness file.mfj... [--monad M] [--fuel N] [--prefix K]
+                     [--approx N] [--interp forall|exists] [--json]
     mfj parse file.mfj...
 
-Exit codes: 0 success, 1 check/soundness failure, 2 usage or precondition
-error.  ``--no-prelude`` drops the standard prelude; the ``MFJ_PRELUDE``
-environment variable substitutes a different one.
+Exit codes: 0 success, 1 check/soundness failure, 2 usage (an option the
+subcommand does not read, a negative N or K) or precondition error.
+``--no-prelude`` (check, run, soundness) drops the standard prelude; the
+``MFJ_PRELUDE`` environment variable substitutes a different one.
 """
 
 from __future__ import annotations
@@ -25,27 +27,37 @@ from .soundness import IllTypedProgram, SoundnessReport, check_soundness
 from .typer import Checker
 
 
+def count(text: str) -> int:
+    """argparse type: a non-negative integer."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {n}")
+    return n
+
+
 def _arg_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="mfj", description=__doc__.split("\n")[0])
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
+    check, run, snd, parse = (
+        sub.add_parser(name) for name in ("check", "run", "soundness", "parse"))
+    for sp in (check, run, snd, parse):
         sp.add_argument("files", nargs="+", help="source files (.mfj)")
+    for sp in (run, snd):
         sp.add_argument("--monad", default="exc",
                         choices=["exc", "list", "dist", "id"])
-        sp.add_argument("--fuel", type=int, default=10000)
-        sp.add_argument("--prefix", type=int, default=256)
-        sp.add_argument("--approx", type=int, default=None,
-                        help="report the N-step approximation instead")
-        sp.add_argument("--interp", choices=["forall", "exists"], default=None)
-        sp.add_argument("--trace", action="store_true")
+        sp.add_argument("--fuel", type=count, default=10000)
+        sp.add_argument("--prefix", type=count, default=256)
+    run.add_argument("--approx", type=count, default=None,
+                     help="report the N-step approximation instead")
+    snd.add_argument("--approx", type=count, default=64,
+                     help="length of the approximation chain to check")
+    snd.add_argument("--interp", choices=["forall", "exists"], default=None)
+    run.add_argument("--trace", action="store_true")
+    run.add_argument("--unchecked", action="store_true",
+                     help="skip the typechecker before running")
+    for sp in (check, run, snd):
         sp.add_argument("--json", action="store_true")
-        sp.add_argument("--unchecked", action="store_true",
-                        help="skip the typechecker before running")
         sp.add_argument("--no-prelude", action="store_true")
-
-    for name in ("check", "run", "soundness", "parse"):
-        common(sub.add_parser(name))
     return p
 
 
@@ -159,7 +171,7 @@ def cmd_soundness(args) -> int:
             check_soundness(
                 prog, args.monad, name=path, fuel=args.fuel,
                 prefix=args.prefix, which=args.interp,
-                approx_to=args.approx if args.approx is not None else 64,
+                approx_to=args.approx,
                 report=report,
             )
         except IllTypedProgram as e:

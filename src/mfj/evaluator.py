@@ -4,7 +4,8 @@ An ``Evaluator`` lifts the pure stepper into a chosen monad:
 
 * ``mon_step`` performs one monadic reduction step on an expression
   (pure step, magic call, do-return, or do-context);
-* ``step_config``/``big_step`` run the step on configurations ``E e | R r``;
+* ``step_config_traced``/``big_step`` run the step on configurations
+  ``E e | R r``;
 * ``finitary`` iterates to a monadic *result* under a fuel bound and a
   prefix/support bound, raising ``Diverged`` when fuel runs out;
 * ``approx`` / ``approx_chain`` give the n-step lower approximations of the
@@ -20,7 +21,7 @@ from .monads import LazyList, Monad, RunRegistry, default_registry, get_monad
 from .parser import pretty_expr, pretty_value
 from .reducer import Magic, mbody, pure_step
 from .signatures import Sigs
-from .syntax import Call, Do, EffCall, Program, Return, Try, erase_type, subst_expr
+from .syntax import Call, Do, EffCall, Program, Return, erase_type, subst_expr
 
 
 # ---------------------------------------------------------------------------
@@ -136,12 +137,8 @@ class Evaluator:
 
     # -- configuration-level stepping ---------------------------------------
 
-    def step_config(self, c):
-        """stepConfig: a Kleisli arrow on configurations."""
-        m, _ = self.step_config_traced(c)
-        return m
-
     def step_config_traced(self, c) -> tuple:
+        """stepConfig with its rule label: (monadic configurations, label)."""
         if isinstance(c, RConf):
             return self.monad.unit(c), "res"
         e = c.expr
@@ -153,8 +150,17 @@ class Evaluator:
         mv, info = stepped
         return self.monad.map_m(EConf, mv), info.rule
 
-    def big_step(self, mc):
-        mc2 = self.monad.bind(mc, self.step_config)
+    def big_step(self, mc, labels: Optional[set] = None):
+        """Step every configuration of ``mc`` once; ``labels``, if given,
+        collects the rule of each expression configuration stepped."""
+
+        def step(c):
+            m, rule = self.step_config_traced(c)
+            if labels is not None and isinstance(c, EConf):
+                labels.add(rule)
+            return m
+
+        mc2 = self.monad.bind(mc, step)
         if isinstance(mc2, LazyList):
             mc2.take(self.prefix)  # keep the generator nesting shallow
         return mc2
@@ -178,23 +184,19 @@ class Evaluator:
         list, if given, receives one ``TraceLine`` per step taken.
         """
         mc = self.initial(e)
-        for n in range(fuel):
-            configs = self._configs(mc)
-            if all(isinstance(c, RConf) for c in configs):
+        for n in range(fuel + 1):
+            if all(isinstance(c, RConf) for c in self._configs(mc)):
                 return self.monad.map_m(lambda c: c.result, mc)
+            if n == fuel:
+                raise Diverged(fuel)
+            labels = set() if trace is not None else None
+            mc = self.big_step(mc, labels)
             if trace is not None:
-                labels = sorted(
-                    {self.step_config_traced(c)[1] for c in configs
-                     if isinstance(c, EConf)}
-                )
-                mc = self.big_step(mc)
-                trace.append(TraceLine(",".join(labels), self._show(mc)))
-            else:
-                mc = self.big_step(mc)
-        configs = self._configs(mc)
-        if all(isinstance(c, RConf) for c in configs):
-            return self.monad.map_m(lambda c: c.result, mc)
-        raise Diverged(fuel)
+                # a lazy bind steps configurations as it is forced; _show
+                # forces one past the prefix, so either every configuration
+                # has been labelled or the next _configs raises
+                text = self._show(mc)
+                trace.append(TraceLine(",".join(sorted(labels)), text))
 
     def approx(self, e, n: int):
         """The n-step approximation: unfinished branches become bottom."""

@@ -2,8 +2,8 @@
 
 Four monads are built in: exceptions, lazy (possibly unbounded) lists,
 finite subdistributions with exact rational weights, and identity.  Each is an
-object exposing ``unit``/``bind``/``map_m``/``kleisli`` plus the ordered
-structure (``bottom``, ``leq``, ``sup_chain``) needed by the infinitary
+object exposing ``unit``/``bind``/``map_m`` plus the ordered structure
+(``bottom``, ``is_bottom``, ``leq``, ``sup_chain``) needed by the infinitary
 semantics, and observation helpers used by the evaluator and the soundness
 harness.
 
@@ -13,10 +13,9 @@ monadic interpretation of calling them.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Iterator, Optional
+from typing import Any, Iterable, Iterator, Optional
 
 from . import faults
 from .syntax import NominalType, Obj, Value
@@ -58,25 +57,23 @@ EXC_BOTTOM = ExcValue("bottom")
 
 
 class LazyList:
-    """A possibly-unbounded list: a pull-based generator with a memoized,
-    internally synchronized prefix.  All observation goes through ``take``."""
+    """A possibly-unbounded list: a pull-based generator with a memoized
+    prefix.  All observation goes through ``take``."""
 
     def __init__(self, source: Iterable):
         self._memo: list = []
         self._it: Optional[Iterator] = iter(source)
-        self._lock = threading.Lock()
 
     @staticmethod
     def of(*xs) -> "LazyList":
         return LazyList(xs)
 
     def _force(self, k: Optional[int]) -> None:
-        with self._lock:
-            while self._it is not None and (k is None or len(self._memo) < k):
-                try:
-                    self._memo.append(next(self._it))
-                except StopIteration:
-                    self._it = None
+        while self._it is not None and (k is None or len(self._memo) < k):
+            try:
+                self._memo.append(next(self._it))
+            except StopIteration:
+                self._it = None
 
     def take(self, k: int) -> list:
         """The first ``k`` elements (fewer if the list is shorter)."""
@@ -187,11 +184,12 @@ class Monad:
         """Functorial action; by default bind-derived."""
         return self.bind(m, lambda x: self.unit(f(x)))
 
-    def kleisli(self, f) -> Callable:
-        return lambda m: self.bind(m, f)
-
     def bottom(self):
         raise NotImplementedError
+
+    def is_bottom(self, m) -> bool:
+        """Is ``m`` the least element (no result, not even a partial one)?"""
+        return m == self.bottom()
 
     def leq(self, a, b) -> bool:
         raise NotImplementedError
@@ -260,6 +258,9 @@ class ListMonad(Monad):
 
     def bottom(self):
         return LazyList.of()
+
+    def is_bottom(self, m):
+        return not m.take(1)
 
     def leq(self, a, b, bound: int = 1024):
         """Prefix order, decided on observed prefixes."""

@@ -12,7 +12,7 @@ from typing import Optional, Union
 from . import faults
 from .signatures import SigError, Sigs
 from .syntax import (
-    CONTINUE, DEF, MGC, STOP,
+    DEF, MGC, STOP,
     Call, Clause, Do, Handler, NominalType, Obj, ObjType, Return, Sig, Try,
     Value, Var, erase_type, fresh_name, fv_expr, subst_expr, subst_type,
 )
@@ -102,21 +102,8 @@ def instance_of(sigs: Sigs, v: Value, n: NominalType) -> bool:
 
 def has_nominal_super(sigs: Sigs, v: Value, name: str) -> bool:
     """Name-level instance check, insensitive to type arguments."""
-    if not isinstance(v, Obj):
-        return False
-    seen: set = set()
-    work = list(v.parents)
-    while work:
-        n = work.pop()
-        if n.name == name:
-            return True
-        if n.name in seen:
-            continue
-        seen.add(n.name)
-        decl = sigs.program.decl(n.name)
-        if decl is not None:
-            work.extend(decl.parents)
-    return False
+    return isinstance(v, Obj) and any(
+        name in sigs.ancestors(p.name) for p in v.parents)
 
 
 def cmatch(sigs: Sigs, recv: Value, m: str, clauses: tuple) -> Optional[Clause]:

@@ -7,15 +7,14 @@ for extraction and subtyping.  Sessions are cheap; build a fresh one per run
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Mapping
 
 from . import faults
 from .syntax import (
     ABS, DEF, MGC,
     EffCall, Effect, EffEmpty, EffTop, EffUnion,
     MethodType, NominalType, ObjType, Program, Sig, Type, TypeVar,
-    alpha_eq_mtype, eff_from_parts, eff_norm, eff_parts, subst_eff,
-    subst_mtype, subst_type,
+    alpha_eq_mtype, eff_parts, subst_eff, subst_mtype, subst_type,
 )
 
 
@@ -97,6 +96,7 @@ class Sigs:
         self._decl_busy: set = set()
         self._nominal_sig: dict = {}
         self._supers: dict = {}
+        self._ancestors: dict = {}
         self._sub_memo: dict = {}
 
     # -- extraction ---------------------------------------------------------
@@ -214,6 +214,24 @@ class Sigs:
             )
 
     # -- subtyping ------------------------------------------------------------
+
+    def ancestors(self, name: str) -> frozenset:
+        """Names reachable from ``name`` along declared parent edges
+        (inclusive), ignoring type arguments; undeclared names are leaves."""
+        cached = self._ancestors.get(name)
+        if cached is None:
+            # a whole worklist per root, memoized only when complete, so the
+            # closure stays exact on cyclic (unchecked) hierarchies
+            seen, work = set(), [name]
+            while work:
+                n = work.pop()
+                if n not in seen:
+                    seen.add(n)
+                    decl = self.program.decl(n)
+                    if decl is not None:
+                        work.extend(p.name for p in decl.parents)
+            cached = self._ancestors[name] = frozenset(seen)
+        return cached
 
     def nominal_supers(self, n: NominalType) -> frozenset:
         """Transitive closure of parent edges starting at ``n`` (inclusive)."""
@@ -341,11 +359,6 @@ class Sigs:
                 if eff_parts(expanded) != eff_parts(EffCall(x.receiver, x.method, x.targs)):
                     return self.sub_eff(phi, expanded, b, depth + 1)
         return False
-
-    def sub_typeff(self, phi, a: tuple, b: tuple) -> bool:
-        """(T ! eff) <= (T' ! eff')."""
-        (t1, e1), (t2, e2) = a, b
-        return self.sub_type(phi, t1, t2) and self.sub_eff(phi, e1, e2)
 
     # -- well-formedness --------------------------------------------------------
 

@@ -19,15 +19,17 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, List, Optional
 
-from .evaluator import Diverged, Evaluator, VRes, WRONG
-from .monads import EXC_NAMES, ExcValue, LazyList, Monad, get_monad
+from .evaluator import Diverged, Evaluator, VRes
+from .monads import (
+    EXC_NAMES, ID_BOTTOM, Dist, ExcValue, IdValue, LazyList, Monad, get_monad,
+)
 from .signatures import SigError, Sigs
 from .syntax import (
-    MGC, PURE, TOP,
-    EffCall, EffTop, Effect, NominalType, ObjType, Program, Return, Sig,
-    TypeVar, Type, eff_parts, eff_union,
+    MGC, PURE,
+    Effect, NominalType, ObjType, Program, Return, Type, eff_parts, eff_union,
 )
 from .typer import Checker, TypecheckError
 
@@ -59,20 +61,7 @@ class Denotation:
         raise UnknownAtom(f"non-ground effect receiver {t!r}")
 
     def _name_leq(self, name: str, uppers: Optional[set]) -> bool:
-        if uppers is None:
-            return True
-        seen, work = set(), [name]
-        while work:
-            n = work.pop()
-            if n in uppers:
-                return True
-            if n in seen:
-                continue
-            seen.add(n)
-            decl = self.sigs.program.decl(n)
-            if decl is not None:
-                work.extend(p.name for p in decl.parents)
-        return False
+        return uppers is None or not uppers.isdisjoint(self.sigs.ancestors(name))
 
     def _has_mgc(self, decl_name: str, m: str) -> bool:
         try:
@@ -174,13 +163,11 @@ class DistForall(EffectInterp):
         super().__init__("dist-forall", get_monad("dist"), den, False, prefix)
 
     def lift(self, eff, pred):
-        det = self.den.nd_flag(eff) == 0
-
+        # no determinism test on the support: map_m merges equal values, so
+        # one would not commute with map_m (naturality); the per-step monitor
+        # still rejects a choose step under a deterministic effect
         def ok(m) -> bool:
-            supp = m.support()
-            if det and len(supp) > 1:
-                return False
-            return all(pred(x) for x in supp)
+            return all(pred(x) for x in m.support())
 
         return ok
 
@@ -228,16 +215,6 @@ def interps_for(monad_name: str, den: Denotation, prefix: int = 256,
     return out
 
 
-def is_bottom(monad: Monad, m, prefix: int = 256) -> bool:
-    if isinstance(m, ExcValue):
-        return m.tag == "bottom"
-    if isinstance(m, LazyList):
-        return m.take(1) == []
-    if hasattr(m, "support"):
-        return not m.support()
-    return getattr(m, "tag", None) == "bottom"
-
-
 # ---------------------------------------------------------------------------
 # Monadic result typing and step monitors
 # ---------------------------------------------------------------------------
@@ -272,16 +249,19 @@ def type_monadic_result(checker: Checker, interp: EffectInterp, mres,
             return False
         return checker.sigs.sub_type({}, tv, T)
 
-    if interp.may and is_bottom(interp.monad, mres, interp.prefix):
+    if interp.may and interp.monad.is_bottom(mres):
         return True
     return interp.lift(eff, well_typed)(mres)
 
 
-def check_progress(checker: Checker, ev: Evaluator, e) -> Verdict:
-    """Well-typed closed expressions are returns or can step."""
+def check_progress(checker: Checker, ev: Evaluator, e, stepped=None) -> Verdict:
+    """Well-typed closed expressions are returns or can step; ``stepped`` is
+    ``ev.mon_step(e)`` when the caller has it already."""
     if isinstance(e, Return):
         return PASS
-    if ev.mon_step(e) is not None:
+    if stepped is None:
+        stepped = ev.mon_step(e)
+    if stepped is not None:
         return PASS
     return Verdict(False, f"well-typed expression is stuck: {e!r}")
 
@@ -350,11 +330,7 @@ def _list_samples(X):
 
 
 def _dist_samples(X):
-    from fractions import Fraction
-
     half = Fraction(1, 2)
-    from .monads import Dist
-
     out = [Dist({})]
     out += [Dist({x: 1}) for x in X]
     out += [Dist({x: half}) for x in X]
@@ -363,8 +339,6 @@ def _dist_samples(X):
 
 
 def _id_samples(X):
-    from .monads import ID_BOTTOM, IdValue
-
     return [IdValue("val", x) for x in X] + [ID_BOTTOM]
 
 
@@ -470,10 +444,6 @@ def interp_law_suite(interp: EffectInterp, sigs: Sigs, effects,
         if mname == "list":
             mm_samples += [LazyList.of(a, b) for a in inner[:4] for b in inner[:4]]
         elif mname == "dist":
-            from fractions import Fraction
-
-            from .monads import Dist
-
             half = Fraction(1, 2)
             mm_samples += [
                 Dist([(a, half), (b, half)])
@@ -596,11 +566,11 @@ def check_soundness(program: Program, monad_name: str, *, name: str = "main",
             steps_ok = False
             continue
         stepped = ev.mon_step(cur)
+        v = check_progress(checker, ev, cur, stepped)
+        if not v:
+            rep.add(name, monad_name, "progress", False, v.witness)
+            steps_ok = False
         if stepped is None:
-            if not isinstance(cur, Return):
-                rep.add(name, monad_name, "progress", False,
-                        f"stuck at {cur!r}")
-                steps_ok = False
             continue
         budget -= 1
         v = check_lifted_step(checker, ev, cur, t, f, stepped, prefix)
@@ -642,7 +612,7 @@ def check_soundness(program: Program, monad_name: str, *, name: str = "main",
         bad = next(
             (i for i, m in enumerate(chain)
              if not (type_monadic_result(checker, itp, m, t0, f0)
-                     or is_bottom(ev.monad, m, prefix))),
+                     or ev.monad.is_bottom(m))),
             None,
         )
         ok = bad is None

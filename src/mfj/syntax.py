@@ -13,8 +13,8 @@ nested numerals make repeated deep hashing the dominant cost otherwise.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Optional
 
 ABS = "abs"
 DEF = "def"
@@ -73,6 +73,7 @@ class NominalType:
     args: tuple = ()
 
 
+@_cached_hash
 @dataclass(frozen=True)
 class ObjType(Type):
     """``[N1,...,Nk]{s}`` — parents are a set, sig maps method names."""
@@ -88,11 +89,7 @@ class ObjType(Type):
         )
 
     def __hash__(self):
-        h = self.__dict__.get("_h")
-        if h is None:
-            h = hash((frozenset(self.parents), self.sig))
-            object.__setattr__(self, "_h", h)
-        return h
+        return hash((frozenset(self.parents), self.sig))
 
 
 def objtype(*parents: NominalType) -> ObjType:
@@ -204,6 +201,7 @@ class MethodType:
     eff: Effect
 
 
+@_cached_hash
 @dataclass(frozen=True, init=False)
 class Sig:
     """A signature: method name -> (kind, MethodType), order-insensitive."""
@@ -214,11 +212,7 @@ class Sig:
         object.__setattr__(self, "entries", tuple(sorted(entries, key=lambda e: e[0])))
 
     def __hash__(self):
-        h = self.__dict__.get("_h")
-        if h is None:
-            h = hash(self.entries)
-            object.__setattr__(self, "_h", h)
-        return h
+        return hash(self.entries)
 
     def __contains__(self, name: str) -> bool:
         return any(e[0] == name for e in self.entries)
@@ -274,6 +268,7 @@ class MethodDef:
     body: Optional[Expr] = None
 
 
+@_cached_hash
 @dataclass(frozen=True, init=False)
 class Obj(Value):
     """An object ``[N...]{md...}``; parents a set, methods keyed by name."""
@@ -295,11 +290,7 @@ class Obj(Value):
         )
 
     def __hash__(self):
-        h = self.__dict__.get("_h")
-        if h is None:
-            h = hash((frozenset(self.parents), self.methods))
-            object.__setattr__(self, "_h", h)
-        return h
+        return hash((frozenset(self.parents), self.methods))
 
     def method(self, name: str) -> Optional[MethodDef]:
         for m in self.methods:
@@ -356,10 +347,6 @@ class Handler:
 class Try(Expr):
     body: Expr
     handler: Handler
-
-
-def default_handler_final() -> tuple:
-    return ("x", Return(Var("x")))
 
 
 # ---------------------------------------------------------------------------
@@ -647,22 +634,9 @@ def _subst_methoddef(md: MethodDef, tsub, vsub) -> MethodDef:
     if md.body is None:
         return MethodDef(md.name, md.kind, mt)
     binders = [x for x, _ in md.mtype.typeParams]
-    tsub2 = _restrict(tsub, binders)
-    vars_ = (md.selfVar, *md.params)
-    vsub2 = _restrict(vsub, vars_)
-    body = md.body
-    clash = set()
-    for w in vsub2.values():
-        clash |= fv_value(w)
-    selfVar, params = md.selfVar, md.params
-    if clash & set(vars_):
-        ren = {x: Var(fresh_name(x)) for x in vars_ if x in clash}
-        body = subst_expr(body, {}, ren)
-        selfVar = ren[selfVar].name if selfVar in ren else selfVar
-        params = tuple(ren[p].name if p in ren else p for p in params)
-    return MethodDef(
-        md.name, md.kind, mt, selfVar, params, subst_expr(body, tsub2, vsub2)
-    )
+    (selfVar, *params), body = _subst_under(
+        (md.selfVar, *md.params), md.body, _restrict(tsub, binders), vsub)
+    return MethodDef(md.name, md.kind, mt, selfVar, tuple(params), body)
 
 
 def subst_expr(e: Expr, tsub: Mapping[str, Type], vsub: Mapping[str, Value]) -> Expr:
@@ -686,60 +660,45 @@ def subst_expr(e: Expr, tsub: Mapping[str, Type], vsub: Mapping[str, Value]) -> 
         return Return(subst_value(e.value, tsub, vsub))
     if isinstance(e, Do):
         first = subst_expr(e.first, tsub, vsub)
-        vsub2 = _restrict(vsub, [e.var])
-        x, rest = e.var, e.rest
-        clash = set()
-        for w in vsub2.values():
-            clash |= fv_value(w)
-        if x in clash:
-            x2 = fresh_name(x)
-            rest = subst_expr(rest, {}, {x: Var(x2)})
-            x = x2
-        return Do(x, first, subst_expr(rest, tsub, vsub2))
+        (x,), rest = _subst_under((e.var,), e.rest, tsub, vsub)
+        return Do(x, first, rest)
     if isinstance(e, Try):
         h = e.handler
-        return Try(
-            subst_expr(e.body, tsub, vsub),
-            Handler(
-                tuple(_subst_clause(c, tsub, vsub) for c in h.clauses),
-                *_subst_binder1(h.finalVar, h.finalExpr, tsub, vsub),
-            ),
-        )
+        body = subst_expr(e.body, tsub, vsub)
+        clauses = tuple(_subst_clause(c, tsub, vsub) for c in h.clauses)
+        (x,), final = _subst_under((h.finalVar,), h.finalExpr, tsub, vsub)
+        return Try(body, Handler(clauses, x, final))
     raise TypeError(f"not an expression: {e!r}")
 
 
-def _subst_binder1(x: str, body: Expr, tsub, vsub):
-    vsub2 = _restrict(vsub, [x])
+def _subst_under(names: tuple, body: Expr, tsub, vsub):
+    """Substitute into ``body`` under the value binders ``names``.
+
+    Binders that would capture a free variable of a substituted value are
+    renamed first; returns the (possibly renamed) binders and the new body.
+    ``tsub`` must already exclude the type binders in scope.
+    """
+    vsub = _restrict(vsub, names)
     clash = set()
-    for w in vsub2.values():
+    for w in vsub.values():
         clash |= fv_value(w)
-    if x in clash:
-        x2 = fresh_name(x)
-        body = subst_expr(body, {}, {x: Var(x2)})
-        x = x2
-    return x, subst_expr(body, tsub, vsub2)
+    if clash & set(names):
+        ren = {x: Var(fresh_name(x)) for x in names if x in clash}
+        body = subst_expr(body, {}, ren)
+        names = tuple(ren[x].name if x in ren else x for x in names)
+    return names, subst_expr(body, tsub, vsub)
 
 
 def _subst_clause(c: Clause, tsub, vsub) -> Clause:
-    tsub2 = _restrict(tsub, c.typeParams or ())
-    vars_ = (c.selfVar, *c.params)
-    vsub2 = _restrict(vsub, vars_)
-    body, selfVar, params = c.body, c.selfVar, c.params
-    clash = set()
-    for w in vsub2.values():
-        clash |= fv_value(w)
-    if clash & set(vars_):
-        ren = {x: Var(fresh_name(x)) for x in vars_ if x in clash}
-        body = subst_expr(body, {}, ren)
-        selfVar = ren[selfVar].name if selfVar in ren else selfVar
-        params = tuple(ren[p].name if p in ren else p for p in params)
+    (selfVar, *params), body = _subst_under(
+        (c.selfVar, *c.params), c.body, _restrict(tsub, c.typeParams or ()), vsub)
     return Clause(
         subst_type(c.ntype, tsub),
         c.method,
         c.typeParams,
         selfVar,
-        params,
-        subst_expr(body, tsub2, vsub2),
+        tuple(params),
+        body,
         c.mode,
     )
 

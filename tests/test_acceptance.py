@@ -184,7 +184,9 @@ def _law_setup():
     return sigs, den, effects
 
 
-@pytest.mark.parametrize("monad,idx", [("exc", 0), ("list", 0), ("list", 1)])
+@pytest.mark.parametrize("monad,idx", [
+    ("exc", 0), ("list", 0), ("list", 1), ("dist", 0), ("dist", 1), ("id", 0),
+])
 def test_interp_laws_hold(monad, idx):
     sigs, den, effects = _law_setup()
     interp = interps_for(monad, den)[idx]

@@ -160,3 +160,47 @@ def test_parse_of_the_simplest_program(capsys):
     code, out, _ = mfj(capsys, "parse", corpus("bool_not"))
     assert code == 0
     assert out == "main = True.not()\n"
+
+
+# -- options ------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--monad", "dist"],
+    ["check", "--fuel", "3"],
+    ["check", "--trace"],
+    ["check", "--unchecked"],
+    ["run", "--interp", "forall"],
+    ["soundness", "--trace"],
+    ["soundness", "--unchecked"],
+    ["parse", "--unchecked"],
+    ["parse", "--json"],
+    ["parse", "--no-prelude"],
+])
+def test_options_a_subcommand_does_not_read_are_rejected(capsys, argv):
+    cmd, *opts = argv
+    with pytest.raises(SystemExit) as exc:
+        mfj(capsys, cmd, corpus("nat_sum"), *opts)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--fuel", "-5"],
+    ["run", "--prefix", "-1"],
+    ["run", "--approx", "-2"],
+    ["soundness", "--fuel", "-5"],
+    ["soundness", "--prefix", "-1"],
+    ["soundness", "--approx", "-2"],
+])
+def test_negative_counts_are_rejected(capsys, argv):
+    cmd, *opts = argv
+    with pytest.raises(SystemExit) as exc:
+        mfj(capsys, cmd, corpus("nat_sum"), *opts)
+    assert exc.value.code == 2
+    assert "must not be negative" in capsys.readouterr().err
+
+
+def test_zero_fuel_is_accepted(capsys):
+    code, out, _ = mfj(capsys, "run", corpus("nat_sum"), "--fuel", "0")
+    assert code == 0
+    assert out == "diverged (fuel 0)\n"

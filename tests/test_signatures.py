@@ -170,3 +170,26 @@ def test_cyclic_inheritance_detected():
     prog = parse_program("A <| B { } B <| A { }")
     with pytest.raises(CyclicInheritance):
         Sigs(prog).decl_sig("A")
+
+
+# -- name-level ancestors -----------------------------------------------------
+
+def test_ancestors_of_a_diamond():
+    sigs = Sigs(parse_program("A { } B <| A { } C <| A { } D <| B C { }"))
+    assert sigs.ancestors("D") == {"A", "B", "C", "D"}
+    assert sigs.ancestors("B") == {"A", "B"}
+
+
+def test_ancestors_stop_at_an_undeclared_parent():
+    # only a program run --unchecked can name a parent it never declares
+    sigs = Sigs(parse_program("A <| Ghost { } B <| A { }"))
+    assert sigs.ancestors("B") == {"A", "B", "Ghost"}
+    assert sigs.ancestors("Ghost") == {"Ghost"}
+
+
+def test_ancestors_of_a_cycle_are_exact_for_every_member():
+    # the first query walks through B and C; their own closures must still
+    # be the whole cycle, not what was known when the walk reached them
+    sigs = Sigs(parse_program("A <| C { } B <| A { } C <| B { }"))
+    for name in ("A", "B", "C"):
+        assert sigs.ancestors(name) == {"A", "B", "C"}

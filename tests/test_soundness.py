@@ -12,7 +12,7 @@ from mfj.soundness import (
     BrokenExcInterp, Denotation, DistForall, ExcInterp, IdInterp,
     IllTypedProgram, ListExists, ListForall, SoundnessReport, UnknownAtom,
     check_lifted_step, check_progress, check_soundness, interp_law_suite,
-    interps_for, is_bottom, type_monadic_result,
+    interps_for, type_monadic_result,
 )
 from mfj.syntax import PURE, TOP, Call, TypeVar, EffCall
 from mfj.typer import Checker
@@ -102,11 +102,12 @@ def test_dist_forall_checks_support(ck, den):
 
 
 def test_is_bottom():
-    assert is_bottom(get_monad("exc"), get_monad("exc").bottom())
-    assert is_bottom(get_monad("list"), LazyList.of())
-    assert not is_bottom(get_monad("list"), LazyList.of(1))
-    assert is_bottom(get_monad("dist"), get_monad("dist").bottom())
-    assert is_bottom(get_monad("id"), get_monad("id").bottom())
+    assert get_monad("exc").is_bottom(get_monad("exc").bottom())
+    assert not get_monad("exc").is_bottom(Raised("E"))
+    assert get_monad("list").is_bottom(LazyList.of())
+    assert not get_monad("list").is_bottom(LazyList.of(1))
+    assert get_monad("dist").is_bottom(get_monad("dist").bottom())
+    assert get_monad("id").is_bottom(get_monad("id").bottom())
 
 
 # -- step monitors ------------------------------------------------------------
@@ -120,6 +121,17 @@ def test_progress(ck, ev):
     assert check_progress(ck, ev, parse_expr("return 0"))
     assert check_progress(ck, ev, Call(numeral(0), "succ"))
     v = check_progress(ck, ev, parse_expr("x.m()"))
+    assert not v and "stuck" in v.witness
+
+
+def test_progress_uses_a_precomputed_step(ck, ev):
+    e = Call(numeral(0), "succ")
+    stepped = ev.mon_step(e)
+    assert check_progress(ck, ev, e, stepped)
+    stuck = parse_expr("x.m()")
+    # a given step is taken as is, not recomputed
+    assert check_progress(ck, ev, stuck, stepped)
+    v = check_progress(ck, ev, stuck, ev.mon_step(stuck))
     assert not v and "stuck" in v.witness
 
 

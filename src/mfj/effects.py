@@ -5,11 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .signatures import NoSuchMethod, SigError, Sigs, UnboundTypeVar
+from .signatures import SigError, Sigs, UnboundTypeVar
 from .syntax import (
     MGC, TOP,
     EffCall, Effect, NominalType, ObjType, Sig, Type, TypeVar,
-    eff_from_parts, eff_parts, subst_eff,
+    eff_of, subst_eff,
 )
 
 
@@ -24,8 +24,7 @@ def simplify(sigs: Sigs, phi: Mapping[str, Type], eff: Effect, fuel: int = 256) 
     with Ts, recursively.  The rewrite is fuel-bounded; running out is an
     error, not divergence.
     """
-    atoms, top = eff_parts(eff)
-    if top:
+    if eff.top:
         return TOP
     budget = [fuel]
     out: set = set()
@@ -49,16 +48,16 @@ def simplify(sigs: Sigs, phi: Mapping[str, Type], eff: Effect, fuel: int = 256) 
             raise FuelExhausted("effect simplification ran out of fuel")
         budget[0] -= 1
         sub = {x: t for (x, _), t in zip(mt.typeParams, atom.targs)}
-        inner_atoms, inner_top = eff_parts(subst_eff(mt.eff, sub))
-        if inner_top:
+        inner = subst_eff(mt.eff, sub)
+        if inner.top:
             out_top[0] = True
             return
-        for a in inner_atoms:
+        for a in inner.atoms:
             go(a)
 
-    for a in atoms:
+    for a in eff.atoms:
         go(a)
-    return eff_from_parts(out, out_top[0])
+    return eff_of(*out, top=out_top[0])
 
 
 @dataclass(frozen=True)
@@ -91,9 +90,8 @@ def apply_filter(
     effect with the atom's type arguments substituted for the clause's type
     parameters; unmatched atoms pass through.
     """
-    atoms, top = eff_parts(eff)
-    out_atoms, out_top = set(), top
-    for a in atoms:
+    out_atoms, out_top = set(), eff.top
+    for a in eff.atoms:
         hit = None
         for cf in H.clauses:
             if cf.method == a.method and sigs.sub_type(
@@ -105,10 +103,9 @@ def apply_filter(
             out_atoms.add(a)
             continue
         sub = {x: t for x, t in zip(hit.typeParams, a.targs)}
-        f_atoms, f_top = eff_parts(subst_eff(hit.effect, sub))
-        out_atoms |= f_atoms
-        out_top |= f_top
-    fin_atoms, fin_top = eff_parts(H.finalEffect)
-    out_atoms |= fin_atoms
-    out_top |= fin_top
-    return eff_from_parts(out_atoms, out_top)
+        f = subst_eff(hit.effect, sub)
+        out_atoms |= f.atoms
+        out_top |= f.top
+    out_atoms |= H.finalEffect.atoms
+    out_top |= H.finalEffect.top
+    return eff_of(*out_atoms, top=out_top)

@@ -382,49 +382,24 @@ def default_registry(monad: Monad, sigs) -> RunRegistry:
     reg = RunRegistry()
     prog = sigs.program
 
-    def throw_run(decl_name):
+    def run_of(decl_name, result):
         def run(recv, args):
             if args or not has_nominal_super(sigs, recv, decl_name):
                 return None  # partiality: wrong shape of call
-            return Raised(exc_name_of(recv))
+            return result(recv)
 
         return run
 
-    def fail_run(decl_name):
-        def run(recv, args):
-            if args or not has_nominal_super(sigs, recv, decl_name):
-                return None
-            return Raised("Fail")
-
-        return run
-
-    def choose_run(decl_name, result):
-        def run(recv, args):
-            if args or not has_nominal_super(sigs, recv, decl_name):
-                return None
-            return result()
-
-        return run
-
+    half = Fraction(1, 2)
+    results = {
+        ("exc", "throw"): lambda recv: Raised(exc_name_of(recv)),
+        ("exc", "fail"): lambda recv: Raised("Fail"),
+        ("list", "choose"): lambda recv: LazyList.of(TRUE, FALSE),
+        ("dist", "choose"): lambda recv: Dist({TRUE: half, FALSE: half}),
+    }
     for decl in prog.decls:
         for md in decl.methods:
-            if md.kind != "mgc":
-                continue
-            if monad.name == "exc" and md.name == "throw":
-                reg.register(decl.name, md.name, throw_run(decl.name))
-            elif monad.name == "exc" and md.name == "fail":
-                reg.register(decl.name, md.name, fail_run(decl.name))
-            elif monad.name == "list" and md.name == "choose":
-                reg.register(
-                    decl.name, md.name,
-                    choose_run(decl.name, lambda: LazyList.of(TRUE, FALSE)),
-                )
-            elif monad.name == "dist" and md.name == "choose":
-                reg.register(
-                    decl.name, md.name,
-                    choose_run(
-                        decl.name,
-                        lambda: Dist({TRUE: Fraction(1, 2), FALSE: Fraction(1, 2)}),
-                    ),
-                )
+            result = results.get((monad.name, md.name))
+            if md.kind == "mgc" and result is not None:
+                reg.register(decl.name, md.name, run_of(decl.name, result))
     return reg

@@ -36,10 +36,9 @@ from typing import Optional
 
 from .syntax import (
     ABS, CONTINUE, DEF, MGC, OBJECT, PURE, STOP, TOP,
-    Call, Clause, Do, EffCall, EffEmpty, EffTop, EffUnion, Effect,
-    Handler, MethodDef, MethodType, NominalType, Obj, ObjType, Program,
-    Return, Sig, Try, Type, TypeDecl, TypeVar, Value, Var, eff_norm, eff_parts,
-    nominal,
+    Call, Clause, Do, EffCall, Effect, Handler, MethodDef, MethodType,
+    NominalType, Obj, ObjType, Program, Return, Sig, Try, Type, TypeDecl,
+    TypeVar, Value, Var, eff_of, nominal,
 )
 
 
@@ -104,7 +103,7 @@ def tokenize(text: str):
 
 
 NAT_T = nominal("Nat")
-FAIL_EFF = EffCall(nominal("Failure", NAT_T), "fail", ())
+FAIL_EFF = eff_of(EffCall(nominal("Failure", NAT_T), "fail", ()))
 
 
 def numeral(n: int) -> Obj:
@@ -232,11 +231,11 @@ class Parser:
                 md.name, MGC,
                 MethodType(
                     md.mtype.typeParams, md.mtype.paramTypes, md.mtype.ret,
-                    EffCall(
+                    eff_of(EffCall(
                         nominal(name, *(TypeVar(x) for x, _ in tparams)),
                         md.name,
                         tuple(TypeVar(x) for x, _ in md.mtype.typeParams),
-                    ),
+                    )),
                 ),
             )
             for md in methods
@@ -367,12 +366,11 @@ class Parser:
         if self.at("top"):
             self.next()
             return TOP
-        eff = self.parse_eatom()
+        atoms = [self.parse_eatom()]
         while self.at("\\/"):
             self.next()
-            eff = EffUnion(eff, self.parse_eatom())
-        # normal form on the way in, so printing and re-parsing is identity
-        return eff_norm(eff)
+            atoms.append(self.parse_eatom())
+        return eff_of(*atoms)
 
     def parse_eatom(self) -> EffCall:
         recv = self.parse_type()
@@ -648,12 +646,11 @@ def _pretty_methoddef(m: MethodDef) -> str:
 
 
 def pretty_eff(e: Effect) -> str:
-    atoms, top = eff_parts(e)
-    if top:
+    if e.top:
         return "top"
-    if not atoms:
+    if not e.atoms:
         return "pure"
-    return " \\/ ".join(sorted(_pretty_eatom(a) for a in atoms))
+    return " \\/ ".join(sorted(_pretty_eatom(a) for a in e.atoms))
 
 
 def _pretty_eatom(a: EffCall) -> str:

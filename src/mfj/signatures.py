@@ -12,9 +12,8 @@ from typing import Mapping
 from . import faults
 from .syntax import (
     ABS, DEF, MGC,
-    EffCall, Effect, EffEmpty, EffTop, EffUnion,
-    MethodType, NominalType, ObjType, Program, Sig, Type, TypeVar,
-    alpha_eq_mtype, eff_parts, subst_eff, subst_mtype, subst_type,
+    EffCall, Effect, MethodType, NominalType, ObjType, Program, Sig, Type,
+    TypeVar, alpha_eq_mtype, eff_of, rename_binders, subst_mtype, subst_type,
 )
 
 
@@ -112,12 +111,8 @@ class Sigs:
             raise UnknownType(f"unknown type {name!r}")
         self._decl_busy.add(name)
         try:
-            combined = Sig(())
-            for p in decl.parents:
-                combined = sym_sum(combined, self.sig_of_nominal(p))
             own = Sig((m.name, m.kind, m.mtype) for m in decl.methods)
-            phi = dict(decl.typeParams)
-            sig = self.override_sum(phi, combined, own)
+            sig = self.sig_of_type(dict(decl.typeParams), ObjType(decl.parents, own))
         finally:
             self._decl_busy.discard(name)
         self._decl_sig[name] = sig
@@ -188,26 +183,21 @@ class Sigs:
         if len(mt1.typeParams) != len(mt2.typeParams):
             raise OverrideError(f"method {name!r}: type-parameter arity differs")
         # align mt2's binders with mt1's names
-        ren = {x2: TypeVar(x1)
-               for (x1, _), (x2, _) in zip(mt1.typeParams, mt2.typeParams)}
-        bounds2 = tuple(subst_type(b, ren) for _, b in mt2.typeParams)
-        params2 = tuple(subst_type(p, ren) for p in mt2.paramTypes)
-        if bounds2 != tuple(b for _, b in mt1.typeParams):
+        mt2 = rename_binders(mt2, (x for x, _ in mt1.typeParams))
+        if mt2.typeParams != mt1.typeParams:
             raise OverrideError(f"method {name!r}: type-parameter bounds differ")
-        if params2 != mt1.paramTypes:
+        if mt2.paramTypes != mt1.paramTypes:
             raise OverrideError(f"method {name!r}: parameter types differ")
-        ret2 = subst_type(mt2.ret, ren)
-        eff2 = subst_eff(mt2.eff, ren)
         phi2 = dict(phi)
         phi2.update(mt1.typeParams)
         if k1 == MGC and k2 == MGC:
-            if ret2 != mt1.ret:
+            if mt2.ret != mt1.ret:
                 raise OverrideError(
                     f"method {name!r}: magic overrides must keep the return type"
                 )
             return
-        if not (self.sub_type(phi2, ret2, mt1.ret)
-                and self.sub_eff(phi2, eff2, mt1.eff)):
+        if not (self.sub_type(phi2, mt2.ret, mt1.ret)
+                and self.sub_eff(phi2, mt2.eff, mt1.eff)):
             raise OverrideError(
                 f"method {name!r}: overriding type-and-effect is not a subtype "
                 f"of the declared one"
@@ -298,19 +288,13 @@ class Sigs:
         """Same binders/bounds/parameters up to alpha; covariant result."""
         if len(mt1.typeParams) != len(mt2.typeParams):
             return False
-        ren = {x2: TypeVar(x1)
-               for (x1, _), (x2, _) in zip(mt1.typeParams, mt2.typeParams)}
-        if tuple(subst_type(b, ren) for _, b in mt2.typeParams) != tuple(
-            b for _, b in mt1.typeParams
-        ):
-            return False
-        if tuple(subst_type(p, ren) for p in mt2.paramTypes) != mt1.paramTypes:
+        mt2 = rename_binders(mt2, (x for x, _ in mt1.typeParams))
+        if mt2.typeParams != mt1.typeParams or mt2.paramTypes != mt1.paramTypes:
             return False
         phi2 = dict(phi)
         phi2.update(mt1.typeParams)
-        return self.sub_type(phi2, mt1.ret, subst_type(mt2.ret, ren)) and self.sub_eff(
-            phi2, mt1.eff, subst_eff(mt2.eff, ren)
-        )
+        return (self.sub_type(phi2, mt1.ret, mt2.ret)
+                and self.sub_eff(phi2, mt1.eff, mt2.eff))
 
     def is_mgc(self, phi, t: Type, m: str) -> bool:
         try:
@@ -321,19 +305,16 @@ class Sigs:
 
     def sub_eff(self, phi, a: Effect, b: Effect, _depth: int = 0) -> bool:
         """Subeffecting on normal forms plus sub-mgc-call and sub-var-call."""
-        atoms_a, top_a = eff_parts(a)
-        _, top_b = eff_parts(b)
-        if top_b:
+        if b.top:
             return True
-        if top_a:
+        if a.top:
             return False
-        return all(self._atom_leq(phi, x, b, _depth) for x in atoms_a)
+        return all(self._atom_leq(phi, x, b, _depth) for x in a.atoms)
 
     def _atom_leq(self, phi, x: EffCall, b: Effect, depth: int) -> bool:
-        atoms_b, _ = eff_parts(b)
-        if x in atoms_b:
+        if x in b.atoms:
             return True
-        for y in atoms_b:
+        for y in b.atoms:
             if y.method != x.method or len(y.targs) != len(x.targs):
                 continue
             # sub-mgc-call: refine a magic call-effect covariantly
@@ -352,11 +333,11 @@ class Sigs:
 
                 try:
                     expanded = simplify(
-                        self, phi, EffCall(bound, x.method, x.targs)
+                        self, phi, eff_of(EffCall(bound, x.method, x.targs))
                     )
                 except SigError:
                     return False
-                if eff_parts(expanded) != eff_parts(EffCall(x.receiver, x.method, x.targs)):
+                if expanded != eff_of(x):
                     return self.sub_eff(phi, expanded, b, depth + 1)
         return False
 
@@ -391,14 +372,10 @@ class Sigs:
             self.wf_check(phi2, x.ret)
             self.wf_check(phi2, x.eff)
             return
-        if isinstance(x, (EffEmpty, EffTop)):
-            return
-        if isinstance(x, EffUnion):
-            self.wf_check(phi, x.left)
-            self.wf_check(phi, x.right)
-            return
-        if isinstance(x, EffCall):
-            self._wf_call(phi, x)
+        if isinstance(x, Effect):
+            # sorted, so the atom reported first does not depend on hashing
+            for a in sorted(x.atoms, key=repr):
+                self._wf_call(phi, a)
             return
         raise TypeError(f"cannot well-formedness-check {x!r}")
 

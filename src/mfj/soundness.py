@@ -29,7 +29,7 @@ from .monads import (
 from .signatures import SigError, Sigs
 from .syntax import (
     MGC, PURE,
-    Effect, NominalType, ObjType, Program, Return, Type, eff_parts, eff_union,
+    Effect, NominalType, ObjType, Program, Return, Type, eff_of, eff_union,
 )
 from .typer import Checker, TypecheckError
 
@@ -73,11 +73,10 @@ class Denotation:
 
     def exc_set(self, eff: Effect) -> Optional[frozenset]:
         """Exception names the effect allows; None encodes 'all' (top)."""
-        atoms, top = eff_parts(eff)
-        if top:
+        if eff.top:
             return None
         out = set()
-        for a in atoms:
+        for a in eff.atoms:
             if a.method in ND_METHODS:
                 continue  # no exception reading; contributes nothing
             uppers = self._receiver_names(a.receiver)
@@ -89,10 +88,9 @@ class Denotation:
         return frozenset(out)
 
     def nd_flag(self, eff: Effect) -> int:
-        atoms, top = eff_parts(eff)
-        if top:
+        if eff.top:
             return 1
-        return 1 if any(a.method in ND_METHODS for a in atoms) else 0
+        return 1 if any(a.method in ND_METHODS for a in eff.atoms) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -254,12 +252,17 @@ def type_monadic_result(checker: Checker, interp: EffectInterp, mres,
     return interp.lift(eff, well_typed)(mres)
 
 
-def check_progress(checker: Checker, ev: Evaluator, e, stepped=None) -> Verdict:
+# ``stepped`` default: ``ev.mon_step(e)`` not computed yet (None means stuck)
+_UNSTEPPED = object()
+
+
+def check_progress(checker: Checker, ev: Evaluator, e,
+                   stepped=_UNSTEPPED) -> Verdict:
     """Well-typed closed expressions are returns or can step; ``stepped`` is
     ``ev.mon_step(e)`` when the caller has it already."""
     if isinstance(e, Return):
         return PASS
-    if stepped is None:
+    if stepped is _UNSTEPPED:
         stepped = ev.mon_step(e)
     if stepped is not None:
         return PASS
@@ -267,7 +270,7 @@ def check_progress(checker: Checker, ev: Evaluator, e, stepped=None) -> Verdict:
 
 
 def check_lifted_step(checker: Checker, ev: Evaluator, e, T: Type,
-                      eff: Effect, stepped=None, prefix: int = 256) -> Verdict:
+                      eff: Effect, stepped=_UNSTEPPED, prefix: int = 256) -> Verdict:
     """Monadic subject reduction for one step of ``e : T ! eff``.
 
     Every expression in the step result must retype at some T' ! eff' with
@@ -275,16 +278,14 @@ def check_lifted_step(checker: Checker, ev: Evaluator, e, T: Type,
     of a magic step (and pure otherwise); a raised exception must be allowed
     by the effect.
     """
-    if stepped is None:
+    if stepped is _UNSTEPPED:
         stepped = ev.mon_step(e)
     if stepped is None:
         return PASS  # no step: nothing to preserve
     mv, info = stepped
-    ehat = info.mgc_atom if info.mgc_atom is not None else PURE
+    ehat = eff_of(info.mgc_atom) if info.mgc_atom is not None else PURE
     den = Denotation(checker.sigs)
-    if info.mgc_atom is not None and not checker.sigs.sub_eff(
-        {}, info.mgc_atom, eff
-    ):
+    if info.mgc_atom is not None and not checker.sigs.sub_eff({}, ehat, eff):
         return Verdict(
             False,
             f"magic step raises {info.mgc_atom!r}, not allowed by {eff!r}",
@@ -472,8 +473,7 @@ class BrokenExcInterp(ExcInterp):
     widening an effect to top can shrink the lifted predicate (law 2)."""
 
     def lift(self, eff, pred):
-        _, top = eff_parts(eff)
-        allowed = frozenset() if top else self.den.exc_set(eff)
+        allowed = frozenset() if eff.top else self.den.exc_set(eff)
 
         def ok(m: ExcValue) -> bool:
             if m.tag == "pure":

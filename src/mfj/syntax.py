@@ -3,8 +3,12 @@
 Fine-grain discipline: values (variables, objects) are syntactically separate
 from computations (calls, return, do, try).  Types are type variables or object
 types ``[N...]{s}``; a bare nominal ``N[T...]`` is sugar for an object type with
-that single parent and an empty signature.  Effects are empty/top/unions of
-call-effect atoms ``T.m[T...]``.
+that single parent and an empty signature.  An effect is ``pure``, ``top`` or a
+union of call-effect atoms ``T.m[T...]``, stored in normal form (the set of
+its atoms, or the top flag), so ``==`` on effects, and on the types and
+method types that contain them, is equality of effects.  ``eff_of`` is the
+one way to build an effect; it shares ``PURE`` and ``TOP`` and interns every
+other effect, so equal effects are usually the same object.
 
 Everything here is immutable; nodes hash-cons their hash lazily because deeply
 nested numerals make repeated deep hashing the dominant cost otherwise.
@@ -14,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Mapping, Optional
 
 ABS = "abs"
@@ -101,89 +106,55 @@ def nominal(name: str, *args: Type) -> ObjType:
     return objtype(NominalType(name, tuple(args)))
 
 
-class Effect:
-    """Base class for effects."""
-
-
 @node
-class EffEmpty(Effect):
-    pass
-
-
-@node
-class EffTop(Effect):
-    pass
-
-
-@node
-class EffUnion(Effect):
-    left: Effect
-    right: Effect
-
-
-@node
-class EffCall(Effect):
-    """A call-effect atom ``T.m[T...]``."""
+class EffCall:
+    """A call-effect atom ``T.m[T...]``; ``eff_of`` makes it an effect."""
 
     receiver: Type
     method: str
     targs: tuple = ()
 
 
-PURE = EffEmpty()
-TOP = EffTop()
+@node
+class Effect:
+    """An effect in normal form: ``top``, or the union of its call-effect
+    ``atoms`` (``pure`` when there are none).  Build effects with ``eff_of``."""
+
+    atoms: frozenset  # frozenset[EffCall], empty when top
+    top: bool = False
+
+    def __repr__(self):
+        # sorted, so that diagnostics do not depend on string hashing
+        atoms = ", ".join(sorted(map(repr, self.atoms)))
+        return f"Effect(atoms={{{atoms}}}, top={self.top})"
 
 
-def eff_parts(eff: Effect):
-    """Normal form: (frozenset of EffCall atoms, top flag)."""
-    atoms = set()
-    top = False
-    stack = [eff]
-    while stack:
-        e = stack.pop()
-        if isinstance(e, EffEmpty):
-            continue
-        if isinstance(e, EffTop):
-            top = True
-        elif isinstance(e, EffUnion):
-            stack.append(e.left)
-            stack.append(e.right)
-        elif isinstance(e, EffCall):
-            atoms.add(e)
-        else:  # pragma: no cover
-            raise TypeError(f"not an effect: {e!r}")
-    if top:
-        return frozenset(), True
-    return frozenset(atoms), False
+PURE = Effect(frozenset())
+TOP = Effect(frozenset(), True)
 
 
-def eff_from_parts(atoms: Iterable[EffCall], top: bool) -> Effect:
+def eff_of(*atoms: EffCall, top: bool = False) -> Effect:
+    """The effect ``atoms[0] \\/ ...``, or ``top``; interned, so equal effects
+    are usually one object."""
     if top:
         return TOP
-    ordered = sorted(atoms, key=repr)
-    if not ordered:
+    if not atoms:
         return PURE
-    out = ordered[0]
-    for a in ordered[1:]:
-        out = EffUnion(out, a)
-    return out
+    return _interned(frozenset(atoms))
 
 
-def eff_norm(eff: Effect) -> Effect:
-    return eff_from_parts(*eff_parts(eff))
+@lru_cache(maxsize=4096)
+def _interned(atoms: frozenset) -> Effect:
+    return Effect(atoms)
 
 
 def eff_union(*effs: Effect) -> Effect:
-    atoms, top = set(), False
+    atoms = set()
     for e in effs:
-        a, t = eff_parts(e)
-        atoms |= a
-        top |= t
-    return eff_from_parts(atoms, top)
-
-
-def eff_eq(a: Effect, b: Effect) -> bool:
-    return eff_parts(a) == eff_parts(b)
+        if e.top:
+            return TOP
+        atoms |= e.atoms
+    return eff_of(*atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -431,9 +402,8 @@ def ftv_mtype(mt: MethodType) -> frozenset:
 
 
 def ftv_eff(e: Effect) -> frozenset:
-    atoms, _ = eff_parts(e)
     out = frozenset()
-    for a in atoms:
+    for a in e.atoms:
         out |= ftv_type(a.receiver)
         for t in a.targs:
             out |= ftv_type(t)
@@ -570,9 +540,8 @@ def subst_mtype(mt: MethodType, sub: Mapping[str, Type]) -> MethodType:
     for v in sub.values():
         clash |= ftv_type(v)
     if clash & set(binders):
-        renaming = {x: TypeVar(fresh_name(x)) for x in binders if x in clash}
-        mt = _rename_mtype_binders(mt, renaming)
-        binders = [x for x, _ in mt.typeParams]
+        binders = [fresh_name(x) if x in clash else x for x in binders]
+        mt = rename_binders(mt, binders)
         sub = _restrict(sub, binders)
     return MethodType(
         tuple((x, subst_type(b, sub)) for x, b in mt.typeParams),
@@ -582,32 +551,28 @@ def subst_mtype(mt: MethodType, sub: Mapping[str, Type]) -> MethodType:
     )
 
 
-def _rename_mtype_binders(mt: MethodType, renaming: Mapping[str, TypeVar]) -> MethodType:
+def rename_binders(mt: MethodType, names: Iterable[str]) -> MethodType:
+    """``mt`` with its type parameters renamed, in order, to ``names``."""
+    names = tuple(names)
+    ren = {x: TypeVar(n) for (x, _), n in zip(mt.typeParams, names) if x != n}
+    if not ren:
+        return mt
     return MethodType(
-        tuple(
-            (renaming[x].name if x in renaming else x, subst_type(b, renaming))
-            for x, b in mt.typeParams
-        ),
-        tuple(subst_type(p, renaming) for p in mt.paramTypes),
-        subst_type(mt.ret, renaming),
-        subst_eff(mt.eff, renaming),
+        tuple((n, subst_type(b, ren)) for (_, b), n in zip(mt.typeParams, names)),
+        tuple(subst_type(p, ren) for p in mt.paramTypes),
+        subst_type(mt.ret, ren),
+        subst_eff(mt.eff, ren),
     )
 
 
 def subst_eff(e: Effect, sub: Mapping[str, Type]) -> Effect:
-    if not sub:
+    if not sub or not e.atoms:
         return e
-    if isinstance(e, (EffEmpty, EffTop)):
-        return e
-    if isinstance(e, EffUnion):
-        return EffUnion(subst_eff(e.left, sub), subst_eff(e.right, sub))
-    if isinstance(e, EffCall):
-        return EffCall(
-            subst_type(e.receiver, sub),
-            e.method,
-            tuple(subst_type(t, sub) for t in e.targs),
-        )
-    raise TypeError(f"not an effect: {e!r}")
+    return eff_of(*(
+        EffCall(subst_type(a.receiver, sub), a.method,
+                tuple(subst_type(t, sub) for t in a.targs))
+        for a in e.atoms
+    ))
 
 
 def subst_value(v: Value, tsub: Mapping[str, Type], vsub: Mapping[str, Value]) -> Value:
@@ -729,13 +694,7 @@ def erase_type(v: Value) -> ObjType:
 
 def canon_mtype(mt: MethodType) -> MethodType:
     """Rename type parameters positionally; the alpha-equivalence canonical form."""
-    ren = {x: TypeVar(f"%{i}") for i, (x, _) in enumerate(mt.typeParams)}
-    return MethodType(
-        tuple((f"%{i}", subst_type(b, ren)) for i, (_, b) in enumerate(mt.typeParams)),
-        tuple(subst_type(p, ren) for p in mt.paramTypes),
-        subst_type(mt.ret, ren),
-        eff_norm(subst_eff(mt.eff, ren)),
-    )
+    return rename_binders(mt, (f"%{i}" for i in range(len(mt.typeParams))))
 
 
 def alpha_eq_mtype(a: MethodType, b: MethodType) -> bool:

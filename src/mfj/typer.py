@@ -9,16 +9,17 @@ side conditions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping
 
 from . import faults
 from .effects import ClauseFilter, HandlerFilter, apply_filter, simplify
 from .signatures import SigError, Sigs
 from .syntax import (
     ABS, CONTINUE, DEF, MGC, OBJECT, PURE, STOP,
-    Call, Clause, Do, EffCall, Effect, Handler, MethodType, NominalType, Obj,
+    Call, Clause, Do, EffCall, Effect, Handler, MethodType, NominalType,
     ObjType, Program, Return, Sig, Try, Type, TypeVar, Value, Var,
-    eff_union, ftv_expr, ftv_value, fv_expr, fv_value, subst_eff, subst_type,
+    eff_of, eff_union, ftv_expr, ftv_value, fv_expr, fv_value, rename_binders,
+    subst_type,
 )
 
 
@@ -193,7 +194,7 @@ class Checker:
                     f"argument {arg!r} of {e.method!r} has type {at!r}, "
                     f"expected a subtype of {subst_type(pt, sub)!r}")
         try:
-            eff = simplify(self.sigs, phi, EffCall(t0, e.method, e.targs))
+            eff = simplify(self.sigs, phi, eff_of(EffCall(t0, e.method, e.targs)))
         except SigError as err:
             raise _sig_error(err, "t-invk")
         return subst_type(mt.ret, sub), eff
@@ -204,7 +205,7 @@ class Checker:
             return PURE
         if isinstance(e, Call):
             t0 = self.type_value(phi, gamma, e.recv)
-            return EffCall(t0, e.method, e.targs)
+            return eff_of(EffCall(t0, e.method, e.targs))
         if isinstance(e, Do):
             t1, _ = self.type_expr(phi, gamma, e.first)
             gamma2 = dict(gamma)
@@ -272,22 +273,20 @@ class Checker:
                     f"clause for {c.method!r} binds {len(c.typeParams)} type "
                     f"parameters, the method has {len(mt.typeParams)}")
             names = list(c.typeParams)
-        ren = {x: TypeVar(n) for (x, _), n in zip(mt.typeParams, names)}
-        bounds = [subst_type(b, ren) for _, b in mt.typeParams]
+        mt = rename_binders(mt, names)
+        bounds = [b for _, b in mt.typeParams]
         phi2 = dict(phi)
-        phi2.update(zip(names, bounds))
-        param_ts = [subst_type(p, ren) for p in mt.paramTypes]
-        if len(c.params) != len(param_ts):
+        phi2.update(mt.typeParams)
+        if len(c.params) != len(mt.paramTypes):
             raise TypecheckError(
                 "ArityMismatch", "t-handler",
                 f"clause for {c.method!r} binds {len(c.params)} parameters, "
-                f"the method has {len(param_ts)}")
-        ret_t = subst_type(mt.ret, ren)
+                f"the method has {len(mt.paramTypes)}")
         gamma2 = dict(gamma)
         gamma2[c.selfVar] = ntype_t
-        gamma2.update(zip(c.params, param_ts))
+        gamma2.update(zip(c.params, mt.paramTypes))
         tb, beff = self.type_expr(phi2, gamma2, c.body)
-        return c, names, bounds, ret_t, tb, beff, phi2
+        return c, names, bounds, mt.ret, tb, beff, phi2
 
     def _join(self, phi, types) -> Type:
         candidates = []

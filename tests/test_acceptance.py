@@ -20,7 +20,7 @@ from mfj.soundness import (
     BrokenExcInterp, Denotation, IllTypedProgram, check_soundness,
     interp_law_suite, interps_for,
 )
-from mfj.syntax import PURE, eff_parts
+from mfj.syntax import PURE
 from mfj.typer import Checker
 
 from conftest import load
@@ -134,7 +134,7 @@ def test_conditional_effect_is_exactly_the_branch_effect():
     t, eff = checker.type_expr(
         {}, gamma, parse_expr("b.if[Nat MyTEType](MyTE)"))
     assert checker.sigs.sub_type({}, t, parse_type("Nat"))
-    assert eff_parts(eff) == eff_parts(parse_effect("MyException.throw[Nat]"))
+    assert eff == parse_effect("MyException.throw[Nat]")
 
 
 def test_conditional_effect_is_fully_discharged_by_a_handler():
@@ -145,7 +145,7 @@ def test_conditional_effect_is_fully_discharged_by_a_handler():
         "try b.if[Nat MyTEType](MyTE) "
         "with MyException.throw : [X] <x, return 0> stop")
     _, eff = checker.type_expr({}, gamma, e)
-    assert eff_parts(eff) == eff_parts(PURE)
+    assert eff == PURE
 
 
 # -- criterion 7: the soundness theorems, executed ----------------------------
@@ -228,7 +228,7 @@ def test_fault_filter_before_simplify_breaks_handler_typing():
             "try b.if[Nat MyTEType](MyTE) "
             "with MyException.throw : [X] <x, return 0> stop")
         _, eff = checker.type_expr({}, {"b": parse_type("Bool")}, e)
-    assert eff_parts(eff) != eff_parts(PURE)
+    assert eff != PURE
 
 
 def test_fault_swap_list_bind_breaks_list_order():

@@ -10,7 +10,7 @@ from mfj.prelude import load_program
 from mfj.signatures import Sigs, UnboundTypeVar
 from mfj.syntax import (
     CONTINUE, PURE, STOP, TOP,
-    EffCall, NominalType, TypeVar, eff_eq, eff_union, nominal,
+    EffCall, NominalType, TypeVar, eff_of, eff_union, nominal,
 )
 
 
@@ -31,28 +31,28 @@ def test_simplify_keeps_magic_atoms(sigs):
 
 
 def test_simplify_keeps_variable_receivers(sigs):
-    eff = EffCall(TypeVar("Y"), "then")
+    eff = eff_of(EffCall(TypeVar("Y"), "then"))
     phi = {"Y": nominal("ThenElse", nominal("Nat"))}
     assert simplify(sigs, phi, eff) == eff
 
 
 def test_simplify_rejects_unbound_variables(sigs):
     with pytest.raises(UnboundTypeVar):
-        simplify(sigs, {}, EffCall(TypeVar("Y"), "then"))
+        simplify(sigs, {}, eff_of(EffCall(TypeVar("Y"), "then")))
 
 
 def test_simplify_expands_through_declared_effects():
     prog = load_program(
         "Layer { go : abs -> Nat ! Exception.throw[Nat] \\/ Bool.not }")
     out = simplify(Sigs(prog), {}, parse_effect("Layer.go"))
-    assert eff_eq(out, parse_effect("Exception.throw[Nat]"))
+    assert out == parse_effect("Exception.throw[Nat]")
 
 
 def test_simplify_instantiates_type_arguments():
     prog = load_program("Raiser { boom : abs [X] -> X ! Exception.throw[X] }")
     out = simplify(Sigs(prog), {},
                    parse_effect("Raiser.boom[Bool]"))
-    assert eff_eq(out, parse_effect("Exception.throw[Bool]"))
+    assert out == parse_effect("Exception.throw[Bool]")
 
 
 def test_simplify_top_is_top(sigs):
@@ -91,7 +91,7 @@ def test_filter_rewrites_caught_atoms(sigs):
 
 def test_filter_passes_unmatched_atoms(sigs):
     H = HandlerFilter((cf("Failure", "fail", PURE, typeParams=()),), PURE)
-    assert eff_eq(apply_filter(sigs, {}, H, THROW), THROW)
+    assert apply_filter(sigs, {}, H, THROW) == THROW
 
 
 def test_filter_catches_subtypes_of_the_clause_type(sigs):
@@ -99,28 +99,28 @@ def test_filter_catches_subtypes_of_the_clause_type(sigs):
     assert apply_filter(sigs, {}, H, MY_THROW) == PURE
     # but not the other way around
     H2 = HandlerFilter((cf("MyException", "throw", PURE),), PURE)
-    assert eff_eq(apply_filter(sigs, {}, H2, THROW), THROW)
+    assert apply_filter(sigs, {}, H2, THROW) == THROW
 
 
 def test_filter_first_matching_clause_wins(sigs):
     H = HandlerFilter(
         (cf("Exception", "throw", FAIL), cf("Exception", "throw", TOP)),
         PURE)
-    assert eff_eq(apply_filter(sigs, {}, H, THROW), FAIL)
+    assert apply_filter(sigs, {}, H, THROW) == FAIL
 
 
 def test_filter_substitutes_clause_type_parameters(sigs):
-    eff = EffCall(TypeVar("X"), "then")
+    eff = eff_of(EffCall(TypeVar("X"), "then"))
     H = HandlerFilter((cf("Exception", "throw", eff),), PURE)
     atom = parse_effect("Exception.throw[ThenElse[Nat]]")
     out = apply_filter(sigs, {}, H, atom)
-    assert out == EffCall(nominal("ThenElse", nominal("Nat")), "then")
+    assert out == eff_of(EffCall(nominal("ThenElse", nominal("Nat")), "then"))
 
 
 def test_filter_adds_the_final_effect(sigs):
     H = HandlerFilter((cf("Exception", "throw", PURE),), FAIL)
-    assert eff_eq(apply_filter(sigs, {}, H, THROW), FAIL)
-    assert eff_eq(apply_filter(sigs, {}, H, PURE), FAIL)
+    assert apply_filter(sigs, {}, H, THROW) == FAIL
+    assert apply_filter(sigs, {}, H, PURE) == FAIL
 
 
 def test_filter_top_passes_through(sigs):
@@ -138,4 +138,4 @@ def test_filter_distributes_over_union(sigs):
                 sigs, {}, HandlerFilter(clauses, fin), eff_union(a, b))
             inner = apply_filter(sigs, {}, HandlerFilter(clauses, fin), b)
             rhs = apply_filter(sigs, {}, HandlerFilter(clauses, inner), a)
-            assert eff_eq(lhs, rhs), (a, b)
+            assert lhs == rhs, (a, b)

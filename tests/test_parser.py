@@ -14,7 +14,7 @@ from mfj.parser import (
 from mfj.prelude import prelude_program
 from mfj.syntax import (
     OBJECT, PURE, TOP,
-    Call, Do, EffCall, EffUnion, NominalType, Obj, Return, Try, TypeVar, Var,
+    Call, Do, EffCall, NominalType, Obj, Return, Try, TypeVar, Var, eff_of,
     nominal,
 )
 
@@ -97,7 +97,7 @@ def test_unbound_type_variable_is_a_nominal():
 def test_parse_effect_forms():
     assert parse_effect("pure") == PURE
     assert parse_effect("top") == TOP
-    atom = EffCall(nominal("Exception"), "throw", (nominal("Nat"),))
+    atom = eff_of(EffCall(nominal("Exception"), "throw", (nominal("Nat"),)))
     assert parse_effect("Exception.throw[Nat]") == atom
 
 
@@ -111,8 +111,8 @@ def test_parsed_effects_are_normalized():
 def test_magic_methods_get_canonical_effects():
     prog = parse_program("E2 { throw : mgc [X] -> X }")
     (md,) = prog.decl("E2").methods
-    assert md.mtype.eff == EffCall(
-        nominal("E2"), "throw", (TypeVar("X"),))
+    assert md.mtype.eff == eff_of(EffCall(
+        nominal("E2"), "throw", (TypeVar("X"),)))
 
 
 # -- rejected inputs ----------------------------------------------------------

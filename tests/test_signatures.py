@@ -12,6 +12,7 @@ from mfj.syntax import (
     ABS, DEF, MGC, OBJECT, PURE, TOP,
     MethodType, NominalType, ObjType, Sig, TypeVar, nominal,
 )
+from mfj.typer import Checker
 
 MT = MethodType((), (), OBJECT, PURE)
 MT2 = MethodType((), (), nominal("Nat"), PURE)
@@ -102,6 +103,28 @@ def test_override_aligns_binder_names(sigs):
     b = entry(DEF, MethodType((("W", OBJECT),), (TypeVar("W"),),
                               TypeVar("W"), PURE))
     assert sigs.override_sum({}, a, b).get("m")[0] == DEF
+
+
+# B.m differs from A.m only in the names (and order) of its type binders
+SWAPPED = """
+G { go : abs -> Nat ! pure }
+A { m : abs [P <: G Q <: G] G{f : abs -> Nat ! P.go \\/ Q.go} -> Nat ! pure }
+B <| A { m : abs [Q <: G P <: G] G{f : abs -> Nat ! Q.go \\/ P.go} -> Nat ! pure }
+"""
+
+
+def test_override_aligns_binders_inside_parameter_types():
+    assert Checker(load_program(SWAPPED)).check_program() == []
+
+
+def test_sub_type_aligns_binders_inside_parameter_types():
+    sigs = Sigs(load_program(SWAPPED))
+    a = parse_type("G{h : abs [P <: G Q <: G] "
+                   "G{f : abs -> Nat ! P.go \\/ Q.go} -> Nat ! pure}")
+    b = parse_type("G{h : abs [Q <: G P <: G] "
+                   "G{f : abs -> Nat ! Q.go \\/ P.go} -> Nat ! pure}")
+    assert a != b
+    assert sigs.sub_type({}, a, b) and sigs.sub_type({}, b, a)
 
 
 # -- subtyping ----------------------------------------------------------------

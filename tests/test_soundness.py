@@ -14,7 +14,7 @@ from mfj.soundness import (
     check_lifted_step, check_progress, check_soundness, interp_law_suite,
     interps_for, type_monadic_result,
 )
-from mfj.syntax import PURE, TOP, Call, TypeVar, EffCall
+from mfj.syntax import PURE, TOP, Call, TypeVar, EffCall, eff_of
 from mfj.typer import Checker
 
 from conftest import load
@@ -51,7 +51,7 @@ def test_choose_has_no_exception_reading(den):
 
 def test_exc_set_rejects_open_receivers(den):
     with pytest.raises(UnknownAtom):
-        den.exc_set(EffCall(TypeVar("Z"), "throw", ()))
+        den.exc_set(eff_of(EffCall(TypeVar("Z"), "throw", ())))
 
 
 def test_nd_flag(den):
@@ -133,6 +133,23 @@ def test_progress_uses_a_precomputed_step(ck, ev):
     assert check_progress(ck, ev, stuck, stepped)
     v = check_progress(ck, ev, stuck, ev.mon_step(stuck))
     assert not v and "stuck" in v.witness
+
+
+def test_progress_does_not_restep_a_stuck_term(ck, monkeypatch):
+    ev = Evaluator(prelude_program(), "exc")
+    e = parse_expr("True.nosuch()")
+    stepped = ev.mon_step(e)
+    assert stepped is None
+    calls = []
+    real = ev.mon_step
+
+    def counted(e):
+        calls.append(e)
+        return real(e)
+
+    monkeypatch.setattr(ev, "mon_step", counted)
+    assert not check_progress(ck, ev, e, stepped)
+    assert calls == []
 
 
 def test_lifted_step_accepts_a_sound_step(ck, ev):

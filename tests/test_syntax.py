@@ -1,20 +1,26 @@
 """Core syntax: effect normal forms, substitution, erasure."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
+
+import mfj
 
 from mfj.parser import numeral, parse_expr
 from mfj.syntax import (
     DEF, OBJECT, PURE, TOP,
-    Call, Do, EffCall, EffEmpty, EffTop, EffUnion, MethodDef, MethodType,
-    NominalType, Obj, ObjType, Program, Return, Sig, TypeDecl, TypeVar, Var,
-    alpha_eq_mtype, canon_mtype, eff_eq, eff_from_parts, eff_norm, eff_parts,
-    eff_union, erase_type, fresh_name, fv_expr, fv_value, ftv_expr, ftv_type,
-    nominal, subst_expr, subst_mtype, subst_type,
+    Call, Do, EffCall, MethodDef, MethodType, NominalType, Obj, ObjType,
+    Program, Return, Sig, TypeDecl, TypeVar, Var, alpha_eq_mtype, canon_mtype,
+    eff_of, eff_union, erase_type, fresh_name, fv_expr, fv_value, ftv_expr,
+    ftv_type, nominal, subst_eff, subst_expr, subst_mtype, subst_type,
 )
 
-A = EffCall(nominal("A"), "m")
-B = EffCall(nominal("B"), "n")
+A = eff_of(EffCall(nominal("A"), "m"))
+B = eff_of(EffCall(nominal("B"), "n"))
 
 
 # -- effect normal form -------------------------------------------------------
@@ -23,39 +29,67 @@ effects = st.deferred(
     lambda: st.one_of(
         st.just(PURE),
         st.just(TOP),
-        st.sampled_from([A, B, EffCall(nominal("C"), "k")]),
-        st.builds(EffUnion, effects, effects),
+        st.sampled_from([A, B, eff_of(EffCall(nominal("C"), "k"))]),
+        st.builds(eff_union, effects, effects),
     )
 )
 
 
 @given(effects)
-def test_norm_is_idempotent(e):
-    assert eff_norm(eff_norm(e)) == eff_norm(e)
+def test_union_is_idempotent(e):
+    assert eff_union(e, e) == e
 
 
 @given(effects, effects)
 def test_union_is_commutative(a, b):
-    assert eff_eq(eff_union(a, b), eff_union(b, a))
+    assert eff_union(a, b) == eff_union(b, a)
 
 
 @given(effects, effects, effects)
 def test_union_is_associative(a, b, c):
-    assert eff_eq(eff_union(eff_union(a, b), c), eff_union(a, eff_union(b, c)))
+    assert eff_union(eff_union(a, b), c) == eff_union(a, eff_union(b, c))
 
 
 @given(effects)
 def test_top_absorbs(e):
-    assert eff_parts(eff_union(e, TOP)) == (frozenset(), True)
+    assert eff_union(e, TOP) == TOP
 
 
-def test_eff_parts_flattens_unions():
-    atoms, top = eff_parts(EffUnion(EffUnion(A, B), EffUnion(A, PURE)))
-    assert atoms == {A, B} and not top
+def test_union_flattens():
+    e = eff_union(eff_union(A, B), eff_union(A, PURE))
+    assert e.atoms == A.atoms | B.atoms and not e.top
 
 
-def test_from_parts_empty_is_pure():
-    assert eff_from_parts((), False) == PURE
+def test_eff_of_nothing_is_pure():
+    assert eff_of() == PURE
+
+
+def test_equal_effects_are_shared():
+    assert eff_of(*B.atoms, *A.atoms) is eff_union(A, B)
+    assert eff_of(*A.atoms, top=True) is TOP
+
+
+def test_subst_merges_atoms_that_become_equal():
+    xy = eff_of(EffCall(TypeVar("X"), "m"), EffCall(TypeVar("Y"), "m"))
+    out = subst_eff(xy, {"X": nominal("A"), "Y": nominal("A")})
+    assert out == A
+
+
+def test_effect_repr_does_not_depend_on_hashing():
+    code = (
+        "from mfj.syntax import EffCall, TypeVar, eff_of\n"
+        "print(repr(eff_of(*(EffCall(TypeVar(x), 'm') for x in 'XYZ'))))"
+    )
+    src = str(pathlib.Path(mfj.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    outs = {
+        subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, env={**env, "PYTHONHASHSEED": seed},
+        ).stdout
+        for seed in ("0", "1")
+    }
+    assert len(outs) == 1
 
 
 # -- free variables -----------------------------------------------------------
@@ -113,13 +147,13 @@ def test_subst_identity_is_the_same_object():
 
 
 def test_subst_type_in_effects():
-    eff = EffCall(TypeVar("Y"), "then")
+    eff = eff_of(EffCall(TypeVar("Y"), "then"))
     out = subst_expr(
         Return(Obj((), (MethodDef("m", DEF,
                                   MethodType((), (), OBJECT, eff),
                                   "s", (), Return(Var("s"))),))),
         {"Y": nominal("True")}, {})
-    assert out.value.methods[0].mtype.eff == EffCall(nominal("True"), "then")
+    assert out.value.methods[0].mtype.eff == eff_of(EffCall(nominal("True"), "then"))
 
 
 def test_subst_mtype_renames_clashing_binders():

@@ -5,8 +5,8 @@ import pytest
 from mfj.parser import numeral, parse_effect, parse_expr, parse_type
 from mfj.prelude import load_program, prelude_program
 from mfj.syntax import (
-    MGC, OBJECT, PURE,
-    MethodDef, MethodType, Obj, TypeVar, eff_eq, eff_parts, nominal,
+    MGC, OBJECT, PURE, TOP,
+    MethodDef, MethodType, Obj, TypeVar, nominal,
 )
 from mfj.typer import Checker, TypecheckError
 
@@ -76,7 +76,7 @@ def test_call_effect_is_the_simplified_call_atom(ck):
 def test_magic_call_keeps_its_atom(ck):
     t, eff = expr_type(ck, "MyException.throw[Nat]()")
     assert t == parse_type("Nat")
-    assert eff_eq(eff, parse_effect("MyException.throw[Nat]"))
+    assert eff == parse_effect("MyException.throw[Nat]")
 
 
 def test_variable_receiver_effects_survive(ck):
@@ -85,14 +85,14 @@ def test_variable_receiver_effects_survive(ck):
     gamma = {"b": parse_type("Bool"), "v": TypeVar("Z")}
     _, eff = ck.type_expr(
         phi, gamma, parse_expr("b.if[Nat Z](v)", tvars=("Z",)))
-    assert eff_eq(eff, parse_effect("Z.then \\/ Z.else", tvars=("Z",)))
+    assert eff == parse_effect("Z.then \\/ Z.else", tvars=("Z",))
 
 
 def test_concrete_receiver_effects_expand(ck):
     # ... but a concrete visitor expands them to its declared effects
     gamma = {"b": parse_type("Bool"), "v": parse_type("ThenElse[Nat]")}
     _, eff = ck.type_expr({}, gamma, parse_expr("b.if[Nat ThenElse[Nat]](v)"))
-    assert eff_parts(eff) == (frozenset(), True)  # then/else declare top
+    assert eff == TOP  # then/else declare top
 
 
 def test_call_arity_errors(ck):
@@ -129,8 +129,8 @@ def test_no_such_method(ck):
 def test_do_unions_effects(ck):
     _, eff = expr_type(
         ck, "do x = MyException.throw[Nat](); Failure[Nat].fail()")
-    assert eff_eq(eff, parse_effect(
-        "MyException.throw[Nat] \\/ Failure[Nat].fail"))
+    assert eff == parse_effect(
+        "MyException.throw[Nat] \\/ Failure[Nat].fail")
 
 
 def test_try_discharges_caught_effects(ck):
@@ -147,7 +147,7 @@ def test_try_keeps_uncaught_effects(ck):
         ck,
         "try Exception.throw[Nat]() "
         "with MyException.throw : [X] <s, return 0> stop")
-    assert eff_eq(eff, parse_effect("Exception.throw[Nat]"))
+    assert eff == parse_effect("Exception.throw[Nat]")
 
 
 def test_continue_clause_must_produce_the_magic_result(ck):

@@ -8,7 +8,10 @@
     mfj parse file.mfj...
 
 Exit codes: 0 success, 1 check/soundness failure, 2 usage (an option the
-subcommand does not read, a negative N or K) or precondition error.
+subcommand does not read, ``--trace`` or ``--fuel`` with ``run --approx``, a
+negative N or K) or precondition error.  ``run --trace`` prints each step as
+it is taken; with ``--json`` it prints JSON lines, one per step, then the
+result.
 ``--no-prelude`` (check, run, soundness) drops the standard prelude; the
 ``MFJ_PRELUDE`` environment variable substitutes a different one.
 """
@@ -16,6 +19,7 @@ subcommand does not read, a negative N or K) or precondition error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -25,6 +29,8 @@ from .parser import ParseError, parse_program, pretty, pretty_value
 from .prelude import load_file
 from .soundness import IllTypedProgram, SoundnessReport, check_soundness
 from .typer import Checker
+
+FUEL = 10000
 
 
 def count(text: str) -> int:
@@ -45,8 +51,10 @@ def _arg_parser() -> argparse.ArgumentParser:
     for sp in (run, snd):
         sp.add_argument("--monad", default="exc",
                         choices=["exc", "list", "dist", "id"])
-        sp.add_argument("--fuel", type=count, default=10000)
         sp.add_argument("--prefix", type=count, default=256)
+    run.add_argument("--fuel", type=count, default=None,
+                     help=f"step bound (default {FUEL}); not with --approx")
+    snd.add_argument("--fuel", type=count, default=FUEL)
     run.add_argument("--approx", type=count, default=None,
                      help="report the N-step approximation instead")
     snd.add_argument("--approx", type=count, default=64,
@@ -138,22 +146,23 @@ def cmd_run(args) -> int:
         print(json.dumps(payload) if args.json
               else f"approx[{args.approx}] = {payload['result']}")
         return 0
-    trace = [] if args.trace else None
+    step = itertools.count(1)
+
+    def show(line):
+        n = next(step)
+        print(json.dumps({"step": n, "rule": line.rule, "text": line.text})
+              if args.json else line.render(n), flush=True)
+
+    fuel = FUEL if args.fuel is None else args.fuel
     try:
-        mres = ev.finitary(prog.main, args.fuel, trace=trace)
+        mres = ev.finitary(prog.main, fuel, trace=show if args.trace else None)
     except Diverged:
-        if trace:
-            for i, line in enumerate(trace, 1):
-                print(line.render(i))
-        print(json.dumps({"diverged": True, "fuel": args.fuel})
-              if args.json else f"diverged (fuel {args.fuel})")
+        print(json.dumps({"diverged": True, "fuel": fuel})
+              if args.json else f"diverged (fuel {fuel})")
         return 0
     except PrefixExceeded as e:
         print(f"mfj run: {e}", file=sys.stderr)
         return 2
-    if trace:
-        for i, line in enumerate(trace, 1):
-            print(line.render(i))
     rendered = render_result(mres, args.prefix)
     print(json.dumps({"result": rendered}) if args.json else rendered)
     return 0
@@ -199,7 +208,15 @@ def cmd_parse(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _arg_parser().parse_args(argv)
+    parser = _arg_parser()
+    args = parser.parse_args(argv)
+    if args.command == "run" and args.approx is not None:
+        unread = [opt for opt, given in (("--trace", args.trace),
+                                         ("--fuel", args.fuel is not None))
+                  if given]
+        if unread:
+            parser.error("unrecognized arguments with --approx: "
+                         + " ".join(unread))
     cmd = {"check": cmd_check, "run": cmd_run,
            "soundness": cmd_soundness, "parse": cmd_parse}[args.command]
     try:

@@ -1,9 +1,21 @@
-"""The monadic operational semantics.
+"""The monadic operational semantics, run as a frame-stack machine.
+
+An expression configuration is a *focus* plus a persistent stack of frames
+around it, innermost first: ``DoFrame(var, rest)`` for ``do var = []; rest``
+and ``TryFrame(handler)`` for ``try [] with handler``.  ``EConf(e, frames)``
+plugs ``e`` into ``frames`` and decomposes the result once more down to the
+place where the next step of the semantics happens (refocusing, Danvy &
+Nielsen 2004): through every ``try``, and through a ``do`` unless the frame
+just outside it is a ``try`` (there ``try-do`` fires first).  So every
+configuration is in that one decomposition, and two configurations are equal
+exactly when their plugged terms, ``EConf.expr``, are equal.
 
 An ``Evaluator`` lifts the pure stepper into a chosen monad:
 
-* ``mon_step`` performs one monadic reduction step on an expression
-  (pure step, magic call, do-return, or do-context);
+* ``mon_step`` performs one monadic step on a configuration (a pure rule,
+  a magic call, or do-return), looking only at the focus and its top frame,
+  so a step costs the same at any context depth; ``step_expr`` is the same
+  step on a whole expression (decompose, step, plug);
 * ``step_config_traced``/``big_step`` run the step on configurations
   ``E e | R r``;
 * ``finitary`` iterates to a monadic *result* under a fuel bound and a
@@ -15,13 +27,17 @@ An ``Evaluator`` lifts the pure stepper into a chosen monad:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from operator import attrgetter
+from typing import Any, Callable, Optional
 
 from .monads import LazyList, Monad, RunRegistry, default_registry, get_monad
 from .parser import pretty_expr, pretty_value
 from .reducer import Magic, mbody, pure_step
 from .signatures import Sigs
-from .syntax import Call, Do, EffCall, Program, Return, erase_type, subst_expr
+from .syntax import (
+    Call, Do, EffCall, Handler, Program, Return, Try, erase_type, node,
+    subst_expr,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -45,9 +61,50 @@ class _Wrong:
 WRONG = _Wrong()
 
 
-@dataclass(frozen=True)
+@node
+class DoFrame:
+    """``do var = []; rest``, inside the frames ``below``."""
+
+    var: str
+    rest: Any
+    below: Any  # the next frame out, or None
+
+
+@node
+class TryFrame:
+    """``try [] with handler``, inside the frames ``below``."""
+
+    handler: Handler
+    below: Any
+
+
+@dataclass(frozen=True, init=False)
 class EConf:
-    expr: Any
+    """An expression configuration: a focus and the frames around it."""
+
+    focus: Any
+    frames: Any  # DoFrame | TryFrame | None
+
+    def __init__(self, e, frames=None):
+        while True:
+            if isinstance(e, Try):
+                frames, e = TryFrame(e.handler, frames), e.body
+            elif isinstance(e, Do) and not isinstance(frames, TryFrame):
+                frames, e = DoFrame(e.var, e.rest, frames), e.first
+            else:
+                break
+        object.__setattr__(self, "focus", e)
+        object.__setattr__(self, "frames", frames)
+
+    @property
+    def expr(self):
+        """The whole expression: the focus plugged into its frames."""
+        e, k = self.focus, self.frames
+        while k is not None:
+            e = Do(k.var, e, k.rest) if isinstance(k, DoFrame) \
+                else Try(e, k.handler)
+            k = k.below
+        return e
 
     def __repr__(self):
         return f"E {pretty_expr(self.expr)}"
@@ -104,51 +161,61 @@ class Evaluator:
             else default_registry(self.monad, self.sigs)
         self.prefix = prefix
 
-    # -- expression-level stepping ------------------------------------------
+    # -- stepping ------------------------------------------------------------
 
-    def mon_step(self, e) -> Optional[tuple]:
-        """One monadic step: (monadic value of expressions, StepInfo), or
-        None when the expression is a normal form or stuck."""
-        ps = pure_step(self.sigs, e)
+    def mon_step(self, c: EConf) -> Optional[tuple]:
+        """One monadic step: (monadic value of configurations, StepInfo), or
+        None when the configuration is a normal form or stuck.
+
+        The seven pure rules are ``pure_step`` on the focus, or on the focus
+        plugged into its top frame when that is a ``try``; the method of a
+        call in focus is looked up once, here.
+        """
+        f, top = c.focus, c.frames
+        found = mbody(self.sigs, f.recv, f.method) if isinstance(f, Call) \
+            else None
+        if isinstance(top, TryFrame):
+            redex, below = Try(f, top.handler), top.below
+        else:
+            redex, below = f, top
+        ps = pure_step(self.sigs, redex, found)
         if ps is not None:
             e2, rule = ps
             label = rule if rule in _CLAUSE_RULES else "pure"
-            return self.monad.unit(e2), StepInfo(label)
-        if isinstance(e, Call):
-            r = mbody(self.sigs, e.recv, e.method)
-            if not isinstance(r, Magic):
-                return None
-            mv = self.registry.run(r.typeName, e.method, e.recv, e.args)
+            return self.monad.unit(EConf(e2, below)), StepInfo(label)
+        # under a try, a magic call or a return has taken a pure rule above
+        if isinstance(found, Magic):
+            mv = self.registry.run(found.typeName, f.method, f.recv, f.args)
             if mv is None:
                 return None
-            atom = EffCall(erase_type(e.recv), e.method, e.targs)
-            return self.monad.map_m(Return, mv), StepInfo("mgc", atom)
-        if isinstance(e, Do):
-            if isinstance(e.first, Return):
-                e2 = subst_expr(e.rest, {}, {e.var: e.first.value})
-                return self.monad.unit(e2), StepInfo("ret")
-            inner = self.mon_step(e.first)
-            if inner is None:
-                return None
-            mv, info = inner
-            var, rest = e.var, e.rest
-            return self.monad.map_m(lambda e1: Do(var, e1, rest), mv), info
+            atom = EffCall(erase_type(f.recv), f.method, f.targs)
+            return (self.monad.map_m(lambda v: EConf(Return(v), top), mv),
+                    StepInfo("mgc", atom))
+        if isinstance(f, Return) and top is not None:
+            e2 = subst_expr(top.rest, {}, {top.var: f.value})
+            return self.monad.unit(EConf(e2, top.below)), StepInfo("ret")
         return None
 
-    # -- configuration-level stepping ---------------------------------------
+    def step_expr(self, e) -> Optional[tuple]:
+        """``mon_step`` on a whole expression: (monadic value of
+        expressions, StepInfo), or None."""
+        stepped = self.mon_step(EConf(e))
+        if stepped is None:
+            return None
+        mv, info = stepped
+        return self.monad.map_m(attrgetter("expr"), mv), info
 
     def step_config_traced(self, c) -> tuple:
         """stepConfig with its rule label: (monadic configurations, label)."""
         if isinstance(c, RConf):
             return self.monad.unit(c), "res"
-        e = c.expr
-        if isinstance(e, Return):
-            return self.monad.unit(RConf(VRes(e.value))), "ret"
-        stepped = self.mon_step(e)
+        if isinstance(c.focus, Return) and c.frames is None:
+            return self.monad.unit(RConf(VRes(c.focus.value))), "ret"
+        stepped = self.mon_step(c)
         if stepped is None:
             return self.monad.unit(RConf(WRONG)), "wrong"
         mv, info = stepped
-        return self.monad.map_m(EConf, mv), info.rule
+        return mv, info.rule
 
     def big_step(self, mc, labels: Optional[set] = None):
         """Step every configuration of ``mc`` once; ``labels``, if given,
@@ -177,11 +244,13 @@ class Evaluator:
                 f"more than {self.prefix} branches; raise --prefix")
         return elems
 
-    def finitary(self, e, fuel: int = 10000, trace: Optional[list] = None):
+    def finitary(self, e, fuel: int = 10000,
+                 trace: Optional[Callable[[TraceLine], Any]] = None):
         """Iterate ``big_step`` until every branch is a result.
 
         Returns the monadic value of results (``VRes`` / ``WRONG``).  A trace
-        list, if given, receives one ``TraceLine`` per step taken.
+        callback, if given, is called with one ``TraceLine`` per step, as
+        soon as the step is taken.
         """
         mc = self.initial(e)
         for n in range(fuel + 1):
@@ -196,7 +265,7 @@ class Evaluator:
                 # forces one past the prefix, so either every configuration
                 # has been labelled or the next _configs raises
                 text = self._show(mc)
-                trace.append(TraceLine(",".join(sorted(labels)), text))
+                trace(TraceLine(",".join(sorted(labels)), text))
 
     def approx(self, e, n: int):
         """The n-step approximation: unfinished branches become bottom."""

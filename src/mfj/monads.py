@@ -285,6 +285,14 @@ class DistMonad(Monad):
                 acc[y] = acc.get(y, Fraction(0)) + w * u
         return Dist._trusted(acc.items())
 
+    def map_m(self, f, m):
+        # native map: the same weights as bind's, without the products by 1
+        acc: dict = {}
+        for x, w in m.weights:
+            y = f(x)
+            acc[y] = acc[y] + w if y in acc else w
+        return Dist._trusted(acc.items())
+
     def bottom(self):
         return Dist({})
 

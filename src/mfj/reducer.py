@@ -121,14 +121,20 @@ def invk_subst(body, typeParams, targs, selfVar, recv, params, args):
     return subst_expr(body, tsub, vsub)
 
 
-def pure_step(sigs: Sigs, e) -> Optional[tuple]:
+# ``found`` default: the method of the call at the redex not looked up yet
+_UNLOOKED = object()
+
+
+def pure_step(sigs: Sigs, e, found=_UNLOOKED) -> Optional[tuple]:
     """One pure-reduction step: (e', rule name), or None when stuck/terminal.
 
     Rules: invk, try-ret, try-do, catch-continue, catch-stop, fwd, try-ctx;
-    the first six take priority over try-ctx.
+    the first six take priority over try-ctx.  ``found`` is ``mbody`` of the
+    call ``e`` is or ends in under its ``try``s, when the caller has it
+    already.
     """
     if isinstance(e, Call):
-        r = mbody(sigs, e.recv, e.method)
+        r = mbody(sigs, e.recv, e.method) if found is _UNLOOKED else found
         if isinstance(r, DefBody):
             if len(r.params) != len(e.args):
                 return None
@@ -149,8 +155,9 @@ def pure_step(sigs: Sigs, e) -> Optional[tuple]:
             inner_handler = Handler(h.clauses, body.var, Try(body.rest, h))
             return Try(body.first, inner_handler), "try-do"
         if isinstance(body, Call):
-            r = mbody(sigs, body.recv, body.method)
-            if isinstance(r, Magic):
+            if found is _UNLOOKED:
+                found = mbody(sigs, body.recv, body.method)
+            if isinstance(found, Magic):
                 c = cmatch(sigs, body.recv, body.method, h.clauses)
                 if c is None:
                     return Do(h.finalVar, body, h.finalExpr), "fwd"
@@ -171,7 +178,7 @@ def pure_step(sigs: Sigs, e) -> Optional[tuple]:
                     final = subst_expr(final, {}, {x: Var(x2)})
                     x = x2
                 return Do(x, cbody, final), "catch-continue"
-        inner = pure_step(sigs, body)
+        inner = pure_step(sigs, body, found)
         if inner is None:
             return None
         e2, rule = inner

@@ -252,18 +252,18 @@ def type_monadic_result(checker: Checker, interp: EffectInterp, mres,
     return interp.lift(eff, well_typed)(mres)
 
 
-# ``stepped`` default: ``ev.mon_step(e)`` not computed yet (None means stuck)
+# ``stepped`` default: ``ev.step_expr(e)`` not computed yet (None means stuck)
 _UNSTEPPED = object()
 
 
 def check_progress(checker: Checker, ev: Evaluator, e,
                    stepped=_UNSTEPPED) -> Verdict:
     """Well-typed closed expressions are returns or can step; ``stepped`` is
-    ``ev.mon_step(e)`` when the caller has it already."""
+    ``ev.step_expr(e)`` when the caller has it already."""
     if isinstance(e, Return):
         return PASS
     if stepped is _UNSTEPPED:
-        stepped = ev.mon_step(e)
+        stepped = ev.step_expr(e)
     if stepped is not None:
         return PASS
     return Verdict(False, f"well-typed expression is stuck: {e!r}")
@@ -279,7 +279,7 @@ def check_lifted_step(checker: Checker, ev: Evaluator, e, T: Type,
     by the effect.
     """
     if stepped is _UNSTEPPED:
-        stepped = ev.mon_step(e)
+        stepped = ev.step_expr(e)
     if stepped is None:
         return PASS  # no step: nothing to preserve
     mv, info = stepped
@@ -565,7 +565,7 @@ def check_soundness(program: Program, monad_name: str, *, name: str = "main",
                     f"reachable expression ill-typed: {err}")
             steps_ok = False
             continue
-        stepped = ev.mon_step(cur)
+        stepped = ev.step_expr(cur)
         v = check_progress(checker, ev, cur, stepped)
         if not v:
             rep.add(name, monad_name, "progress", False, v.witness)

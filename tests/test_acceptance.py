@@ -58,7 +58,7 @@ def run_exc(name, fuel=1000, trace=None):
 def test_e1_reaches_one_with_the_expected_trace():
     trace = []
     start = time.perf_counter()
-    res = run_exc("exc_e1", fuel=15, trace=trace)
+    res = run_exc("exc_e1", fuel=15, trace=trace.append)
     elapsed = time.perf_counter() - start
     assert res == Pure(VRes(numeral(1)))
     assert len(trace) == 10

@@ -111,6 +111,36 @@ def test_run_trace(capsys):
     assert lines[10] == "1"
 
 
+def test_run_trace_json_is_json_lines(capsys):
+    code, out, _ = mfj(capsys, "run", corpus("exc_e1"), "--trace", "--json")
+    assert code == 0
+    recs = [json.loads(line) for line in out.splitlines()]
+    assert len(recs) == 11
+    assert recs[0]["step"] == 1 and recs[0]["rule"] == "pure"
+    assert [r["rule"] for r in recs[8:10]] == ["catch-stop", "ret"]
+    assert recs[-1] == {"result": "1"}
+
+
+def test_run_trace_json_of_a_diverging_run(capsys):
+    code, out, _ = mfj(capsys, "run", corpus("nd_m2"), "--monad", "list",
+                       "--fuel", "3", "--trace", "--json")
+    assert code == 0
+    recs = [json.loads(line) for line in out.splitlines()]
+    assert [r.get("step") for r in recs] == [1, 2, 3, None]
+    assert recs[-1] == {"diverged": True, "fuel": 3}
+
+
+def test_run_trace_is_kept_when_the_prefix_is_exceeded(capsys):
+    code, out, err = mfj(capsys, "run", corpus("nd_m1"), "--monad", "list",
+                         "--trace", "--prefix", "1")
+    assert code == 2
+    lines = out.splitlines()
+    assert lines and all(line.startswith(f"{i}: [")
+                         for i, line in enumerate(lines, 1))
+    assert lines[-1].endswith(", ...]")
+    assert "more than 1 branches" in err
+
+
 def test_run_json(capsys):
     code, out, _ = mfj(capsys, "run", corpus("nat_sum"), "--json")
     assert code == 0
@@ -175,6 +205,9 @@ def test_parse_of_the_simplest_program(capsys):
     ["parse", "--unchecked"],
     ["parse", "--json"],
     ["parse", "--no-prelude"],
+    ["run", "--approx", "5", "--trace"],
+    ["run", "--approx", "5", "--fuel", "10"],
+    ["run", "--approx", "5", "--fuel", "10000"],
 ])
 def test_options_a_subcommand_does_not_read_are_rejected(capsys, argv):
     cmd, *opts = argv

@@ -46,13 +46,13 @@ def test_magic_call_runs_in_the_monad(ev):
 
 
 def test_mon_step_resolves_do_bindings(ev):
-    mv, info = ev.mon_step(parse_expr("do n = return 1; n.succ()"))
+    mv, info = ev.step_expr(parse_expr("do n = return 1; n.succ()"))
     assert info.rule == "ret"
     assert mv == Pure(Call(numeral(1), "succ"))
 
 
 def test_mon_step_propagates_through_do_contexts(ev):
-    mv, info = ev.mon_step(parse_expr("do x = Failure[Nat].fail(); return x"))
+    mv, info = ev.step_expr(parse_expr("do x = Failure[Nat].fail(); return x"))
     assert info.rule == "mgc"
     assert mv == Raised("Fail")
 
@@ -77,7 +77,7 @@ def test_finitary_runs_out_of_fuel():
 def test_trace_lines_render_with_step_numbers():
     prog = load("exc_e1")
     trace = []
-    Evaluator(prog, "exc").finitary(prog.main, 20, trace=trace)
+    Evaluator(prog, "exc").finitary(prog.main, 20, trace=trace.append)
     assert trace[0].render(1).startswith("1: [pure] ")
     assert all(isinstance(t, TraceLine) for t in trace)
     assert trace[-1].rule == "ret"

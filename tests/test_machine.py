@@ -1,0 +1,159 @@
+"""The frame-stack machine: the same steps as the reference stepper, one
+decomposition per term, one method lookup per step, and a step cost that
+does not depend on the depth of the evaluation context."""
+
+import collections
+
+import pytest
+
+from mfj import evaluator, reducer
+from mfj.evaluator import DoFrame, EConf, Evaluator, TryFrame
+from mfj.monads import LazyList
+from mfj.parser import parse_expr
+from mfj.prelude import load_program, prelude_program
+
+from conftest import load
+from reference_stepper import reference_step
+from test_acceptance import APPLICABLE
+
+HANDLER = "Exception.throw : [X] <x, return 0> stop"
+
+# a try inside a try, a forwarded failure resumed by the outer clause, and
+# final expressions on both handlers, all inside a do-context
+NESTED = """
+Test {
+  sumAsNat : def String String -> Nat ! Failure[Nat].fail
+    <_ s1 s2, do n1 = s1.toNat(); do n2 = s2.toNat(); n1.sum(n2)>
+}
+
+main = do a = try try Test.sumAsNat("1" "a")
+                  with Exception.throw : [X] <x, return 7> stop
+                  final <y, y.succ()>
+              with Failure[Nat].fail : <x, return 2> continue
+              final <z, do w = z.succ(); w.succ()>;
+       do b = 2.sum(a); b.succ()
+"""
+
+PROGRAMS = {
+    "sum": ("main = 30.sum(20)", ["exc", "id"]),
+    "try-sum": (f"main = try 30.sum(20) with {HANDLER}", ["exc", "id"]),
+    "nested": (NESTED, ["exc"]),
+}
+
+CASES = [(name, m) for name, ms in APPLICABLE.items() for m in ms] + [
+    (name, m) for name, (_, ms) in PROGRAMS.items() for m in ms]
+
+
+def program(name):
+    if name in PROGRAMS:
+        return load_program(PROGRAMS[name][0])
+    return load(name)
+
+
+def observed(monad, mv):
+    return mv.take(64) if isinstance(mv, LazyList) else mv
+
+
+@pytest.mark.parametrize("name, monad", CASES)
+def test_every_step_agrees_with_the_reference_stepper(name, monad):
+    """Each configuration the machine reaches is the canonical decomposition
+    of its term, and its step plugs to the reference step of that term, with
+    the same rule and magic atom."""
+    prog = program(name)
+    ev = Evaluator(prog, monad)
+    start = EConf(prog.main)
+    seen, queue = {start}, collections.deque([start])
+    steps = 0
+    while queue and steps < 600:
+        c = queue.popleft()
+        e = c.expr
+        assert EConf(e) == c
+        got, want = ev.mon_step(c), reference_step(ev, e)
+        assert (got is None) == (want is None), e
+        if got is None:
+            continue
+        steps += 1
+        mv, info = got
+        assert info == want[1]
+        plugged = ev.monad.map_m(lambda c2: c2.expr, mv)
+        assert observed(monad, plugged) == observed(monad, want[0])
+        for c2 in ev.monad.elements(mv, 64):
+            if c2 not in seen:
+                seen.add(c2)
+                queue.append(c2)
+    assert steps > 0
+
+
+def test_a_configuration_is_decomposed_to_its_next_redex():
+    # through the do, then the try; the do under the try stays in focus,
+    # because try-do fires before anything inside it
+    c = EConf(parse_expr(
+        f"do x = try do y = 0.succ(); return y with {HANDLER}; return x"))
+    assert isinstance(c.frames, TryFrame)
+    assert isinstance(c.frames.below, DoFrame) and c.frames.below.below is None
+    assert c.focus == parse_expr("do y = 0.succ(); return y")
+    assert EConf(c.focus, c.frames) == c
+    assert EConf(c.expr) == c
+
+
+# -- cost of a step ---------------------------------------------------------------
+
+
+def step_costs(n, monkeypatch):
+    """For each step of ``n.sum(n)``, the calls of ``pure_step``, ``unit``
+    and ``map_m`` from its start to the start of the next step."""
+    ev = Evaluator(load_program(f"main = {n}.sum({n})"), "exc")
+    log = []
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            log.append(name)
+            return fn(*args, **kwargs)
+        return counted
+
+    step = counting("pure_step", reducer.pure_step)
+    monkeypatch.setattr(reducer, "pure_step", step)
+    monkeypatch.setattr(evaluator, "pure_step", step)
+    for name in ("unit", "map_m"):
+        monkeypatch.setattr(ev.monad, name,
+                            counting(name, getattr(ev.monad, name)))
+    monkeypatch.setattr(ev, "mon_step", counting("mon_step", ev.mon_step))
+    ev.finitary(ev.program.main, 100000)
+    monkeypatch.undo()
+    costs = []
+    for name in log[log.index("mon_step"):]:
+        if name == "mon_step":
+            costs.append(collections.Counter())
+        else:
+            costs[-1][name] += 1
+    assert len(costs) == 5 * n + 1
+    return {tuple(sorted(c.items())) for c in costs}
+
+
+def test_a_step_costs_the_same_at_any_context_depth(monkeypatch):
+    assert step_costs(50, monkeypatch) == step_costs(400, monkeypatch)
+
+
+@pytest.mark.parametrize("src, rule", [
+    ("Failure[Nat].fail()", "mgc"),
+    ("try Failure[Nat].fail() with Failure[Nat].fail : <x, return 3> stop",
+     "catch-stop"),
+    ("try Failure[Nat].fail() with Failure[Nat].fail : <x, return 3> continue",
+     "catch-continue"),
+    (f"try Failure[Nat].fail() with {HANDLER}", "fwd"),
+    (f"try 2.sum(1) with {HANDLER}", "pure"),
+])
+def test_a_step_looks_its_method_up_once(monkeypatch, src, rule):
+    ev = Evaluator(prelude_program(), "exc")
+    calls = []
+    real = reducer.mbody
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(reducer, "mbody", counted)
+    monkeypatch.setattr(evaluator, "mbody", counted)
+    _, info = ev.mon_step(EConf(parse_expr(src)))
+    assert info.rule == rule
+    assert len(calls) == 1

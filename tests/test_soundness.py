@@ -126,19 +126,19 @@ def test_progress(ck, ev):
 
 def test_progress_uses_a_precomputed_step(ck, ev):
     e = Call(numeral(0), "succ")
-    stepped = ev.mon_step(e)
+    stepped = ev.step_expr(e)
     assert check_progress(ck, ev, e, stepped)
     stuck = parse_expr("x.m()")
     # a given step is taken as is, not recomputed
     assert check_progress(ck, ev, stuck, stepped)
-    v = check_progress(ck, ev, stuck, ev.mon_step(stuck))
+    v = check_progress(ck, ev, stuck, ev.step_expr(stuck))
     assert not v and "stuck" in v.witness
 
 
 def test_progress_does_not_restep_a_stuck_term(ck, monkeypatch):
     ev = Evaluator(prelude_program(), "exc")
     e = parse_expr("True.nosuch()")
-    stepped = ev.mon_step(e)
+    stepped = ev.step_expr(e)
     assert stepped is None
     calls = []
     real = ev.mon_step

@@ -106,43 +106,44 @@ NAT_T = nominal("Nat")
 FAIL_EFF = eff_of(EffCall(nominal("Failure", NAT_T), "fail", ()))
 
 
+_ZERO = (NominalType("Zero"),)
+_SUCC = (NominalType("Succ"),)
+_PRED_T = MethodType((), (), NAT_T, PURE)
+
+
 def numeral(n: int) -> Obj:
     """The n-hat encoding; built exactly the way ``Nat.succ`` builds values."""
-    v = Obj((NominalType("Zero"),))
+    v = Obj(_ZERO)
     for _ in range(n):
-        v = Obj(
-            (NominalType("Succ"),),
-            (
-                MethodDef(
-                    "pred", DEF,
-                    MethodType((), (), NAT_T, PURE),
-                    "_", (), Return(v),
-                ),
-            ),
-        )
+        v = Obj(_SUCC, (MethodDef("pred", DEF, _PRED_T, "_", (), Return(v)),))
     return v
 
 
 def numeral_value(v: Value) -> Optional[int]:
-    """Inverse of ``numeral`` where it applies, else None."""
-    n = 0
-    while True:
-        if not isinstance(v, Obj):
-            return None
-        if v.parents == (NominalType("Zero"),) and not v.methods:
-            return n
-        if v.parents != (NominalType("Succ"),) or len(v.methods) != 1:
-            return None
-        md = v.methods[0]
+    """Inverse of ``numeral`` where it applies, else None.
+
+    The answer is cached on every level of the object, the way
+    ``erase_type`` caches ``_erased``, so a walk stops at the first level
+    already classified.
+    """
+    path = []  # the unclassified Succ levels above v, outermost first
+    while isinstance(v, Obj) and "_numeral" not in v.__dict__:
+        md = v.methods[0] if len(v.methods) == 1 else None
         if (
-            md.name != "pred" or md.kind != DEF or md.params
-            or md.selfVar != "_"
-            or md.mtype != MethodType((), (), NAT_T, PURE)
-            or not isinstance(md.body, Return)
+            v.parents == _SUCC and md is not None and md.name == "pred"
+            and md.kind == DEF and not md.params and md.selfVar == "_"
+            and md.mtype == _PRED_T and isinstance(md.body, Return)
         ):
-            return None
-        v = md.body.value
-        n += 1
+            path.append(v)
+            v = md.body.value
+        else:
+            zero = v.parents == _ZERO and not v.methods
+            object.__setattr__(v, "_numeral", 0 if zero else None)
+    n = v.__dict__["_numeral"] if isinstance(v, Obj) else None
+    for w in reversed(path):
+        n = None if n is None else n + 1
+        object.__setattr__(w, "_numeral", n)
+    return n
 
 
 def string_object(s: str) -> Obj:

@@ -7,8 +7,8 @@ The theorems become decidable checks over observed prefixes and supports:
 * ``Denotation`` gives the exception-set and nondeterminism-flag readings of
   a ground simplified effect;
 * ``EffectInterp`` is a predicate lifting ``(effect, predicate on X) ->
-  predicate on M X``; five are built in (exc, list-forall/exists,
-  dist-forall/exists) plus an identity one;
+  predicate on M X``: one lifting class, forall or exists over
+  ``Monad.elements``, serves exc, list-forall/exists, dist-forall/exists, id;
 * ``type_monadic_result`` types a monadic result value against ``T ! eff``;
 * ``check_progress`` / ``check_lifted_step`` monitor a single reduction;
 * ``interp_law_suite`` brute-forces the four lifting laws on small sets;
@@ -20,11 +20,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress, product
 from typing import Callable, List, Optional
 
 from .evaluator import Diverged, Evaluator, VRes
 from .monads import (
-    EXC_NAMES, ID_BOTTOM, Dist, ExcValue, IdValue, LazyList, Monad, get_monad,
+    EXC_NAMES, ID_BOTTOM, Dist, ExcValue, IdValue, LazyList, Monad, NotAChain,
+    get_monad,
 )
 from .signatures import SigError, Sigs
 from .syntax import (
@@ -51,6 +53,7 @@ class Denotation:
 
     def __init__(self, sigs: Sigs):
         self.sigs = sigs
+        self._exc_sets: dict = {}  # effect -> exc_set(effect)
 
     def _receiver_names(self, t: Type) -> Optional[set]:
         """Parent names of the receiver; None means 'any' (Object)."""
@@ -75,6 +78,8 @@ class Denotation:
         """Exception names the effect allows; None encodes 'all' (top)."""
         if eff.top:
             return None
+        if eff in self._exc_sets:
+            return self._exc_sets[eff]
         out = set()
         for a in eff.atoms:
             if a.method in ND_METHODS:
@@ -85,7 +90,8 @@ class Denotation:
                     decl.name, uppers
                 ):
                     out.add(EXC_NAMES.get(decl.name, decl.name))
-        return frozenset(out)
+        self._exc_sets[eff] = frozenset(out)
+        return self._exc_sets[eff]
 
     def nd_flag(self, eff: Effect) -> int:
         if eff.top:
@@ -100,7 +106,9 @@ class Denotation:
 
 @dataclass
 class EffectInterp:
-    """A family of predicate liftings indexed by effects."""
+    """A family of predicate liftings indexed by effects: forall (every
+    element ``Monad.elements`` observes satisfies the predicate, and the
+    effect ``allowed`` the other outcomes) or, if ``may``, exists."""
 
     name: str
     monad: Monad
@@ -108,104 +116,57 @@ class EffectInterp:
     may: bool = False  # if set, type_monadic_result tolerates a bottom result
     prefix: int = 256
 
+    def allowed(self, eff: Effect) -> Optional[Callable]:
+        """The forall test ``(m, elements) -> bool`` on outcomes that are not
+        elements, or None if ``eff`` allows them all."""
+        if self.monad.name == "exc":
+            names = self.den.exc_set(eff)
+            if names is not None:
+                return lambda m, elems: m.tag != "raised" or m.payload in names
+        elif self.monad.name == "list" and self.den.nd_flag(eff) == 0:
+            return lambda m, elems: len(elems) <= 1
+        # dist: no determinism test on the support: map_m merges equal values,
+        # so one would not commute with map_m (naturality); the per-step
+        # monitor still rejects a choose step under a deterministic effect
+        return None
+
     def lift(self, eff: Effect, pred: Callable) -> Callable:
-        raise NotImplementedError
-
-
-class ExcInterp(EffectInterp):
-    def __init__(self, den, prefix=256):
-        super().__init__("exc", get_monad("exc"), den, False, prefix)
-
-    def lift(self, eff, pred):
-        allowed = self.den.exc_set(eff)
-
-        def ok(m: ExcValue) -> bool:
-            if m.tag == "pure":
-                return bool(pred(m.payload))
-            if m.tag == "raised":
-                return allowed is None or m.payload in allowed
-            return True  # bottom
-
-        return ok
-
-
-class ListForall(EffectInterp):
-    def __init__(self, den, prefix=256):
-        super().__init__("list-forall", get_monad("list"), den, False, prefix)
-
-    def lift(self, eff, pred):
-        det = self.den.nd_flag(eff) == 0
-
-        def ok(m: LazyList) -> bool:
-            elems = m.take(self.prefix)
-            if det and len(elems) > 1:
+        # plain loops: cheaper than any/all over map on these short lists
+        elements, prefix = self.monad.elements, self.prefix
+        if self.may:
+            def some(m) -> bool:
+                for x in elements(m, prefix):
+                    if pred(x):
+                        return True
                 return False
-            return all(pred(x) for x in elems)
 
-        return ok
+            return some
+        allowed = self.allowed(eff)
 
+        def every(m) -> bool:
+            elems = elements(m, prefix)
+            if allowed is not None and not allowed(m, elems):
+                return False
+            for x in elems:
+                if not pred(x):
+                    return False
+            return True
 
-class ListExists(EffectInterp):
-    def __init__(self, den, prefix=256):
-        super().__init__("list-exists", get_monad("list"), den, True, prefix)
-
-    def lift(self, eff, pred):
-        def ok(m: LazyList) -> bool:
-            return any(pred(x) for x in m.take(self.prefix))
-
-        return ok
-
-
-class DistForall(EffectInterp):
-    def __init__(self, den, prefix=256):
-        super().__init__("dist-forall", get_monad("dist"), den, False, prefix)
-
-    def lift(self, eff, pred):
-        # no determinism test on the support: map_m merges equal values, so
-        # one would not commute with map_m (naturality); the per-step monitor
-        # still rejects a choose step under a deterministic effect
-        def ok(m) -> bool:
-            return all(pred(x) for x in m.support())
-
-        return ok
-
-
-class DistExists(EffectInterp):
-    def __init__(self, den, prefix=256):
-        super().__init__("dist-exists", get_monad("dist"), den, True, prefix)
-
-    def lift(self, eff, pred):
-        def ok(m) -> bool:
-            return any(pred(x) for x in m.support())
-
-        return ok
-
-
-class IdInterp(EffectInterp):
-    def __init__(self, den, prefix=256):
-        super().__init__("id", get_monad("id"), den, False, prefix)
-
-    def lift(self, eff, pred):
-        def ok(m) -> bool:
-            return m.tag == "bottom" or bool(pred(m.payload))
-
-        return ok
+        return every
 
 
 def interps_for(monad_name: str, den: Denotation, prefix: int = 256,
                 which: Optional[str] = None) -> List[EffectInterp]:
     """The interpretations applicable to a monad; ``which`` narrows
     'forall'/'exists' for the nondeterministic monads."""
-    if monad_name == "exc":
-        return [ExcInterp(den, prefix)]
-    if monad_name == "id":
-        return [IdInterp(den, prefix)]
-    if monad_name == "list":
-        out = [ListForall(den, prefix), ListExists(den, prefix)]
-    elif monad_name == "dist":
-        out = [DistForall(den, prefix), DistExists(den, prefix)]
-    else:
+    if monad_name in ("exc", "id"):
+        return [EffectInterp(monad_name, get_monad(monad_name), den, False,
+                             prefix)]
+    if monad_name not in ("list", "dist"):
         raise KeyError(monad_name)
+    out = [EffectInterp(f"{monad_name}-{q}", get_monad(monad_name), den,
+                        q == "exists", prefix)
+           for q in ("forall", "exists")]
     if which == "forall":
         return out[:1]
     if which == "exists":
@@ -284,14 +245,13 @@ def check_lifted_step(checker: Checker, ev: Evaluator, e, T: Type,
         return PASS  # no step: nothing to preserve
     mv, info = stepped
     ehat = eff_of(info.mgc_atom) if info.mgc_atom is not None else PURE
-    den = Denotation(checker.sigs)
     if info.mgc_atom is not None and not checker.sigs.sub_eff({}, ehat, eff):
         return Verdict(
             False,
             f"magic step raises {info.mgc_atom!r}, not allowed by {eff!r}",
         )
     if isinstance(mv, ExcValue) and mv.tag == "raised":
-        allowed = den.exc_set(eff)
+        allowed = Denotation(checker.sigs).exc_set(eff)
         if allowed is not None and mv.payload not in allowed:
             return Verdict(
                 False, f"raised {mv.payload} outside excSet({eff!r})")
@@ -353,33 +313,17 @@ def monad_samples(monad_name: str, X):
 
 
 def _subsets(X):
+    """Every subset of X; bit i of the enumeration index selects X[i]."""
     xs = list(X)
-    out = []
-    for mask in range(1 << len(xs)):
-        out.append(frozenset(x for i, x in enumerate(xs) if mask >> i & 1))
-    return out
+    return [frozenset(compress(xs, reversed(bits)))
+            for bits in product((0, 1), repeat=len(xs))]
 
 
-def _functions(X, Y):
-    xs, ys = list(X), list(Y)
-    if not xs:
-        return [{}]
-    out = []
-    idx = [0] * len(xs)
-    while True:
-        out.append({x: ys[i] for x, i in zip(xs, idx)})
-        j = 0
-        while j < len(xs):
-            idx[j] += 1
-            if idx[j] < len(ys):
-                break
-            idx[j] = 0
-            j += 1
-        else:
-            break
-        if j == len(xs):
-            break
-    return out
+def _functions(X):
+    """Every function X -> X as a dict keyed in X's order; X[0]'s image
+    varies fastest."""
+    xs = list(X)
+    return [dict(zip(xs, reversed(ys))) for ys in product(xs, repeat=len(xs))]
 
 
 def interp_law_suite(interp: EffectInterp, sigs: Sigs, effects,
@@ -394,11 +338,10 @@ def interp_law_suite(interp: EffectInterp, sigs: Sigs, effects,
     monad = interp.monad
     mname = monad.name
     X = tuple(X)
-    Y = X
     viol = []
     samples = monad_samples(mname, X)
     subsets = _subsets(X)
-    funcs = _functions(X, Y)
+    funcs = _functions(X)
 
     # 1: naturality
     for eff in effects:
@@ -435,20 +378,20 @@ def interp_law_suite(interp: EffectInterp, sigs: Sigs, effects,
                 viol.append(
                     f"unit law fails for {interp.name}: x={x}, A={sorted(A)}")
     # 4: multiplication
-    inner = samples
-    mm_samples = [monad.unit(m) for m in inner]
+    mm_samples = [monad.unit(m) for m in samples]
     if mname == "exc":
-        mm_samples += [m for m in inner
+        mm_samples += [m for m in samples
                        if getattr(m, "tag", None) in ("raised", "bottom")]
-    if len(inner) >= 2:
+    if len(samples) >= 2:
         # two-element outer containers, where the monad has them
         if mname == "list":
-            mm_samples += [LazyList.of(a, b) for a in inner[:4] for b in inner[:4]]
+            mm_samples += [LazyList.of(a, b)
+                           for a in samples[:4] for b in samples[:4]]
         elif mname == "dist":
             half = Fraction(1, 2)
             mm_samples += [
                 Dist([(a, half), (b, half)])
-                for a in inner[:4] for b in inner[:4] if a is not b
+                for a in samples[:4] for b in samples[:4] if a is not b
             ]
     for eff in effects:
         for eff2 in effects:
@@ -468,21 +411,16 @@ def interp_law_suite(interp: EffectInterp, sigs: Sigs, effects,
     return viol
 
 
-class BrokenExcInterp(ExcInterp):
+class BrokenExcInterp(EffectInterp):
     """A deliberately broken interpretation: excSet(top) is empty, so
     widening an effect to top can shrink the lifted predicate (law 2)."""
 
-    def lift(self, eff, pred):
-        allowed = frozenset() if eff.top else self.den.exc_set(eff)
+    def __init__(self, den, prefix=256):
+        super().__init__("exc", get_monad("exc"), den, False, prefix)
 
-        def ok(m: ExcValue) -> bool:
-            if m.tag == "pure":
-                return bool(pred(m.payload))
-            if m.tag == "raised":
-                return allowed is not None and m.payload in allowed
-            return True
-
-        return ok
+    def allowed(self, eff):
+        names = frozenset() if eff.top else self.den.exc_set(eff)
+        return lambda m, elems: m.tag != "raised" or m.payload in names
 
 
 # ---------------------------------------------------------------------------
@@ -532,8 +470,7 @@ class IllTypedProgram(Exception):
 
 
 def check_soundness(program: Program, monad_name: str, *, name: str = "main",
-                    fuel: int = 10000, finitary_fuel: Optional[int] = None,
-                    approx_to: int = 64,
+                    fuel: int = 10000, approx_to: int = 64,
                     prefix: int = 256, which: Optional[str] = None,
                     registry=None,
                     report: Optional[SoundnessReport] = None) -> SoundnessReport:
@@ -587,11 +524,9 @@ def check_soundness(program: Program, monad_name: str, *, name: str = "main",
                 f"{fuel - budget} steps monitored")
 
     # finitary soundness (divergence detection needs far less fuel than the
-    # per-step walk, so it gets its own default bound)
-    if finitary_fuel is None:
-        finitary_fuel = min(fuel, 1000)
+    # per-step walk, so it gets its own bound)
     try:
-        res = ev.finitary(e0, finitary_fuel)
+        res = ev.finitary(e0, min(fuel, 1000))
     except Diverged:
         res = None
         rep.add(name, monad_name, "finitary", True, "diverged (vacuous)")
@@ -604,8 +539,11 @@ def check_soundness(program: Program, monad_name: str, *, name: str = "main",
 
     # infinitary approximations: a chain of well-typed lower bounds
     chain = ev.approx_chain(e0, approx_to)
-    ascending = all(
-        ev.monad.leq(a, b) for a, b in zip(chain, chain[1:]))
+    try:
+        ev.monad.sup_chain(chain)
+        ascending = True
+    except NotAChain:
+        ascending = False
     rep.add(name, monad_name, "approx-chain-ascending", ascending,
             "" if ascending else "approximations not a chain")
     for itp in interps:

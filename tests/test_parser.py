@@ -6,6 +6,8 @@ ship, so the printer is a faithful serialization.
 
 import pytest
 
+from mfj import parser
+from mfj.evaluator import Evaluator
 from mfj.parser import (
     ParseError, numeral, numeral_value, parse_effect, parse_expr,
     parse_program, parse_type, pretty, pretty_eff, pretty_expr, pretty_value,
@@ -46,6 +48,27 @@ def test_numerals_desugar_to_successor_towers():
 def test_numerals_print_as_decimals():
     assert pretty_value(numeral(12)) == "12"
     assert pretty_expr(Return(numeral(0))) == "return 0"
+
+
+def test_a_printed_numeral_is_classified_once(monkeypatch):
+    # 300.sum(0) is 300 Succ levels that Nat.succ built at run time
+    ev = Evaluator(prelude_program(), "id")
+    v = ev.finitary(parse_expr("300.sum(0)")).payload.value
+    real = parser._PRED_T
+    classified = []
+
+    class CountingPredType:
+        def __eq__(self, other):
+            classified.append(other)
+            return other == real
+
+    monkeypatch.setattr(parser, "_PRED_T", CountingPredType())
+    assert pretty_value(v) == "300"
+    assert len(classified) == 300
+    classified.clear()
+    assert pretty_value(v) == "300"
+    assert pretty_value(Obj(v.parents, v.methods)) == "300"
+    assert len(classified) == 1  # the new top level only
 
 
 def test_strings_desugar_to_toNat_objects():

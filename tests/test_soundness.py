@@ -1,16 +1,18 @@
 """Effect denotations, predicate liftings, and the soundness harness."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from mfj.evaluator import Evaluator, VRes, WRONG
-from mfj.monads import LazyList, Pure, Raised, default_registry, get_monad
+from mfj.monads import (
+    Dist, LazyList, Pure, Raised, default_registry, get_monad,
+)
 from mfj.parser import numeral, parse_effect, parse_expr, parse_type
 from mfj.prelude import prelude_program
 from mfj.soundness import (
-    BrokenExcInterp, Denotation, DistForall, ExcInterp, IdInterp,
-    IllTypedProgram, ListExists, ListForall, SoundnessReport, UnknownAtom,
+    BrokenExcInterp, Denotation, IllTypedProgram, SoundnessReport, UnknownAtom,
     check_lifted_step, check_progress, check_soundness, interp_law_suite,
     interps_for, type_monadic_result,
 )
@@ -67,7 +69,7 @@ NAT = parse_type("Nat")
 
 
 def test_exc_result_typing(ck, den):
-    itp = ExcInterp(den)
+    itp = interps_for("exc", den)[0]
     assert type_monadic_result(ck, itp, Pure(VRes(numeral(1))), NAT, PURE)
     assert not type_monadic_result(ck, itp, Pure(WRONG), NAT, PURE)
     assert not type_monadic_result(
@@ -78,7 +80,7 @@ def test_exc_result_typing(ck, den):
 
 
 def test_list_forall_flags_spurious_branching(ck, den):
-    itp = ListForall(den)
+    itp = interps_for("list", den)[0]
     two = LazyList.of(VRes(numeral(0)), VRes(numeral(1)))
     assert not type_monadic_result(ck, itp, two, NAT, PURE)
     assert type_monadic_result(
@@ -86,19 +88,71 @@ def test_list_forall_flags_spurious_branching(ck, den):
 
 
 def test_list_exists_tolerates_bottom(ck, den):
-    itp = ListExists(den)
+    itp = interps_for("list", den)[1]
     assert type_monadic_result(ck, itp, LazyList.of(), NAT, PURE)
     assert not type_monadic_result(
-        ck, ListForall(den), LazyList.of(WRONG), NAT, PURE)
+        ck, interps_for("list", den)[0], LazyList.of(WRONG), NAT, PURE)
 
 
 def test_dist_forall_checks_support(ck, den):
-    from fractions import Fraction
-    from mfj.monads import Dist
-    itp = DistForall(den)
+    itp = interps_for("dist", den)[0]
     d = Dist({VRes(numeral(2)): Fraction(1, 2)})
     assert type_monadic_result(ck, itp, d, NAT, PURE)
     assert not type_monadic_result(ck, itp, d, parse_type("Bool"), PURE)
+
+
+ONE = VRes(numeral(1))
+MY_EXC = parse_effect("MyException.throw[Nat]")
+CHOOSE = parse_effect("Chooser.choose")
+
+
+def _outcome(monad_name, case):
+    """(monadic result, effect) of one case of the lifting table."""
+    m = get_monad(monad_name)
+    if case == "bottom":
+        return m.bottom(), PURE
+    if case in ("value", "wrong"):
+        return m.unit(ONE if case == "value" else WRONG), PURE
+    if case in ("raise-in", "raise-out"):
+        return Raised("MyE" if case == "raise-in" else "E"), MY_EXC
+    kind, eff = case.split("-")
+    a, b = (VRes(numeral(0)), ONE) if kind == "two" else (ONE, WRONG)
+    two = (LazyList.of(a, b) if monad_name == "list"
+           else Dist({a: Fraction(1, 2), b: Fraction(1, 2)}))
+    return two, PURE if eff == "pure" else CHOOSE
+
+
+# the type_monadic_result verdict at Nat of every interpretation on bottom,
+# a well-typed value, wrong, and the monad's other outcomes
+LIFT_TABLE = {
+    "exc": {"bottom": True, "value": True, "wrong": False,
+            "raise-in": True, "raise-out": False},
+    "list-forall": {"bottom": True, "value": True, "wrong": False,
+                    "two-pure": False, "two-choose": True,
+                    "mixed-choose": False},
+    "list-exists": {"bottom": True, "value": True, "wrong": False,
+                    "two-pure": True, "two-choose": True,
+                    "mixed-choose": True},
+    "dist-forall": {"bottom": True, "value": True, "wrong": False,
+                    "two-pure": True, "two-choose": True,
+                    "mixed-choose": False},
+    "dist-exists": {"bottom": True, "value": True, "wrong": False,
+                    "two-pure": True, "two-choose": True,
+                    "mixed-choose": True},
+    "id": {"bottom": True, "value": True, "wrong": False},
+}
+
+
+@pytest.mark.parametrize("monad_name", ["exc", "list", "dist", "id"])
+def test_every_interpretation_types_each_outcome(ck, den, monad_name):
+    got = {}
+    for itp in interps_for(monad_name, den):
+        got[itp.name] = {}
+        for case in LIFT_TABLE[itp.name]:
+            mres, eff = _outcome(monad_name, case)
+            got[itp.name][case] = type_monadic_result(ck, itp, mres, NAT, eff)
+    assert got == {name: row for name, row in LIFT_TABLE.items()
+                   if name.split("-")[0] == monad_name}
 
 
 def test_is_bottom():
@@ -168,7 +222,7 @@ def test_lifted_step_rejects_a_disallowed_raise(ck, ev):
 
 def test_id_interp_laws(ck, den):
     effs = [PURE, parse_effect("Exception.throw[Nat]"), TOP]
-    assert interp_law_suite(IdInterp(den), ck.sigs, effs, X=(0, 1)) == []
+    assert interp_law_suite(interps_for("id", den)[0], ck.sigs, effs, X=(0, 1)) == []
 
 
 def test_broken_interp_violates_monotonicity(ck, den):
@@ -184,6 +238,10 @@ def test_interps_for_narrowing(den):
         ["list-exists"]
     assert [i.name for i in interps_for("dist", den, which="forall")] == \
         ["dist-forall"]
+    for name in ("exc", "id"):
+        for which in (None, "forall", "exists"):
+            assert [i.name for i in interps_for(name, den, which=which)] == \
+                [name]
     with pytest.raises(KeyError):
         interps_for("state", den)
 
@@ -197,6 +255,15 @@ def test_check_soundness_passes_on_a_pure_program():
     assert "per-step" in checks
     assert "finitary/exc" in checks
     assert "approx-chain-ascending" in checks
+
+
+def test_check_soundness_flags_approximations_that_are_not_a_chain(
+        monkeypatch):
+    chain = [Pure(VRes(numeral(1))), Pure(VRes(numeral(0)))]
+    monkeypatch.setattr(Evaluator, "approx_chain", lambda self, e, n: chain)
+    rep = check_soundness(load("bool_not"), "exc", fuel=500)
+    [rec] = [r for r in rep.records if r.check == "approx-chain-ascending"]
+    assert not rec.ok and rec.witness == "approximations not a chain"
 
 
 def test_check_soundness_rejects_ill_typed_programs():

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .signatures import SigError, Sigs, UnboundTypeVar
+from .signatures import SigError, Sigs, UnboundTypeVar, env_key
 from .syntax import (
     MGC, TOP,
     EffCall, Effect, NominalType, ObjType, Sig, Type, TypeVar,
@@ -17,16 +17,28 @@ class FuelExhausted(SigError):
     pass
 
 
-def simplify(sigs: Sigs, phi: Mapping[str, Type], eff: Effect, fuel: int = 256) -> Effect:
+# rewrites one simplification may make before it fails
+SIMPLIFY_FUEL = 256
+
+
+def simplify(sigs: Sigs, phi: Mapping[str, Type], eff: Effect) -> Effect:
     """Rewrite ``eff`` until only magic or variable call-effect atoms remain.
 
     Non-magic atoms T.m[Ts] are replaced by m's declared effect instantiated
     with Ts, recursively.  The rewrite is fuel-bounded; running out is an
-    error, not divergence.
+    error, not divergence.  Results are memoized in the ``Sigs`` session.
     """
     if eff.top:
         return TOP
-    budget = [fuel]
+    key = (eff, env_key(phi))
+    out = sigs.simplify_memo.get(key)
+    if out is None:
+        out = sigs.simplify_memo[key] = _simplify(sigs, phi, eff)
+    return out
+
+
+def _simplify(sigs, phi, eff) -> Effect:
+    budget = [SIMPLIFY_FUEL]
     out: set = set()
     out_top = [False]
 

@@ -14,8 +14,7 @@ An ``Evaluator`` lifts the pure stepper into a chosen monad:
 
 * ``mon_step`` performs one monadic step on a configuration (a pure rule,
   a magic call, or do-return), looking only at the focus and its top frame,
-  so a step costs the same at any context depth; ``step_expr`` is the same
-  step on a whole expression (decompose, step, plug);
+  so a step costs the same at any context depth;
 * ``step_config_traced``/``big_step`` run the step on configurations
   ``E e | R r``;
 * ``finitary`` iterates to a monadic *result* under a fuel bound and a
@@ -27,7 +26,6 @@ An ``Evaluator`` lifts the pure stepper into a chosen monad:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Any, Callable, Optional
 
 from .monads import LazyList, Monad, RunRegistry, default_registry, get_monad
@@ -195,15 +193,6 @@ class Evaluator:
             e2 = subst_expr(top.rest, {}, {top.var: f.value})
             return self.monad.unit(EConf(e2, top.below)), StepInfo("ret")
         return None
-
-    def step_expr(self, e) -> Optional[tuple]:
-        """``mon_step`` on a whole expression: (monadic value of
-        expressions, StepInfo), or None."""
-        stepped = self.mon_step(EConf(e))
-        if stepped is None:
-            return None
-        mv, info = stepped
-        return self.monad.map_m(attrgetter("expr"), mv), info
 
     def step_config_traced(self, c) -> tuple:
         """stepConfig with its rule label: (monadic configurations, label)."""

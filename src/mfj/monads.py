@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Any, Iterable, Iterator, Optional
 
 from . import faults
@@ -66,7 +67,10 @@ class LazyList:
 
     @staticmethod
     def of(*xs) -> "LazyList":
-        return LazyList(xs)
+        """A finite list, already forced: no iterator behind it."""
+        ll = LazyList.__new__(LazyList)
+        ll._memo, ll._it = list(xs), None
+        return ll
 
     def _force(self, k: Optional[int]) -> None:
         while self._it is not None and (k is None or len(self._memo) < k):
@@ -92,12 +96,13 @@ class LazyList:
 
     def __iter__(self):
         i = 0
-        while True:
+        while self._it is not None:
             self._force(i + 1)
-            if i >= len(self._memo) and self._it is None:
-                return
-            yield self._memo[i]
-            i += 1
+            if i < len(self._memo):
+                yield self._memo[i]
+                i += 1
+        # forced: the memo is complete and no longer grows
+        yield from islice(self._memo, i, None)
 
     def __repr__(self):
         head = self.take(5)
@@ -272,17 +277,23 @@ class ListMonad(Monad):
         return m.take(bound)
 
 
+_ONE = Fraction(1)
+
+
 class DistMonad(Monad):
     name = "dist"
 
     def unit(self, x):
-        return Dist._trusted([(x, Fraction(1))])
+        return Dist._trusted([(x, _ONE)])
 
     def bind(self, m, f):
+        # no products by 1 and no zero start value: a finished branch is
+        # re-bound to its unit on every step of a run
         acc: dict = {}
         for x, w in m.weights:
             for y, u in f(x).weights:
-                acc[y] = acc.get(y, Fraction(0)) + w * u
+                p = w if u == 1 else w * u
+                acc[y] = acc[y] + p if y in acc else p
         return Dist._trusted(acc.items())
 
     def map_m(self, f, m):

@@ -57,7 +57,7 @@ class ArityMismatch(SigError):
     pass
 
 
-def _env_key(phi: Mapping[str, Type]) -> tuple:
+def env_key(phi: Mapping[str, Type]) -> tuple:
     return tuple(sorted(phi.items(), key=lambda kv: kv[0]))
 
 
@@ -97,6 +97,9 @@ class Sigs:
         self._supers: dict = {}
         self._ancestors: dict = {}
         self._sub_memo: dict = {}
+        # successes only, so a failing lookup raises again on every call
+        self._sig_memo: dict = {}  # (type, env key) -> Sig
+        self.simplify_memo: dict = {}  # (effect, env key) -> effects.simplify
 
     # -- extraction ---------------------------------------------------------
 
@@ -140,6 +143,13 @@ class Sigs:
 
     def sig_of_type(self, phi: Mapping[str, Type], t: Type) -> Sig:
         """typeof: the full signature of a type."""
+        key = (t, env_key(phi))
+        sig = self._sig_memo.get(key)
+        if sig is None:
+            sig = self._sig_memo[key] = self._sig_of_type(phi, t)
+        return sig
+
+    def _sig_of_type(self, phi, t) -> Sig:
         if isinstance(t, TypeVar):
             bound = phi.get(t.name)
             if bound is None:
@@ -244,7 +254,7 @@ class Sigs:
         """Subtyping between two types (see also sub_eff/sub_mtype/sub_sig)."""
         if a == b:
             return True
-        key = (_env_key(phi), a, b)
+        key = (env_key(phi), a, b)
         hit = self._sub_memo.get(key)
         if hit is not None:
             return hit

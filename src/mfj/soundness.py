@@ -10,9 +10,16 @@ The theorems become decidable checks over observed prefixes and supports:
   predicate on M X``: one lifting class, forall or exists over
   ``Monad.elements``, serves exc, list-forall/exists, dist-forall/exists, id;
 * ``type_monadic_result`` types a monadic result value against ``T ! eff``;
-* ``check_progress`` / ``check_lifted_step`` monitor a single reduction;
+* ``check_progress`` / ``check_lifted_step`` monitor a single reduction of
+  an evaluator configuration (``EConf``);
 * ``interp_law_suite`` brute-forces the four lifting laws on small sets;
 * ``check_soundness`` drives everything over one program and monad.
+
+The per-step monitor works on configurations, not plugged terms: it steps
+them with ``Evaluator.mon_step`` and types them with ``Checker.type_conf``,
+which retypes only the focus and the frames a step changed, so its cost per
+step does not grow with the depth of the evaluation context.  A
+configuration is plugged (``EConf.expr``) only to print a witness.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from fractions import Fraction
 from itertools import compress, product
 from typing import Callable, List, Optional
 
-from .evaluator import Diverged, Evaluator, VRes
+from .evaluator import Diverged, EConf, Evaluator, VRes
 from .monads import (
     EXC_NAMES, ID_BOTTOM, Dist, ExcValue, IdValue, LazyList, Monad, NotAChain,
     get_monad,
@@ -213,34 +220,35 @@ def type_monadic_result(checker: Checker, interp: EffectInterp, mres,
     return interp.lift(eff, well_typed)(mres)
 
 
-# ``stepped`` default: ``ev.step_expr(e)`` not computed yet (None means stuck)
+# ``stepped`` default: ``ev.mon_step(c)`` not computed yet (None means stuck)
 _UNSTEPPED = object()
 
 
-def check_progress(checker: Checker, ev: Evaluator, e,
+def check_progress(checker: Checker, ev: Evaluator, c: EConf,
                    stepped=_UNSTEPPED) -> Verdict:
-    """Well-typed closed expressions are returns or can step; ``stepped`` is
-    ``ev.step_expr(e)`` when the caller has it already."""
-    if isinstance(e, Return):
+    """Well-typed closed configurations are returns or can step; ``stepped``
+    is ``ev.mon_step(c)`` when the caller has it already."""
+    if isinstance(c.focus, Return) and c.frames is None:
         return PASS
     if stepped is _UNSTEPPED:
-        stepped = ev.step_expr(e)
+        stepped = ev.mon_step(c)
     if stepped is not None:
         return PASS
-    return Verdict(False, f"well-typed expression is stuck: {e!r}")
+    return Verdict(False, f"well-typed expression is stuck: {c.expr!r}")
 
 
-def check_lifted_step(checker: Checker, ev: Evaluator, e, T: Type,
-                      eff: Effect, stepped=_UNSTEPPED, prefix: int = 256) -> Verdict:
-    """Monadic subject reduction for one step of ``e : T ! eff``.
+def check_lifted_step(checker: Checker, den: Denotation, ev: Evaluator,
+                      c: EConf, T: Type, eff: Effect, stepped=_UNSTEPPED,
+                      prefix: int = 256) -> Verdict:
+    """Monadic subject reduction for one step of ``c : T ! eff``.
 
-    Every expression in the step result must retype at some T' ! eff' with
-    T' <= T and ehat v eff' <= eff, where ehat is the canonical call-effect
-    of a magic step (and pure otherwise); a raised exception must be allowed
-    by the effect.
+    Every configuration in the step result must retype at some T' ! eff'
+    with T' <= T and ehat v eff' <= eff, where ehat is the canonical
+    call-effect of a magic step (and pure otherwise); a raised exception
+    must be in ``den``'s excSet of the effect.
     """
     if stepped is _UNSTEPPED:
-        stepped = ev.step_expr(e)
+        stepped = ev.mon_step(c)
     if stepped is None:
         return PASS  # no step: nothing to preserve
     mv, info = stepped
@@ -251,16 +259,17 @@ def check_lifted_step(checker: Checker, ev: Evaluator, e, T: Type,
             f"magic step raises {info.mgc_atom!r}, not allowed by {eff!r}",
         )
     if isinstance(mv, ExcValue) and mv.tag == "raised":
-        allowed = Denotation(checker.sigs).exc_set(eff)
+        allowed = den.exc_set(eff)
         if allowed is not None and mv.payload not in allowed:
             return Verdict(
                 False, f"raised {mv.payload} outside excSet({eff!r})")
         return PASS
-    for e2 in ev.monad.elements(mv, prefix):
+    for c2 in ev.monad.elements(mv, prefix):
         try:
-            t2, f2 = checker.type_expr({}, {}, e2)
+            t2, f2 = checker.type_conf(c2)
         except TypecheckError as err:
-            return Verdict(False, f"step result {e2!r} is ill-typed: {err}")
+            return Verdict(False,
+                           f"step result {c2.expr!r} is ill-typed: {err}")
         if not checker.sigs.sub_type({}, t2, T):
             return Verdict(
                 False, f"step result type {t2!r} not below {T!r}")
@@ -488,21 +497,23 @@ def check_soundness(program: Program, monad_name: str, *, name: str = "main",
         raise ValueError("program has no main expression")
     t0, f0 = checker.type_expr({}, {}, e0)
 
-    # per-step progress and subject reduction, over distinct reachable exprs
-    seen = {e0}
-    frontier = [e0]
+    # per-step progress and subject reduction, over distinct reachable
+    # configurations (equal configurations are equal terms)
+    c0 = EConf(e0)
+    seen = {c0}
+    frontier = [c0]
     budget = fuel
     steps_ok = True
     while frontier and budget > 0:
         cur = frontier.pop()
         try:
-            t, f = checker.type_expr({}, {}, cur)
+            t, f = checker.type_conf(cur)
         except TypecheckError as err:
             rep.add(name, monad_name, "subject-reduction", False,
                     f"reachable expression ill-typed: {err}")
             steps_ok = False
             continue
-        stepped = ev.step_expr(cur)
+        stepped = ev.mon_step(cur)
         v = check_progress(checker, ev, cur, stepped)
         if not v:
             rep.add(name, monad_name, "progress", False, v.witness)
@@ -510,7 +521,7 @@ def check_soundness(program: Program, monad_name: str, *, name: str = "main",
         if stepped is None:
             continue
         budget -= 1
-        v = check_lifted_step(checker, ev, cur, t, f, stepped, prefix)
+        v = check_lifted_step(checker, den, ev, cur, t, f, stepped, prefix)
         if not v:
             rep.add(name, monad_name, "subject-reduction", False, v.witness)
             steps_ok = False

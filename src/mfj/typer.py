@@ -1,9 +1,11 @@
 """The type-and-effect system: values, expressions, handlers, declarations.
 
 A ``Checker`` is a per-program session (it owns a ``Sigs`` context and memo
-tables keyed on a term plus the environment restricted to its free names).  All judgments are syntax-directed functions; there
-is no subsumption rule, so subtype checks happen exactly where the rules put
-side conditions.
+tables keyed on a term plus the environment restricted to its free names).
+All judgments are syntax-directed functions; there is no subsumption rule,
+so subtype checks happen exactly where the rules put side conditions.  The
+soundness monitor types evaluator configurations with ``type_conf``, which
+reuses the typing of the frames around the focus.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from typing import Mapping
 
 from . import faults
 from .effects import ClauseFilter, HandlerFilter, apply_filter, simplify
+from .evaluator import TryFrame
 from .signatures import SigError, Sigs
 from .syntax import (
     ABS, CONTINUE, DEF, MGC, OBJECT, PURE, STOP,
@@ -52,6 +55,8 @@ class Checker:
         self.sigs = Sigs(program)
         self._val_memo: dict = {}
         self._expr_memo: dict = {}
+        # (frame, hole typing, raw focus effect) -> the configuration's typing
+        self._frame_memo: dict = {}
 
     # -- values ----------------------------------------------------------------
 
@@ -144,25 +149,34 @@ class Checker:
             return self._type_call(phi, gamma, e)
         if isinstance(e, Do):
             t1, f1 = self.type_expr(phi, gamma, e.first)
-            gamma2 = dict(gamma)
-            gamma2[e.var] = t1
-            t2, f2 = self.type_expr(phi, gamma2, e.rest)
-            return t2, eff_union(f1, f2)
+            return self._t_do(phi, gamma, t1, f1, e.var, e.rest)
         if isinstance(e, Try):
             bt, beff = self.type_expr(phi, gamma, e.body)
-            t2, H = self.type_handler(phi, gamma, bt, e.handler)
-            if faults.ACTIVE.filter_before_simplify:
-                # seeded bug: filter the raw effect, then simplify
-                raw = self._raw_effect(phi, gamma, e.body)
-                try:
-                    eff = simplify(self.sigs, phi,
-                                   apply_filter(self.sigs, phi, H, raw))
-                except SigError as err:
-                    raise _sig_error(err, "t-try")
-            else:
-                eff = apply_filter(self.sigs, phi, H, beff)
-            return t2, eff
+            return self._t_try(phi, gamma, bt, beff, e.handler,
+                               lambda: self._raw_effect(phi, gamma, e.body))
         raise TypecheckError("NotAnExpr", "t-expr", f"not an expression: {e!r}")
+
+    def _t_do(self, phi, gamma, t1, f1, var: str, rest) -> tuple:
+        """t-do, given the typing ``t1 ! f1`` of the bound expression."""
+        gamma2 = dict(gamma)
+        gamma2[var] = t1
+        t2, f2 = self.type_expr(phi, gamma2, rest)
+        return t2, eff_union(f1, f2)
+
+    def _t_try(self, phi, gamma, bt, beff, h: Handler, raw_body) -> tuple:
+        """t-try, given the typing ``bt ! beff`` of the body; ``raw_body()``
+        is the body's unsimplified effect, read only by the seeded fault."""
+        t2, H = self.type_handler(phi, gamma, bt, h)
+        if faults.ACTIVE.filter_before_simplify:
+            # seeded bug: filter the raw effect, then simplify
+            try:
+                eff = simplify(self.sigs, phi,
+                               apply_filter(self.sigs, phi, H, raw_body()))
+            except SigError as err:
+                raise _sig_error(err, "t-try")
+        else:
+            eff = apply_filter(self.sigs, phi, H, beff)
+        return t2, eff
 
     def _type_call(self, phi, gamma, e: Call) -> tuple:
         t0 = self.type_value(phi, gamma, e.recv)
@@ -215,6 +229,40 @@ class Checker:
         if isinstance(e, Try):
             return self._raw_effect(phi, gamma, e.body)
         return PURE
+
+    # -- configurations ------------------------------------------------------------
+
+    def type_conf(self, c) -> tuple:
+        """(Type, Effect) of a closed configuration (``evaluator.EConf``).
+
+        The focus is typed with ``type_expr``; its typing is then pushed out
+        through the frames, innermost first, with t-do and t-try.  Each
+        frame's result is memoized on (frame, hole typing); a frame holds the
+        frames below it, so a hit types the rest of the configuration at once
+        and a step retypes only the focus and the frames it changed.
+        """
+        hole = self.type_expr({}, {}, c.focus)
+        # read only by the seeded t-try fault: the raw body effect of every
+        # try frame is the focus's, because ``EConf`` decomposes no ``do``
+        # under a ``try``, so no do frame ever sits inside a try frame
+        raw = self._raw_effect({}, {}, c.focus) \
+            if faults.ACTIVE.filter_before_simplify else None
+        k, missed = c.frames, []
+        while k is not None:
+            key = (k, hole, raw)
+            hit = self._frame_memo.get(key)
+            if hit is not None:
+                hole = hit
+                break
+            missed.append(key)
+            if isinstance(k, TryFrame):
+                hole = self._t_try({}, {}, *hole, k.handler, lambda: raw)
+            else:
+                hole = self._t_do({}, {}, *hole, k.var, k.rest)
+            k = k.below
+        for key in missed:
+            self._frame_memo[key] = hole
+        return hole
 
     # -- handlers ----------------------------------------------------------------
 

@@ -1,13 +1,16 @@
 """The ``mfj`` command-line interface, driven through ``main(argv)``."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from mfj.cli import main
 from mfj.parser import parse_program
 
-from conftest import CORPUS
+from conftest import CORPUS, ROOT
 
 
 def mfj(capsys, *args):
@@ -190,6 +193,15 @@ def test_parse_of_the_simplest_program(capsys):
     code, out, _ = mfj(capsys, "parse", corpus("bool_not"))
     assert code == 0
     assert out == "main = True.not()\n"
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "mfj", "parse", "corpus/nat_sum.mfj"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "main = 2.sum(3)\n"
 
 
 # -- options ------------------------------------------------------------------

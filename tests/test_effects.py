@@ -139,3 +139,36 @@ def test_filter_distributes_over_union(sigs):
             inner = apply_filter(sigs, {}, HandlerFilter(clauses, fin), b)
             rhs = apply_filter(sigs, {}, HandlerFilter(clauses, inner), a)
             assert lhs == rhs, (a, b)
+
+
+# -- the simplification memo ----------------------------------------------------
+
+def test_simplify_is_memoized(monkeypatch):
+    sigs = Sigs(load_program("", use_prelude=True))
+    eff = parse_effect("Bool.not \\/ Failure[Nat].fail")
+    first = simplify(sigs, {}, eff)
+    looked_up = []
+    real = sigs.mtype
+
+    def counted(*args):
+        looked_up.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(sigs, "mtype", counted)
+    assert simplify(sigs, {}, eff) is first
+    assert looked_up == []
+
+
+def test_a_failing_simplification_raises_on_every_call(sigs):
+    eff = eff_of(EffCall(TypeVar("Y"), "then"))
+    with pytest.raises(UnboundTypeVar):
+        simplify(sigs, {}, eff)
+    # under a bound for Y the same effect simplifies, keyed apart
+    phi = {"Y": nominal("ThenElse", nominal("Nat"))}
+    assert simplify(sigs, phi, eff) == eff
+    with pytest.raises(UnboundTypeVar):
+        simplify(sigs, {}, eff)
+    loop = Sigs(load_program("Loop { m : abs -> Nat ! Loop.m }"))
+    for _ in range(2):
+        with pytest.raises(FuelExhausted):
+            simplify(loop, {}, parse_effect("Loop.m"))

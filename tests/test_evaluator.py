@@ -46,13 +46,14 @@ def test_magic_call_runs_in_the_monad(ev):
 
 
 def test_mon_step_resolves_do_bindings(ev):
-    mv, info = ev.step_expr(parse_expr("do n = return 1; n.succ()"))
+    mv, info = ev.mon_step(EConf(parse_expr("do n = return 1; n.succ()")))
     assert info.rule == "ret"
-    assert mv == Pure(Call(numeral(1), "succ"))
+    assert mv == Pure(EConf(Call(numeral(1), "succ")))
 
 
 def test_mon_step_propagates_through_do_contexts(ev):
-    mv, info = ev.step_expr(parse_expr("do x = Failure[Nat].fail(); return x"))
+    mv, info = ev.mon_step(
+        EConf(parse_expr("do x = Failure[Nat].fail(); return x")))
     assert info.rule == "mgc"
     assert mv == Raised("Fail")
 

@@ -1,16 +1,21 @@
 """The frame-stack machine: the same steps as the reference stepper, one
 decomposition per term, one method lookup per step, and a step cost that
-does not depend on the depth of the evaluation context."""
+does not depend on the depth of the evaluation context.  The soundness
+monitor types configurations frame by frame: the same typings as the whole
+plugged terms, at a cost per step that does not depend on depth either."""
 
 import collections
+import contextlib
 
 import pytest
 
-from mfj import evaluator, reducer
+from mfj import evaluator, faults, reducer
 from mfj.evaluator import DoFrame, EConf, Evaluator, TryFrame
 from mfj.monads import LazyList
 from mfj.parser import parse_expr
 from mfj.prelude import load_program, prelude_program
+from mfj.soundness import check_soundness
+from mfj.typer import Checker, TypecheckError
 
 from conftest import load
 from reference_stepper import reference_step
@@ -157,3 +162,68 @@ def test_a_step_looks_its_method_up_once(monkeypatch, src, rule):
     _, info = ev.mon_step(EConf(parse_expr(src)))
     assert info.rule == rule
     assert len(calls) == 1
+
+
+# -- typing configurations ---------------------------------------------------------
+
+
+def typing_or_error(type_of, arg):
+    try:
+        return type_of(arg)
+    except TypecheckError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("fault", [None, "filter_before_simplify"])
+@pytest.mark.parametrize("name, monad", CASES)
+def test_frame_typing_agrees_with_typing_the_plugged_term(name, monad, fault):
+    """Every configuration the monitor reaches (up to 600 steps) gets the
+    same type and effect, or the same error, from ``type_conf`` as from
+    ``type_expr`` on its plugged term, also under the seeded t-try fault."""
+    with faults.inject(fault) if fault else contextlib.nullcontext():
+        prog = program(name)
+        ev = Evaluator(prog, monad)
+        framed, whole = Checker(prog), Checker(prog)
+        start = EConf(prog.main)
+        seen, frontier = {start}, [start]
+        steps = 0
+        while frontier and steps < 600:
+            c = frontier.pop()
+            assert typing_or_error(framed.type_conf, c) == typing_or_error(
+                lambda e: whole.type_expr({}, {}, e), c.expr), c
+            stepped = ev.mon_step(c)
+            if stepped is None:
+                continue
+            steps += 1
+            for c2 in ev.monad.elements(stepped[0], 256):
+                if c2 not in seen:
+                    seen.add(c2)
+                    frontier.append(c2)
+    assert steps > 0
+
+
+def monitor_typings_per_step(n, monkeypatch):
+    """``Checker._type_expr`` calls per step the monitor checks, over a whole
+    ``check_soundness`` of ``n.sum(n)`` under exc."""
+    calls = []
+    real = Checker._type_expr
+
+    def counted(self, *args):
+        calls.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(Checker, "_type_expr", counted)
+    rep = check_soundness(load_program(f"main = {n}.sum({n})"), "exc",
+                          approx_to=0)
+    monkeypatch.undo()
+    assert rep.ok
+    [per_step] = [r for r in rep.records if r.check == "per-step"]
+    assert per_step.witness == f"{5 * n + 1} steps monitored"
+    return len(calls) / (5 * n + 1)
+
+
+def test_monitor_cost_per_step_does_not_grow_with_depth(monkeypatch):
+    # retyping the whole term on every step gave about 51 and 201
+    shallow = monitor_typings_per_step(100, monkeypatch)
+    deep = monitor_typings_per_step(400, monkeypatch)
+    assert deep <= shallow < 2

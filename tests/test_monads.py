@@ -178,6 +178,50 @@ def test_dist_bind_merges_outcomes():
     assert d.as_dict() == {0: Fraction(1)}
 
 
+@st.composite
+def small_dists(draw):
+    """A subdistribution over 0..5 with at most four points; a lone point
+    has weight 1 unless a remainder is drawn."""
+    points = draw(st.lists(st.tuples(st.integers(0, 5), st.integers(1, 3)),
+                           max_size=4, unique_by=lambda p: p[0]))
+    total = sum(n for _, n in points) + draw(st.integers(0, 2))
+    return Dist([(v, Fraction(n, total)) for v, n in points])
+
+
+def product_bind(m, f):
+    """bind by the product formula: the weight of y is the sum over x of
+    m(x) * f(x)(y), accumulated from zero in first-seen order."""
+    acc = {}
+    for x, w in m.weights:
+        for y, u in f(x).weights:
+            acc[y] = acc.get(y, Fraction(0)) + w * u
+    return list(acc.items())
+
+
+@given(m=small_dists(), ks=st.lists(small_dists(), min_size=6, max_size=6))
+def test_dist_bind_is_the_product_formula(m, ks):
+    got = get_monad("dist").bind(m, ks.__getitem__)
+    want = product_bind(m, ks.__getitem__)
+    assert list(got.weights) == want
+    assert repr(got) == repr(Dist(want))
+
+
+@given(xs=st.lists(st.integers(0, 9), max_size=6), k=st.integers(0, 8))
+def test_a_list_built_forced_observes_like_a_lazy_one(xs, k):
+    forced = LazyList.of(*xs)
+    assert forced._it is None  # nothing left to force
+    lazy, partial = LazyList(iter(xs)), LazyList(iter(xs))
+    partial.take(k)  # iteration then starts from a partly forced memo
+    for other in (lazy, partial):
+        assert forced.take(k) == other.take(k)
+        assert forced.exhausted_within(k) == other.exhausted_within(k)
+        assert list(forced) == list(other)
+        assert forced.to_list() == other.to_list()
+        assert get_monad("list").is_bottom(forced) == \
+            get_monad("list").is_bottom(other)
+        assert repr(forced) == repr(other)
+
+
 def test_dist_pointwise_order():
     monad = get_monad("dist")
     lo = Dist({1: Fraction(1, 2)})

@@ -2,17 +2,21 @@
 
 import pytest
 
+from mfj import faults
 from mfj.parser import parse_effect, parse_program, parse_type
 from mfj.prelude import load_program
 from mfj.signatures import (
     ConflictError, CyclicInheritance, NoSuchMethod, OverrideError, Sigs,
-    UnknownType, sym_sum,
+    UnboundTypeVar, UnknownType, sym_sum,
 )
+from mfj.soundness import IllTypedProgram, check_soundness
 from mfj.syntax import (
     ABS, DEF, MGC, OBJECT, PURE, TOP,
     MethodType, NominalType, ObjType, Sig, TypeVar, nominal,
 )
 from mfj.typer import Checker
+
+from conftest import load
 
 MT = MethodType((), (), OBJECT, PURE)
 MT2 = MethodType((), (), nominal("Nat"), PURE)
@@ -216,3 +220,50 @@ def test_ancestors_of_a_cycle_are_exact_for_every_member():
     sigs = Sigs(parse_program("A <| C { } B <| A { } C <| B { }"))
     for name in ("A", "B", "C"):
         assert sigs.ancestors(name) == {"A", "B", "C"}
+
+
+# -- the signature memo -------------------------------------------------------
+
+def test_sig_of_type_is_memoized(monkeypatch):
+    sigs = Sigs(load_program("", use_prelude=True))
+    t = parse_type("Succ{pred : def -> Nat ! pure}")
+    first = sigs.sig_of_type({}, t)
+    sums = []
+    real = sigs.override_sum
+
+    def counted(*args):
+        sums.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(sigs, "override_sum", counted)
+    assert sigs.sig_of_type({}, t) is first
+    assert sigs.mtype({}, t, "pred") == first.get("pred")
+    assert sums == []
+
+
+def test_a_failing_signature_raises_on_every_call(sigs):
+    for _ in range(2):
+        with pytest.raises(UnboundTypeVar):
+            sigs.sig_of_type({}, TypeVar("Z"))
+    bad = parse_type("Nat{succ : def -> Bool ! pure}")
+    for _ in range(2):
+        with pytest.raises(OverrideError):
+            sigs.sig_of_type({}, bad)
+
+
+def test_one_type_variable_under_two_bounds(sigs):
+    x = TypeVar("X")
+    as_bool = sigs.sig_of_type({"X": parse_type("Bool")}, x)
+    as_nat = sigs.sig_of_type({"X": parse_type("Nat")}, x)
+    assert "not" in as_bool and "succ" not in as_bool
+    assert "succ" in as_nat and "not" not in as_nat
+    assert sigs.sig_of_type({"X": parse_type("Bool")}, x) is as_bool
+
+
+def test_a_seeded_fault_is_caught_after_a_clean_run():
+    # memo tables belong to a session, so a clean run leaves nothing behind
+    # that would hide the fault from the next one
+    assert check_soundness(load("diamond"), "exc", fuel=100).ok
+    with faults.inject("flip_symsum_kinds"):
+        with pytest.raises(IllTypedProgram):
+            check_soundness(load("diamond"), "exc", fuel=100)

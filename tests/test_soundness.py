@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from mfj.evaluator import Evaluator, VRes, WRONG
+from mfj.evaluator import EConf, Evaluator, VRes, WRONG
 from mfj.monads import (
     Dist, LazyList, Pure, Raised, default_registry, get_monad,
 )
@@ -172,49 +172,59 @@ def ev():
 
 
 def test_progress(ck, ev):
-    assert check_progress(ck, ev, parse_expr("return 0"))
-    assert check_progress(ck, ev, Call(numeral(0), "succ"))
-    v = check_progress(ck, ev, parse_expr("x.m()"))
+    assert check_progress(ck, ev, EConf(parse_expr("return 0")))
+    assert check_progress(ck, ev, EConf(Call(numeral(0), "succ")))
+    v = check_progress(ck, ev, EConf(parse_expr("x.m()")))
     assert not v and "stuck" in v.witness
 
 
 def test_progress_uses_a_precomputed_step(ck, ev):
-    e = Call(numeral(0), "succ")
-    stepped = ev.step_expr(e)
-    assert check_progress(ck, ev, e, stepped)
-    stuck = parse_expr("x.m()")
+    c = EConf(Call(numeral(0), "succ"))
+    stepped = ev.mon_step(c)
+    assert check_progress(ck, ev, c, stepped)
+    stuck = EConf(parse_expr("x.m()"))
     # a given step is taken as is, not recomputed
     assert check_progress(ck, ev, stuck, stepped)
-    v = check_progress(ck, ev, stuck, ev.step_expr(stuck))
+    v = check_progress(ck, ev, stuck, ev.mon_step(stuck))
     assert not v and "stuck" in v.witness
 
 
 def test_progress_does_not_restep_a_stuck_term(ck, monkeypatch):
     ev = Evaluator(prelude_program(), "exc")
-    e = parse_expr("True.nosuch()")
-    stepped = ev.step_expr(e)
+    c = EConf(parse_expr("True.nosuch()"))
+    stepped = ev.mon_step(c)
     assert stepped is None
     calls = []
     real = ev.mon_step
 
-    def counted(e):
-        calls.append(e)
-        return real(e)
+    def counted(c):
+        calls.append(c)
+        return real(c)
 
     monkeypatch.setattr(ev, "mon_step", counted)
-    assert not check_progress(ck, ev, e, stepped)
+    assert not check_progress(ck, ev, c, stepped)
     assert calls == []
 
 
-def test_lifted_step_accepts_a_sound_step(ck, ev):
+def test_lifted_step_accepts_a_sound_step(ck, den, ev):
     e = Call(numeral(0), "succ")
     t, f = ck.type_expr({}, {}, e)
-    assert check_lifted_step(ck, ev, e, t, f)
+    assert check_lifted_step(ck, den, ev, EConf(e), t, f)
 
 
-def test_lifted_step_rejects_a_disallowed_raise(ck, ev):
-    e = parse_expr("Exception.throw[Nat]()")
-    v = check_lifted_step(ck, ev, e, NAT, PURE)
+def test_lifted_step_reads_excset_from_the_monitors_denotation(ck, ev):
+    den = Denotation(ck.sigs)
+    eff = parse_effect("Exception.throw[Nat]")
+    c = EConf(parse_expr("Exception.throw[Nat]()"))
+    assert check_lifted_step(ck, den, ev, c, NAT, eff)
+    assert check_lifted_step(ck, den, ev, c, NAT, eff)
+    # one denotation across steps keeps its excSet memo
+    assert list(den._exc_sets) == [eff]
+
+
+def test_lifted_step_rejects_a_disallowed_raise(ck, den, ev):
+    e = EConf(parse_expr("Exception.throw[Nat]()"))
+    v = check_lifted_step(ck, den, ev, e, NAT, PURE)
     assert not v and "not allowed" in v.witness
 
 

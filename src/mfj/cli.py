@@ -12,8 +12,7 @@ subcommand does not read, ``--trace`` or ``--fuel`` with ``run --approx``, a
 negative N or K) or precondition error.  ``run --trace`` prints each step as
 it is taken; with ``--json`` it prints JSON lines, one per step, then the
 result.
-``--no-prelude`` (check, run, soundness) drops the standard prelude; the
-``MFJ_PRELUDE`` environment variable substitutes a different one.
+``--no-prelude`` (check, run, soundness) drops the standard prelude.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import json
 import sys
 
 from .evaluator import Diverged, Evaluator, PrefixExceeded, VRes
-from .monads import Dist, ExcValue, IdValue, LazyList
+from .monads import MONADS
 from .parser import ParseError, parse_program, pretty, pretty_value
 from .prelude import load_file
 from .soundness import IllTypedProgram, SoundnessReport, check_soundness
@@ -49,8 +48,7 @@ def _arg_parser() -> argparse.ArgumentParser:
     for sp in (check, run, snd, parse):
         sp.add_argument("files", nargs="+", help="source files (.mfj)")
     for sp in (run, snd):
-        sp.add_argument("--monad", default="exc",
-                        choices=["exc", "list", "dist", "id"])
+        sp.add_argument("--monad", default="exc", choices=list(MONADS))
         sp.add_argument("--prefix", type=count, default=256)
     run.add_argument("--fuel", type=count, default=None,
                      help=f"step bound (default {FUEL}); not with --approx")
@@ -80,26 +78,8 @@ def _load(path: str, use_prelude: bool):
         raise SystemExit(1)
 
 
-def render_result(mres, prefix: int) -> str:
-    def res(r):
-        return pretty_value(r.value) if isinstance(r, VRes) else "wrong"
-
-    if isinstance(mres, ExcValue):
-        if mres.tag == "pure":
-            return res(mres.payload)
-        if mres.tag == "raised":
-            return f"raise {mres.payload}"
-        return "bottom"
-    if isinstance(mres, LazyList):
-        head = [res(r) for r in mres.take(prefix)]
-        more = "" if mres.exhausted_within(prefix) else ", ..."
-        return "[" + ", ".join(head) + more + "]"
-    if isinstance(mres, Dist):
-        items = ", ".join(f"{res(v)}: {w}" for v, w in mres.weights)
-        return "{" + items + "}"
-    if isinstance(mres, IdValue):
-        return "bottom" if mres.tag == "bottom" else res(mres.payload)
-    return repr(mres)
+def _show_result(r) -> str:
+    return pretty_value(r.value) if isinstance(r, VRes) else "wrong"
 
 
 def cmd_check(args) -> int:
@@ -142,7 +122,7 @@ def cmd_run(args) -> int:
     if args.approx is not None:
         mres = ev.approx(prog.main, args.approx)
         payload = {"approx": args.approx,
-                   "result": render_result(mres, args.prefix)}
+                   "result": ev.monad.render(mres, _show_result, args.prefix)}
         print(json.dumps(payload) if args.json
               else f"approx[{args.approx}] = {payload['result']}")
         return 0
@@ -163,7 +143,7 @@ def cmd_run(args) -> int:
     except PrefixExceeded as e:
         print(f"mfj run: {e}", file=sys.stderr)
         return 2
-    rendered = render_result(mres, args.prefix)
+    rendered = ev.monad.render(mres, _show_result, args.prefix)
     print(json.dumps({"result": rendered}) if args.json else rendered)
     return 0
 

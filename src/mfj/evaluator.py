@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-from .monads import LazyList, Monad, RunRegistry, default_registry, get_monad
+from .monads import Monad, RunRegistry, default_registry, get_monad
 from .parser import pretty_expr, pretty_value
 from .reducer import Magic, mbody, pure_step
 from .signatures import Sigs
@@ -217,8 +217,7 @@ class Evaluator:
             return m
 
         mc2 = self.monad.bind(mc, step)
-        if isinstance(mc2, LazyList):
-            mc2.take(self.prefix)  # keep the generator nesting shallow
+        self.monad.force(mc2, self.prefix)
         return mc2
 
     # -- whole runs ----------------------------------------------------------
@@ -250,10 +249,10 @@ class Evaluator:
             labels = set() if trace is not None else None
             mc = self.big_step(mc, labels)
             if trace is not None:
-                # a lazy bind steps configurations as it is forced; _show
+                # a lazy bind steps configurations as it is forced; showing
                 # forces one past the prefix, so either every configuration
                 # has been labelled or the next _configs raises
-                text = self._show(mc)
+                text = self.monad.show(mc, self.prefix)
                 trace(TraceLine(",".join(sorted(labels)), text))
 
     def approx(self, e, n: int):
@@ -278,11 +277,3 @@ class Evaluator:
         return self.monad.bind(
             mc, lambda c: u(c.result) if isinstance(c, RConf) else bot()
         )
-
-    def _show(self, mc) -> str:
-        if isinstance(mc, LazyList):
-            elems = mc.take(self.prefix)
-            inner = ", ".join(repr(c) for c in elems)
-            more = "" if mc.exhausted_within(self.prefix) else ", ..."
-            return f"[{inner}{more}]"
-        return repr(mc)

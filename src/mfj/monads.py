@@ -1,14 +1,17 @@
-"""The monads powering the operational semantics.
+"""The monads powering the operational semantics, one plug-in each.
 
 Four monads are built in: exceptions, lazy (possibly unbounded) lists,
-finite subdistributions with exact rational weights, and identity.  Each is an
-object exposing ``unit``/``bind``/``map_m`` plus the ordered structure
-(``bottom``, ``is_bottom``, ``leq``, ``sup_chain``) needed by the infinitary
-semantics, and observation helpers used by the evaluator and the soundness
-harness.
-
-The run registry maps (type name, method name) pairs of magic methods to the
-monadic interpretation of calling them.
+finite subdistributions with exact rational weights, and identity.  All
+that is particular to a monad is a hook of its ``Monad`` subclass, so the
+evaluator, the soundness harness and the CLI name no monad.  The hooks:
+the monad (``unit``, ``bind``, ``map_m``) and its order (``bottom``,
+``is_bottom``, ``leq``, ``sup_chain``); observation (``elements``, ``force``,
+``show`` for a trace line, ``render`` for a result); ``magic``, the results
+of its magic methods; its predicate liftings (``quantifiers``, ``forall``
+with its test ``allowed`` on outcomes that are not elements, ``exists``, and
+``raise_witness`` for a raised outcome of a step); and ``law_samples`` and
+``outer_samples`` for the lifting laws.  Adding a monad is a subclass and an
+entry in ``MONADS``.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from . import faults
 from .syntax import NominalType, Obj, Value
@@ -171,6 +174,24 @@ class IdValue:
 ID_BOTTOM = IdValue("bottom")
 
 
+# Exception-name mapping; unlisted exception nominals map to their own name.
+EXC_NAMES = {"Exception": "E", "MyException": "MyE", "Failure": "Fail"}
+
+
+def exc_name_of(v: Value) -> str:
+    """The exception name associated with an exception object."""
+    if isinstance(v, Obj) and v.parents:
+        n = v.parents[0].name
+        return EXC_NAMES.get(n, n)
+    return "E"
+
+
+TRUE = Obj((NominalType("True"),))
+FALSE = Obj((NominalType("False"),))
+_ONE = Fraction(1)
+_HALF = Fraction(1, 2)
+
+
 # ---------------------------------------------------------------------------
 # Monad interfaces
 # ---------------------------------------------------------------------------
@@ -178,6 +199,10 @@ ID_BOTTOM = IdValue("bottom")
 
 class Monad:
     name: str
+    # the predicate liftings it has, forall first
+    quantifiers: tuple = ("forall", "exists")
+    # magic method name -> (receiver -> monadic value)
+    magic: dict = {}
 
     def unit(self, x):
         raise NotImplementedError
@@ -197,7 +222,8 @@ class Monad:
         return m == self.bottom()
 
     def leq(self, a, b) -> bool:
-        raise NotImplementedError
+        """The order: by default flat, bottom below every other value."""
+        return a == b or self.is_bottom(a)
 
     def sup_chain(self, chain: list):
         """Least upper bound of a finite ascending chain."""
@@ -214,9 +240,67 @@ class Monad:
         """The observed elements of ``m`` (prefix/support-limited)."""
         raise NotImplementedError
 
+    def force(self, m, bound: int) -> None:
+        """Do now the work that observing ``m`` up to ``bound`` would do."""
+
+    def show(self, m, bound: int) -> str:
+        """``m`` as one line of a trace."""
+        return repr(m)
+
+    def render(self, m, show_elem: Callable, bound: int) -> str:
+        """``m`` as a result, each element rendered by ``show_elem``."""
+        raise NotImplementedError
+
+    def allowed(self, den, eff) -> Optional[Callable]:
+        """``(m, elements) -> bool`` on the rest of ``m``; None: all pass."""
+        return None
+
+    def forall(self, den, eff, pred: Callable, prefix: int) -> Callable:
+        """Every element satisfies ``pred``; ``eff`` allows the rest."""
+        # plain loops: cheaper than any/all over map on these short lists
+        elements, allowed = self.elements, self.allowed(den, eff)
+
+        def every(m) -> bool:
+            elems = elements(m, prefix)
+            if allowed is not None and not allowed(m, elems):
+                return False
+            for x in elems:
+                if not pred(x):
+                    return False
+            return True
+
+        return every
+
+    def exists(self, pred: Callable, prefix: int) -> Callable:
+        """Some observed element satisfies ``pred``."""
+        elements = self.elements
+
+        def some(m) -> bool:
+            for x in elements(m, prefix):
+                if pred(x):
+                    return True
+            return False
+
+        return some
+
+    def raise_witness(self, den, eff, m) -> Optional[str]:
+        """Why a step's outcome ``m`` raises what ``eff`` does not allow."""
+        return None
+
+    def law_samples(self, X) -> list:
+        """Monadic values over ``X`` that the laws are checked on."""
+        raise NotImplementedError
+
+    def outer_samples(self, samples) -> list:
+        """Outer values for the multiplication law, besides units."""
+        return []
+
 
 class ExcMonad(Monad):
     name = "exc"
+    quantifiers = ("forall",)
+    magic = {"throw": lambda recv: Raised(exc_name_of(recv)),
+             "fail": lambda recv: Raised("Fail")}
 
     def unit(self, x):
         return Pure(x)
@@ -229,15 +313,43 @@ class ExcMonad(Monad):
     def bottom(self):
         return EXC_BOTTOM
 
-    def leq(self, a, b):
-        return a == b or a.tag == "bottom"
-
     def elements(self, m, bound):
         return [m.payload] if m.tag == "pure" else []
+
+    def render(self, m, show_elem, bound):
+        if m.tag == "pure":
+            return show_elem(m.payload)
+        return f"raise {m.payload}" if m.tag == "raised" else "bottom"
+
+    def forall(self, den, eff, pred, prefix):
+        # the one element is read directly, not through elements
+        names = den.exc_set(eff)
+
+        def every(m) -> bool:
+            if m.tag == "pure":
+                return pred(m.payload)
+            return m.tag == "bottom" or names is None or m.payload in names
+
+        return every
+
+    def raise_witness(self, den, eff, m):
+        # forall decides a raise without calling pred
+        if m.tag == "raised" and not self.forall(den, eff, None, 0)(m):
+            return f"raised {m.payload} outside excSet({eff!r})"
+        return None
+
+    def law_samples(self, X):
+        return ([Pure(x) for x in X] + [Raised(n) for n in EXC_NAMES.values()]
+                + [EXC_BOTTOM])
+
+    def outer_samples(self, samples):
+        # a raised exception and bottom are values of M (M X) as they are
+        return [m for m in samples if m.tag != "pure"]
 
 
 class ListMonad(Monad):
     name = "list"
+    magic = {"choose": lambda recv: LazyList.of(TRUE, FALSE)}
 
     def unit(self, x):
         return LazyList.of(x)
@@ -276,12 +388,33 @@ class ListMonad(Monad):
     def elements(self, m, bound):
         return m.take(bound)
 
+    def force(self, m, bound):
+        m.take(bound)  # keep the generator nesting shallow
 
-_ONE = Fraction(1)
+    def show(self, m, bound):
+        return self.render(m, repr, bound)
+
+    def render(self, m, show_elem, bound):
+        head = ", ".join(map(show_elem, m.take(bound)))
+        more = "" if m.exhausted_within(bound) else ", ..."
+        return f"[{head}{more}]"
+
+    def allowed(self, den, eff):
+        if den.nd_flag(eff) == 0:
+            return lambda m, elems: len(elems) <= 1
+        return None
+
+    def law_samples(self, X):
+        return ([LazyList.of()] + [LazyList.of(x) for x in X]
+                + [LazyList.of(x, y) for x in X for y in X])
+
+    def outer_samples(self, samples):
+        return [LazyList.of(a, b) for a in samples[:4] for b in samples[:4]]
 
 
 class DistMonad(Monad):
     name = "dist"
+    magic = {"choose": lambda recv: Dist({TRUE: _HALF, FALSE: _HALF})}
 
     def unit(self, x):
         return Dist._trusted([(x, _ONE)])
@@ -314,9 +447,27 @@ class DistMonad(Monad):
     def elements(self, m, bound):
         return m.support()
 
+    def render(self, m, show_elem, bound):
+        items = ", ".join(f"{show_elem(v)}: {w}" for v, w in m.weights)
+        return "{" + items + "}"
+
+    # no ``allowed`` test of determinism on the support: map_m merges equal
+    # values, so one would not commute with map_m (naturality); the per-step
+    # monitor still rejects a choose step under a deterministic effect
+
+    def law_samples(self, X):
+        return ([Dist({})] + [Dist({x: 1}) for x in X]
+                + [Dist({x: _HALF}) for x in X]
+                + [Dist({x: _HALF, y: _HALF}) for x in X for y in X if x != y])
+
+    def outer_samples(self, samples):
+        return [Dist([(a, _HALF), (b, _HALF)])
+                for a in samples[:4] for b in samples[:4] if a is not b]
+
 
 class IdMonad(Monad):
     name = "id"
+    quantifiers = ("forall",)
 
     def unit(self, x):
         return IdValue("val", x)
@@ -329,11 +480,17 @@ class IdMonad(Monad):
     def bottom(self):
         return ID_BOTTOM
 
-    def leq(self, a, b):
-        return a == b or a.tag == "bottom"
-
     def elements(self, m, bound):
         return [m.payload] if m.tag == "val" else []
+
+    def render(self, m, show_elem, bound):
+        return "bottom" if m.tag == "bottom" else show_elem(m.payload)
+
+    def forall(self, den, eff, pred, prefix):
+        return lambda m: m.tag == "bottom" or pred(m.payload)
+
+    def law_samples(self, X):
+        return [IdValue("val", x) for x in X] + [ID_BOTTOM]
 
 
 MONADS = {
@@ -354,21 +511,6 @@ def get_monad(name: str) -> Monad:
 # ---------------------------------------------------------------------------
 # Run registry
 # ---------------------------------------------------------------------------
-
-# Exception-name mapping; unlisted exception nominals map to their own name.
-EXC_NAMES = {"Exception": "E", "MyException": "MyE", "Failure": "Fail"}
-
-
-def exc_name_of(v: Value) -> str:
-    """The exception name associated with an exception object."""
-    if isinstance(v, Obj) and v.parents:
-        n = v.parents[0].name
-        return EXC_NAMES.get(n, n)
-    return "E"
-
-
-TRUE = Obj((NominalType("True"),))
-FALSE = Obj((NominalType("False"),))
 
 
 class RunRegistry:
@@ -391,7 +533,7 @@ class RunRegistry:
 
 
 def default_registry(monad: Monad, sigs) -> RunRegistry:
-    """The built-in interpretations of the prelude's magic methods.
+    """The monad's interpretations of the program's magic methods.
 
     ``sigs`` is a signature context (mfj.signatures.Sigs) for the program,
     used for the instance-of partiality conditions.
@@ -399,7 +541,6 @@ def default_registry(monad: Monad, sigs) -> RunRegistry:
     from .reducer import has_nominal_super
 
     reg = RunRegistry()
-    prog = sigs.program
 
     def run_of(decl_name, result):
         def run(recv, args):
@@ -409,16 +550,9 @@ def default_registry(monad: Monad, sigs) -> RunRegistry:
 
         return run
 
-    half = Fraction(1, 2)
-    results = {
-        ("exc", "throw"): lambda recv: Raised(exc_name_of(recv)),
-        ("exc", "fail"): lambda recv: Raised("Fail"),
-        ("list", "choose"): lambda recv: LazyList.of(TRUE, FALSE),
-        ("dist", "choose"): lambda recv: Dist({TRUE: half, FALSE: half}),
-    }
-    for decl in prog.decls:
+    for decl in sigs.program.decls:
         for md in decl.methods:
-            result = results.get((monad.name, md.name))
+            result = monad.magic.get(md.name)
             if md.kind == "mgc" and result is not None:
                 reg.register(decl.name, md.name, run_of(decl.name, result))
     return reg

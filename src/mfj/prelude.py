@@ -1,14 +1,12 @@
 """The standard prelude: booleans, naturals, matchers, and the magic types.
 
 Programs are normally checked and run against these declarations; pass
-``use_prelude=False`` (or ``--no-prelude`` on the CLI) to opt out, or point
-the ``MFJ_PRELUDE`` environment variable at a replacement source file.
+``use_prelude=False`` (or ``--no-prelude`` on the CLI) to opt out.
 """
 
 from __future__ import annotations
 
-import os
-from functools import lru_cache
+from functools import cache
 
 from .parser import parse_program
 from .syntax import Program
@@ -80,21 +78,9 @@ String {
 """
 
 
-def prelude_source() -> str:
-    path = os.environ.get("MFJ_PRELUDE")
-    if path:
-        with open(path, encoding="utf-8") as f:
-            return f.read()
-    return PRELUDE_TEXT
-
-
-@lru_cache(maxsize=4)
-def _parse_prelude(text: str) -> Program:
-    return parse_program(text)
-
-
+@cache
 def prelude_program() -> Program:
-    return _parse_prelude(prelude_source())
+    return parse_program(PRELUDE_TEXT)
 
 
 def load_program(text: str, use_prelude: bool = True) -> Program:

@@ -7,8 +7,8 @@ The theorems become decidable checks over observed prefixes and supports:
 * ``Denotation`` gives the exception-set and nondeterminism-flag readings of
   a ground simplified effect;
 * ``EffectInterp`` is a predicate lifting ``(effect, predicate on X) ->
-  predicate on M X``: one lifting class, forall or exists over
-  ``Monad.elements``, serves exc, list-forall/exists, dist-forall/exists, id;
+  predicate on M X``: a monad's forall or exists lifting (``Monad.forall``,
+  ``Monad.exists``) over one denotation;
 * ``type_monadic_result`` types a monadic result value against ``T ! eff``;
 * ``check_progress`` / ``check_lifted_step`` monitor a single reduction of
   an evaluator configuration (``EConf``);
@@ -26,15 +26,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import compress, product
 from typing import Callable, List, Optional
 
 from .evaluator import Diverged, EConf, Evaluator, VRes
-from .monads import (
-    EXC_NAMES, ID_BOTTOM, Dist, ExcValue, IdValue, LazyList, Monad, NotAChain,
-    get_monad,
-)
+from .monads import EXC_NAMES, Monad, NotAChain, get_monad
 from .signatures import SigError, Sigs
 from .syntax import (
     MGC, PURE,
@@ -113,9 +109,8 @@ class Denotation:
 
 @dataclass
 class EffectInterp:
-    """A family of predicate liftings indexed by effects: forall (every
-    element ``Monad.elements`` observes satisfies the predicate, and the
-    effect ``allowed`` the other outcomes) or, if ``may``, exists."""
+    """A family of predicate liftings indexed by effects: the monad's forall
+    lifting or, if ``may``, its exists lifting."""
 
     name: str
     monad: Monad
@@ -123,62 +118,21 @@ class EffectInterp:
     may: bool = False  # if set, type_monadic_result tolerates a bottom result
     prefix: int = 256
 
-    def allowed(self, eff: Effect) -> Optional[Callable]:
-        """The forall test ``(m, elements) -> bool`` on outcomes that are not
-        elements, or None if ``eff`` allows them all."""
-        if self.monad.name == "exc":
-            names = self.den.exc_set(eff)
-            if names is not None:
-                return lambda m, elems: m.tag != "raised" or m.payload in names
-        elif self.monad.name == "list" and self.den.nd_flag(eff) == 0:
-            return lambda m, elems: len(elems) <= 1
-        # dist: no determinism test on the support: map_m merges equal values,
-        # so one would not commute with map_m (naturality); the per-step
-        # monitor still rejects a choose step under a deterministic effect
-        return None
-
     def lift(self, eff: Effect, pred: Callable) -> Callable:
-        # plain loops: cheaper than any/all over map on these short lists
-        elements, prefix = self.monad.elements, self.prefix
         if self.may:
-            def some(m) -> bool:
-                for x in elements(m, prefix):
-                    if pred(x):
-                        return True
-                return False
-
-            return some
-        allowed = self.allowed(eff)
-
-        def every(m) -> bool:
-            elems = elements(m, prefix)
-            if allowed is not None and not allowed(m, elems):
-                return False
-            for x in elems:
-                if not pred(x):
-                    return False
-            return True
-
-        return every
+            return self.monad.exists(pred, self.prefix)
+        return self.monad.forall(self.den, eff, pred, self.prefix)
 
 
 def interps_for(monad_name: str, den: Denotation, prefix: int = 256,
                 which: Optional[str] = None) -> List[EffectInterp]:
     """The interpretations applicable to a monad; ``which`` narrows
-    'forall'/'exists' for the nondeterministic monads."""
-    if monad_name in ("exc", "id"):
-        return [EffectInterp(monad_name, get_monad(monad_name), den, False,
-                             prefix)]
-    if monad_name not in ("list", "dist"):
-        raise KeyError(monad_name)
-    out = [EffectInterp(f"{monad_name}-{q}", get_monad(monad_name), den,
-                        q == "exists", prefix)
-           for q in ("forall", "exists")]
-    if which == "forall":
-        return out[:1]
-    if which == "exists":
-        return out[1:]
-    return out
+    'forall'/'exists' for a monad that has both."""
+    monad = get_monad(monad_name)
+    qs = monad.quantifiers
+    return [EffectInterp(monad_name if len(qs) == 1 else f"{monad_name}-{q}",
+                         monad, den, q == "exists", prefix)
+            for q in qs if which not in qs or which == q]
 
 
 # ---------------------------------------------------------------------------
@@ -258,12 +212,9 @@ def check_lifted_step(checker: Checker, den: Denotation, ev: Evaluator,
             False,
             f"magic step raises {info.mgc_atom!r}, not allowed by {eff!r}",
         )
-    if isinstance(mv, ExcValue) and mv.tag == "raised":
-        allowed = den.exc_set(eff)
-        if allowed is not None and mv.payload not in allowed:
-            return Verdict(
-                False, f"raised {mv.payload} outside excSet({eff!r})")
-        return PASS
+    witness = ev.monad.raise_witness(den, eff, mv)
+    if witness is not None:
+        return Verdict(False, witness)
     for c2 in ev.monad.elements(mv, prefix):
         try:
             t2, f2 = checker.type_conf(c2)
@@ -283,42 +234,6 @@ def check_lifted_step(checker: Checker, den: Denotation, ev: Evaluator,
 # ---------------------------------------------------------------------------
 # The interpretation laws
 # ---------------------------------------------------------------------------
-
-
-def _exc_samples(X, names=("E", "MyE", "Fail")):
-    out = [ExcValue("pure", x) for x in X]
-    out += [ExcValue("raised", n) for n in names]
-    out.append(ExcValue("bottom"))
-    return out
-
-
-def _list_samples(X):
-    out = [LazyList.of()]
-    out += [LazyList.of(x) for x in X]
-    out += [LazyList.of(x, y) for x in X for y in X]
-    return out
-
-
-def _dist_samples(X):
-    half = Fraction(1, 2)
-    out = [Dist({})]
-    out += [Dist({x: 1}) for x in X]
-    out += [Dist({x: half}) for x in X]
-    out += [Dist({x: half, y: half}) for x in X for y in X if x != y]
-    return out
-
-
-def _id_samples(X):
-    return [IdValue("val", x) for x in X] + [ID_BOTTOM]
-
-
-def monad_samples(monad_name: str, X):
-    return {
-        "exc": _exc_samples,
-        "list": _list_samples,
-        "dist": _dist_samples,
-        "id": _id_samples,
-    }[monad_name](X)
 
 
 def _subsets(X):
@@ -345,10 +260,9 @@ def interp_law_suite(interp: EffectInterp, sigs: Sigs, effects,
     4. multiplication: lifting twice then flattening lands in lift_{eff v eff'}.
     """
     monad = interp.monad
-    mname = monad.name
     X = tuple(X)
     viol = []
-    samples = monad_samples(mname, X)
+    samples = monad.law_samples(X)
     subsets = _subsets(X)
     funcs = _functions(X)
 
@@ -387,21 +301,8 @@ def interp_law_suite(interp: EffectInterp, sigs: Sigs, effects,
                 viol.append(
                     f"unit law fails for {interp.name}: x={x}, A={sorted(A)}")
     # 4: multiplication
-    mm_samples = [monad.unit(m) for m in samples]
-    if mname == "exc":
-        mm_samples += [m for m in samples
-                       if getattr(m, "tag", None) in ("raised", "bottom")]
-    if len(samples) >= 2:
-        # two-element outer containers, where the monad has them
-        if mname == "list":
-            mm_samples += [LazyList.of(a, b)
-                           for a in samples[:4] for b in samples[:4]]
-        elif mname == "dist":
-            half = Fraction(1, 2)
-            mm_samples += [
-                Dist([(a, half), (b, half)])
-                for a in samples[:4] for b in samples[:4] if a is not b
-            ]
+    mm_samples = ([monad.unit(m) for m in samples]
+                  + monad.outer_samples(samples))
     for eff in effects:
         for eff2 in effects:
             joined = eff_union(eff, eff2)
@@ -427,9 +328,9 @@ class BrokenExcInterp(EffectInterp):
     def __init__(self, den, prefix=256):
         super().__init__("exc", get_monad("exc"), den, False, prefix)
 
-    def allowed(self, eff):
-        names = frozenset() if eff.top else self.den.exc_set(eff)
-        return lambda m, elems: m.tag != "raised" or m.payload in names
+    def lift(self, eff, pred):
+        # top read as pure, whose excSet is empty
+        return super().lift(PURE if eff.top else eff, pred)
 
 
 # ---------------------------------------------------------------------------

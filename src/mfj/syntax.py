@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Optional
 
 ABS = "abs"
@@ -56,6 +56,13 @@ def node(cls):
     return _cached_hash(dataclass(frozen=True)(cls))
 
 
+class _Parents:
+    @cached_property
+    def parent_set(self) -> frozenset:
+        """``parents`` as a set, built once per node like its hash."""
+        return frozenset(self.parents)
+
+
 # ---------------------------------------------------------------------------
 # Types and effects
 # ---------------------------------------------------------------------------
@@ -80,21 +87,21 @@ class NominalType:
 
 @_cached_hash
 @dataclass(frozen=True)
-class ObjType(Type):
+class ObjType(Type, _Parents):
     """``[N1,...,Nk]{s}`` — parents are a set, sig maps method names."""
 
     parents: tuple  # tuple[NominalType, ...]
     sig: "Sig"
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, ObjType)
-            and frozenset(self.parents) == frozenset(other.parents)
+            and self.parent_set == other.parent_set
             and self.sig == other.sig
         )
 
     def __hash__(self):
-        return hash((frozenset(self.parents), self.sig))
+        return hash((self.parent_set, self.sig))
 
 
 def objtype(*parents: NominalType) -> ObjType:
@@ -241,7 +248,7 @@ class MethodDef:
 
 @_cached_hash
 @dataclass(frozen=True, init=False)
-class Obj(Value):
+class Obj(Value, _Parents):
     """An object ``[N...]{md...}``; parents a set, methods keyed by name."""
 
     parents: tuple  # tuple[NominalType, ...]
@@ -254,14 +261,14 @@ class Obj(Value):
         )
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, Obj)
-            and frozenset(self.parents) == frozenset(other.parents)
+            and self.parent_set == other.parent_set
             and self.methods == other.methods
         )
 
     def __hash__(self):
-        return hash((frozenset(self.parents), self.methods))
+        return hash((self.parent_set, self.methods))
 
     def method(self, name: str) -> Optional[MethodDef]:
         for m in self.methods:

@@ -24,6 +24,7 @@ from mfj.syntax import PURE
 from mfj.typer import Checker
 
 from conftest import load
+from golden import load_golden
 
 # which monads each corpus program is meaningful under
 APPLICABLE = {
@@ -153,16 +154,22 @@ def test_conditional_effect_is_fully_discharged_by_a_handler():
 
 def test_soundness_sweep_over_the_corpus():
     assert len(APPLICABLE) >= 12
+    golden = load_golden()
     start = time.perf_counter()
     failures = []
+    changed = []
     for name, monads in APPLICABLE.items():
         prog = load(name)
         for monad in monads:
             rep = check_soundness(prog, monad, name=name, fuel=10000,
                                   approx_to=64)
             failures.extend(rep.failures())
+            if rep.to_json() != golden[f"{name}/{monad}"]["soundness"]:
+                changed.append(f"{name}/{monad}")
     elapsed = time.perf_counter() - start
     assert failures == []
+    # the reports, witnesses included, are the ones recorded in the golden
+    assert changed == []
     assert elapsed < 60.0
 
 
@@ -198,6 +205,7 @@ def test_broken_interp_fails_monotonicity():
     violations = interp_law_suite(BrokenExcInterp(den), sigs, effects)
     assert violations
     assert any("monotonicity" in v for v in violations)
+    assert violations == load_golden()["laws/broken-exc"]
 
 
 # -- criterion 9: every seeded fault is observable ----------------------------

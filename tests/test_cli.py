@@ -11,6 +11,9 @@ from mfj.cli import main
 from mfj.parser import parse_program
 
 from conftest import CORPUS, ROOT
+from golden import load_golden, run_output
+
+GOLDEN = load_golden()
 
 
 def mfj(capsys, *args):
@@ -154,6 +157,13 @@ def test_run_wants_one_file(capsys):
     code, _, err = mfj(capsys, "run", corpus("nat_sum"), corpus("exc_e1"))
     assert code == 2
     assert "exactly one file" in err
+
+
+@pytest.mark.parametrize("key", sorted(k for k, v in GOLDEN.items()
+                                       if "run" in v))
+def test_run_output_matches_the_golden(capsys, key):
+    # the trace and the rendered result, byte for byte
+    assert run_output(*key.split("/")) == GOLDEN[key]["run"]
 
 
 # -- soundness ----------------------------------------------------------------

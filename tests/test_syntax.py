@@ -170,6 +170,12 @@ def test_subst_mtype_renames_clashing_binders():
 def test_erase_drops_bodies():
     t = erase_type(numeral(0))
     assert t == ObjType((NominalType("Zero"),), Sig(()))
+    # parents are a set: their order changes neither equality nor hash
+    ab = (NominalType("A"), NominalType("B"))
+    ba = ab[::-1]
+    assert Obj(ab) == Obj(ba) and hash(Obj(ab)) == hash(Obj(ba))
+    assert erase_type(Obj(ab)) == erase_type(Obj(ba)) == ObjType(ba, Sig(()))
+    assert hash(ObjType(ab, Sig(()))) == hash(ObjType(ba, Sig(())))
 
 
 def test_erase_keeps_own_methods():

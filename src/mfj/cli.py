@@ -9,15 +9,16 @@
 
 Exit codes: 0 success, 1 check/soundness failure, 2 usage (an option the
 subcommand does not read, ``--trace`` or ``--fuel`` with ``run --approx``, a
-negative N or K) or precondition error.  ``run --trace`` prints each step as
-it is taken; with ``--json`` it prints JSON lines, one per step, then the
-result.
+negative N or K), precondition error, or a term nested too deeply for the
+recursive typer ("term too deep").  ``run --trace`` prints each step as it is
+taken; with ``--json`` it prints JSON lines, one per step, then the result.
 ``--no-prelude`` (check, run, soundness) drops the standard prelude.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import sys
@@ -78,6 +79,16 @@ def _load(path: str, use_prelude: bool):
         raise SystemExit(1)
 
 
+@contextlib.contextmanager
+def _depth_guard(path: str):
+    """Turn running out of Python stack on ``path`` into exit 2."""
+    try:
+        yield
+    except RecursionError:
+        print(f"mfj: {path}: term too deep", file=sys.stderr)
+        raise SystemExit(2)
+
+
 def _show_result(r) -> str:
     return pretty_value(r.value) if isinstance(r, VRes) else "wrong"
 
@@ -86,8 +97,8 @@ def cmd_check(args) -> int:
     bad = 0
     out = []
     for path in args.files:
-        prog = _load(path, not args.no_prelude)
-        diags = Checker(prog).check_program()
+        with _depth_guard(path):
+            diags = Checker(_load(path, not args.no_prelude)).check_program()
         out.append({"file": path, "ok": not diags,
                     "diagnostics": [str(d) for d in diags]})
         if diags:
@@ -106,6 +117,11 @@ def cmd_run(args) -> int:
     if len(args.files) != 1:
         print("mfj run: expected exactly one file", file=sys.stderr)
         return 2
+    with _depth_guard(args.files[0]):
+        return _run(args)
+
+
+def _run(args) -> int:
     prog = _load(args.files[0], not args.no_prelude)
     if prog.main is None:
         print("mfj run: program has no main expression", file=sys.stderr)
@@ -151,22 +167,23 @@ def cmd_run(args) -> int:
 def cmd_soundness(args) -> int:
     report = SoundnessReport()
     for path in args.files:
-        prog = _load(path, not args.no_prelude)
-        if prog.main is None:
-            print(f"mfj soundness: {path}: no main expression",
-                  file=sys.stderr)
-            return 2
-        try:
-            check_soundness(
-                prog, args.monad, name=path, fuel=args.fuel,
-                prefix=args.prefix, which=args.interp,
-                approx_to=args.approx,
-                report=report,
-            )
-        except IllTypedProgram as e:
-            print(f"mfj soundness: cannot check soundness of ill-typed "
-                  f"program {path}: {e}", file=sys.stderr)
-            return 2
+        with _depth_guard(path):
+            prog = _load(path, not args.no_prelude)
+            if prog.main is None:
+                print(f"mfj soundness: {path}: no main expression",
+                      file=sys.stderr)
+                return 2
+            try:
+                check_soundness(
+                    prog, args.monad, name=path, fuel=args.fuel,
+                    prefix=args.prefix, which=args.interp,
+                    approx_to=args.approx,
+                    report=report,
+                )
+            except IllTypedProgram as e:
+                print(f"mfj soundness: cannot check soundness of ill-typed "
+                      f"program {path}: {e}", file=sys.stderr)
+                return 2
     print(report.to_json() if args.json else report.summary())
     return 0 if report.ok else 1
 

@@ -7,18 +7,18 @@ that single parent and an empty signature.  An effect is ``pure``, ``top`` or a
 union of call-effect atoms ``T.m[T...]``, stored in normal form (the set of
 its atoms, or the top flag), so ``==`` on effects, and on the types and
 method types that contain them, is equality of effects.  ``eff_of`` is the
-one way to build an effect; it shares ``PURE`` and ``TOP`` and interns every
-other effect, so equal effects are usually the same object.
+one way to build an effect.
 
-Everything here is immutable; nodes hash-cons their hash lazily because deeply
-nested numerals make repeated deep hashing the dominant cost otherwise.
+Every node is immutable and hash-consed (``node``): equal nodes are one
+object, so equality is identity and a hash is an id, however deep the term.
+Facts derived from a node (free variables, erasure, numeral value) are
+cached on it the first time they are asked for.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import MISSING, dataclass, fields
 from typing import Iterable, Mapping, Optional
 
 ABS = "abs"
@@ -37,30 +37,47 @@ def fresh_name(base: str) -> str:
     return f"{base}__{next(_fresh_counter)}"
 
 
-def _cached_hash(cls):
-    """Wrap a frozen dataclass's __hash__ with a per-instance cache."""
-    raw = cls.__hash__
+def node(cls):
+    """Make ``cls`` an immutable, hash-consed syntax node.
 
-    def __hash__(self):
-        h = self.__dict__.get("_h")
-        if h is None:
-            h = raw(self)
-            object.__setattr__(self, "_h", h)
-        return h
-
-    cls.__hash__ = __hash__
+    Each class keeps one table from field tuples (defaults filled in) to
+    nodes, so building a node equal to an existing one returns that node:
+    ``==`` is ``is``, a hash is an id, and neither ever recurses.  A class
+    whose constructor normalises its fields defines ``canon(*args)``,
+    returning the field tuple; the table is keyed on its result.  The tables
+    hold every distinct node the process builds, for the life of the process.
+    """
+    cls = dataclass(frozen=True, eq=False, init=False)(cls)
+    fs = fields(cls)
+    names = [f.name for f in fs]
+    if "canon" in cls.__dict__:
+        params, key = "*args, **kw", "cls.canon(*args, **kw)"
+    else:
+        # the fields' own signature, so that defaults and keywords cost no
+        # Python-level work on the hot path
+        params = ", ".join(f.name if f.default is MISSING
+                           else f"{f.name}=_defaults[{f.name!r}]" for f in fs)
+        key = "(" + "".join(f"{n}, " for n in names) + ")"
+    ns = {"_table": {}, "_new": object.__new__, "_names": names,
+          "_defaults": {f.name: f.default for f in fs}}
+    exec(
+        f"def __new__(cls, {params}):\n"
+        f"    key = {key}\n"
+        f"    n = _table.get(key)\n"
+        f"    if n is None:\n"
+        f"        n = _table[key] = _new(cls)\n"
+        f"        n.__dict__.update(zip(_names, key))\n"
+        f"    return n\n", ns)
+    cls.__new__ = ns["__new__"]
     return cls
 
 
-def node(cls):
-    return _cached_hash(dataclass(frozen=True)(cls))
-
-
-class _Parents:
-    @cached_property
-    def parent_set(self) -> frozenset:
-        """``parents`` as a set, built once per node like its hash."""
-        return frozenset(self.parents)
+def _canon_parents(parents) -> tuple:
+    """A parent set in one order: by name, then by printed arguments."""
+    parents = tuple(parents)
+    if len(parents) < 2:
+        return parents
+    return tuple(sorted(set(parents), key=lambda p: (p.name, repr(p.args))))
 
 
 # ---------------------------------------------------------------------------
@@ -85,23 +102,16 @@ class NominalType:
     args: tuple = ()
 
 
-@_cached_hash
-@dataclass(frozen=True)
-class ObjType(Type, _Parents):
+@node
+class ObjType(Type):
     """``[N1,...,Nk]{s}`` — parents are a set, sig maps method names."""
 
-    parents: tuple  # tuple[NominalType, ...]
+    parents: tuple  # tuple[NominalType, ...] in ``_canon_parents`` order
     sig: "Sig"
 
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, ObjType)
-            and self.parent_set == other.parent_set
-            and self.sig == other.sig
-        )
-
-    def __hash__(self):
-        return hash((self.parent_set, self.sig))
+    @staticmethod
+    def canon(parents, sig):
+        return _canon_parents(parents), sig
 
 
 def objtype(*parents: NominalType) -> ObjType:
@@ -141,18 +151,8 @@ TOP = Effect(frozenset(), True)
 
 
 def eff_of(*atoms: EffCall, top: bool = False) -> Effect:
-    """The effect ``atoms[0] \\/ ...``, or ``top``; interned, so equal effects
-    are usually one object."""
-    if top:
-        return TOP
-    if not atoms:
-        return PURE
-    return _interned(frozenset(atoms))
-
-
-@lru_cache(maxsize=4096)
-def _interned(atoms: frozenset) -> Effect:
-    return Effect(atoms)
+    """The effect ``atoms[0] \\/ ...``, or ``top``."""
+    return TOP if top else Effect(frozenset(atoms))
 
 
 def eff_union(*effs: Effect) -> Effect:
@@ -179,18 +179,15 @@ class MethodType:
     eff: Effect
 
 
-@_cached_hash
-@dataclass(frozen=True, init=False)
+@node
 class Sig:
     """A signature: method name -> (kind, MethodType), order-insensitive."""
 
     entries: tuple  # tuple[(name, kind, MethodType), ...] sorted by name
 
-    def __init__(self, entries: Iterable[tuple]):
-        object.__setattr__(self, "entries", tuple(sorted(entries, key=lambda e: e[0])))
-
-    def __hash__(self):
-        return hash(self.entries)
+    @staticmethod
+    def canon(entries: Iterable[tuple]):
+        return (tuple(sorted(entries, key=lambda e: e[0])),)
 
     def __contains__(self, name: str) -> bool:
         return any(e[0] == name for e in self.entries)
@@ -246,29 +243,16 @@ class MethodDef:
     body: Optional[Expr] = None
 
 
-@_cached_hash
-@dataclass(frozen=True, init=False)
-class Obj(Value, _Parents):
+@node
+class Obj(Value):
     """An object ``[N...]{md...}``; parents a set, methods keyed by name."""
 
-    parents: tuple  # tuple[NominalType, ...]
+    parents: tuple  # tuple[NominalType, ...] in ``_canon_parents`` order
     methods: tuple  # tuple[MethodDef, ...] sorted by name
 
-    def __init__(self, parents: Iterable[NominalType], methods: Iterable[MethodDef] = ()):
-        object.__setattr__(self, "parents", tuple(parents))
-        object.__setattr__(
-            self, "methods", tuple(sorted(methods, key=lambda m: m.name))
-        )
-
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, Obj)
-            and self.parent_set == other.parent_set
-            and self.methods == other.methods
-        )
-
-    def __hash__(self):
-        return hash((self.parent_set, self.methods))
+    @staticmethod
+    def canon(parents: Iterable[NominalType], methods: Iterable[MethodDef] = ()):
+        return _canon_parents(parents), tuple(sorted(methods, key=lambda m: m.name))
 
     def method(self, name: str) -> Optional[MethodDef]:
         for m in self.methods:
@@ -438,7 +422,7 @@ def ftv_value(v: Value) -> frozenset:
 
 
 def ftv_expr(e: Expr) -> frozenset:
-    # cached on the node: keyed by identity, freed with the term
+    # cached on the node, which is shared by every equal term
     out = e.__dict__.get("_ftv")
     if out is None:
         out = _ftv_expr(e)

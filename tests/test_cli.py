@@ -259,3 +259,32 @@ def test_zero_fuel_is_accepted(capsys):
     code, out, _ = mfj(capsys, "run", corpus("nat_sum"), "--fuel", "0")
     assert code == 0
     assert out == "diverged (fuel 0)\n"
+
+
+# -- depth --------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [5000, 20000, 60000])
+def test_a_deep_numeral_ends_in_a_result_or_a_clean_diagnostic(tmp_path, n):
+    # in child processes, so that a C stack overflow cannot take pytest down
+    src = tmp_path / "deep.mfj"
+    src.write_text(f"main = {n}.succ()\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    procs = {
+        cmd: subprocess.Popen(
+            [sys.executable, "-m", "mfj", cmd, str(src)], env=env,
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+        for cmd in ("check", "run", "soundness")
+    }
+    try:
+        done = {cmd: (p.communicate(timeout=120)[1], p.returncode)
+                for cmd, p in procs.items()}
+    finally:
+        for p in procs.values():
+            p.kill()
+    for cmd, (err, code) in done.items():
+        assert code in (0, 2), (cmd, code, err[-500:])
+        assert "Traceback" not in err, (cmd, err[-500:])
+        if code == 2:
+            assert err == f"mfj: {src}: term too deep\n", cmd
+        if n <= 20000:
+            assert code == 0, (cmd, err[-500:])

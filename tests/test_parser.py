@@ -28,7 +28,8 @@ CORPUS_FILES = sorted(f.name for f in CORPUS.glob("*.mfj"))
 @pytest.mark.parametrize("fname", CORPUS_FILES)
 def test_corpus_round_trips(fname):
     prog = parse_program((CORPUS / fname).read_text())
-    assert parse_program(pretty(prog)) == prog
+    again = parse_program(pretty(prog))
+    assert again == prog and again.main is prog.main
 
 
 def test_prelude_round_trips():
@@ -63,12 +64,14 @@ def test_a_printed_numeral_is_classified_once(monkeypatch):
             return other == real
 
     monkeypatch.setattr(parser, "_PRED_T", CountingPredType())
+    # levels shared with numerals built earlier may be classified already
     assert pretty_value(v) == "300"
-    assert len(classified) == 300
+    assert len(classified) <= 300
     classified.clear()
     assert pretty_value(v) == "300"
-    assert pretty_value(Obj(v.parents, v.methods)) == "300"
-    assert len(classified) == 1  # the new top level only
+    # rebuilding a level gives the same, already classified, node
+    assert Obj(v.parents, v.methods) is v
+    assert classified == []
 
 
 def test_strings_desugar_to_toNat_objects():

@@ -4,15 +4,17 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
+from dataclasses import fields, is_dataclass
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import mfj
 
 from mfj.parser import numeral, parse_expr
 from mfj.syntax import (
-    DEF, OBJECT, PURE, TOP,
+    ABS, DEF, OBJECT, PURE, TOP,
     Call, Do, EffCall, MethodDef, MethodType, NominalType, Obj, ObjType,
     Program, Return, Sig, TypeDecl, TypeVar, Var, alpha_eq_mtype, canon_mtype,
     eff_of, eff_union, erase_type, fresh_name, fv_expr, fv_value, ftv_expr,
@@ -90,6 +92,117 @@ def test_effect_repr_does_not_depend_on_hashing():
         for seed in ("0", "1")
     }
     assert len(outs) == 1
+
+
+def test_parent_order_does_not_depend_on_the_build_order():
+    # each child process builds [A B] and [B A] first in the opposite order
+    code = (
+        "import sys\n"
+        "from mfj.cli import main\n"
+        "from mfj.parser import pretty\n"
+        "from mfj.syntax import NominalType, Obj\n"
+        "ab = (NominalType('A'), NominalType('B'))\n"
+        "order = ab if sys.argv[1] == 'ab' else ab[::-1]\n"
+        "first, second = Obj(order), Obj(order[::-1])\n"
+        "assert first is second\n"
+        "print(pretty(first))\n"
+        "main(['run', '--trace', sys.argv[2]])\n"
+    )
+    src = str(pathlib.Path(mfj.__file__).resolve().parent.parent)
+    prog = (
+        "A { a : def -> Nat ! pure <_, return 1> }\n"
+        "B { b : def -> Nat ! pure <_, return 2> }\n"
+        "main = do o = return B A { }; o.a()\n"
+    )
+    with tempfile.TemporaryDirectory() as d:
+        path = pathlib.Path(d, "two_parents.mfj")
+        path.write_text(prog)
+        outs = [
+            subprocess.run(
+                [sys.executable, "-c", code, order, str(path)],
+                capture_output=True, text=True, check=True, timeout=60,
+                env={**os.environ, "PYTHONPATH": src},
+            ).stdout
+            for order in ("ab", "ba")
+        ]
+    assert outs[0] == outs[1] == (
+        "A B\n1: [ret] Pure(E A B.a())\n2: [pure] Pure(E return 1)\n"
+        "3: [ret] Pure(R V 1)\n1\n")
+
+
+# -- interning ----------------------------------------------------------------
+
+names = st.sampled_from("ABC")
+types = st.deferred(lambda: st.one_of(
+    st.builds(TypeVar, st.sampled_from("XY")),
+    st.builds(nominal, names),
+    st.builds(ObjType, st.lists(ntypes, max_size=3), sigs),
+))
+ntypes = st.builds(lambda n, args: NominalType(n, tuple(args)),
+                   names, st.lists(types, max_size=2))
+mtypes = st.builds(lambda ps, ret, eff: MethodType((), tuple(ps), ret, eff),
+                   st.lists(types, max_size=2), types, effects)
+sigs = st.builds(Sig, st.lists(
+    st.tuples(st.sampled_from("mn"), st.just(ABS), mtypes),
+    max_size=2, unique_by=lambda e: e[0]))
+values = st.deferred(lambda: st.one_of(
+    st.builds(Var, st.sampled_from("xy")),
+    st.builds(numeral, st.integers(0, 3)),
+    st.builds(
+        lambda ps, mt, body: Obj(ps, (MethodDef("m", DEF, mt, "s", (), body),)),
+        st.lists(ntypes, max_size=3), mtypes, exprs),
+))
+exprs = st.deferred(lambda: st.one_of(
+    st.builds(Return, values),
+    st.builds(lambda v, args: Call(v, "m", (), tuple(args)),
+              values, st.lists(values, max_size=2)),
+    st.builds(Do, st.sampled_from("xy"), exprs, exprs),
+))
+terms = st.one_of(types, effects, values, exprs)
+
+
+def subnodes(n):
+    """``n`` and every node under it, through fields and tuples."""
+    todo = [n]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, (tuple, frozenset)):
+            todo.extend(x)
+        elif is_dataclass(x):
+            yield x
+            todo.extend(getattr(x, f.name) for f in fields(x))
+
+
+@settings(max_examples=40, deadline=None)
+@given(terms)
+def test_rebuilding_a_node_from_its_fields_gives_the_node(t):
+    for n in subnodes(t):
+        assert type(n)(*(getattr(n, f.name) for f in fields(n))) is n
+
+
+@settings(max_examples=40, deadline=None)
+@given(terms, terms)
+def test_equal_nodes_are_one_object(a, b):
+    # the dataclass repr is structural, and parent order is canonical
+    assert (a == b) is (a is b) is (repr(a) == repr(b))
+    assert hash(a) == object.__hash__(a)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(ntypes, min_size=2, max_size=3), sigs, st.randoms())
+def test_parent_order_is_canonical(parents, sig, rnd):
+    shuffled = rnd.sample(parents, len(parents))
+    assert ObjType(shuffled, sig) is ObjType(parents, sig)
+    assert Obj(shuffled) is Obj(parents)
+
+
+def test_equal_numerals_are_one_object():
+    e = parse_expr("400.sum(400)")
+    assert e.recv is e.args[0]
+    v = e.recv
+    while v.methods:  # every level, rebuilt, is itself
+        assert Obj(v.parents, v.methods) is v
+        v = v.methods[0].body.value
 
 
 # -- free variables -----------------------------------------------------------
@@ -170,12 +283,13 @@ def test_subst_mtype_renames_clashing_binders():
 def test_erase_drops_bodies():
     t = erase_type(numeral(0))
     assert t == ObjType((NominalType("Zero"),), Sig(()))
-    # parents are a set: their order changes neither equality nor hash
+    # parents are a set, kept in one order: building in another order gives
+    # the same node
     ab = (NominalType("A"), NominalType("B"))
     ba = ab[::-1]
-    assert Obj(ab) == Obj(ba) and hash(Obj(ab)) == hash(Obj(ba))
-    assert erase_type(Obj(ab)) == erase_type(Obj(ba)) == ObjType(ba, Sig(()))
-    assert hash(ObjType(ab, Sig(()))) == hash(ObjType(ba, Sig(())))
+    assert Obj(ba) is Obj(ab) and Obj(ba).parents == ab
+    assert erase_type(Obj(ab)) is erase_type(Obj(ba)) is ObjType(ba, Sig(()))
+    assert ObjType(ba, Sig(())).parents == ab
 
 
 def test_erase_keeps_own_methods():

@@ -9,9 +9,11 @@
 
 Exit codes: 0 success, 1 check/soundness failure, 2 usage (an option the
 subcommand does not read, ``--trace`` or ``--fuel`` with ``run --approx``, a
-negative N or K), precondition error, or a term nested too deeply for the
-recursive typer ("term too deep").  ``run --trace`` prints each step as it is
-taken; with ``--json`` it prints JSON lines, one per step, then the result.
+negative N or K), a file that is missing or cannot be read as UTF-8,
+precondition error (among them more branches than ``--prefix``), or a term
+nested too deeply for the recursive typer ("term too deep").  ``run --trace``
+prints each step as it is taken; with ``--json`` it prints JSON lines, one per
+step, then the result.
 ``--no-prelude`` (check, run, soundness) drops the standard prelude.
 """
 
@@ -26,7 +28,7 @@ import sys
 from .evaluator import Diverged, Evaluator, PrefixExceeded, VRes
 from .monads import MONADS
 from .parser import ParseError, parse_program, pretty, pretty_value
-from .prelude import load_file
+from .prelude import load_program
 from .soundness import IllTypedProgram, SoundnessReport, check_soundness
 from .typer import Checker
 
@@ -68,12 +70,21 @@ def _arg_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _load(path: str, use_prelude: bool):
+def _read(path: str) -> str:
+    """The text of ``path``; a missing or unreadable file exits 2."""
     try:
-        return load_file(path, use_prelude)
+        with open(path, encoding="utf-8") as f:
+            return f.read()
     except FileNotFoundError:
         print(f"mfj: no such file: {path}", file=sys.stderr)
-        raise SystemExit(2)
+    except (OSError, UnicodeDecodeError) as e:
+        print(f"mfj: {path}: cannot read: {e}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _load(path: str, use_prelude: bool):
+    try:
+        return load_program(_read(path), use_prelude)
     except ParseError as e:
         print(f"mfj: {path}: parse error: {e}", file=sys.stderr)
         raise SystemExit(1)
@@ -184,6 +195,9 @@ def cmd_soundness(args) -> int:
                 print(f"mfj soundness: cannot check soundness of ill-typed "
                       f"program {path}: {e}", file=sys.stderr)
                 return 2
+            except PrefixExceeded as e:
+                print(f"mfj soundness: {path}: {e}", file=sys.stderr)
+                return 2
     print(report.to_json() if args.json else report.summary())
     return 0 if report.ok else 1
 
@@ -192,11 +206,7 @@ def cmd_parse(args) -> int:
     for path in args.files:
         # parse the file alone (no prelude): the output should re-parse
         try:
-            with open(path, encoding="utf-8") as f:
-                prog = parse_program(f.read())
-        except FileNotFoundError:
-            print(f"mfj: no such file: {path}", file=sys.stderr)
-            return 2
+            prog = parse_program(_read(path))
         except ParseError as e:
             print(f"mfj: {path}: parse error: {e}", file=sys.stderr)
             return 1

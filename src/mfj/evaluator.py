@@ -207,16 +207,17 @@ class Evaluator:
         return mv, info.rule
 
     def big_step(self, mc, labels: Optional[set] = None):
-        """Step every configuration of ``mc`` once; ``labels``, if given,
-        collects the rule of each expression configuration stepped."""
+        """Step every expression configuration of ``mc`` once and pass the
+        results through; ``labels``, if given, collects the rule of each
+        configuration stepped."""
 
         def step(c):
             m, rule = self.step_config_traced(c)
-            if labels is not None and isinstance(c, EConf):
+            if labels is not None:
                 labels.add(rule)
             return m
 
-        mc2 = self.monad.bind(mc, step)
+        mc2 = self.monad.bind_unless(mc, step, RConf)
         self.monad.force(mc2, self.prefix)
         return mc2
 

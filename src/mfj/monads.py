@@ -4,7 +4,8 @@ Four monads are built in: exceptions, lazy (possibly unbounded) lists,
 finite subdistributions with exact rational weights, and identity.  All
 that is particular to a monad is a hook of its ``Monad`` subclass, so the
 evaluator, the soundness harness and the CLI name no monad.  The hooks:
-the monad (``unit``, ``bind``, ``map_m``) and its order (``bottom``,
+the monad (``unit``, ``bind``, ``map_m``, and ``bind_unless``, a bind that
+passes finished elements through) and its order (``bottom``,
 ``is_bottom``, ``leq``, ``sup_chain``); observation (``elements``, ``force``,
 ``show`` for a trace line, ``render`` for a result); ``magic``, the results
 of its magic methods; its predicate liftings (``quantifiers``, ``forall``
@@ -190,6 +191,9 @@ TRUE = Obj((NominalType("True"),))
 FALSE = Obj((NominalType("False"),))
 _ONE = Fraction(1)
 _HALF = Fraction(1, 2)
+# Dist is immutable: build these once, through the validating constructor
+_COIN = Dist({TRUE: _HALF, FALSE: _HALF})
+DIST_BOTTOM = Dist({})
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +217,12 @@ class Monad:
     def map_m(self, f, m):
         """Functorial action; by default bind-derived."""
         return self.bind(m, lambda x: self.unit(f(x)))
+
+    def bind_unless(self, m, f, done):
+        """``bind(m, f)``, but an element of the class (or tuple of classes)
+        ``done`` is passed through as its unit, without a call of ``f``."""
+        unit = self.unit
+        return self.bind(m, lambda x: unit(x) if isinstance(x, done) else f(x))
 
     def bottom(self):
         raise NotImplementedError
@@ -310,6 +320,11 @@ class ExcMonad(Monad):
             return f(m.payload)
         return m
 
+    def bind_unless(self, m, f, done):
+        if m.tag == "pure" and not isinstance(m.payload, done):
+            return f(m.payload)
+        return m
+
     def bottom(self):
         return EXC_BOTTOM
 
@@ -347,6 +362,10 @@ class ExcMonad(Monad):
         return [m for m in samples if m.tag != "pure"]
 
 
+# the magic methods that raise, whose atoms have an exception reading
+EXC_METHODS = frozenset(ExcMonad.magic)
+
+
 class ListMonad(Monad):
     name = "list"
     magic = {"choose": lambda recv: LazyList.of(TRUE, FALSE)}
@@ -355,17 +374,19 @@ class ListMonad(Monad):
         return LazyList.of(x)
 
     def bind(self, m, f):
+        return self.bind_unless(m, f, ())
+
+    def bind_unless(self, m, f, done):
         if faults.ACTIVE.swap_list_bind:
             # seeded bug: concatenate continuations right-to-left
-            items = list(m)
-            def gen_swapped():
-                for x in reversed(items):
-                    yield from f(x)
-            return LazyList(gen_swapped())
+            m = reversed(list(m))
 
         def gen():
             for x in m:
-                yield from f(x)
+                if isinstance(x, done):
+                    yield x
+                else:
+                    yield from f(x)
 
         return LazyList(gen())
 
@@ -414,17 +435,19 @@ class ListMonad(Monad):
 
 class DistMonad(Monad):
     name = "dist"
-    magic = {"choose": lambda recv: Dist({TRUE: _HALF, FALSE: _HALF})}
+    magic = {"choose": lambda recv: _COIN}
 
     def unit(self, x):
         return Dist._trusted([(x, _ONE)])
 
     def bind(self, m, f):
-        # no products by 1 and no zero start value: a finished branch is
-        # re-bound to its unit on every step of a run
+        return self.bind_unless(m, f, ())
+
+    def bind_unless(self, m, f, done):
+        # no products by 1 and no zero start value
         acc: dict = {}
         for x, w in m.weights:
-            for y, u in f(x).weights:
+            for y, u in ((x, 1),) if isinstance(x, done) else f(x).weights:
                 p = w if u == 1 else w * u
                 acc[y] = acc[y] + p if y in acc else p
         return Dist._trusted(acc.items())
@@ -438,7 +461,7 @@ class DistMonad(Monad):
         return Dist._trusted(acc.items())
 
     def bottom(self):
-        return Dist({})
+        return DIST_BOTTOM
 
     def leq(self, a, b):
         bd = b.as_dict()
@@ -474,6 +497,11 @@ class IdMonad(Monad):
 
     def bind(self, m, f):
         if m.tag == "bottom":
+            return m
+        return f(m.payload)
+
+    def bind_unless(self, m, f, done):
+        if m.tag == "bottom" or isinstance(m.payload, done):
             return m
         return f(m.payload)
 

@@ -58,6 +58,8 @@ class ArityMismatch(SigError):
 
 
 def env_key(phi: Mapping[str, Type]) -> tuple:
+    if not phi:
+        return ()
     return tuple(sorted(phi.items(), key=lambda kv: kv[0]))
 
 

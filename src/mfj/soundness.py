@@ -30,7 +30,7 @@ from itertools import compress, product
 from typing import Callable, List, Optional
 
 from .evaluator import Diverged, EConf, Evaluator, VRes
-from .monads import EXC_NAMES, Monad, NotAChain, get_monad
+from .monads import EXC_METHODS, EXC_NAMES, Monad, NotAChain, get_monad
 from .signatures import SigError, Sigs
 from .syntax import (
     MGC, PURE,
@@ -85,7 +85,7 @@ class Denotation:
             return self._exc_sets[eff]
         out = set()
         for a in eff.atoms:
-            if a.method in ND_METHODS:
+            if a.method not in EXC_METHODS:
                 continue  # no exception reading; contributes nothing
             uppers = self._receiver_names(a.receiver)
             for decl in self.sigs.program.decls:
@@ -265,17 +265,20 @@ def interp_law_suite(interp: EffectInterp, sigs: Sigs, effects,
     samples = monad.law_samples(X)
     subsets = _subsets(X)
     funcs = _functions(X)
+    # each image map_m(f, m) is built once; f is bound now, because list's
+    # map_m is lazy and a closure would see a later f
+    images = [[monad.map_m(f.__getitem__, m) for m in samples] for f in funcs]
 
     # 1: naturality
     for eff in effects:
-        for f in funcs:
+        for f, f_images in zip(funcs, images):
             for A in subsets:
                 pre = frozenset(x for x in X if f[x] in A)
                 lift_pre = interp.lift(eff, lambda x: x in pre)
                 lift_A = interp.lift(eff, lambda x: x in A)
-                for m in samples:
+                for m, image in zip(samples, f_images):
                     lhs = lift_pre(m)
-                    rhs = lift_A(monad.map_m(lambda x: f[x], m))
+                    rhs = lift_A(image)
                     if lhs != rhs:
                         viol.append(
                             f"naturality fails for {interp.name} at eff="
@@ -303,6 +306,7 @@ def interp_law_suite(interp: EffectInterp, sigs: Sigs, effects,
     # 4: multiplication
     mm_samples = ([monad.unit(m) for m in samples]
                   + monad.outer_samples(samples))
+    flats = [monad.bind(mm, lambda m: m) for mm in mm_samples]
     for eff in effects:
         for eff2 in effects:
             joined = eff_union(eff, eff2)
@@ -310,14 +314,12 @@ def interp_law_suite(interp: EffectInterp, sigs: Sigs, effects,
                 lift_in = interp.lift(eff2, lambda x: x in A)
                 lift_out = interp.lift(eff, lift_in)
                 lift_joined = interp.lift(joined, lambda x: x in A)
-                for mm in mm_samples:
-                    if lift_out(mm):
-                        flat = monad.bind(mm, lambda m: m)
-                        if not lift_joined(flat):
-                            viol.append(
-                                f"multiplication fails for {interp.name}: "
-                                f"eff={eff!r}, eff'={eff2!r}, A={sorted(A)}, "
-                                f"mm={mm!r}")
+                for mm, flat in zip(mm_samples, flats):
+                    if lift_out(mm) and not lift_joined(flat):
+                        viol.append(
+                            f"multiplication fails for {interp.name}: "
+                            f"eff={eff!r}, eff'={eff2!r}, A={sorted(A)}, "
+                            f"mm={mm!r}")
     return viol
 
 

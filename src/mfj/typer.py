@@ -57,15 +57,22 @@ class Checker:
         self._expr_memo: dict = {}
         # (frame, hole typing, raw focus effect) -> the configuration's typing
         self._frame_memo: dict = {}
+        # (method type, type arguments) -> its bounds, parameter types and
+        # result type with the arguments substituted
+        self._inst_memo: dict = {}
 
     # -- values ----------------------------------------------------------------
 
     @staticmethod
     def _memo_key(phi, gamma, term, fvs, ftvs):
-        # typing depends only on the bindings for the term's free names
+        # typing depends only on the bindings for the term's free names; a
+        # closed term is its own key, and the free names are cached on the
+        # node, so they come in the same order every time
+        if not fvs and not ftvs:
+            return term
         return (term,
-                tuple(sorted((x, gamma[x]) for x in fvs if x in gamma)),
-                tuple(sorted((a, phi[a]) for a in ftvs if a in phi)))
+                tuple((x, gamma[x]) for x in fvs if x in gamma),
+                tuple((a, phi[a]) for a in ftvs if a in phi))
 
     def type_value(self, phi: Mapping[str, Type], gamma: Mapping[str, Type],
                    v: Value) -> Type:
@@ -194,24 +201,31 @@ class Checker:
                 "ArityMismatch", "t-invk",
                 f"{e.method!r} expects {len(mt.paramTypes)} arguments, "
                 f"got {len(e.args)}")
-        sub = {x: t for (x, _), t in zip(mt.typeParams, e.targs)}
-        for targ, (_, bound) in zip(e.targs, mt.typeParams):
-            if not self.sigs.sub_type(phi, targ, subst_type(bound, sub)):
+        inst = self._inst_memo.get((mt, e.targs))
+        if inst is None:
+            sub = {x: t for (x, _), t in zip(mt.typeParams, e.targs)}
+            inst = self._inst_memo[mt, e.targs] = (
+                tuple(subst_type(b, sub) for _, b in mt.typeParams),
+                tuple(subst_type(p, sub) for p in mt.paramTypes),
+                subst_type(mt.ret, sub))
+        bounds, params, ret = inst
+        for targ, bound in zip(e.targs, bounds):
+            if not self.sigs.sub_type(phi, targ, bound):
                 raise TypecheckError(
                     "BoundViolation", "t-invk",
                     f"type argument {targ!r} of {e.method!r} violates its bound")
-        for arg, pt in zip(e.args, mt.paramTypes):
+        for arg, pt in zip(e.args, params):
             at = self.type_value(phi, gamma, arg)
-            if not self.sigs.sub_type(phi, at, subst_type(pt, sub)):
+            if not self.sigs.sub_type(phi, at, pt):
                 raise TypecheckError(
                     "ArgTypeMismatch", "t-invk",
                     f"argument {arg!r} of {e.method!r} has type {at!r}, "
-                    f"expected a subtype of {subst_type(pt, sub)!r}")
+                    f"expected a subtype of {pt!r}")
         try:
             eff = simplify(self.sigs, phi, eff_of(EffCall(t0, e.method, e.targs)))
         except SigError as err:
             raise _sig_error(err, "t-invk")
-        return subst_type(mt.ret, sub), eff
+        return ret, eff
 
     def _raw_effect(self, phi, gamma, e) -> Effect:
         """The body effect before simplification (fault-injection path only)."""

@@ -24,7 +24,7 @@ from mfj.syntax import PURE
 from mfj.typer import Checker
 
 from conftest import load
-from golden import load_golden
+from golden import broken_violations, load_golden
 
 # which monads each corpus program is meaningful under
 APPLICABLE = {
@@ -206,6 +206,15 @@ def test_broken_interp_fails_monotonicity():
     assert violations
     assert any("monotonicity" in v for v in violations)
     assert violations == load_golden()["laws/broken-exc"]
+
+
+@pytest.mark.parametrize("monad", ["list", "dist"])
+def test_broken_liftings_report_the_recorded_violations(monad):
+    # the same naturality and multiplication violations, in the same order
+    violations = broken_violations(monad)
+    assert {v.split()[0] for v in violations} == {"naturality",
+                                                  "multiplication"}
+    assert violations == load_golden()[f"laws/broken-{monad}"]
 
 
 # -- criterion 9: every seeded fault is observable ----------------------------

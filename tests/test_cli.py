@@ -190,6 +190,15 @@ def test_soundness_refuses_ill_typed(capsys):
     assert "ill-typed" in err
 
 
+def test_soundness_reports_an_exceeded_prefix(capsys):
+    path = corpus("nd_m1")
+    code, _, err = mfj(capsys, "soundness", path, "--monad", "list",
+                       "--prefix", "1")
+    assert code == 2
+    assert err == (f"mfj soundness: {path}: more than 1 branches; "
+                   "raise --prefix\n")
+
+
 # -- parse --------------------------------------------------------------------
 
 def test_parse_prints_a_reparsable_program(capsys):
@@ -203,6 +212,22 @@ def test_parse_of_the_simplest_program(capsys):
     code, out, _ = mfj(capsys, "parse", corpus("bool_not"))
     assert code == 0
     assert out == "main = True.not()\n"
+
+
+@pytest.mark.parametrize("cmd", ["check", "run", "soundness", "parse"])
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_an_unreadable_file_is_a_clean_diagnostic(tmp_path, cmd, kind):
+    path = tmp_path / "bad.mfj"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"main = \xff\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-m", "mfj", cmd, str(path)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith(f"mfj: {path}: cannot read: ")
 
 
 def test_python_dash_m_runs_the_cli():

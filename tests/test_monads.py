@@ -1,5 +1,6 @@
 """The four monads, their orders, and the magic-method run registry."""
 
+import contextlib
 from fractions import Fraction
 
 import pytest
@@ -204,6 +205,66 @@ def test_dist_bind_is_the_product_formula(m, ks):
     want = product_bind(m, ks.__getitem__)
     assert list(got.weights) == want
     assert repr(got) == repr(Dist(want))
+
+
+# -- bind_unless: bind, with the elements of a class passed through -----------
+
+# strs play the finished elements; a continuation may make finished ones too
+mixed = st.one_of(st.integers(0, 3), st.sampled_from(["a", "b"]))
+
+
+def bind_with_units(monad, m, f, done):
+    """``bind_unless``'s definition."""
+    return monad.bind(m, lambda x: monad.unit(x) if isinstance(x, done)
+                      else f(x))
+
+
+@pytest.mark.parametrize("fault", [None, "swap_list_bind"])
+@given(xs=st.lists(mixed, max_size=5), k=st.integers(0, 12))
+def test_list_bind_unless_is_bind_with_units(fault, xs, k):
+    monad = get_monad("list")
+
+    def f(x):
+        return LazyList(iter([x + 1, "ab"[x % 2]]))
+
+    with faults.inject(fault) if fault else contextlib.nullcontext():
+        got = monad.bind_unless(LazyList(iter(xs)), f, str)
+        want = bind_with_units(monad, LazyList(iter(xs)), f, str)
+        assert got.take(k) == want.take(k)
+        assert got.exhausted_within(k) == want.exhausted_within(k)
+        assert repr(got) == repr(want)
+
+
+@given(points=st.lists(st.tuples(mixed, st.integers(1, 3)), max_size=4,
+                       unique_by=lambda p: p[0]),
+       ks=st.lists(small_dists(), min_size=4, max_size=4))
+def test_dist_bind_unless_is_bind_with_units(points, ks):
+    monad = get_monad("dist")
+    total = sum(n for _, n in points) + 1
+    m = Dist([(v, Fraction(n, total)) for v, n in points])
+
+    def f(x):
+        # values above 2 become finished ones, to merge with those of m
+        return monad.map_m(lambda v: v if v <= 2 else "ab"[v % 2], ks[x])
+
+    got = monad.bind_unless(m, f, str)
+    want = bind_with_units(monad, m, f, str)
+    assert list(got.weights) == list(want.weights)
+    assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("name", ["exc", "id"])
+@given(x=mixed)
+def test_bind_unless_is_bind_with_units(name, x):
+    monad = get_monad(name)
+
+    def f(y):
+        return monad.unit(str(y))
+
+    raised = (Raised("E"),) if name == "exc" else ()
+    for m in (monad.unit(x), monad.bottom(), *raised):
+        assert monad.bind_unless(m, f, str) == \
+            bind_with_units(monad, m, f, str)
 
 
 @given(xs=st.lists(st.integers(0, 9), max_size=6), k=st.integers(0, 8))

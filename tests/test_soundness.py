@@ -10,7 +10,7 @@ from mfj.monads import (
     Dist, LazyList, Pure, Raised, default_registry, get_monad,
 )
 from mfj.parser import numeral, parse_effect, parse_expr, parse_type
-from mfj.prelude import prelude_program
+from mfj.prelude import load_program, prelude_program
 from mfj.soundness import (
     BrokenExcInterp, Denotation, IllTypedProgram, SoundnessReport, UnknownAtom,
     check_lifted_step, check_progress, check_soundness, interp_law_suite,
@@ -49,6 +49,14 @@ def test_exc_set_of_a_union(den):
 
 def test_choose_has_no_exception_reading(den):
     assert den.exc_set(parse_effect("Chooser.choose")) == frozenset()
+
+
+def test_a_magic_method_that_does_not_raise_has_no_exception_reading():
+    prog = load_program("Ticker { tick : mgc -> Bool }\n")
+    den = Denotation(Checker(prog).sigs)
+    assert den.exc_set(parse_effect("Ticker.tick")) == frozenset()
+    assert den.exc_set(parse_effect("Ticker.tick \\/ Failure[Nat].fail")) \
+        == {"Fail"}
 
 
 def test_exc_set_rejects_open_receivers(den):

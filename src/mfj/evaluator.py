@@ -15,6 +15,8 @@ An ``Evaluator`` lifts the pure stepper into a chosen monad:
 * ``mon_step`` performs one monadic step on a configuration (a pure rule,
   a magic call, or do-return), looking only at the focus and its top frame,
   so a step costs the same at any context depth;
+* ``run_magic`` gives a magic call its result straight from the monad's
+  ``magic`` table, the one place a magic method gets its meaning;
 * ``step_config_traced``/``big_step`` run the step on configurations
   ``E e | R r``;
 * ``finitary`` iterates to a monadic *result* under a fuel bound and a
@@ -28,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-from .monads import Monad, RunRegistry, default_registry, get_monad
+from .monads import Monad, get_monad
 from .parser import pretty_expr, pretty_value
 from .reducer import Magic, mbody, pure_step
 from .signatures import Sigs
@@ -151,12 +153,10 @@ _CLAUSE_RULES = ("catch-stop", "catch-continue", "fwd")
 
 class Evaluator:
     def __init__(self, program: Program, monad: str = "exc",
-                 registry: Optional[RunRegistry] = None, prefix: int = 256):
+                 prefix: int = 256):
         self.program = program
         self.sigs = Sigs(program)
-        self.monad: Monad = get_monad(monad) if isinstance(monad, str) else monad
-        self.registry = registry if registry is not None \
-            else default_registry(self.monad, self.sigs)
+        self.monad: Monad = get_monad(monad)
         self.prefix = prefix
 
     # -- stepping ------------------------------------------------------------
@@ -183,7 +183,7 @@ class Evaluator:
             return self.monad.unit(EConf(e2, below)), StepInfo(label)
         # under a try, a magic call or a return has taken a pure rule above
         if isinstance(found, Magic):
-            mv = self.registry.run(found.typeName, f.method, f.recv, f.args)
+            mv = self.run_magic(f)
             if mv is None:
                 return None
             atom = EffCall(erase_type(f.recv), f.method, f.targs)
@@ -193,6 +193,15 @@ class Evaluator:
             e2 = subst_expr(top.rest, {}, {top.var: f.value})
             return self.monad.unit(EConf(e2, top.below)), StepInfo("ret")
         return None
+
+    def run_magic(self, call: Call):
+        """The monadic result of ``call``, whose method is magic: the monad's
+        ``magic`` entry for the method, or None (stuck) when the monad has
+        none or the call passes arguments."""
+        result = self.monad.magic.get(call.method)
+        if result is None or call.args:
+            return None
+        return result(call.recv)
 
     def step_config_traced(self, c) -> tuple:
         """stepConfig with its rule label: (monadic configurations, label)."""

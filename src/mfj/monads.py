@@ -5,14 +5,14 @@ finite subdistributions with exact rational weights, and identity.  All
 that is particular to a monad is a hook of its ``Monad`` subclass, so the
 evaluator, the soundness harness and the CLI name no monad.  The hooks:
 the monad (``unit``, ``bind``, ``map_m``, and ``bind_unless``, a bind that
-passes finished elements through) and its order (``bottom``,
-``is_bottom``, ``leq``, ``sup_chain``); observation (``elements``, ``force``,
-``show`` for a trace line, ``render`` for a result); ``magic``, the results
-of its magic methods; its predicate liftings (``quantifiers``, ``forall``
-with its test ``allowed`` on outcomes that are not elements, ``exists``, and
-``raise_witness`` for a raised outcome of a step); and ``law_samples`` and
-``outer_samples`` for the lifting laws.  Adding a monad is a subclass and an
-entry in ``MONADS``.
+passes finished elements through) and its order (``bottom``, ``is_bottom``,
+``leq``); observation (``elements``, ``force``, ``show`` for a trace line,
+``render`` for a result); ``magic``, the results of its magic methods and
+the only place they get a meaning; its predicate liftings (``quantifiers``,
+``forall`` with its test ``allowed`` on outcomes that are not elements,
+``exists``, and ``raise_witness`` for a raised outcome of a step); and
+``law_samples`` and ``outer_samples`` for the lifting laws.  Adding a monad
+is a subclass and an entry in ``MONADS``.
 """
 
 from __future__ import annotations
@@ -24,10 +24,6 @@ from typing import Any, Callable, Iterable, Iterator, Optional
 
 from . import faults
 from .syntax import NominalType, Obj, Value
-
-
-class NotAChain(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -235,17 +231,6 @@ class Monad:
         """The order: by default flat, bottom below every other value."""
         return a == b or self.is_bottom(a)
 
-    def sup_chain(self, chain: list):
-        """Least upper bound of a finite ascending chain."""
-        if not chain:
-            return self.bottom()
-        out = chain[0]
-        for m in chain[1:]:
-            if not self.leq(out, m):
-                raise NotAChain(f"{out!r} !<= {m!r}")
-            out = m
-        return out
-
     def elements(self, m, bound: int) -> list:
         """The observed elements of ``m`` (prefix/support-limited)."""
         raise NotImplementedError
@@ -360,10 +345,6 @@ class ExcMonad(Monad):
     def outer_samples(self, samples):
         # a raised exception and bottom are values of M (M X) as they are
         return [m for m in samples if m.tag != "pure"]
-
-
-# the magic methods that raise, whose atoms have an exception reading
-EXC_METHODS = frozenset(ExcMonad.magic)
 
 
 class ListMonad(Monad):
@@ -488,6 +469,12 @@ class DistMonad(Monad):
                 for a in samples[:4] for b in samples[:4] if a is not b]
 
 
+# the magic methods that raise, whose atoms have an exception reading, and
+# those that choose, whose atoms set the nondeterminism flag
+EXC_METHODS = frozenset(ExcMonad.magic)
+ND_METHODS = frozenset(ListMonad.magic) | frozenset(DistMonad.magic)
+
+
 class IdMonad(Monad):
     name = "id"
     quantifiers = ("forall",)
@@ -534,53 +521,3 @@ def get_monad(name: str) -> Monad:
         return MONADS[name]
     except KeyError:
         raise KeyError(f"unknown monad {name!r}; pick one of {sorted(MONADS)}")
-
-
-# ---------------------------------------------------------------------------
-# Run registry
-# ---------------------------------------------------------------------------
-
-
-class RunRegistry:
-    """(type name, method name) -> run function, or None when undefined."""
-
-    def __init__(self):
-        self._runs: dict = {}
-
-    def register(self, tname: str, mname: str, fn):
-        self._runs[(tname, mname)] = fn
-
-    def lookup(self, tname: str, mname: str):
-        return self._runs.get((tname, mname))
-
-    def run(self, tname: str, mname: str, recv, args):
-        fn = self._runs.get((tname, mname))
-        if fn is None:
-            return None
-        return fn(recv, args)
-
-
-def default_registry(monad: Monad, sigs) -> RunRegistry:
-    """The monad's interpretations of the program's magic methods.
-
-    ``sigs`` is a signature context (mfj.signatures.Sigs) for the program,
-    used for the instance-of partiality conditions.
-    """
-    from .reducer import has_nominal_super
-
-    reg = RunRegistry()
-
-    def run_of(decl_name, result):
-        def run(recv, args):
-            if args or not has_nominal_super(sigs, recv, decl_name):
-                return None  # partiality: wrong shape of call
-            return result(recv)
-
-        return run
-
-    for decl in sigs.program.decls:
-        for md in decl.methods:
-            result = monad.magic.get(md.name)
-            if md.kind == "mgc" and result is not None:
-                reg.register(decl.name, md.name, run_of(decl.name, result))
-    return reg

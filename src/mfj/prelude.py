@@ -56,7 +56,7 @@ NatMatch[X] {
   succ : abs Nat -> X ! top
 }
 
-// magic types: their method calls are interpreted by the run registry
+// magic types: the chosen monad's magic table gives their calls a meaning
 Exception {
   throw : mgc [X] -> X
 }

@@ -100,12 +100,6 @@ def instance_of(sigs: Sigs, v: Value, n: NominalType) -> bool:
         return False
 
 
-def has_nominal_super(sigs: Sigs, v: Value, name: str) -> bool:
-    """Name-level instance check, insensitive to type arguments."""
-    return isinstance(v, Obj) and any(
-        name in sigs.ancestors(p.name) for p in v.parents)
-
-
 def cmatch(sigs: Sigs, recv: Value, m: str, clauses: tuple) -> Optional[Clause]:
     """First clause with the same method name matching the receiver's type."""
     order = reversed(clauses) if faults.ACTIVE.reverse_clause_match else clauses

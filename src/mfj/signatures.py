@@ -13,7 +13,7 @@ from . import faults
 from .syntax import (
     ABS, DEF, MGC,
     EffCall, Effect, MethodType, NominalType, ObjType, Program, Sig, Type,
-    TypeVar, alpha_eq_mtype, eff_of, rename_binders, subst_mtype, subst_type,
+    TypeVar, align_binders, alpha_eq_mtype, eff_of, subst_mtype, subst_type,
 )
 
 
@@ -192,10 +192,10 @@ class Sigs:
                 f"method {name!r}: an abstract method may only override "
                 f"an abstract method"
             )
-        if len(mt1.typeParams) != len(mt2.typeParams):
+        aligned = align_binders(mt1, mt2)
+        if aligned is None:
             raise OverrideError(f"method {name!r}: type-parameter arity differs")
-        # align mt2's binders with mt1's names
-        mt2 = rename_binders(mt2, (x for x, _ in mt1.typeParams))
+        mt1, mt2 = aligned
         if mt2.typeParams != mt1.typeParams:
             raise OverrideError(f"method {name!r}: type-parameter bounds differ")
         if mt2.paramTypes != mt1.paramTypes:
@@ -298,9 +298,10 @@ class Sigs:
 
     def sub_mtype(self, phi, mt1: MethodType, mt2: MethodType) -> bool:
         """Same binders/bounds/parameters up to alpha; covariant result."""
-        if len(mt1.typeParams) != len(mt2.typeParams):
+        aligned = align_binders(mt1, mt2)
+        if aligned is None:
             return False
-        mt2 = rename_binders(mt2, (x for x, _ in mt1.typeParams))
+        mt1, mt2 = aligned
         if mt2.typeParams != mt1.typeParams or mt2.paramTypes != mt1.paramTypes:
             return False
         phi2 = dict(phi)

@@ -30,16 +30,13 @@ from itertools import compress, product
 from typing import Callable, List, Optional
 
 from .evaluator import Diverged, EConf, Evaluator, VRes
-from .monads import EXC_METHODS, EXC_NAMES, Monad, NotAChain, get_monad
+from .monads import EXC_METHODS, EXC_NAMES, ND_METHODS, Monad, get_monad
 from .signatures import SigError, Sigs
 from .syntax import (
     MGC, PURE,
     Effect, NominalType, ObjType, Program, Return, Type, eff_of, eff_union,
 )
 from .typer import Checker, TypecheckError
-
-# method names whose run functions are nondeterministic
-ND_METHODS = frozenset({"choose"})
 
 
 class UnknownAtom(Exception):
@@ -174,35 +171,28 @@ def type_monadic_result(checker: Checker, interp: EffectInterp, mres,
     return interp.lift(eff, well_typed)(mres)
 
 
-# ``stepped`` default: ``ev.mon_step(c)`` not computed yet (None means stuck)
-_UNSTEPPED = object()
-
-
 def check_progress(checker: Checker, ev: Evaluator, c: EConf,
-                   stepped=_UNSTEPPED) -> Verdict:
+                   stepped) -> Verdict:
     """Well-typed closed configurations are returns or can step; ``stepped``
-    is ``ev.mon_step(c)`` when the caller has it already."""
+    is ``ev.mon_step(c)``."""
     if isinstance(c.focus, Return) and c.frames is None:
         return PASS
-    if stepped is _UNSTEPPED:
-        stepped = ev.mon_step(c)
     if stepped is not None:
         return PASS
     return Verdict(False, f"well-typed expression is stuck: {c.expr!r}")
 
 
 def check_lifted_step(checker: Checker, den: Denotation, ev: Evaluator,
-                      c: EConf, T: Type, eff: Effect, stepped=_UNSTEPPED,
+                      c: EConf, T: Type, eff: Effect, stepped,
                       prefix: int = 256) -> Verdict:
-    """Monadic subject reduction for one step of ``c : T ! eff``.
+    """Monadic subject reduction for one step of ``c : T ! eff``, whose
+    result ``ev.mon_step(c)`` is ``stepped``.
 
     Every configuration in the step result must retype at some T' ! eff'
     with T' <= T and ehat v eff' <= eff, where ehat is the canonical
     call-effect of a magic step (and pure otherwise); a raised exception
     must be in ``den``'s excSet of the effect.
     """
-    if stepped is _UNSTEPPED:
-        stepped = ev.mon_step(c)
     if stepped is None:
         return PASS  # no step: nothing to preserve
     mv, info = stepped
@@ -384,7 +374,6 @@ class IllTypedProgram(Exception):
 def check_soundness(program: Program, monad_name: str, *, name: str = "main",
                     fuel: int = 10000, approx_to: int = 64,
                     prefix: int = 256, which: Optional[str] = None,
-                    registry=None,
                     report: Optional[SoundnessReport] = None) -> SoundnessReport:
     """Run every dynamic soundness check for one program under one monad."""
     rep = report if report is not None else SoundnessReport()
@@ -392,7 +381,7 @@ def check_soundness(program: Program, monad_name: str, *, name: str = "main",
     diags = checker.check_program()
     if diags:
         raise IllTypedProgram(diags)
-    ev = Evaluator(program, monad_name, registry=registry, prefix=prefix)
+    ev = Evaluator(program, monad_name, prefix=prefix)
     den = Denotation(checker.sigs)
     interps = interps_for(monad_name, den, prefix, which)
     e0 = program.main
@@ -453,11 +442,7 @@ def check_soundness(program: Program, monad_name: str, *, name: str = "main",
 
     # infinitary approximations: a chain of well-typed lower bounds
     chain = ev.approx_chain(e0, approx_to)
-    try:
-        ev.monad.sup_chain(chain)
-        ascending = True
-    except NotAChain:
-        ascending = False
+    ascending = all(map(ev.monad.leq, chain, chain[1:]))
     rep.add(name, monad_name, "approx-chain-ascending", ascending,
             "" if ascending else "approximations not a chain")
     for itp in interps:

@@ -683,10 +683,20 @@ def erase_type(v: Value) -> ObjType:
     return t
 
 
-def canon_mtype(mt: MethodType) -> MethodType:
-    """Rename type parameters positionally; the alpha-equivalence canonical form."""
-    return rename_binders(mt, (f"%{i}" for i in range(len(mt.typeParams))))
+def align_binders(a: MethodType, b: MethodType) -> Optional[tuple]:
+    """``(a, b)`` with one list of type-parameter names, or None when their
+    arities differ.  The names are ``a``'s, or fresh ones when one of them is
+    free in ``b``, so that no free type variable of ``b`` is captured."""
+    if len(a.typeParams) != len(b.typeParams):
+        return None
+    names = tuple(x for x, _ in a.typeParams)
+    if names != tuple(x for x, _ in b.typeParams) \
+            and not ftv_mtype(b).isdisjoint(names):
+        names = tuple(map(fresh_name, names))
+        a = rename_binders(a, names)
+    return a, rename_binders(b, names)
 
 
 def alpha_eq_mtype(a: MethodType, b: MethodType) -> bool:
-    return canon_mtype(a) == canon_mtype(b)
+    aligned = align_binders(a, b)
+    return aligned is not None and aligned[0] == aligned[1]

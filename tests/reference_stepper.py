@@ -15,18 +15,17 @@ _CLAUSE_RULES = ("catch-stop", "catch-continue", "fwd")
 
 
 def reference_step(ev, e):
-    """One monadic step of ``e`` under ``ev``'s monad and registry:
-    (monadic value of expressions, StepInfo), or None."""
+    """One monadic step of ``e`` under ``ev``'s monad: (monadic value of
+    expressions, StepInfo), or None."""
     ps = pure_step(ev.sigs, e)
     if ps is not None:
         e2, rule = ps
         label = rule if rule in _CLAUSE_RULES else "pure"
         return ev.monad.unit(e2), StepInfo(label)
     if isinstance(e, Call):
-        r = mbody(ev.sigs, e.recv, e.method)
-        if not isinstance(r, Magic):
+        if not isinstance(mbody(ev.sigs, e.recv, e.method), Magic):
             return None
-        mv = ev.registry.run(r.typeName, e.method, e.recv, e.args)
+        mv = ev.run_magic(e)
         if mv is None:
             return None
         atom = EffCall(erase_type(e.recv), e.method, e.targs)

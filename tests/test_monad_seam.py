@@ -1,7 +1,8 @@
 """The monad seam: what a monad means lives on its ``Monad`` subclass.
 
 The modules that use monads, ``soundness``, ``cli`` and ``evaluator``,
-import no monad container and compare no monad name.  A fifth monad defined
+import no monad container, compare no monad name and name no magic method
+(``monads`` is the one module that does).  A fifth monad defined
 here, and nowhere in ``src/``, runs through the evaluator, the soundness
 harness, the law suite and the CLI.
 """
@@ -35,13 +36,16 @@ CLIENTS = ("soundness.py", "cli.py", "evaluator.py")
 CONTAINERS = {"ExcValue", "LazyList", "Dist", "IdValue", "ID_BOTTOM",
               "EXC_BOTTOM", "Pure", "Raised"}
 MONAD_NAMES = {"exc", "list", "dist", "id"}
+MAGIC_NAMES = frozenset().union(*(m.magic for m in MONADS.values()))
 
 
 def breaches(source: str) -> list:
-    """Uses of a monad container, and monad names compared or used as keys,
-    as (line, what) pairs in line order."""
+    """Uses of a monad container, monad names compared or used as keys, and
+    magic method names, as (line, what) pairs in line order."""
     out = []
     for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and node.value in MAGIC_NAMES:
+            out.append((node.lineno, repr(node.value)))
         name = (node.name.rsplit(".", 1)[-1] if isinstance(node, ast.alias)
                 else getattr(node, "attr", None) or getattr(node, "id", None))
         if name in CONTAINERS:
@@ -72,10 +76,11 @@ match name:
     case "exc":
         pass
 get_monad("exc")  # picking a monad by name is not deciding on it
+ND_METHODS = frozenset({"choose"})
 """
     assert breaches(src) == [
         (2, "ExcValue"), (4, "'exc'"), (4, "LazyList"), (6, "'dist'"),
-        (6, "'list'"), (7, "'id'"), (9, "'exc'")]
+        (6, "'list'"), (7, "'id'"), (9, "'exc'"), (12, "'choose'")]
 
 
 @pytest.mark.parametrize("module", CLIENTS)

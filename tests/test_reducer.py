@@ -6,7 +6,7 @@ from mfj import faults
 from mfj.parser import numeral, parse_expr, pretty_expr
 from mfj.prelude import load_program, prelude_program
 from mfj.reducer import (
-    DefBody, Magic, cmatch, has_nominal_super, instance_of, mbody, pure_step,
+    DefBody, Magic, cmatch, instance_of, mbody, pure_step,
 )
 from mfj.signatures import Sigs
 from mfj.syntax import (
@@ -71,13 +71,6 @@ def test_instance_of(sigs):
     assert instance_of(sigs, TRUE, NominalType("Bool"))
     assert not instance_of(sigs, TRUE, NominalType("Nat"))
     assert not instance_of(sigs, Var("x"), NominalType("Nat"))
-
-
-def test_has_nominal_super_ignores_type_arguments(sigs):
-    v = Obj((NominalType("Failure", (nominal("Nat"),)),))
-    assert has_nominal_super(sigs, v, "Failure")
-    assert not has_nominal_super(sigs, v, "Exception")
-    assert has_nominal_super(sigs, numeral(1), "Nat")  # Succ <| Nat
 
 
 # -- clause matching ----------------------------------------------------------

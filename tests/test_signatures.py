@@ -131,6 +131,28 @@ def test_sub_type_aligns_binders_inside_parameter_types():
     assert sigs.sub_type({}, a, b) and sigs.sub_type({}, b, a)
 
 
+# B.m returns B's type parameter X, which is not A.m's binder X
+CAPTURE = """
+A { m : abs [X] X -> X ! pure }
+B[X] <| A { m : def [Z] Z -> X ! pure <self z, self.get()>  get : abs -> X ! pure }
+C <| B[Nat] { get : def -> Nat ! pure <_, return 5> }
+Use { go : def A -> Bool ! pure <_ a, a.m[Bool](True)> }
+main = do u = return Use{}; u.go(C{})
+"""
+
+
+def test_override_does_not_capture_a_free_type_variable():
+    diags = Checker(load_program(CAPTURE)).check_program()
+    assert "[OverrideError/t-ntype] method 'm': overriding type-and-effect " \
+        "is not a subtype of the declared one" in map(str, diags)
+
+
+def test_sub_type_does_not_capture_a_free_type_variable(sigs):
+    a = parse_type("Bool{m : abs [X] X -> X ! pure}", ("X",))
+    b = parse_type("Bool{m : abs [Z] Z -> X ! pure}", ("X",))
+    assert not sigs.sub_type({"X": OBJECT}, a, b)
+
+
 # -- subtyping ----------------------------------------------------------------
 
 def test_sub_type_reflexive_and_object_top(sigs):

@@ -7,7 +7,7 @@ import pytest
 
 from mfj.evaluator import EConf, Evaluator, VRes, WRONG
 from mfj.monads import (
-    Dist, LazyList, Pure, Raised, default_registry, get_monad,
+    MONADS, Dist, LazyList, ListMonad, Pure, Raised, get_monad,
 )
 from mfj.parser import numeral, parse_effect, parse_expr, parse_type
 from mfj.prelude import load_program, prelude_program
@@ -180,9 +180,13 @@ def ev():
 
 
 def test_progress(ck, ev):
-    assert check_progress(ck, ev, EConf(parse_expr("return 0")))
-    assert check_progress(ck, ev, EConf(Call(numeral(0), "succ")))
-    v = check_progress(ck, ev, EConf(parse_expr("x.m()")))
+    def progress(e):
+        c = EConf(e)
+        return check_progress(ck, ev, c, ev.mon_step(c))
+
+    assert progress(parse_expr("return 0"))
+    assert progress(Call(numeral(0), "succ"))
+    v = progress(parse_expr("x.m()"))
     assert not v and "stuck" in v.witness
 
 
@@ -217,22 +221,23 @@ def test_progress_does_not_restep_a_stuck_term(ck, monkeypatch):
 def test_lifted_step_accepts_a_sound_step(ck, den, ev):
     e = Call(numeral(0), "succ")
     t, f = ck.type_expr({}, {}, e)
-    assert check_lifted_step(ck, den, ev, EConf(e), t, f)
+    c = EConf(e)
+    assert check_lifted_step(ck, den, ev, c, t, f, ev.mon_step(c))
 
 
 def test_lifted_step_reads_excset_from_the_monitors_denotation(ck, ev):
     den = Denotation(ck.sigs)
     eff = parse_effect("Exception.throw[Nat]")
     c = EConf(parse_expr("Exception.throw[Nat]()"))
-    assert check_lifted_step(ck, den, ev, c, NAT, eff)
-    assert check_lifted_step(ck, den, ev, c, NAT, eff)
+    assert check_lifted_step(ck, den, ev, c, NAT, eff, ev.mon_step(c))
+    assert check_lifted_step(ck, den, ev, c, NAT, eff, ev.mon_step(c))
     # one denotation across steps keeps its excSet memo
     assert list(den._exc_sets) == [eff]
 
 
 def test_lifted_step_rejects_a_disallowed_raise(ck, den, ev):
-    e = EConf(parse_expr("Exception.throw[Nat]()"))
-    v = check_lifted_step(ck, den, ev, e, NAT, PURE)
+    c = EConf(parse_expr("Exception.throw[Nat]()"))
+    v = check_lifted_step(ck, den, ev, c, NAT, PURE, ev.mon_step(c))
     assert not v and "not allowed" in v.witness
 
 
@@ -290,13 +295,16 @@ def test_check_soundness_rejects_ill_typed_programs():
     assert e.value.diags
 
 
-def test_corrupted_registry_is_detected():
+class ChooseZeroListMonad(ListMonad):
+    """A corrupted list monad: ``choose`` yields 0 where a Bool is due."""
+
+    magic = {"choose": lambda recv: LazyList.of(numeral(0))}
+
+
+def test_corrupted_registry_is_detected(monkeypatch):
     prog = load("nd_m1")
-    from mfj.signatures import Sigs
-    reg = default_registry(get_monad("list"), Sigs(prog))
-    reg.register("Chooser", "choose",
-                 lambda recv, args: LazyList.of(numeral(0)))
-    rep = check_soundness(prog, "list", fuel=500, registry=reg)
+    monkeypatch.setitem(MONADS, "list", ChooseZeroListMonad())
+    rep = check_soundness(prog, "list", fuel=500)
     assert not rep.ok
     assert any(r.check == "subject-reduction" for r in rep.failures())
 

@@ -16,9 +16,10 @@ from mfj.parser import numeral, parse_expr
 from mfj.syntax import (
     ABS, DEF, OBJECT, PURE, TOP,
     Call, Do, EffCall, MethodDef, MethodType, NominalType, Obj, ObjType,
-    Program, Return, Sig, TypeDecl, TypeVar, Var, alpha_eq_mtype, canon_mtype,
-    eff_of, eff_union, erase_type, fresh_name, fv_expr, fv_value, ftv_expr,
-    ftv_type, nominal, subst_eff, subst_expr, subst_mtype, subst_type,
+    Program, Return, Sig, TypeDecl, TypeVar, Var, align_binders,
+    alpha_eq_mtype, eff_of, eff_union, erase_type, fresh_name, fv_expr,
+    fv_value, ftv_expr, ftv_type, nominal, subst_eff, subst_expr, subst_mtype,
+    subst_type,
 )
 
 A = eff_of(EffCall(nominal("A"), "m"))
@@ -298,13 +299,16 @@ def test_erase_keeps_own_methods():
     assert t.sig.names() == ["m"]
 
 
-def test_canon_mtype_gives_alpha_equality():
+def test_alpha_eq_mtype_ignores_binder_names():
     a = MethodType((("X", OBJECT),), (TypeVar("X"),), TypeVar("X"), PURE)
     b = MethodType((("W", OBJECT),), (TypeVar("W"),), TypeVar("W"), PURE)
-    assert canon_mtype(a) == canon_mtype(b)
     assert alpha_eq_mtype(a, b)
     c = MethodType((("X", OBJECT),), (TypeVar("X"),), OBJECT, PURE)
     assert not alpha_eq_mtype(a, c)
+    # W's result is a free X, not its binder
+    d = MethodType((("W", OBJECT),), (TypeVar("W"),), TypeVar("X"), PURE)
+    assert not alpha_eq_mtype(a, d)
+    assert align_binders(a, MethodType((), (), OBJECT, PURE)) is None
 
 
 def test_fresh_names_are_distinct():

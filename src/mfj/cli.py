@@ -10,10 +10,10 @@
 Exit codes: 0 success, 1 check/soundness failure, 2 usage (an option the
 subcommand does not read, ``--trace`` or ``--fuel`` with ``run --approx``, a
 negative N or K), a file that is missing or cannot be read as UTF-8,
-precondition error (among them more branches than ``--prefix``), or a term
-nested too deeply for the recursive typer ("term too deep").  ``run --trace``
-prints each step as it is taken; with ``--json`` it prints JSON lines, one per
-step, then the result.
+precondition error (among them more branches than ``--prefix`` and a free
+variable under ``run --unchecked``), or a term nested too deeply for the
+recursive typer ("term too deep").  ``run --trace`` prints each step as it is
+taken; with ``--json`` it prints JSON lines, one per step, then the result.
 ``--no-prelude`` (check, run, soundness) drops the standard prelude.
 """
 
@@ -24,12 +24,14 @@ import contextlib
 import itertools
 import json
 import sys
+from typing import Optional
 
 from .evaluator import Diverged, Evaluator, PrefixExceeded, VRes
 from .monads import MONADS
 from .parser import ParseError, parse_program, pretty, pretty_value
 from .prelude import load_program
 from .soundness import IllTypedProgram, SoundnessReport, check_soundness
+from .syntax import fv_expr
 from .typer import Checker
 
 FUEL = 10000
@@ -132,6 +134,19 @@ def cmd_run(args) -> int:
         return _run(args)
 
 
+def _unbound(prog) -> Optional[str]:
+    """Where the program is open: the first free value variable of a method
+    body (beyond self and the parameters) or of main.  A run renames no
+    binder when it substitutes, so it needs a closed program."""
+    bodies = [(f"{d.name}.{md.name}", md.body, (md.selfVar, *md.params))
+              for d in prog.decls for md in d.methods if md.body is not None]
+    for where, body, bound in [*bodies, ("main", prog.main, ())]:
+        free = fv_expr(body).difference(bound)
+        if free:
+            return f"unbound variable {min(free)} in {where}"
+    return None
+
+
 def _run(args) -> int:
     prog = _load(args.files[0], not args.no_prelude)
     if prog.main is None:
@@ -145,6 +160,9 @@ def _run(args) -> int:
             print("mfj run: cannot run an ill-typed program "
                   "(use --unchecked to force)", file=sys.stderr)
             return 2
+    elif (unbound := _unbound(prog)) is not None:
+        print(f"mfj run: {args.files[0]}: {unbound}", file=sys.stderr)
+        return 2
     ev = Evaluator(prog, args.monad, prefix=args.prefix)
     if args.approx is not None:
         mres = ev.approx(prog.main, args.approx)

@@ -14,7 +14,7 @@ from .signatures import SigError, Sigs
 from .syntax import (
     DEF, MGC, STOP,
     Call, Clause, Do, Handler, NominalType, Obj, ObjType, Return, Sig, Try,
-    Value, Var, erase_type, fresh_name, fv_expr, subst_expr, subst_type,
+    Value, erase_type, subst_expr, subst_type,
 )
 
 
@@ -164,14 +164,7 @@ def pure_step(sigs: Sigs, e, found=_UNLOOKED) -> Optional[tuple]:
                 cbody = subst_expr(c.body, tsub, vsub)
                 if c.mode == STOP:
                     return cbody, "catch-stop"
-                x = h.finalVar
-                final = h.finalExpr
-                if x in fv_expr(cbody):
-                    # hygiene: keep the clause body's free occurrences free
-                    x2 = fresh_name(x)
-                    final = subst_expr(final, {}, {x: Var(x2)})
-                    x = x2
-                return Do(x, cbody, final), "catch-continue"
+                return Do(h.finalVar, cbody, h.finalExpr), "catch-continue"
         inner = pure_step(sigs, body, found)
         if inner is None:
             return None

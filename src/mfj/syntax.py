@@ -17,7 +17,6 @@ cached on it the first time they are asked for.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import MISSING, dataclass, fields
 from typing import Iterable, Mapping, Optional
 
@@ -27,15 +26,6 @@ MGC = "mgc"
 
 CONTINUE = "continue"
 STOP = "stop"
-
-_fresh_counter = itertools.count(1)
-
-
-def fresh_name(base: str) -> str:
-    """A fresh identifier derived from ``base`` (used for alpha-renaming)."""
-    base = base.split("__")[0] or "x"
-    return f"{base}__{next(_fresh_counter)}"
-
 
 def node(cls):
     """Make ``cls`` an immutable, hash-consed syntax node.
@@ -523,17 +513,14 @@ def subst_type(t, sub: Mapping[str, Type]):
 
 
 def subst_mtype(mt: MethodType, sub: Mapping[str, Type]) -> MethodType:
-    binders = [x for x, _ in mt.typeParams]
-    sub = _restrict(sub, binders)
+    sub = _restrict(sub, (x for x, _ in mt.typeParams))
     if not sub:
         return mt
-    clash = set()
+    scope = set()
     for v in sub.values():
-        clash |= ftv_type(v)
-    if clash & set(binders):
-        binders = [fresh_name(x) if x in clash else x for x in binders]
-        mt = rename_binders(mt, binders)
-        sub = _restrict(sub, binders)
+        scope |= ftv_type(v)
+    mt = open_binders(mt, (x for x, _ in mt.typeParams), scope)
+    sub = _restrict(sub, (x for x, _ in mt.typeParams))
     return MethodType(
         tuple((x, subst_type(b, sub)) for x, b in mt.typeParams),
         tuple(subst_type(p, sub) for p in mt.paramTypes),
@@ -542,9 +529,23 @@ def subst_mtype(mt: MethodType, sub: Mapping[str, Type]) -> MethodType:
     )
 
 
-def rename_binders(mt: MethodType, names: Iterable[str]) -> MethodType:
-    """``mt`` with its type parameters renamed, in order, to ``names``."""
-    names = tuple(names)
+def open_binders(mt: MethodType, names: Iterable[str], scope) -> MethodType:
+    """``mt`` with its type parameters renamed, in order, to ``names``; the
+    one place binder names are chosen.  A name in ``scope`` (the type
+    variables the result meets: an enclosing environment's, or those free in
+    the other side or in the substituted types) becomes the first of ``X'1``,
+    ``X'2``, ... that is not in scope, not free in ``mt`` and not another
+    binder's.  No identifier has a ``'``, so it never meets a user's name."""
+    names = list(names)
+    if any(n in scope for n in names):
+        taken = {*scope, *names, *ftv_mtype(mt)}
+        for i, n in enumerate(names):
+            if n in scope:
+                base, k = n.split("'")[0], 1
+                while f"{base}'{k}" in taken:
+                    k += 1
+                names[i] = f"{base}'{k}"
+                taken.add(names[i])
     ren = {x: TypeVar(n) for (x, _), n in zip(mt.typeParams, names) if x != n}
     if not ren:
         return mt
@@ -589,14 +590,14 @@ def _subst_methoddef(md: MethodDef, tsub, vsub) -> MethodDef:
     mt = subst_mtype(md.mtype, tsub)
     if md.body is None:
         return MethodDef(md.name, md.kind, mt)
-    binders = [x for x, _ in md.mtype.typeParams]
-    (selfVar, *params), body = _subst_under(
-        (md.selfVar, *md.params), md.body, _restrict(tsub, binders), vsub)
-    return MethodDef(md.name, md.kind, mt, selfVar, tuple(params), body)
+    body = subst_expr(md.body, _restrict(tsub, (x for x, _ in md.mtype.typeParams)),
+                      _restrict(vsub, (md.selfVar, *md.params)))
+    return MethodDef(md.name, md.kind, mt, md.selfVar, md.params, body)
 
 
 def subst_expr(e: Expr, tsub: Mapping[str, Type], vsub: Mapping[str, Value]) -> Expr:
-    """Simultaneous capture-avoiding ``e[tsub][vsub]``."""
+    """Simultaneous ``e[tsub][vsub]``.  No value binder is renamed, so the
+    values must be closed, as every value a run substitutes is."""
     if vsub:
         fv = fv_expr(e)
         vsub = {k: w for k, w in vsub.items() if k in fv}
@@ -615,48 +616,22 @@ def subst_expr(e: Expr, tsub: Mapping[str, Type], vsub: Mapping[str, Value]) -> 
     if isinstance(e, Return):
         return Return(subst_value(e.value, tsub, vsub))
     if isinstance(e, Do):
-        first = subst_expr(e.first, tsub, vsub)
-        (x,), rest = _subst_under((e.var,), e.rest, tsub, vsub)
-        return Do(x, first, rest)
+        return Do(e.var, subst_expr(e.first, tsub, vsub),
+                  subst_expr(e.rest, tsub, _restrict(vsub, (e.var,))))
     if isinstance(e, Try):
         h = e.handler
-        body = subst_expr(e.body, tsub, vsub)
-        clauses = tuple(_subst_clause(c, tsub, vsub) for c in h.clauses)
-        (x,), final = _subst_under((h.finalVar,), h.finalExpr, tsub, vsub)
-        return Try(body, Handler(clauses, x, final))
+        return Try(subst_expr(e.body, tsub, vsub), Handler(
+            tuple(_subst_clause(c, tsub, vsub) for c in h.clauses),
+            h.finalVar,
+            subst_expr(h.finalExpr, tsub, _restrict(vsub, (h.finalVar,)))))
     raise TypeError(f"not an expression: {e!r}")
 
 
-def _subst_under(names: tuple, body: Expr, tsub, vsub):
-    """Substitute into ``body`` under the value binders ``names``.
-
-    Binders that would capture a free variable of a substituted value are
-    renamed first; returns the (possibly renamed) binders and the new body.
-    ``tsub`` must already exclude the type binders in scope.
-    """
-    vsub = _restrict(vsub, names)
-    clash = set()
-    for w in vsub.values():
-        clash |= fv_value(w)
-    if clash & set(names):
-        ren = {x: Var(fresh_name(x)) for x in names if x in clash}
-        body = subst_expr(body, {}, ren)
-        names = tuple(ren[x].name if x in ren else x for x in names)
-    return names, subst_expr(body, tsub, vsub)
-
-
 def _subst_clause(c: Clause, tsub, vsub) -> Clause:
-    (selfVar, *params), body = _subst_under(
-        (c.selfVar, *c.params), c.body, _restrict(tsub, c.typeParams or ()), vsub)
-    return Clause(
-        subst_type(c.ntype, tsub),
-        c.method,
-        c.typeParams,
-        selfVar,
-        tuple(params),
-        body,
-        c.mode,
-    )
+    body = subst_expr(c.body, _restrict(tsub, c.typeParams or ()),
+                      _restrict(vsub, (c.selfVar, *c.params)))
+    return Clause(subst_type(c.ntype, tsub), c.method, c.typeParams,
+                  c.selfVar, c.params, body, c.mode)
 
 
 # ---------------------------------------------------------------------------
@@ -685,16 +660,15 @@ def erase_type(v: Value) -> ObjType:
 
 def align_binders(a: MethodType, b: MethodType) -> Optional[tuple]:
     """``(a, b)`` with one list of type-parameter names, or None when their
-    arities differ.  The names are ``a``'s, or fresh ones when one of them is
-    free in ``b``, so that no free type variable of ``b`` is captured."""
+    arities differ.  The names are ``a``'s, opened where one of them is free
+    in ``b``, so that no free type variable of ``b`` is captured."""
     if len(a.typeParams) != len(b.typeParams):
         return None
     names = tuple(x for x, _ in a.typeParams)
-    if names != tuple(x for x, _ in b.typeParams) \
-            and not ftv_mtype(b).isdisjoint(names):
-        names = tuple(map(fresh_name, names))
-        a = rename_binders(a, names)
-    return a, rename_binders(b, names)
+    if names == tuple(x for x, _ in b.typeParams):
+        return a, b
+    a = open_binders(a, names, ftv_mtype(b))
+    return a, open_binders(b, (x for x, _ in a.typeParams), ())
 
 
 def alpha_eq_mtype(a: MethodType, b: MethodType) -> bool:

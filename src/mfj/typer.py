@@ -21,8 +21,8 @@ from .syntax import (
     ABS, CONTINUE, DEF, MGC, OBJECT, PURE, STOP,
     Call, Clause, Do, EffCall, Effect, Handler, MethodType, NominalType,
     ObjType, Program, Return, Sig, Try, Type, TypeVar, Value, Var,
-    eff_of, eff_union, ftv_expr, ftv_value, fv_expr, fv_value, rename_binders,
-    subst_type,
+    eff_of, eff_union, ftv_expr, ftv_value, fv_expr, fv_value, open_binders,
+    subst_expr, subst_type,
 )
 
 
@@ -47,6 +47,19 @@ class TypecheckError(Exception):
 
 def _sig_error(e: SigError, rule: str) -> TypecheckError:
     return TypecheckError(type(e).__name__, rule, str(e))
+
+
+def _open(phi, mt: MethodType, body, names=None) -> tuple:
+    """``(mt, body, phi2)`` with ``mt``'s binders, which ``body`` calls
+    ``names`` (by default ``mt``'s own), opened under ``phi`` in both; ``phi2``
+    is ``phi`` with the binders added."""
+    if names is None:
+        names = [x for x, _ in mt.typeParams]
+    mt = open_binders(mt, names, phi)
+    ren = {u: TypeVar(x) for u, (x, _) in zip(names, mt.typeParams) if u != x}
+    phi2 = dict(phi)
+    phi2.update(mt.typeParams)
+    return mt, subst_expr(body, ren, {}) if ren else body, phi2
 
 
 class Checker:
@@ -110,13 +123,11 @@ class Checker:
         for md in v.methods:
             if md.kind != DEF:
                 continue
-            mt = md.mtype
-            phi2 = dict(phi)
-            phi2.update(mt.typeParams)
+            mt, body, phi2 = _open(phi, md.mtype, md.body)
             gamma2 = dict(gamma)
             gamma2[md.selfVar] = t
             gamma2.update(zip(md.params, mt.paramTypes))
-            bt, beff = self.type_expr(phi2, gamma2, md.body)
+            bt, beff = self.type_expr(phi2, gamma2, body)
             self._check_body_fits(phi2, md.name, bt, beff, mt, "t-obj")
         return t
 
@@ -326,19 +337,14 @@ class Checker:
             raise TypecheckError(
                 "NotMagicClause", "t-handler",
                 f"clause names non-magic method {c.method!r}")
-        if c.typeParams is None:
-            names = [x for x, _ in mt.typeParams]
-        else:
-            if len(c.typeParams) != len(mt.typeParams):
-                raise TypecheckError(
-                    "ArityMismatch", "t-handler",
-                    f"clause for {c.method!r} binds {len(c.typeParams)} type "
-                    f"parameters, the method has {len(mt.typeParams)}")
-            names = list(c.typeParams)
-        mt = rename_binders(mt, names)
+        if c.typeParams is not None and len(c.typeParams) != len(mt.typeParams):
+            raise TypecheckError(
+                "ArityMismatch", "t-handler",
+                f"clause for {c.method!r} binds {len(c.typeParams)} type "
+                f"parameters, the method has {len(mt.typeParams)}")
+        mt, body, phi2 = _open(phi, mt, c.body, c.typeParams)
+        names = [x for x, _ in mt.typeParams]
         bounds = [b for _, b in mt.typeParams]
-        phi2 = dict(phi)
-        phi2.update(mt.typeParams)
         if len(c.params) != len(mt.paramTypes):
             raise TypecheckError(
                 "ArityMismatch", "t-handler",
@@ -347,7 +353,7 @@ class Checker:
         gamma2 = dict(gamma)
         gamma2[c.selfVar] = ntype_t
         gamma2.update(zip(c.params, mt.paramTypes))
-        tb, beff = self.type_expr(phi2, gamma2, c.body)
+        tb, beff = self.type_expr(phi2, gamma2, body)
         return c, names, bounds, mt.ret, tb, beff, phi2
 
     def _join(self, phi, types) -> Type:
@@ -399,13 +405,11 @@ class Checker:
             for md in decl.methods:
                 if md.kind != DEF:
                     continue
-                mt = md.mtype
-                phi2 = dict(phi)
-                phi2.update(mt.typeParams)
+                mt, body, phi2 = _open(phi, md.mtype, md.body)
                 gamma = {md.selfVar: self_t}
                 gamma.update(zip(md.params, mt.paramTypes))
                 try:
-                    bt, beff = self.type_expr(phi2, gamma, md.body)
+                    bt, beff = self.type_expr(phi2, gamma, body)
                     self._check_body_fits(phi2, f"{decl.name}.{md.name}",
                                           bt, beff, mt, "t-meth")
                 except TypecheckError as e:

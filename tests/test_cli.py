@@ -12,6 +12,7 @@ from mfj.parser import parse_program
 
 from conftest import CORPUS, ROOT
 from golden import load_golden, run_output
+from test_typer import SHADOWING, shadowing_program
 
 GOLDEN = load_golden()
 
@@ -104,6 +105,43 @@ def test_run_unchecked(capsys):
     code, out, _ = mfj(capsys, "run", corpus("bad_override"), "--unchecked")
     assert code == 0
     assert out == "Weird\n"
+
+
+@pytest.mark.parametrize("src, where", [
+    ("main = do y = return x; return y", "x in main"),
+    ("A { m : def -> Nat ! pure <s, return z> } main = A.m()", "z in A.m"),
+], ids=["main", "method"])
+def test_run_unchecked_refuses_an_open_program(capsys, tmp_path, src, where):
+    # runtime substitution renames no binder, so it runs closed terms only
+    path = tmp_path / "open.mfj"
+    path.write_text(src)
+    code, out, err = mfj(capsys, "run", path, "--unchecked")
+    assert code == 2
+    assert out == ""
+    assert err == f"mfj run: {path}: unbound variable {where}\n"
+
+
+@pytest.mark.parametrize("i", range(len(SHADOWING)))
+def test_run_refuses_a_program_whose_binder_shadows(capsys, tmp_path, i):
+    path = tmp_path / "shadow.mfj"
+    path.write_text(shadowing_program(i))
+    code, out, err = mfj(capsys, "run", path)
+    assert (code, out) == (2, "")
+    assert f"[{SHADOWING[i][2]}]" in err
+
+
+def test_opened_binder_names_are_the_same_in_every_process(capsys, tmp_path):
+    path = tmp_path / "shadow.mfj"
+    path.write_text(shadowing_program(0))
+    outs = [mfj(capsys, "check", path)[1] for _ in range(2)]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for _ in range(2):
+        done = subprocess.run([sys.executable, "-m", "mfj", "check", str(path)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 1
+        outs.append(done.stdout)
+    assert len(set(outs)) == 1
+    assert "TypeVar(name=\"Y'1\")" in outs[0]
 
 
 def test_run_trace(capsys):

@@ -157,18 +157,6 @@ def test_catch_continue_binds_the_final_var(sigs):
     assert e2 == Do("r", Return(numeral(7)), Call(Var("r"), "succ"))
 
 
-def test_catch_continue_hygiene(sigs):
-    # the clause body's free x stays distinct from the final binder x
-    e = with_receiver("try t.throw[Nat]() "
-                      "with MyException.throw : <s, return x> continue "
-                      "final <x, return 0>")
-    e2, rule = pure_step(sigs, e)
-    assert rule == "catch-continue"
-    assert e2.var != "x"
-    assert e2.first == Return(Var("x"))
-    assert e2.rest == Return(numeral(0))
-
-
 def test_fwd_unmatched_magic(sigs):
     e = with_receiver("try t.throw[Nat]() "
                       "with Failure.fail : <s, return 0> stop "

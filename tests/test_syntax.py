@@ -1,5 +1,6 @@
 """Core syntax: effect normal forms, substitution, erasure."""
 
+import ast
 import os
 import pathlib
 import subprocess
@@ -17,9 +18,9 @@ from mfj.syntax import (
     ABS, DEF, OBJECT, PURE, TOP,
     Call, Do, EffCall, MethodDef, MethodType, NominalType, Obj, ObjType,
     Program, Return, Sig, TypeDecl, TypeVar, Var, align_binders,
-    alpha_eq_mtype, eff_of, eff_union, erase_type, fresh_name, fv_expr,
-    fv_value, ftv_expr, ftv_type, nominal, subst_eff, subst_expr, subst_mtype,
-    subst_type,
+    alpha_eq_mtype, eff_of, eff_union, erase_type, fv_expr, fv_value,
+    ftv_expr, ftv_type, nominal, open_binders, subst_eff, subst_expr,
+    subst_mtype, subst_type,
 )
 
 A = eff_of(EffCall(nominal("A"), "m"))
@@ -245,15 +246,6 @@ def test_subst_skips_bound_occurrences():
     assert subst_expr(e, {}, {"x": numeral(9)}) == e
 
 
-def test_subst_avoids_capture_in_do():
-    # substituting x for y must not let the binder x capture it
-    e = parse_expr("do x = return 0; y.m(x)")
-    out = subst_expr(e, {}, {"y": Var("x")})
-    assert out.var != "x"
-    assert out.rest.recv == Var("x")
-    assert out.rest.args == (Var(out.var),)
-
-
 def test_subst_identity_is_the_same_object():
     e = parse_expr("do x = return 0; return x")
     assert subst_expr(e, {}, {}) is e
@@ -273,10 +265,21 @@ def test_subst_type_in_effects():
 def test_subst_mtype_renames_clashing_binders():
     mt = MethodType((("X", OBJECT),), (TypeVar("X"),), TypeVar("Y"), PURE)
     out = subst_mtype(mt, {"Y": TypeVar("X")})
-    binder = out.typeParams[0][0]
-    assert binder != "X"
+    assert out.typeParams == (("X'1", OBJECT),)
     assert out.ret == TypeVar("X")
-    assert out.paramTypes == (TypeVar(binder),)
+    assert out.paramTypes == (TypeVar("X'1"),)
+
+
+def test_open_binders_takes_the_first_name_out_of_scope():
+    mt = MethodType((("Y", OBJECT), ("Y'1", OBJECT), ("Z", OBJECT)),
+                    (TypeVar("Y"), TypeVar("Y'1")), TypeVar("W"), PURE)
+    # Y'1 is another binder and W is free, so the shadowing Y gets Y'2 and
+    # the shadowing W (as a binder name) gets W'1
+    out = open_binders(mt, ("Y", "Y'1", "W"), {"Y": OBJECT, "W": OBJECT})
+    assert [x for x, _ in out.typeParams] == ["Y'2", "Y'1", "W'1"]
+    assert out.paramTypes == (TypeVar("Y'2"), TypeVar("Y'1"))
+    assert out.ret == TypeVar("W")
+    assert open_binders(mt, ("Y", "Y'1", "Z"), ()) is mt
 
 
 # -- erasure and canonical forms ----------------------------------------------
@@ -311,10 +314,16 @@ def test_alpha_eq_mtype_ignores_binder_names():
     assert align_binders(a, MethodType((), (), OBJECT, PURE)) is None
 
 
-def test_fresh_names_are_distinct():
-    names = {fresh_name("x") for _ in range(50)}
-    assert len(names) == 50
-    assert fresh_name("x__3").startswith("x__")
+def test_no_module_keeps_a_global_counter():
+    # a module-level itertools.count would make names depend on what the
+    # process did before
+    for path in sorted(pathlib.Path(mfj.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign)) \
+                    and isinstance(stmt.value, ast.Call):
+                func = ast.unparse(stmt.value.func)
+                assert func not in ("itertools.count", "count"), \
+                    f"{path.name}:{stmt.lineno}"
 
 
 # -- programs -----------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The type-and-effect checker."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mfj.parser import numeral, parse_effect, parse_expr, parse_type
 from mfj.prelude import load_program, prelude_program
@@ -173,9 +174,20 @@ def test_stop_clause_joins_with_the_final_type(ck):
 
 def test_clause_must_name_a_magic_method(ck):
     with pytest.raises(TypecheckError) as e:
-        expr_type(ck, "try x.m() with Bool.not : <s, return True> stop",
-                  )
-    assert e.value.code in ("NotMagicClause", "UnboundVar")
+        expr_type(ck, "try x.not() with Bool.not : <s, return True> stop",
+                  {"x": parse_type("Bool")})
+    assert (e.value.code, e.value.rule) == ("NotMagicClause", "t-handler")
+
+
+@pytest.mark.parametrize("clause", [
+    "[X Y] <s, return 0>",  # one type parameter too many
+    "[X] <s p, return 0>",  # one value parameter too many
+])
+def test_clause_arity_must_match_the_magic_method(ck, clause):
+    with pytest.raises(TypecheckError) as e:
+        expr_type(ck, f"try Exception.throw[Nat]() "
+                      f"with Exception.throw : {clause} stop")
+    assert (e.value.code, e.value.rule) == ("ArityMismatch", "t-handler")
 
 
 # -- whole programs -----------------------------------------------------------
@@ -210,3 +222,62 @@ def test_ill_typed_main_reported():
     prog = load_program("main = q.m()")
     diags = Checker(prog).check_program()
     assert [d.code for d in diags] == ["UnboundVar"]
+
+
+# -- binders that shadow an enclosing type variable ---------------------------
+
+# Each program opens an inner binder, written @, inside the scope of an
+# enclosing type variable (the second field).  When @ is that variable's
+# name, the inner binder shadows it; the program must get the diagnostic
+# (the third field) that it gets with any other name for @.
+SHADOWING = [
+    ("Op[T] { op : mgc [S] T -> S }\n"
+     "G { go : def [Y] Y -> Nat ! pure <_ y, try Op[Y].op[Nat](y) "
+     "with Op[Y].op : [@] <s p, return p> continue> }\n"
+     "main = G.go[Bool](True)",
+     "Y", "ClauseTypeMismatch/t-continue"),
+    ("Op[T] { op : mgc [S] T -> S }\n"
+     "G { go : def [Y] Y -> Nat ! pure <_ y, try Op[Nat].op[Nat](0) "
+     "with Op[Nat].op : [@] <s p, return y> continue> }\n"
+     "main = G.go[Bool](True)",
+     "Y", "ClauseTypeMismatch/t-continue"),
+    ("Get { get : abs [Y] -> Y ! pure }\n"
+     "G { go : def [Y] Y -> Nat ! pure <_ y, "
+     "do g = return Get{get : def [@] -> @ ! pure <_, return y>}; "
+     "g.get[Nat]()> }\n"
+     "main = G.go[Bool](True)",
+     "Y", "BodyTypeMismatch/t-obj"),
+    ("Box[X] { get : abs -> X ! pure   m : def [@] -> @ ! pure <s, s.get()> }\n"
+     "BB <| Box[Bool] { get : def -> Bool ! pure <_, return True> }\n"
+     "main = BB.m[Nat]()",
+     "X", "BodyTypeMismatch/t-meth"),
+    ("Op2 { op : mgc [S] S -> S }\n"
+     "G { go : def [X] X -> X ! pure <_ y, try Op2.op[Nat](0) "
+     "with Op2.op : [@] <s p, return p> stop final <r, return y>> }\n"
+     "main = do b = G.go[Bool](True); b.not()",
+     "X", "BodyTypeMismatch/t-meth"),
+]
+
+
+def shadowing_program(i: int, binder=None) -> str:
+    """Program ``i`` of ``SHADOWING``, its inner binder named ``binder``
+    (by default the enclosing type variable's name)."""
+    template, enclosing, _ = SHADOWING[i]
+    return template.replace("@", binder or enclosing)
+
+
+def diagnostic_codes(src: str) -> list:
+    diags = Checker(load_program(src)).check_program()
+    return [f"{d.code}/{d.rule}" for d in diags]
+
+
+@pytest.mark.parametrize("i", range(len(SHADOWING)))
+def test_a_shadowing_binder_does_not_capture(i):
+    assert diagnostic_codes(shadowing_program(i)) == [SHADOWING[i][2]]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, len(SHADOWING) - 1), st.sampled_from(["X", "Y", "Q", "Y_1"]))
+def test_the_verdict_does_not_depend_on_binder_names(i, binder):
+    # X or Y is the enclosing name in each program; Q and Y_1 are unused
+    assert diagnostic_codes(shadowing_program(i, binder)) == [SHADOWING[i][2]]

@@ -14,7 +14,7 @@ if _sys.getrecursionlimit() < 100000:
 from .evaluator import Diverged, Evaluator
 from .monads import MONADS, get_monad
 from .parser import ParseError, parse_effect, parse_expr, parse_program, parse_type, pretty
-from .prelude import load_file, load_program, prelude_program
+from .prelude import load_program, prelude_program
 from .signatures import SigError, Sigs
 from .soundness import SoundnessReport, check_soundness, interp_law_suite
 from .typer import Checker, TypecheckError
@@ -22,7 +22,7 @@ from .typer import Checker, TypecheckError
 __all__ = [
     "Checker", "Diverged", "Evaluator", "MONADS", "ParseError", "SigError",
     "Sigs", "SoundnessReport", "TypecheckError", "check_soundness",
-    "get_monad", "interp_law_suite", "load_file", "load_program",
+    "get_monad", "interp_law_suite", "load_program",
     "parse_effect", "parse_expr", "parse_program", "parse_type", "pretty",
     "prelude_program",
 ]

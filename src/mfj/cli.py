@@ -7,13 +7,14 @@
                      [--approx N] [--interp forall|exists] [--json]
     mfj parse file.mfj...
 
-Exit codes: 0 success, 1 check/soundness failure, 2 usage (an option the
-subcommand does not read, ``--trace`` or ``--fuel`` with ``run --approx``, a
-negative N or K), a file that is missing or cannot be read as UTF-8,
-precondition error (among them more branches than ``--prefix`` and a free
-variable under ``run --unchecked``), or a term nested too deeply for the
-recursive typer ("term too deep").  ``run --trace`` prints each step as it is
-taken; with ``--json`` it prints JSON lines, one per step, then the result.
+Exit codes: 0 success, 1 parse error or check/soundness failure, 2 usage (an
+option the subcommand does not read, ``--trace`` or ``--fuel`` with ``run
+--approx``, a negative N or K), a file that is missing or cannot be read as
+UTF-8, precondition error (among them more branches than ``--prefix`` and a
+free variable under ``run --unchecked``), or, under any subcommand, a term
+nested too deeply for the recursive parser or typer ("term too deep").
+``run --trace`` prints each step as it is taken; with ``--json`` it prints
+JSON lines, one per step, then the result.
 ``--no-prelude`` (check, run, soundness) drops the standard prelude.
 """
 
@@ -28,7 +29,7 @@ from typing import Optional
 
 from .evaluator import Diverged, Evaluator, PrefixExceeded, VRes
 from .monads import MONADS
-from .parser import ParseError, parse_program, pretty, pretty_value
+from .parser import ParseError, pretty, pretty_value
 from .prelude import load_program
 from .soundness import IllTypedProgram, SoundnessReport, check_soundness
 from .syntax import fv_expr
@@ -223,12 +224,8 @@ def cmd_soundness(args) -> int:
 def cmd_parse(args) -> int:
     for path in args.files:
         # parse the file alone (no prelude): the output should re-parse
-        try:
-            prog = parse_program(_read(path))
-        except ParseError as e:
-            print(f"mfj: {path}: parse error: {e}", file=sys.stderr)
-            return 1
-        print(pretty(prog), end="")
+        with _depth_guard(path):
+            print(pretty(_load(path, False)), end="")
     return 0
 
 

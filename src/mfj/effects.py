@@ -8,7 +8,7 @@ from typing import Mapping
 from .signatures import SigError, Sigs, UnboundTypeVar, env_key
 from .syntax import (
     MGC, TOP,
-    EffCall, Effect, NominalType, ObjType, Sig, Type, TypeVar,
+    Effect, NominalType, ObjType, Sig, Type, TypeVar,
     eff_of, subst_eff,
 )
 
@@ -38,38 +38,30 @@ def simplify(sigs: Sigs, phi: Mapping[str, Type], eff: Effect) -> Effect:
 
 
 def _simplify(sigs, phi, eff) -> Effect:
-    budget = [SIMPLIFY_FUEL]
-    out: set = set()
-    out_top = [False]
-
-    def go(atom: EffCall) -> None:
-        if out_top[0]:
-            return
+    # depth first, in the order of each effect's atoms
+    fuel, out, work = SIMPLIFY_FUEL, set(), [*eff.atoms][::-1]
+    while work:
+        atom = work.pop()
         if isinstance(atom.receiver, TypeVar):
             if atom.receiver.name not in phi:
                 raise UnboundTypeVar(
                     f"unbound type variable {atom.receiver.name} in effect"
                 )
             out.add(atom)
-            return
+            continue
         kind, mt = sigs.mtype(phi, atom.receiver, atom.method)
         if kind == MGC:
             out.add(atom)
-            return
-        if budget[0] <= 0:
+            continue
+        if fuel <= 0:
             raise FuelExhausted("effect simplification ran out of fuel")
-        budget[0] -= 1
+        fuel -= 1
         sub = {x: t for (x, _), t in zip(mt.typeParams, atom.targs)}
         inner = subst_eff(mt.eff, sub)
         if inner.top:
-            out_top[0] = True
-            return
-        for a in inner.atoms:
-            go(a)
-
-    for a in eff.atoms:
-        go(a)
-    return eff_of(*out, top=out_top[0])
+            return TOP
+        work.extend([*inner.atoms][::-1])
+    return eff_of(*out)
 
 
 @dataclass(frozen=True)
@@ -79,9 +71,7 @@ class ClauseFilter:
     ntype: NominalType
     method: str
     typeParams: tuple  # tuple[str, ...]
-    bounds: tuple  # tuple[Type, ...]
     effect: Effect
-    mode: str
 
 
 @dataclass(frozen=True)

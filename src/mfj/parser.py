@@ -327,17 +327,21 @@ class Parser:
 
     # -- types and effects ---------------------------------------------------
 
+    def parse_targs(self) -> tuple:
+        """An optional ``"[" type+ "]"``; ``()`` when there is none."""
+        if not self.at("["):
+            return ()
+        self.next()
+        if self.at("]"):
+            self.error("empty type-argument list")
+        args = []
+        while not self.at("]"):
+            args.append(self.parse_type())
+        self.expect("]")
+        return tuple(args)
+
     def parse_ntype(self) -> NominalType:
-        name = self.expect("typeid").text
-        args: list = []
-        if self.at("["):
-            self.next()
-            while not self.at("]"):
-                args.append(self.parse_type())
-            self.expect("]")
-            if not args:
-                self.error("empty type-argument list")
-        return NominalType(name, tuple(args))
+        return NominalType(self.expect("typeid").text, self.parse_targs())
 
     def parse_type(self) -> Type:
         t = self.peek()
@@ -376,14 +380,7 @@ class Parser:
     def parse_eatom(self) -> EffCall:
         recv = self.parse_type()
         self.expect(".")
-        m = self.expect("id").text
-        targs: list = []
-        if self.at("["):
-            self.next()
-            while not self.at("]"):
-                targs.append(self.parse_type())
-            self.expect("]")
-        return EffCall(recv, m, tuple(targs))
+        return EffCall(recv, self.expect("id").text, self.parse_targs())
 
     # -- expressions ---------------------------------------------------------
 
@@ -422,12 +419,7 @@ class Parser:
     def parse_call(self, recv: Value) -> Call:
         self.expect(".")
         m = self.expect("id").text
-        targs: list = []
-        if self.at("["):
-            self.next()
-            while not self.at("]"):
-                targs.append(self.parse_type())
-            self.expect("]")
+        targs = self.parse_targs()
         self.expect("(")
         args: list = []
         while not self.at(")"):
@@ -435,7 +427,7 @@ class Parser:
             if self.at(","):
                 self.next()
         self.expect(")")
-        return Call(recv, m, tuple(targs), tuple(args))
+        return Call(recv, m, targs, tuple(args))
 
     def parse_clause(self) -> Clause:
         t = self.parse_type()

@@ -90,7 +90,3 @@ def load_program(text: str, use_prelude: bool = True) -> Program:
         return prog
     return prelude_program().extend(prog)
 
-
-def load_file(path: str, use_prelude: bool = True) -> Program:
-    with open(path, encoding="utf-8") as f:
-        return load_program(f.read(), use_prelude)

@@ -54,10 +54,12 @@ def mbody(sigs: Sigs, v: Value, m: str) -> Optional[Union[DefBody, Magic]]:
         return None
 
 
-def _parents_lookup(sigs, parents, m):
+def _parents_lookup(sigs, parents, m, walk=frozenset()):
+    """The method ``m`` found above ``parents``; ``walk`` holds the names of
+    the declarations on the way here, so a cyclic hierarchy finds nothing."""
     found = []
     for p in parents:
-        r = _nominal_lookup(sigs, p, m)
+        r = _nominal_lookup(sigs, p, m, walk)
         if r is not None:
             found.append(r)
     if not found:
@@ -67,11 +69,13 @@ def _parents_lookup(sigs, parents, m):
     return found[0]
 
 
-def _nominal_lookup(sigs, n: NominalType, m: str):
-    decl = sigs.program.decl(n.name)
-    if decl is None:
+def _nominal_lookup(sigs, n: NominalType, m: str, walk):
+    if n.name in walk:
         return None
-    sub = {x: t for (x, _), t in zip(decl.typeParams, n.args)}
+    try:
+        decl, sub = sigs.instantiate(n)
+    except SigError:
+        return None
     for md in decl.methods:
         if md.name != m:
             continue
@@ -86,7 +90,8 @@ def _nominal_lookup(sigs, n: NominalType, m: str):
             return Magic(n.name)
         break  # abs: fall through to the parents
     return _parents_lookup(
-        sigs, tuple(subst_type(p, sub) for p in decl.parents), m
+        sigs, tuple(subst_type(p, sub) for p in decl.parents), m,
+        walk | {n.name}
     )
 
 

@@ -96,6 +96,7 @@ class Sigs:
         self._decl_sig: dict = {}
         self._decl_busy: set = set()
         self._nominal_sig: dict = {}
+        self._binds: dict = {}  # (binders, type arguments) -> self._bind
         self._supers: dict = {}
         self._ancestors: dict = {}
         self._sub_memo: dict = {}
@@ -123,22 +124,46 @@ class Sigs:
         self._decl_sig[name] = sig
         return sig
 
+    def _bind(self, what: str, params: tuple, targs: tuple) -> tuple:
+        """``(sub, bounds)``: the substitution of ``targs`` for the binders
+        ``params`` of ``what``, and the binders' bounds under it."""
+        hit = self._binds.get((params, targs))
+        if hit is None:
+            if len(targs) != len(params):
+                raise ArityMismatch(f"{what} expects {len(params)} type "
+                                    f"arguments, got {len(targs)}")
+            sub = {x: t for (x, _), t in zip(params, targs)}
+            hit = self._binds[params, targs] = (
+                sub, tuple(subst_type(b, sub) for _, b in params))
+        return hit
+
+    def instantiate(self, n: NominalType) -> tuple:
+        """``(decl, sub)``: the declaration of ``N[T...]`` and the
+        substitution of the type arguments for its type parameters."""
+        decl = self.program.decl(n.name)
+        if decl is None:
+            raise UnknownType(f"unknown type {n.name!r}")
+        return decl, self._bind(n.name, decl.typeParams, n.args)[0]
+
+    def check_targs(self, phi, what: str, params: tuple, targs: tuple) -> dict:
+        """The substitution of ``targs`` for the binders ``params`` of
+        ``what``, once their count (ArityMismatch), then their bounds
+        (BoundViolation), are checked."""
+        sub, bounds = self._bind(what, params, targs)
+        for t, bound in zip(targs, bounds):
+            if not self.sub_type(phi, t, bound):
+                raise BoundViolation(
+                    f"type argument {t!r} of {what} violates its bound")
+        return sub
+
     def sig_of_nominal(self, n: NominalType) -> Sig:
         """Signature of an instantiated nominal type ``N[T...]``."""
         cached = self._nominal_sig.get(n)
         if cached is not None:
             return cached
-        decl = self.program.decl(n.name)
-        if decl is None:
-            raise UnknownType(f"unknown type {n.name!r}")
-        if len(n.args) != len(decl.typeParams):
-            raise ArityMismatch(
-                f"{n.name} expects {len(decl.typeParams)} type arguments, "
-                f"got {len(n.args)}"
-            )
+        _, sub = self.instantiate(n)
         sig = self.decl_sig(n.name)
-        if n.args:
-            sub = {x: t for (x, _), t in zip(decl.typeParams, n.args)}
+        if sub:
             sig = Sig((m, k, subst_mtype(mt, sub)) for m, k, mt in sig)
         self._nominal_sig[n] = sig
         return sig
@@ -192,16 +217,7 @@ class Sigs:
                 f"method {name!r}: an abstract method may only override "
                 f"an abstract method"
             )
-        aligned = align_binders(mt1, mt2)
-        if aligned is None:
-            raise OverrideError(f"method {name!r}: type-parameter arity differs")
-        mt1, mt2 = aligned
-        if mt2.typeParams != mt1.typeParams:
-            raise OverrideError(f"method {name!r}: type-parameter bounds differ")
-        if mt2.paramTypes != mt1.paramTypes:
-            raise OverrideError(f"method {name!r}: parameter types differ")
-        phi2 = dict(phi)
-        phi2.update(mt1.typeParams)
+        mt1, mt2, phi2 = self._align(phi, name, mt1, mt2)
         if k1 == MGC and k2 == MGC:
             if mt2.ret != mt1.ret:
                 raise OverrideError(
@@ -214,6 +230,23 @@ class Sigs:
                 f"method {name!r}: overriding type-and-effect is not a subtype "
                 f"of the declared one"
             )
+
+    @staticmethod
+    def _align(phi, name, mt1, mt2) -> tuple:
+        """``(mt1, mt2, phi2)``: both method types over one list of binders,
+        opened against ``phi`` and ``mt2``'s free variables and bound in
+        ``phi2``; OverrideError unless arity, bounds and parameters agree."""
+        aligned = align_binders(mt1, mt2, phi)
+        if aligned is None:
+            raise OverrideError(f"method {name!r}: type-parameter arity differs")
+        mt1, mt2 = aligned
+        if mt2.typeParams != mt1.typeParams:
+            raise OverrideError(f"method {name!r}: type-parameter bounds differ")
+        if mt2.paramTypes != mt1.paramTypes:
+            raise OverrideError(f"method {name!r}: parameter types differ")
+        phi2 = dict(phi)
+        phi2.update(mt1.typeParams)
+        return mt1, mt2, phi2
 
     # -- subtyping ------------------------------------------------------------
 
@@ -240,12 +273,9 @@ class Sigs:
         cached = self._supers.get(n)
         if cached is not None:
             return cached
-        decl = self.program.decl(n.name)
-        if decl is None:
-            raise UnknownType(f"unknown type {n.name!r}")
+        decl, sub = self.instantiate(n)
         out = {n}
         self._supers[n] = frozenset(out)  # cycle guard; real value stored below
-        sub = {x: t for (x, _), t in zip(decl.typeParams, n.args)}
         for p in decl.parents:
             out |= self.nominal_supers(subst_type(p, sub))
         result = frozenset(out)
@@ -276,7 +306,7 @@ class Sigs:
             try:
                 for p in a.parents:
                     supers |= self.nominal_supers(p)
-            except UnknownType:
+            except SigError:
                 return False
             if not all(q in supers for q in b.parents):
                 return False
@@ -298,14 +328,10 @@ class Sigs:
 
     def sub_mtype(self, phi, mt1: MethodType, mt2: MethodType) -> bool:
         """Same binders/bounds/parameters up to alpha; covariant result."""
-        aligned = align_binders(mt1, mt2)
-        if aligned is None:
+        try:
+            mt1, mt2, phi2 = self._align(phi, "", mt1, mt2)
+        except OverrideError:
             return False
-        mt1, mt2 = aligned
-        if mt2.typeParams != mt1.typeParams or mt2.paramTypes != mt1.paramTypes:
-            return False
-        phi2 = dict(phi)
-        phi2.update(mt1.typeParams)
         return (self.sub_type(phi2, mt1.ret, mt2.ret)
                 and self.sub_eff(phi2, mt1.eff, mt2.eff))
 
@@ -393,22 +419,10 @@ class Sigs:
         raise TypeError(f"cannot well-formedness-check {x!r}")
 
     def _wf_ntype(self, phi, n: NominalType) -> None:
-        decl = self.program.decl(n.name)
-        if decl is None:
-            raise UnknownType(f"unknown type {n.name!r}")
-        if len(n.args) != len(decl.typeParams):
-            raise ArityMismatch(
-                f"{n.name} expects {len(decl.typeParams)} type arguments, "
-                f"got {len(n.args)}"
-            )
+        decl, _ = self.instantiate(n)
         for a in n.args:
             self.wf_check(phi, a)
-        sub = {x: t for (x, _), t in zip(decl.typeParams, n.args)}
-        for a, (_, bound) in zip(n.args, decl.typeParams):
-            if not self.sub_type(phi, a, subst_type(bound, sub)):
-                raise BoundViolation(
-                    f"type argument {a!r} violates the bound of {n.name}"
-                )
+        self.check_targs(phi, n.name, decl.typeParams, n.args)
 
     def _wf_call(self, phi, atom: EffCall) -> None:
         self.wf_check(phi, atom.receiver)
@@ -427,17 +441,8 @@ class Sigs:
             raise NotMagic(
                 f"{atom.method!r} is not a magic method of the call-effect receiver"
             )
-        if len(atom.targs) != len(mt.typeParams):
-            raise ArityMismatch(
-                f"call-effect {atom.method!r} expects {len(mt.typeParams)} "
-                f"type arguments"
-            )
-        sub = {x: t for (x, _), t in zip(mt.typeParams, atom.targs)}
-        for t, (_, bound) in zip(atom.targs, mt.typeParams):
-            if not self.sub_type(phi, t, subst_type(bound, sub)):
-                raise BoundViolation(
-                    f"call-effect type argument {t!r} violates its bound"
-                )
+        self.check_targs(phi, f"call-effect {atom.method!r}", mt.typeParams,
+                         atom.targs)
 
 
 def _kind_leq(k1: str, k2: str) -> bool:

@@ -658,16 +658,18 @@ def erase_type(v: Value) -> ObjType:
     return t
 
 
-def align_binders(a: MethodType, b: MethodType) -> Optional[tuple]:
+def align_binders(a: MethodType, b: MethodType, scope=()) -> Optional[tuple]:
     """``(a, b)`` with one list of type-parameter names, or None when their
-    arities differ.  The names are ``a``'s, opened where one of them is free
-    in ``b``, so that no free type variable of ``b`` is captured."""
+    arities differ.  The names are ``a``'s, opened where one of them is in
+    ``scope`` (the type variables of an enclosing environment) or free in
+    ``b``, so that no type variable in scope or free in ``b`` is captured."""
     if len(a.typeParams) != len(b.typeParams):
         return None
     names = tuple(x for x, _ in a.typeParams)
-    if names == tuple(x for x, _ in b.typeParams):
+    if names == tuple(x for x, _ in b.typeParams) \
+            and not any(x in scope for x in names):
         return a, b
-    a = open_binders(a, names, ftv_mtype(b))
+    a = open_binders(a, names, {*scope, *ftv_mtype(b)})
     return a, open_binders(b, (x for x, _ in a.typeParams), ())
 
 

@@ -10,7 +10,6 @@ reuses the typing of the frames around the focus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 from . import faults
@@ -26,40 +25,16 @@ from .syntax import (
 )
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    code: str
-    rule: str
-    msg: str
-
-    def __str__(self):
-        return f"[{self.code}/{self.rule}] {self.msg}"
-
-
 class TypecheckError(Exception):
+    """A diagnostic: its ``code``, the ``rule`` that failed, and ``msg``."""
+
     def __init__(self, code: str, rule: str, msg: str):
         super().__init__(f"[{code}/{rule}] {msg}")
         self.code, self.rule, self.msg = code, rule, msg
 
-    def diagnostic(self) -> Diagnostic:
-        return Diagnostic(self.code, self.rule, self.msg)
-
 
 def _sig_error(e: SigError, rule: str) -> TypecheckError:
     return TypecheckError(type(e).__name__, rule, str(e))
-
-
-def _open(phi, mt: MethodType, body, names=None) -> tuple:
-    """``(mt, body, phi2)`` with ``mt``'s binders, which ``body`` calls
-    ``names`` (by default ``mt``'s own), opened under ``phi`` in both; ``phi2``
-    is ``phi`` with the binders added."""
-    if names is None:
-        names = [x for x, _ in mt.typeParams]
-    mt = open_binders(mt, names, phi)
-    ren = {u: TypeVar(x) for u, (x, _) in zip(names, mt.typeParams) if u != x}
-    phi2 = dict(phi)
-    phi2.update(mt.typeParams)
-    return mt, subst_expr(body, ren, {}) if ren else body, phi2
 
 
 class Checker:
@@ -70,8 +45,8 @@ class Checker:
         self._expr_memo: dict = {}
         # (frame, hole typing, raw focus effect) -> the configuration's typing
         self._frame_memo: dict = {}
-        # (method type, type arguments) -> its bounds, parameter types and
-        # result type with the arguments substituted
+        # (method type, type arguments) -> its parameter types and result
+        # type with the arguments substituted
         self._inst_memo: dict = {}
 
     # -- values ----------------------------------------------------------------
@@ -89,21 +64,16 @@ class Checker:
 
     def type_value(self, phi: Mapping[str, Type], gamma: Mapping[str, Type],
                    v: Value) -> Type:
-        key = self._memo_key(phi, gamma, v, fv_value(v), ftv_value(v))
-        hit = self._val_memo.get(key)
-        if hit is not None:
-            return hit
-        t = self._type_value(phi, gamma, v)
-        self._val_memo[key] = t
-        return t
-
-    def _type_value(self, phi, gamma, v) -> Type:
         if isinstance(v, Var):
             t = gamma.get(v.name)
             if t is None:
                 raise TypecheckError("UnboundVar", "t-var",
                                      f"unbound variable {v.name}")
             return t
+        key = self._memo_key(phi, gamma, v, fv_value(v), ftv_value(v))
+        hit = self._val_memo.get(key)
+        if hit is not None:
+            return hit
         own = Sig((m.name, m.kind, m.mtype) for m in v.methods)
         for _, k, _ in own:
             if k == MGC:
@@ -121,31 +91,48 @@ class Checker:
                     "UnimplementedMethod", "t-obj",
                     f"object leaves method {n!r} abstract")
         for md in v.methods:
-            if md.kind != DEF:
-                continue
-            mt, body, phi2 = _open(phi, md.mtype, md.body)
-            gamma2 = dict(gamma)
-            gamma2[md.selfVar] = t
-            gamma2.update(zip(md.params, mt.paramTypes))
-            bt, beff = self.type_expr(phi2, gamma2, body)
-            self._check_body_fits(phi2, md.name, bt, beff, mt, "t-obj")
+            if md.kind == DEF:
+                self._type_body(phi, gamma, md, md.mtype, None, t,
+                                (md.name, "t-obj"))
+        self._val_memo[key] = t
         return t
 
-    def _check_body_fits(self, phi, name, bt, beff, mt: MethodType, rule: str):
-        try:
-            declared_eff = simplify(self.sigs, phi, mt.eff)
-        except SigError as e:
-            raise _sig_error(e, rule)
-        if not self.sigs.sub_type(phi, bt, mt.ret):
-            raise TypecheckError(
-                "BodyTypeMismatch", rule,
-                f"body of {name!r} has type {bt!r}, not a subtype of the "
-                f"declared {mt.ret!r}")
-        if not self.sigs.sub_eff(phi, beff, declared_eff):
-            raise TypecheckError(
-                "BodyEffectMismatch", rule,
-                f"body of {name!r} has effect {beff!r}, not below the "
-                f"declared {mt.eff!r}")
+    def _type_body(self, phi, gamma, m, mt: MethodType, names, self_t,
+                   fits=None) -> tuple:
+        """``(mt, phi2, body type, body effect)`` of a method or clause ``m``:
+        ``mt``'s binders, which the body calls ``names`` (``mt``'s own when
+        None), opened under ``phi`` and bound in ``phi2``, self and the
+        parameters bound in ``gamma``.  With ``fits = (name, rule)`` the body
+        must fit ``mt``.  Called from ``type_value`` itself, so that a nested
+        object costs four Python frames."""
+        if names is None:
+            names = [x for x, _ in mt.typeParams]
+        mt = open_binders(mt, names, phi)
+        ren = {u: TypeVar(x) for u, (x, _) in zip(names, mt.typeParams) if u != x}
+        phi2 = dict(phi)
+        phi2.update(mt.typeParams)
+        gamma2 = dict(gamma)
+        gamma2[m.selfVar] = self_t
+        gamma2.update(zip(m.params, mt.paramTypes))
+        bt, beff = self.type_expr(phi2, gamma2,
+                                  subst_expr(m.body, ren, {}) if ren else m.body)
+        if fits is not None:
+            name, rule = fits
+            try:
+                declared_eff = simplify(self.sigs, phi2, mt.eff)
+            except SigError as e:
+                raise _sig_error(e, rule)
+            if not self.sigs.sub_type(phi2, bt, mt.ret):
+                raise TypecheckError(
+                    "BodyTypeMismatch", rule,
+                    f"body of {name!r} has type {bt!r}, not a subtype of the "
+                    f"declared {mt.ret!r}")
+            if not self.sigs.sub_eff(phi2, beff, declared_eff):
+                raise TypecheckError(
+                    "BodyEffectMismatch", rule,
+                    f"body of {name!r} has effect {beff!r}, not below the "
+                    f"declared {mt.eff!r}")
+        return mt, phi2, bt, beff
 
     # -- expressions ------------------------------------------------------------
 
@@ -200,13 +187,10 @@ class Checker:
         t0 = self.type_value(phi, gamma, e.recv)
         try:
             kind, mt = self.sigs.mtype(phi, t0, e.method)
+            sub = self.sigs.check_targs(phi, repr(e.method), mt.typeParams,
+                                        e.targs)
         except SigError as err:
             raise _sig_error(err, "t-invk")
-        if len(e.targs) != len(mt.typeParams):
-            raise TypecheckError(
-                "ArityMismatch", "t-invk",
-                f"{e.method!r} expects {len(mt.typeParams)} type arguments, "
-                f"got {len(e.targs)}")
         if len(e.args) != len(mt.paramTypes):
             raise TypecheckError(
                 "ArityMismatch", "t-invk",
@@ -214,17 +198,10 @@ class Checker:
                 f"got {len(e.args)}")
         inst = self._inst_memo.get((mt, e.targs))
         if inst is None:
-            sub = {x: t for (x, _), t in zip(mt.typeParams, e.targs)}
             inst = self._inst_memo[mt, e.targs] = (
-                tuple(subst_type(b, sub) for _, b in mt.typeParams),
                 tuple(subst_type(p, sub) for p in mt.paramTypes),
                 subst_type(mt.ret, sub))
-        bounds, params, ret = inst
-        for targ, bound in zip(e.targs, bounds):
-            if not self.sigs.sub_type(phi, targ, bound):
-                raise TypecheckError(
-                    "BoundViolation", "t-invk",
-                    f"type argument {targ!r} of {e.method!r} violates its bound")
+        params, ret = inst
         for arg, pt in zip(e.args, params):
             at = self.type_value(phi, gamma, arg)
             if not self.sigs.sub_type(phi, at, pt):
@@ -297,23 +274,21 @@ class Checker:
         gamma_f[h.finalVar] = body_type
         t_final, eff_final = self.type_expr(phi, gamma_f, h.finalExpr)
 
-        typed = []
-        for c in h.clauses:
-            typed.append(self._type_clause(phi, gamma, c))
+        typed = [self._type_clause(phi, gamma, c) for c in h.clauses]
 
         # the handler's result type T'': the final expression's type, unless a
         # stop clause forces a join among declared nominals
         t2 = t_final
-        stop_types = [tb for (c, _, _, _, tb, _, _) in typed if c.mode == STOP]
+        stop_types = [tb for (c, _, _, tb, _) in typed if c.mode == STOP]
         if not all(self.sigs.sub_type(phi, tb, t2) for tb in stop_types):
             t2 = self._join(phi, [t_final, *stop_types])
-        for c, names, bounds, ret_t, tb, beff, phi2 in typed:
+        for c, mt, phi2, tb, _ in typed:
             if c.mode == CONTINUE:
-                if not self.sigs.sub_type(phi2, tb, ret_t):
+                if not self.sigs.sub_type(phi2, tb, mt.ret):
                     raise TypecheckError(
                         "ClauseTypeMismatch", "t-continue",
                         f"continue-clause body for {c.method!r} has type "
-                        f"{tb!r}, not a subtype of the magic result {ret_t!r}")
+                        f"{tb!r}, not a subtype of the magic result {mt.ret!r}")
             else:
                 if not self.sigs.sub_type(phi2, tb, t2):
                     raise TypecheckError(
@@ -321,12 +296,15 @@ class Checker:
                         f"stop-clause body for {c.method!r} has type {tb!r}, "
                         f"not a subtype of the handler type {t2!r}")
         filters = tuple(
-            ClauseFilter(c.ntype, c.method, tuple(names), tuple(bounds), beff, c.mode)
-            for c, names, bounds, _, _, beff, _ in typed
+            ClauseFilter(c.ntype, c.method, tuple(x for x, _ in mt.typeParams),
+                         beff)
+            for c, mt, _, _, beff in typed
         )
         return t2, HandlerFilter(filters, eff_final)
 
-    def _type_clause(self, phi, gamma, c: Clause):
+    def _type_clause(self, phi, gamma, c: Clause) -> tuple:
+        """``(c, mt, phi2, body type, body effect)``: ``mt`` is the caught
+        magic method's type, opened under ``phi`` with the clause's names."""
         ntype_t = ObjType((c.ntype,), Sig(()))
         try:
             self.sigs.wf_check(phi, c.ntype)
@@ -342,19 +320,12 @@ class Checker:
                 "ArityMismatch", "t-handler",
                 f"clause for {c.method!r} binds {len(c.typeParams)} type "
                 f"parameters, the method has {len(mt.typeParams)}")
-        mt, body, phi2 = _open(phi, mt, c.body, c.typeParams)
-        names = [x for x, _ in mt.typeParams]
-        bounds = [b for _, b in mt.typeParams]
         if len(c.params) != len(mt.paramTypes):
             raise TypecheckError(
                 "ArityMismatch", "t-handler",
                 f"clause for {c.method!r} binds {len(c.params)} parameters, "
                 f"the method has {len(mt.paramTypes)}")
-        gamma2 = dict(gamma)
-        gamma2[c.selfVar] = ntype_t
-        gamma2.update(zip(c.params, mt.paramTypes))
-        tb, beff = self.type_expr(phi2, gamma2, body)
-        return c, names, bounds, mt.ret, tb, beff, phi2
+        return (c, *self._type_body(phi, gamma, c, mt, c.typeParams, ntype_t))
 
     def _join(self, phi, types) -> Type:
         candidates = []
@@ -378,13 +349,19 @@ class Checker:
     # -- programs -----------------------------------------------------------------
 
     def check_program(self) -> list:
-        """All diagnostics for the program; empty list means well-typed."""
+        """All diagnostics (``TypecheckError``s, without the frames they were
+        raised through) for the program; empty list means well-typed."""
         diags: list = []
+
+        def caught(e: TypecheckError):
+            e.__context__ = None
+            diags.append(e.with_traceback(None))
+
         for decl in self.program.decls:
             try:
                 self.sigs.decl_sig(decl.name)
             except SigError as e:
-                diags.append(_sig_error(e, "t-ntype").diagnostic())
+                diags.append(_sig_error(e, "t-ntype"))
                 continue
             phi = dict(decl.typeParams)
             try:
@@ -395,7 +372,7 @@ class Checker:
                 for md in decl.methods:
                     self.sigs.wf_check(phi, md.mtype)
             except SigError as e:
-                diags.append(_sig_error(e, "t-ntype").diagnostic())
+                diags.append(_sig_error(e, "t-ntype"))
                 continue
             self_t = ObjType(
                 (NominalType(decl.name,
@@ -403,20 +380,15 @@ class Checker:
                 Sig(()),
             )
             for md in decl.methods:
-                if md.kind != DEF:
-                    continue
-                mt, body, phi2 = _open(phi, md.mtype, md.body)
-                gamma = {md.selfVar: self_t}
-                gamma.update(zip(md.params, mt.paramTypes))
-                try:
-                    bt, beff = self.type_expr(phi2, gamma, body)
-                    self._check_body_fits(phi2, f"{decl.name}.{md.name}",
-                                          bt, beff, mt, "t-meth")
-                except TypecheckError as e:
-                    diags.append(e.diagnostic())
+                if md.kind == DEF:
+                    try:
+                        self._type_body(phi, {}, md, md.mtype, None, self_t,
+                                        (f"{decl.name}.{md.name}", "t-meth"))
+                    except TypecheckError as e:
+                        caught(e)
         if self.program.main is not None:
             try:
                 self.type_expr({}, {}, self.program.main)
             except TypecheckError as e:
-                diags.append(e.diagnostic())
+                caught(e)
         return diags

@@ -121,6 +121,17 @@ def test_run_unchecked_refuses_an_open_program(capsys, tmp_path, src, where):
     assert err == f"mfj run: {path}: unbound variable {where}\n"
 
 
+@pytest.mark.parametrize("src", [
+    "A <| B { }  B <| A { }  main = A.m()",
+    "A <| B { }  B <| C { }  C <| A { }  main = A.m()",
+], ids=["2-cycle", "3-cycle"])
+def test_run_unchecked_of_a_call_up_a_cyclic_hierarchy_is_stuck(
+        capsys, tmp_path, src):
+    path = tmp_path / "cycle.mfj"
+    path.write_text(src)
+    assert mfj(capsys, "run", path, "--unchecked") == (0, "wrong\n", "")
+
+
 @pytest.mark.parametrize("i", range(len(SHADOWING)))
 def test_run_refuses_a_program_whose_binder_shadows(capsys, tmp_path, i):
     path = tmp_path / "shadow.mfj"
@@ -250,6 +261,18 @@ def test_parse_of_the_simplest_program(capsys):
     code, out, _ = mfj(capsys, "parse", corpus("bool_not"))
     assert code == 0
     assert out == "main = True.not()\n"
+
+
+def test_parse_of_a_term_too_deep_is_a_clean_diagnostic(tmp_path):
+    # in a child process, so that a C stack overflow cannot take pytest down
+    n = 110000
+    src = tmp_path / "deep.mfj"
+    src.write_text("main = " + "do x = " * n + "return 0" + "; return x" * n)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-m", "mfj", "parse", str(src)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == f"mfj: {src}: term too deep\n"
 
 
 @pytest.mark.parametrize("cmd", ["check", "run", "soundness", "parse"])

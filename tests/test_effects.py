@@ -9,7 +9,7 @@ from mfj.parser import parse_effect
 from mfj.prelude import load_program
 from mfj.signatures import Sigs, UnboundTypeVar
 from mfj.syntax import (
-    CONTINUE, PURE, STOP, TOP,
+    CONTINUE, PURE, TOP,
     EffCall, NominalType, TypeVar, eff_of, eff_union, nominal,
 )
 
@@ -79,9 +79,8 @@ MY_THROW = parse_effect("MyException.throw[Nat]")
 FAIL = parse_effect("Failure[Nat].fail")
 
 
-def cf(decl, method, effect, mode=STOP, typeParams=("X",)):
-    return ClauseFilter(NominalType(decl), method, typeParams,
-                        (nominal("Object"),), effect, mode)
+def cf(decl, method, effect, typeParams=("X",)):
+    return ClauseFilter(NominalType(decl), method, typeParams, effect)
 
 
 def test_filter_rewrites_caught_atoms(sigs):

@@ -156,6 +156,16 @@ def test_parse_errors(src):
         parse_program(src)
 
 
+@pytest.mark.parametrize("parse, src", [
+    (parse_type, "Failure[]"),
+    (parse_expr, "x.succ[]()"),
+    (parse_effect, "Exception.throw[]"),
+], ids=["type", "call", "effect"])
+def test_an_empty_type_argument_list_is_rejected(parse, src):
+    with pytest.raises(ParseError, match="empty type-argument list"):
+        parse(src)
+
+
 def test_magic_only_in_declarations():
     with pytest.raises(ParseError):
         parse_expr("return Object { m : mgc [X] -> X }")

@@ -59,6 +59,14 @@ def test_mbody_ambiguous_is_undefined():
     assert mbody(Sigs(prog), v, "m") is None
 
 
+def test_mbody_finds_a_diamond_method_along_both_paths():
+    # found through B and through C, so ambiguous and undefined
+    prog = load_program(
+        "A { m : def -> Nat ! pure <_, return 0> } "
+        "B <| A { }  C <| A { }  D <| B C { }")
+    assert mbody(Sigs(prog), Obj((NominalType("D"),)), "m") is None
+
+
 def test_mbody_substitutes_declaration_parameters(sigs):
     r = mbody(sigs, Obj((NominalType("Failure", (nominal("Nat"),)),)), "fail")
     assert r == Magic("Failure")

@@ -153,6 +153,65 @@ def test_sub_type_does_not_capture_a_free_type_variable(sigs):
     assert not sigs.sub_type({"X": OBJECT}, a, b)
 
 
+# D's bound for Y names D's X; D.m's own binder X must not capture it
+CAPTURE_OUTER = """
+G[X] { get : abs -> X ! pure }
+A { m : abs [@] -> G[@] ! pure }
+D[X Y <: G[X]] <| A { y : abs -> Y ! pure   m : def [@] -> Y ! pure <s, s.y()> }
+GN <| G[Nat] { get : def -> Nat ! pure <_, return 5> }
+U { use : def A -> Bool ! pure <_ a, do g = a.m[Bool](); g.get()> }
+main = U.use(D[Nat GN]{ y : def -> GN ! pure <_, return GN> })
+"""
+
+
+@pytest.mark.parametrize("binder", ["X", "Q"])
+def test_override_does_not_capture_a_bound_in_the_environment(binder):
+    diags = Checker(load_program(CAPTURE_OUTER.replace("@", binder))) \
+        .check_program()
+    assert [f"{d.code}/{d.rule}" for d in diags] == [
+        "OverrideError/t-ntype", "OverrideError/t-obj"]
+
+
+@pytest.mark.parametrize("binder", ["X", "Q"])
+def test_sub_type_does_not_capture_a_bound_in_the_environment(binder):
+    sigs = Sigs(load_program("G[X] { get : abs -> X ! pure }"))
+    phi = {"X": OBJECT, "Y": parse_type("G[X]", ("X",))}
+    a = parse_type(f"Bool{{m : abs [{binder}] -> Y ! pure}}", ("Y",))
+    b = parse_type(f"Bool{{m : abs [{binder}] -> G[{binder}] ! pure}}")
+    assert not sigs.sub_type(phi, a, b)
+
+
+# each merged well-formedness arm, reached through ``check``
+WF = [
+    ("A { m : abs Foo -> Nat ! pure }",
+     "[UnknownType/t-ntype] unknown type 'Foo'"),
+    ("A { m : abs Failure -> Nat ! pure }",
+     "[ArityMismatch/t-ntype] Failure expects 1 type arguments, got 0"),
+    ("A { m : abs -> Nat ! Bool.not }",
+     "[NotMagic/t-ntype] 'not' is not a magic method of the call-effect "
+     "receiver"),
+    ("A { m : abs [Y <: Bool] -> Nat ! Y.foo }",
+     "[NoSuchMethod/t-ntype] no method 'foo' in the bound of Y"),
+    ("A { m : abs -> Nat ! Exception.throw }",
+     "[ArityMismatch/t-ntype] call-effect 'throw' expects 1 type arguments, "
+     "got 0"),
+    ("G[X <: Bool] { }  A { m : abs G[Nat] -> Nat ! pure }",
+     f"[BoundViolation/t-ntype] type argument {nominal('Nat')!r} of G "
+     f"violates its bound"),
+    ("Op { op : mgc [X <: Bool] -> X }  A { m : abs -> Nat ! Op.op[Nat] }",
+     f"[BoundViolation/t-ntype] type argument {nominal('Nat')!r} of "
+     f"call-effect 'op' violates its bound"),
+]
+
+
+@pytest.mark.parametrize("src, diagnostic", WF, ids=[
+    "unknown-type", "type-arity", "not-magic", "no-such-method",
+    "call-effect-arity", "type-bound", "call-effect-bound"])
+def test_ill_formed_declarations_are_diagnosed(src, diagnostic):
+    diags = Checker(load_program(src)).check_program()
+    assert [str(d) for d in diags] == [diagnostic]
+
+
 # -- subtyping ----------------------------------------------------------------
 
 def test_sub_type_reflexive_and_object_top(sigs):

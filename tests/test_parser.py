@@ -175,3 +175,33 @@ def test_parse_error_carries_position():
     with pytest.raises(ParseError) as exc:
         parse_program("main = return @")
     assert "1:" in str(exc.value)
+
+
+@pytest.mark.parametrize("src, msg", [
+    ("// one\n// two\nmain = return @", "3:15: unexpected character '@'"),
+    ("// one\n  // two\n\tmain = return .", "3:16: expected a value"),
+    ("main = return @", "1:15: unexpected character '@'"),
+    ("main = return #", "1:15: unexpected character '#'"),
+    ("main = return É", "1:15: unexpected character 'É'"),
+    ('main = "É".toNat() É', "1:20: unexpected character 'É'"),
+    ('main = "abc', "1:8: unexpected character '\"'"),
+    ('main = "abc\n"', "1:8: unexpected character '\"'"),
+    ("main = do x = return 0", "1:23: expected ';', found ''"),
+    ("main = do x = return 0\n\n\n", "4:1: expected ';', found ''"),
+    ("main = do x = return 0 // no newline", "1:37: expected ';', found ''"),
+    ("A [] { }", "1:6: empty type-parameter list"),
+    ("A {\n\tm : def -> Nat\n}", "3:1: def method 'm' needs a body"),
+    ("main = return 0\n  A", "2:3: expected 'eof', found 'A'"),
+    ("Main = 1", "1:6: expected '{', found '='"),
+])
+def test_parse_error_messages_and_positions_are_exact(src, msg):
+    with pytest.raises(ParseError) as exc:
+        parse_program(src)
+    assert str(exc.value) == msg
+
+
+@pytest.mark.parametrize("src", [
+    "main = return 0 //", "A { } // trailing", "A { }\n\n  \n", "",
+])
+def test_trailing_blanks_and_comments_parse(src):
+    parse_program(src)

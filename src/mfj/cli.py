@@ -7,7 +7,8 @@
                      [--approx N] [--interp forall|exists] [--json]
     mfj parse file.mfj...
 
-Exit codes: 0 success, 1 parse error or check/soundness failure, 2 usage (an
+Exit codes: 0 success, 1 parse error (a numeral above
+``parser.MAX_NUMERAL`` among them) or check/soundness failure, 2 usage (an
 option the subcommand does not read, ``--trace`` or ``--fuel`` with ``run
 --approx``, a negative N or K), a file that is missing or cannot be read as
 UTF-8, precondition error (among them more branches than ``--prefix`` and a

@@ -22,16 +22,17 @@ The grammar (informally):
 Type names and type variables start with an uppercase letter; a name is a type
 variable exactly when a binder for it is in scope.  Term variables start
 lowercase (or are ``_`` wildcards, which get deterministic positional names).
-Decimal numerals desugar to the Zero/Succ encoding; string literals desugar to
-String objects; ``fn (x: T) => e`` desugars to a single-``apply`` object.
+Decimal numerals up to ``MAX_NUMERAL`` desugar to the Zero/Succ encoding (a
+larger one is a parse error); string literals desugar to String objects;
+``fn (x: T) => e`` desugars to a single-``apply`` object.
 Magic methods must not carry a ``!`` annotation: their canonical effect is
 synthesized from the declaration.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
-from dataclasses import dataclass
 from typing import Optional
 
 from .syntax import (
@@ -48,63 +49,57 @@ class ParseError(Exception):
         self.line, self.col = line, col
 
 
-@dataclass
-class Token:
-    kind: str
-    text: str
-    line: int
-    col: int
-
-
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+|//[^\n]*)
-  | (?P<num>\d+)
-  | (?P<str>"[^"\n]*")
-  | (?P<id>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<sym><\||<:|\\/|->|=>|[:,;.\[\]{}()<>=!])
+    (?:\s+|//[^\n]*)*                   # blanks and comments, then
+    (?:(\d+|"[^"\n]*"|[A-Za-z_][A-Za-z0-9_]*
+      |<\||<:|\\/|->|=>|[:,;.\[\]{}()<>=!])   # a token,
+     |(.)                               # a bad character,
+     |\Z)                               # or the end
     """,
     re.VERBOSE,
 )
 
-KEYWORDS = {
+# A keyword or symbol is its own kind.  Any other token's kind is read off its
+# first character; a token that starts with none of these matched ``\d+``.
+_KINDS = {w: w for w in (
     "return", "do", "try", "with", "final", "continue", "stop",
     "pure", "top", "abs", "def", "mgc", "main", "fn", "Object",
-}
+    "<|", "<:", "\\/", "->", "=>", *":,;.[]{}()<>=!",
+)}
+_FIRST = {'"': "str", **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZ", "typeid"),
+          **dict.fromkeys("abcdefghijklmnopqrstuvwxyz_", "id")}
 
 
-def tokenize(text: str):
-    toks = []
-    pos, line, linestart = 0, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}",
-                             line, pos - linestart + 1)
-        col = pos - linestart + 1
-        pos = m.end()
-        if m.lastgroup == "ws":
-            line += m.group().count("\n")
-            if "\n" in m.group():
-                linestart = m.start() + m.group().rindex("\n") + 1
-            continue
-        kind = m.lastgroup
-        txt = m.group()
-        if kind == "sym":
-            kind = txt
-        elif kind == "id":
-            if txt in KEYWORDS:
-                kind = txt
-            elif txt[0].isupper():
-                kind = "typeid"
-        toks.append(Token(kind, txt, line, col))
-    toks.append(Token("eof", "", line, pos - linestart + 1))
+def tokenize(text: str) -> list:
+    """The ``(kind, text)`` tokens of ``text``, then ``("eof", "")``."""
+    found = _TOKEN_RE.findall(text)
+    toks = [(_KINDS.get(t) or _FIRST.get(t[0], "num"), t) for t, _ in found if t]
+    # a match that is neither a token nor the end, ("", ""), is a bad character
+    if len(toks) + found.count(("", "")) < len(found):
+        bad = next(m for m in _TOKEN_RE.finditer(text) if m.group(2))
+        raise ParseError(f"unexpected character {bad.group(2)!r}",
+                         *_line_col(text, bad.start(2)))
+    toks.append(("eof", ""))
     return toks
+
+
+def _line_col(text: str, at: int) -> tuple:
+    return text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
+
+
+def _token_line_col(text: str, index: int) -> tuple:
+    """Where token ``index`` of ``text`` starts; eof is at the end."""
+    starts = (m.start(1) for m in _TOKEN_RE.finditer(text) if m.group(1))
+    return _line_col(text, next(itertools.islice(starts, index, None), len(text)))
 
 
 NAT_T = nominal("Nat")
 FAIL_EFF = eff_of(EffCall(nominal("Failure", NAT_T), "fail", ()))
 
+
+# numerals are Succ towers built level by level; a larger one is a parse error
+MAX_NUMERAL = 200_000
 
 _ZERO = (NominalType("Zero"),)
 _SUCC = (NominalType("Succ"),)
@@ -147,7 +142,7 @@ def numeral_value(v: Value) -> Optional[int]:
 
 
 def string_object(s: str) -> Obj:
-    if s.isdigit():
+    if s.isdecimal():
         body = Return(numeral(int(s)))
     else:
         body = Call(Obj((NominalType("Failure", (NAT_T,)),)), "fail", (), ())
@@ -159,33 +154,34 @@ def string_object(s: str) -> Obj:
 
 class Parser:
     def __init__(self, text: str):
+        self.text = text
         self.toks = tokenize(text)
         self.pos = 0
         self.tvars: list = []  # stack of sets of in-scope type variables
 
     # -- token plumbing ----------------------------------------------------
+    # Tokens are (kind, text) pairs; the trailing eof keeps ``pos`` in range.
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+    def peek(self) -> tuple:
+        return self.toks[self.pos]
 
-    def next(self) -> Token:
+    def next(self) -> tuple:
         t = self.toks[self.pos]
-        if t.kind != "eof":
+        if t[0] != "eof":
             self.pos += 1
         return t
 
-    def expect(self, kind: str) -> Token:
-        t = self.peek()
-        if t.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {t.text!r}", t.line, t.col)
+    def expect(self, kind: str) -> tuple:
+        t = self.toks[self.pos]
+        if t[0] != kind:
+            self.error(f"expected {kind!r}, found {t[1]!r}")
         return self.next()
 
     def at(self, kind: str) -> bool:
-        return self.peek().kind == kind
+        return self.toks[self.pos][0] == kind
 
     def error(self, msg: str):
-        t = self.peek()
-        raise ParseError(msg, t.line, t.col)
+        raise ParseError(msg, *_token_line_col(self.text, self.pos))
 
     def in_scope(self, name: str) -> bool:
         return any(name in s for s in self.tvars)
@@ -205,14 +201,14 @@ class Parser:
         return Program(decls, main)
 
     def parse_decl(self) -> TypeDecl:
-        name = self.expect("typeid").text
+        name = self.expect("typeid")[1]
         self.tvars.append(set())
         try:
             tparams = self.parse_tparams() if self.at("[") else ()
             parents = []
             if self.at("<|"):
                 self.next()
-                while self.at("typeid") and not self.in_scope(self.peek().text):
+                while self.at("typeid") and not self.in_scope(self.peek()[1]):
                     parents.append(self.parse_ntype())
                 if not parents:
                     self.error("expected at least one parent type after '<|'")
@@ -224,8 +220,8 @@ class Parser:
         finally:
             self.tvars.pop()
         names = [m.name for m in methods]
-        dupes = {n for n in names if names.count(n) > 1}
-        if dupes:
+        if len(set(names)) < len(names):
+            dupes = {n for n in names if names.count(n) > 1}
             raise ParseError(f"duplicate methods in {name}: {sorted(dupes)}")
         methods = [
             md if md.kind != MGC else MethodDef(
@@ -247,7 +243,7 @@ class Parser:
         self.expect("[")
         out = []
         while not self.at("]"):
-            x = self.expect("typeid").text
+            x = self.expect("typeid")[1]
             self.tvars[-1].add(x)
             bound = OBJECT
             if self.at("<:"):
@@ -263,15 +259,13 @@ class Parser:
 
     def parse_method(self, context: str) -> MethodDef:
         """context is 'decl', 'value' (bodies allowed) or 'type' (signatures)."""
-        name_tok = self.peek()
-        if name_tok.kind not in ("id",):
+        if not self.at("id"):
             self.error("expected a method name")
-        name = self.next().text
+        name = self.next()[1]
         self.expect(":")
-        kind_tok = self.peek()
-        if kind_tok.kind not in (ABS, DEF, MGC):
+        if self.peek()[0] not in (ABS, DEF, MGC):
             self.error("expected 'abs', 'def' or 'mgc'")
-        kind = self.next().kind
+        kind = self.next()[0]
         if kind == MGC and context != "decl":
             self.error("magic methods may only appear in type declarations")
         self.tvars.append(set())
@@ -316,7 +310,7 @@ class Parser:
         out = []
         wild = 0
         while self.at("id"):
-            v = self.next().text
+            v = self.next()[1]
             if v == "_":
                 wild += 1
                 v = "_" if wild == 1 else f"_{wild}"
@@ -341,18 +335,18 @@ class Parser:
         return tuple(args)
 
     def parse_ntype(self) -> NominalType:
-        return NominalType(self.expect("typeid").text, self.parse_targs())
+        return NominalType(self.expect("typeid")[1], self.parse_targs())
 
     def parse_type(self) -> Type:
-        t = self.peek()
-        if t.kind == "Object":
+        kind, text = self.peek()
+        if kind == "Object":
             self.next()
             return OBJECT
-        if t.kind != "typeid":
+        if kind != "typeid":
             self.error("expected a type")
-        if self.in_scope(t.text):
+        if self.in_scope(text):
             self.next()
-            return TypeVar(t.text)
+            return TypeVar(text)
         nt = self.parse_ntype()
         if self.at("{"):
             self.next()
@@ -380,7 +374,7 @@ class Parser:
     def parse_eatom(self) -> EffCall:
         recv = self.parse_type()
         self.expect(".")
-        return EffCall(recv, self.expect("id").text, self.parse_targs())
+        return EffCall(recv, self.expect("id")[1], self.parse_targs())
 
     # -- expressions ---------------------------------------------------------
 
@@ -390,7 +384,7 @@ class Parser:
             return Return(self.parse_value())
         if self.at("do"):
             self.next()
-            x = self.expect("id").text
+            x = self.expect("id")[1]
             self.expect("=")
             first = self.parse_expr()
             self.expect(";")
@@ -406,7 +400,7 @@ class Parser:
             if self.at("final"):
                 self.next()
                 self.expect("<")
-                fv = self.expect("id").text
+                fv = self.expect("id")[1]
                 self.expect(",")
                 fe = self.parse_expr()
                 self.expect(">")
@@ -418,7 +412,7 @@ class Parser:
 
     def parse_call(self, recv: Value) -> Call:
         self.expect(".")
-        m = self.expect("id").text
+        m = self.expect("id")[1]
         targs = self.parse_targs()
         self.expect("(")
         args: list = []
@@ -435,7 +429,7 @@ class Parser:
             self.error("a clause names a nominal type")
         ntype = t.parents[0]
         self.expect(".")
-        m = self.expect("id").text
+        m = self.expect("id")[1]
         typeParams: Optional[tuple] = None
         selfVar, params, body = "x", (), Return(Var("x"))
         if self.at(":"):
@@ -449,32 +443,37 @@ class Parser:
                 params = tuple(ps)
             finally:
                 self.tvars.pop()
-        mode_tok = self.peek()
-        if mode_tok.kind not in (CONTINUE, STOP):
+        mode = self.peek()[0]
+        if mode not in (CONTINUE, STOP):
             self.error("expected 'continue' or 'stop'")
         self.next()
-        return Clause(ntype, m, typeParams, selfVar, params, body, mode_tok.kind)
+        return Clause(ntype, m, typeParams, selfVar, params, body, mode)
 
     # -- values ----------------------------------------------------------------
 
     def parse_value(self) -> Value:
-        t = self.peek()
-        if t.kind == "id":
-            return Var(self.next().text)
-        if t.kind == "num":
-            return numeral(int(self.next().text))
-        if t.kind == "str":
-            return string_object(self.next().text[1:-1])
-        if t.kind == "fn":
+        kind, text = self.peek()
+        if kind == "id":
+            self.next()
+            return Var(text)
+        if kind == "num" or kind == "str":
+            lit = text.strip('"')
+            # a numeral, or a string's toNat result, is refused before it is built
+            if lit.isdecimal() and (len(lit.lstrip("0")) > len(str(MAX_NUMERAL))
+                                    or int(lit) > MAX_NUMERAL):
+                self.error(f"numeral larger than {MAX_NUMERAL}")
+            self.next()
+            return numeral(int(lit)) if kind == "num" else string_object(lit)
+        if kind == "fn":
             return self.parse_lambda()
-        if t.kind == "typeid" or t.kind == "Object":
+        if kind == "typeid" or kind == "Object":
             return self.parse_object_value()
         self.error("expected a value")
 
     def parse_lambda(self) -> Obj:
         self.expect("fn")
         self.expect("(")
-        x = self.expect("id").text
+        x = self.expect("id")[1]
         self.expect(":")
         ptype = self.parse_type()
         self.expect(")")

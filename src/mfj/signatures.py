@@ -413,7 +413,8 @@ class Sigs:
             return
         if isinstance(x, Effect):
             # sorted, so the atom reported first does not depend on hashing
-            for a in sorted(x.atoms, key=repr):
+            atoms = x.atoms if len(x.atoms) < 2 else sorted(x.atoms, key=repr)
+            for a in atoms:
                 self._wf_call(phi, a)
             return
         raise TypeError(f"cannot well-formedness-check {x!r}")

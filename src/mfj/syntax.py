@@ -321,13 +321,14 @@ class Program:
 
     def __init__(self, decls: Iterable[TypeDecl], main: Optional[Expr] = None):
         decls = tuple(decls)
-        names = [d.name for d in decls]
-        dupes = {n for n in names if names.count(n) > 1}
-        if dupes:
+        by_name = {d.name: d for d in decls}
+        if len(by_name) < len(decls):
+            names = [d.name for d in decls]
+            dupes = {n for n in names if names.count(n) > 1}
             raise ValueError(f"duplicate type declarations: {sorted(dupes)}")
         object.__setattr__(self, "decls", decls)
         object.__setattr__(self, "main", main)
-        object.__setattr__(self, "_by_name", {d.name: d for d in decls})
+        object.__setattr__(self, "_by_name", by_name)
 
     def decl(self, name: str) -> Optional[TypeDecl]:
         return self._by_name.get(name)

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from mfj.cli import main
-from mfj.parser import parse_program
+from mfj.parser import MAX_NUMERAL, parse_program
 
 from conftest import CORPUS, ROOT
 from golden import load_golden, run_output
@@ -67,6 +67,15 @@ def test_run_raised(capsys):
     code, out, _ = mfj(capsys, "run", corpus("exc_e2"))
     assert code == 0
     assert out == "raise E\n"
+
+
+@pytest.mark.parametrize("text", ["ab", "²"])
+def test_a_string_that_is_not_a_decimal_fails_to_convert(capsys, tmp_path, text):
+    # "²" is a digit to str.isdigit but no decimal, and int() refuses it
+    src = tmp_path / "s.mfj"
+    src.write_text(f'main = "{text}".toNat()\n')
+    code, out, _ = mfj(capsys, "run", src)
+    assert (code, out) == (0, "raise Fail\n")
 
 
 def test_run_list_monad(capsys):
@@ -348,6 +357,21 @@ def test_zero_fuel_is_accepted(capsys):
 
 
 # -- depth --------------------------------------------------------------------
+
+@pytest.mark.parametrize("cmd", ["parse", "check", "run", "soundness"])
+@pytest.mark.parametrize("literal", ["9999999999999", '"9999999999999"',
+                                     str(MAX_NUMERAL + 1)])
+def test_a_numeral_above_the_limit_is_a_parse_error(tmp_path, cmd, literal):
+    # in a child process, so that building the numeral cannot hang pytest
+    src = tmp_path / "big.mfj"
+    src.write_text(f"// a large numeral\nmain = return {literal}\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-m", "mfj", cmd, str(src)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == (f"mfj: {src}: parse error: "
+                           f"2:15: numeral larger than {MAX_NUMERAL}\n")
+
 
 @pytest.mark.parametrize("n", [5000, 20000, 60000])
 def test_a_deep_numeral_ends_in_a_result_or_a_clean_diagnostic(tmp_path, n):

@@ -9,7 +9,7 @@ import pytest
 from mfj import parser
 from mfj.evaluator import Evaluator
 from mfj.parser import (
-    ParseError, numeral, numeral_value, parse_effect, parse_expr,
+    MAX_NUMERAL, ParseError, numeral, numeral_value, parse_effect, parse_expr,
     parse_program, parse_type, pretty, pretty_eff, pretty_expr, pretty_value,
     string_object,
 )
@@ -41,6 +41,7 @@ def test_prelude_round_trips():
 
 def test_numerals_desugar_to_successor_towers():
     assert parse_expr("return 2") == Return(numeral(2))
+    assert parse_expr("return ٣") == Return(numeral(3))  # a decimal digit too
     assert numeral_value(numeral(5)) == 5
     assert numeral_value(numeral(0)) == 0
     assert numeral_value(Var("x")) is None
@@ -72,6 +73,17 @@ def test_a_printed_numeral_is_classified_once(monkeypatch):
     # rebuilding a level gives the same, already classified, node
     assert Obj(v.parents, v.methods) is v
     assert classified == []
+
+
+def test_numerals_up_to_the_limit_parse_and_larger_ones_do_not():
+    # deep-numeral tests need room up to 10**5
+    assert MAX_NUMERAL > 10**5
+    assert parse_expr("return 0000000000000000000007") == Return(numeral(7))
+    for src in (f"return {MAX_NUMERAL + 1}", f'return "0{MAX_NUMERAL + 1}"',
+                "return 1" + "0" * 5000):
+        with pytest.raises(ParseError) as exc:
+            parse_expr(src)
+        assert str(exc.value) == f"1:8: numeral larger than {MAX_NUMERAL}"
 
 
 def test_strings_desugar_to_toNat_objects():
@@ -183,6 +195,7 @@ def test_parse_error_carries_position():
     ("main = return @", "1:15: unexpected character '@'"),
     ("main = return #", "1:15: unexpected character '#'"),
     ("main = return É", "1:15: unexpected character 'É'"),
+    ("main = return ²", "1:15: unexpected character '²'"),
     ('main = "É".toNat() É', "1:20: unexpected character 'É'"),
     ('main = "abc', "1:8: unexpected character '\"'"),
     ('main = "abc\n"', "1:8: unexpected character '\"'"),

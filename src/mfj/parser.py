@@ -106,6 +106,13 @@ _SUCC = (NominalType("Succ"),)
 _PRED_T = MethodType((), (), NAT_T, PURE)
 
 
+def _decimal(digits: str) -> int:
+    """``int(digits)``, capped at MAX_NUMERAL + 1.  ``int`` refuses thousands
+    of digits, so leading zeros (of any script) go first."""
+    digits = digits.lstrip("".join(c for c in set(digits) if int(c) == 0))
+    return int(digits or "0") if len(digits) <= len(str(MAX_NUMERAL)) else MAX_NUMERAL + 1
+
+
 def numeral(n: int) -> Obj:
     """The n-hat encoding; built exactly the way ``Nat.succ`` builds values."""
     v = Obj(_ZERO)
@@ -143,7 +150,7 @@ def numeral_value(v: Value) -> Optional[int]:
 
 def string_object(s: str) -> Obj:
     if s.isdecimal():
-        body = Return(numeral(int(s)))
+        body = Return(numeral(_decimal(s)))
     else:
         body = Call(Obj((NominalType("Failure", (NAT_T,)),)), "fail", (), ())
     return Obj(
@@ -459,11 +466,11 @@ class Parser:
         if kind == "num" or kind == "str":
             lit = text.strip('"')
             # a numeral, or a string's toNat result, is refused before it is built
-            if lit.isdecimal() and (len(lit.lstrip("0")) > len(str(MAX_NUMERAL))
-                                    or int(lit) > MAX_NUMERAL):
+            n = _decimal(lit) if lit.isdecimal() else None
+            if n is not None and n > MAX_NUMERAL:
                 self.error(f"numeral larger than {MAX_NUMERAL}")
             self.next()
-            return numeral(int(lit)) if kind == "num" else string_object(lit)
+            return numeral(n) if kind == "num" else string_object(lit)
         if kind == "fn":
             return self.parse_lambda()
         if kind == "typeid" or kind == "Object":

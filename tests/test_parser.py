@@ -78,7 +78,9 @@ def test_a_printed_numeral_is_classified_once(monkeypatch):
 def test_numerals_up_to_the_limit_parse_and_larger_ones_do_not():
     # deep-numeral tests need room up to 10**5
     assert MAX_NUMERAL > 10**5
-    assert parse_expr("return 0000000000000000000007") == Return(numeral(7))
+    for seven in ("0" * 5000 + "7", "٠٠٠٠٠٠٠٠٠٠٠٧"):
+        assert parse_expr(f"return {seven}") == Return(numeral(7))
+        assert parse_expr(f'return "{seven}"') == Return(string_object("7"))
     for src in (f"return {MAX_NUMERAL + 1}", f'return "0{MAX_NUMERAL + 1}"',
                 "return 1" + "0" * 5000):
         with pytest.raises(ParseError) as exc:

@@ -359,12 +359,10 @@ def test_zero_fuel_is_accepted(capsys):
 # -- depth --------------------------------------------------------------------
 
 @pytest.mark.parametrize("cmd", ["parse", "check", "run", "soundness"])
-@pytest.mark.parametrize("literal", ["9999999999999", '"9999999999999"',
-                                     str(MAX_NUMERAL + 1)])
-def test_a_numeral_above_the_limit_is_a_parse_error(tmp_path, cmd, literal):
+def test_a_numeral_above_the_limit_is_a_parse_error(tmp_path, cmd):
     # in a child process, so that building the numeral cannot hang pytest
     src = tmp_path / "big.mfj"
-    src.write_text(f"// a large numeral\nmain = return {literal}\n")
+    src.write_text("// a large numeral\nmain = return 9999999999999\n")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run([sys.executable, "-m", "mfj", cmd, str(src)],
                           env=env, capture_output=True, text=True, timeout=60)

@@ -17,14 +17,15 @@ from mfj.prelude import PRELUDE_TEXT
 from conftest import CORPUS
 from reference_tokenizer import reference_tokenize
 
-# token pieces, blanks and comments, the halves of two-character symbols,
-# and characters on both sides of the edge: ``٣`` is a decimal digit (``\d``
+# token pieces, blanks (a line separator among them, which is a blank but
+# starts no line) and comments, the halves of two-character symbols, and
+# characters on both sides of the edge: ``٣`` is a decimal digit (``\d``
 # matches it and ``int`` reads it), while ``²`` and ``É`` are not tokens
 PIECES = [
     "return", "do", "try", "with", "final", "continue", "stop", "pure", "top",
     "abs", "def", "mgc", "main", "fn", "Object", "x", "y1", "_", "_2", "X",
     "Nat", "0", "7", "42", "<|", "<:", "\\/", "->", "=>", *":,;.[]{}()<>=!",
-    "|", "\\", "/", "-", " ", "\t", "\n", "\r", " ", "//", '"', "٣", "²",
+    "|", "\\", "/", "-", " ", "\t", "\n", "\r", "\u2028", "//", '"', "٣", "²",
     "É", "@",
 ]
 sources = st.lists(st.sampled_from(PIECES), max_size=30).map("".join)

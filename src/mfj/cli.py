@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import itertools
-import json
 import sys
 from typing import Optional
 
@@ -32,7 +31,6 @@ from .evaluator import Diverged, Evaluator, PrefixExceeded, VRes
 from .monads import MONADS
 from .parser import ParseError, pretty, pretty_value
 from .prelude import load_program
-from .soundness import IllTypedProgram, SoundnessReport, check_soundness
 from .syntax import fv_expr
 from .typer import Checker
 
@@ -109,6 +107,8 @@ def _show_result(r) -> str:
 
 
 def cmd_check(args) -> int:
+    import json
+
     bad = 0
     out = []
     for path in args.files:
@@ -150,6 +150,8 @@ def _unbound(prog) -> Optional[str]:
 
 
 def _run(args) -> int:
+    import json
+
     prog = _load(args.files[0], not args.no_prelude)
     if prog.main is None:
         print("mfj run: program has no main expression", file=sys.stderr)
@@ -196,6 +198,8 @@ def _run(args) -> int:
 
 
 def cmd_soundness(args) -> int:
+    from .soundness import IllTypedProgram, SoundnessReport, check_soundness
+
     report = SoundnessReport()
     for path in args.files:
         with _depth_guard(path):

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 from .signatures import SigError, Sigs, UnboundTypeVar, env_key
 from .syntax import (
     MGC, TOP,
     Effect, NominalType, ObjType, Sig, Type, TypeVar,
-    eff_of, subst_eff,
+    eff_of, record, subst_eff,
 )
 
 
@@ -64,7 +63,7 @@ def _simplify(sigs, phi, eff) -> Effect:
     return eff_of(*out)
 
 
-@dataclass(frozen=True)
+@record
 class ClauseFilter:
     """The static image of one catch clause."""
 
@@ -74,7 +73,7 @@ class ClauseFilter:
     effect: Effect
 
 
-@dataclass(frozen=True)
+@record
 class HandlerFilter:
     """The static image of a handler: clause filters plus the final effect."""
 

@@ -27,7 +27,6 @@ An ``Evaluator`` lifts the pure stepper into a chosen monad:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from .monads import Monad, get_monad
@@ -36,7 +35,7 @@ from .reducer import Magic, mbody, pure_step
 from .signatures import Sigs
 from .syntax import (
     Call, Do, EffCall, Handler, Program, Return, Try, erase_type, node,
-    subst_expr,
+    record, subst_expr,
 )
 
 
@@ -45,7 +44,7 @@ from .syntax import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class VRes:
     value: Any
 
@@ -78,7 +77,7 @@ class TryFrame:
     below: Any
 
 
-@dataclass(frozen=True, init=False)
+@record
 class EConf:
     """An expression configuration: a focus and the frames around it."""
 
@@ -110,7 +109,7 @@ class EConf:
         return f"E {pretty_expr(self.expr)}"
 
 
-@dataclass(frozen=True)
+@record
 class RConf:
     result: Any  # VRes | WRONG
 
@@ -118,13 +117,13 @@ class RConf:
         return f"R {self.result!r}"
 
 
-@dataclass(frozen=True)
+@record
 class StepInfo:
     rule: str  # pure | catch-stop | catch-continue | fwd | mgc | ret
     mgc_atom: Optional[EffCall] = None
 
 
-@dataclass(frozen=True)
+@record
 class TraceLine:
     rule: str
     text: str

@@ -10,10 +10,11 @@ per-run memo tables cannot leak state across a toggle.
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, fields
+
+from .syntax import record
 
 
-@dataclass
+@record(frozen=False)
 class Faults:
     # cmatch scans clauses in reverse (last-match instead of first-match)
     reverse_clause_match: bool = False
@@ -29,7 +30,7 @@ class Faults:
 
 ACTIVE = Faults()
 
-NAMES = [f.name for f in fields(Faults)]
+NAMES = list(Faults._fields)
 
 
 @contextlib.contextmanager

@@ -17,13 +17,12 @@ is a subclass and an entry in ``MONADS``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from typing import Any, Callable, Iterable, Iterator, Optional
 
 from . import faults
-from .syntax import NominalType, Obj, Value
+from .syntax import NominalType, Obj, Value, record
 
 
 # ---------------------------------------------------------------------------
@@ -31,7 +30,7 @@ from .syntax import NominalType, Obj, Value
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class ExcValue:
     """Exception monad: a value, a raised exception name, or bottom."""
 
@@ -110,7 +109,7 @@ class LazyList:
         return "[" + ", ".join(map(repr, head)) + more + "]"
 
 
-@dataclass(frozen=True, init=False)
+@record
 class Dist:
     """A finite subdistribution: value -> positive rational, total <= 1."""
 
@@ -157,7 +156,7 @@ class Dist:
         return "{" + ", ".join(f"{w}: {v!r}" for v, w in self.weights) + "}"
 
 
-@dataclass(frozen=True)
+@record
 class IdValue:
     """Identity monad element, with an artificial flat bottom."""
 

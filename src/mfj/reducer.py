@@ -6,7 +6,6 @@ monadic layer (mfj.evaluator) handles them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from . import faults
@@ -14,11 +13,11 @@ from .signatures import SigError, Sigs
 from .syntax import (
     DEF, MGC, STOP,
     Call, Clause, Do, Handler, NominalType, Obj, ObjType, Return, Sig, Try,
-    Value, erase_type, subst_expr, subst_type,
+    Value, erase_type, record, restrict, subst_expr, subst_type,
 )
 
 
-@dataclass(frozen=True)
+@record
 class DefBody:
     """A found method body: ``<X..., self, params..., e>``."""
 
@@ -28,7 +27,7 @@ class DefBody:
     body: object
 
 
-@dataclass(frozen=True)
+@record
 class Magic:
     """The method resolved to a magic declaration in type ``typeName``."""
 
@@ -80,12 +79,10 @@ def _nominal_lookup(sigs, n: NominalType, m: str, walk):
         if md.name != m:
             continue
         if md.kind == DEF:
-            return DefBody(
-                tuple(x for x, _ in md.mtype.typeParams),
-                md.selfVar,
-                md.params,
-                subst_expr(md.body, sub, {}),
-            )
+            binders = tuple(x for x, _ in md.mtype.typeParams)
+            # the method's own binders shadow the declaration's
+            return DefBody(binders, md.selfVar, md.params,
+                           subst_expr(md.body, restrict(sub, binders), {}))
         if md.kind == MGC:
             return Magic(n.name)
         break  # abs: fall through to the parents

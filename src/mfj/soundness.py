@@ -25,7 +25,6 @@ configuration is plugged (``EConf.expr``) only to print a witness.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from itertools import compress, product
 from typing import Callable, List, Optional
 
@@ -35,6 +34,7 @@ from .signatures import SigError, Sigs
 from .syntax import (
     MGC, PURE,
     Effect, NominalType, ObjType, Program, Return, Type, eff_of, eff_union,
+    record,
 )
 from .typer import Checker, TypecheckError
 
@@ -104,7 +104,7 @@ class Denotation:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record(frozen=False)
 class EffectInterp:
     """A family of predicate liftings indexed by effects: the monad's forall
     lifting or, if ``may``, its exists lifting."""
@@ -137,7 +137,7 @@ def interps_for(monad_name: str, den: Denotation, prefix: int = 256,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Verdict:
     ok: bool
     witness: str = ""
@@ -330,7 +330,7 @@ class BrokenExcInterp(EffectInterp):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class CheckRecord:
     program: str
     monad: str
@@ -339,9 +339,12 @@ class CheckRecord:
     witness: str = ""
 
 
-@dataclass
+@record(frozen=False)
 class SoundnessReport:
-    records: List[CheckRecord] = field(default_factory=list)
+    records: List[CheckRecord]
+
+    def __init__(self, records: Optional[List[CheckRecord]] = None):
+        self.records = [] if records is None else records
 
     def add(self, *a, **kw):
         self.records.append(CheckRecord(*a, **kw))

@@ -17,7 +17,6 @@ cached on it the first time they are asked for.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, fields
 from typing import Iterable, Mapping, Optional
 
 ABS = "abs"
@@ -26,6 +25,21 @@ MGC = "mgc"
 
 CONTINUE = "continue"
 STOP = "stop"
+
+
+def record(cls=None, *, frozen=True):
+    """Make ``cls`` a record of the fields it annotates, in order.
+
+    Builds, except where ``cls`` defines its own: ``__init__`` (a class
+    attribute is a field's default), ``__repr__`` as ``Cls(f=...)``, ``==``
+    by class and fields, and for a ``frozen`` record a structural
+    ``__hash__`` and an ``__setattr__``/``__delattr__`` that refuse; a record
+    that is not frozen has no hash.
+    """
+    if cls is None:
+        return lambda c: _build(c, frozen, False)
+    return _build(cls, frozen, False)
+
 
 def node(cls):
     """Make ``cls`` an immutable, hash-consed syntax node.
@@ -37,28 +51,55 @@ def node(cls):
     returning the field tuple; the table is keyed on its result.  The tables
     hold every distinct node the process builds, for the life of the process.
     """
-    cls = dataclass(frozen=True, eq=False, init=False)(cls)
-    fs = fields(cls)
-    names = [f.name for f in fs]
-    if "canon" in cls.__dict__:
-        params, key = "*args, **kw", "cls.canon(*args, **kw)"
+    return _build(cls, True, True)
+
+
+def _build(cls, frozen: bool, hashcons: bool):
+    """Write ``record``'s or ``node``'s methods for ``cls`` in one ``exec``,
+    each one unless ``cls`` defines its own."""
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
+    # the fields' own signature, so that defaults and keywords cost no
+    # Python-level work on the hot path
+    params = ", ".join(f"{n}=_defaults[{n!r}]" if n in defaults else n
+                       for n in names)
+    mine = "(" + "".join(f"self.{n}, " for n in names) + ")"
+    shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
+    src = {"__repr__": "def __repr__(self):\n    return "
+                       f"f'{{self.__class__.__qualname__}}({shown})'\n"}
+    if frozen:
+        src["__setattr__"] = ("def __setattr__(self, name, value):\n    raise "
+                              "AttributeError(f'cannot assign to field {name!r}')\n")
+        src["__delattr__"] = ("def __delattr__(self, name):\n    raise "
+                              "AttributeError(f'cannot delete field {name!r}')\n")
+    if hashcons:
+        if "canon" in cls.__dict__:
+            params, key = "*args, **kw", "cls.canon(*args, **kw)"
+        else:
+            key = mine.replace("self.", "")
+        src["__new__"] = (f"def __new__(cls, {params}):\n"
+                          f"    key = {key}\n"
+                          "    n = _table.get(key)\n"
+                          "    if n is None:\n"
+                          "        n = _table[key] = _new(cls)\n"
+                          "        n.__dict__.update(zip(_names, key))\n"
+                          "    return n\n")
     else:
-        # the fields' own signature, so that defaults and keywords cost no
-        # Python-level work on the hot path
-        params = ", ".join(f.name if f.default is MISSING
-                           else f"{f.name}=_defaults[{f.name!r}]" for f in fs)
-        key = "(" + "".join(f"{n}, " for n in names) + ")"
-    ns = {"_table": {}, "_new": object.__new__, "_names": names,
-          "_defaults": {f.name: f.default for f in fs}}
-    exec(
-        f"def __new__(cls, {params}):\n"
-        f"    key = {key}\n"
-        f"    n = _table.get(key)\n"
-        f"    if n is None:\n"
-        f"        n = _table[key] = _new(cls)\n"
-        f"        n.__dict__.update(zip(_names, key))\n"
-        f"    return n\n", ns)
-    cls.__new__ = ns["__new__"]
+        src["__init__"] = (f"def __init__(self, {params}):\n"
+                           + "".join(f"    _set(self, {n!r}, {n})\n" for n in names))
+        src["__eq__"] = ("def __eq__(self, other):\n"
+                         "    if other.__class__ is not self.__class__:\n"
+                         "        return NotImplemented\n"
+                         f"    return {mine} == {mine.replace('self.', 'other.')}\n")
+        src["__hash__"] = (f"def __hash__(self):\n    return hash({mine})\n"
+                           if frozen else "__hash__ = None\n")
+    src = {k: code for k, code in src.items() if cls.__dict__.get(k) is None}
+    ns = {"_table": {}, "_new": object.__new__, "_set": object.__setattr__,
+          "_names": names, "_defaults": defaults}
+    exec("".join(src.values()), ns)
+    for k in src:
+        setattr(cls, k, ns[k])
+    cls._fields = names
     return cls
 
 
@@ -314,7 +355,7 @@ class TypeDecl:
     methods: tuple  # tuple[MethodDef, ...] in source order
 
 
-@dataclass(frozen=True, init=False)
+@record
 class Program:
     decls: tuple  # tuple[TypeDecl, ...]
     main: Optional[Expr]
@@ -492,7 +533,7 @@ def _fv_expr(e: Expr) -> frozenset:
 # ---------------------------------------------------------------------------
 
 
-def _restrict(sub: Mapping, bound: Iterable[str]) -> dict:
+def restrict(sub: Mapping, bound: Iterable[str]) -> dict:
     bound = set(bound)
     return {k: v for k, v in sub.items() if k not in bound}
 
@@ -514,14 +555,14 @@ def subst_type(t, sub: Mapping[str, Type]):
 
 
 def subst_mtype(mt: MethodType, sub: Mapping[str, Type]) -> MethodType:
-    sub = _restrict(sub, (x for x, _ in mt.typeParams))
+    sub = restrict(sub, (x for x, _ in mt.typeParams))
     if not sub:
         return mt
     scope = set()
     for v in sub.values():
         scope |= ftv_type(v)
     mt = open_binders(mt, (x for x, _ in mt.typeParams), scope)
-    sub = _restrict(sub, (x for x, _ in mt.typeParams))
+    sub = restrict(sub, (x for x, _ in mt.typeParams))
     return MethodType(
         tuple((x, subst_type(b, sub)) for x, b in mt.typeParams),
         tuple(subst_type(p, sub) for p in mt.paramTypes),
@@ -591,8 +632,8 @@ def _subst_methoddef(md: MethodDef, tsub, vsub) -> MethodDef:
     mt = subst_mtype(md.mtype, tsub)
     if md.body is None:
         return MethodDef(md.name, md.kind, mt)
-    body = subst_expr(md.body, _restrict(tsub, (x for x, _ in md.mtype.typeParams)),
-                      _restrict(vsub, (md.selfVar, *md.params)))
+    body = subst_expr(md.body, restrict(tsub, (x for x, _ in md.mtype.typeParams)),
+                      restrict(vsub, (md.selfVar, *md.params)))
     return MethodDef(md.name, md.kind, mt, md.selfVar, md.params, body)
 
 
@@ -618,19 +659,19 @@ def subst_expr(e: Expr, tsub: Mapping[str, Type], vsub: Mapping[str, Value]) -> 
         return Return(subst_value(e.value, tsub, vsub))
     if isinstance(e, Do):
         return Do(e.var, subst_expr(e.first, tsub, vsub),
-                  subst_expr(e.rest, tsub, _restrict(vsub, (e.var,))))
+                  subst_expr(e.rest, tsub, restrict(vsub, (e.var,))))
     if isinstance(e, Try):
         h = e.handler
         return Try(subst_expr(e.body, tsub, vsub), Handler(
             tuple(_subst_clause(c, tsub, vsub) for c in h.clauses),
             h.finalVar,
-            subst_expr(h.finalExpr, tsub, _restrict(vsub, (h.finalVar,)))))
+            subst_expr(h.finalExpr, tsub, restrict(vsub, (h.finalVar,)))))
     raise TypeError(f"not an expression: {e!r}")
 
 
 def _subst_clause(c: Clause, tsub, vsub) -> Clause:
-    body = subst_expr(c.body, _restrict(tsub, c.typeParams or ()),
-                      _restrict(vsub, (c.selfVar, *c.params)))
+    body = subst_expr(c.body, restrict(tsub, c.typeParams or ()),
+                      restrict(vsub, (c.selfVar, *c.params)))
     return Clause(subst_type(c.ntype, tsub), c.method, c.typeParams,
                   c.selfVar, c.params, body, c.mode)
 

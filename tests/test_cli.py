@@ -309,6 +309,35 @@ def test_python_dash_m_runs_the_cli():
     assert done.stdout == "main = 2.sum(3)\n"
 
 
+IMPORT_BOUNDARY = """
+import sys
+def loaded():
+    print("loaded", sorted({"dataclasses", "mfj.soundness"} & set(sys.modules)))
+import mfj
+mfj.prelude_program()
+loaded()
+from mfj import cli
+cli.main(["run", "corpus/nat_sum.mfj"])
+loaded()
+cli.main(["check", "corpus/nat_sum.mfj"])
+loaded()
+cli.main(["soundness", "corpus/nat_sum.mfj"])
+from mfj import SoundnessReport, check_soundness
+print(check_soundness.__name__, SoundnessReport().ok, mfj.soundness.interps_for.__name__)
+"""
+
+
+def test_run_and_check_load_neither_dataclasses_nor_the_soundness_harness():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", IMPORT_BOUNDARY], cwd=ROOT,
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "loaded []", "5", "loaded []", "corpus/nat_sum.mfj: ok", "loaded []",
+        "4 checks, 0 failures",
+        "check_soundness True interps_for"]
+
+
 # -- options ------------------------------------------------------------------
 
 @pytest.mark.parametrize("argv", [

@@ -3,6 +3,8 @@
 import pytest
 
 from mfj import faults
+from mfj.evaluator import Evaluator, VRes
+from mfj.monads import TRUE, get_monad
 from mfj.parser import numeral, parse_expr, pretty_expr
 from mfj.prelude import load_program, prelude_program
 from mfj.reducer import (
@@ -12,7 +14,6 @@ from mfj.signatures import Sigs
 from mfj.syntax import (
     Call, Do, NominalType, Obj, Return, Try, TypeVar, Var, nominal, subst_expr,
 )
-from mfj.monads import TRUE
 
 MY_EXC = Obj((NominalType("MyException"),))
 
@@ -70,6 +71,19 @@ def test_mbody_finds_a_diamond_method_along_both_paths():
 def test_mbody_substitutes_declaration_parameters(sigs):
     r = mbody(sigs, Obj((NominalType("Failure", (nominal("Nat"),)),)), "fail")
     assert r == Magic("Failure")
+
+
+@pytest.mark.parametrize("monad", ["exc", "list", "dist", "id"])
+@pytest.mark.parametrize("binder", ["X", "Y"])
+def test_an_inherited_body_keeps_the_methods_own_binders(binder, monad):
+    # C's X is shadowed by m's X: C[Bool] must not turn Failure[X] into
+    # Failure[Bool], or the clause misses the failure it should catch
+    prog = load_program(
+        f"C[{binder}] {{ m : def [X] -> Nat ! top <_, try Failure[Nat].fail() "
+        "with Failure[X].fail : <_, return 7> stop> } "
+        "main = C[Bool]{}.m[Nat]()")
+    m = Evaluator(prog, monad).finitary(prog.main, 1000)
+    assert get_monad(monad).elements(m, 4) == [VRes(numeral(7))]
 
 
 # -- instance checks ----------------------------------------------------------

@@ -3,7 +3,9 @@
 import pytest
 
 from mfj import faults
-from mfj.parser import parse_effect, parse_program, parse_type
+from mfj.evaluator import Evaluator, VRes
+from mfj.monads import Pure
+from mfj.parser import numeral, parse_effect, parse_program, parse_type
 from mfj.prelude import load_program
 from mfj.signatures import (
     ConflictError, CyclicInheritance, NoSuchMethod, OverrideError, Sigs,
@@ -246,6 +248,32 @@ def test_sub_eff_receiver_covariance(sigs):
     sup = parse_effect("Exception.throw[Nat]")
     assert sigs.sub_eff({}, sub, sup)
     assert not sigs.sub_eff({}, sup, sub)
+
+
+SUB_VAR_CALL = """
+G { go : abs -> Nat ! MyException.throw[Nat] }
+H <| G { go : def -> Nat ! pure <_, return 3> }
+K { m : def [Z <: G] Z -> Nat ! @ <_ z, z.go()> }
+main = K{}.m[H](H{})
+"""
+
+
+def test_sub_var_call_replaces_a_variable_receiver_by_its_bound():
+    # z.go() has the effect Z.go, which is below Exception.throw[Nat] only
+    # through Z's bound G
+    prog = load_program(SUB_VAR_CALL.replace("@", "Exception.throw[Nat]"))
+    assert Checker(prog).check_program() == []
+    assert Evaluator(prog, "exc").finitary(prog.main, 100) == Pure(VRes(numeral(3)))
+    assert check_soundness(prog, "exc").ok
+
+
+def test_sub_var_call_does_not_make_a_call_effect_pure():
+    diags = Checker(load_program(SUB_VAR_CALL.replace("@", "pure"))).check_program()
+    assert [str(d) for d in diags] == [
+        "[BodyEffectMismatch/t-meth] body of 'K.m' has effect "
+        "Effect(atoms={EffCall(receiver=TypeVar(name='Z'), method='go', "
+        "targs=())}, top=False), not below the declared "
+        "Effect(atoms={}, top=False)"]
 
 
 # -- declaration signatures ---------------------------------------------------

@@ -374,16 +374,6 @@ class Program:
     def decl(self, name: str) -> Optional[TypeDecl]:
         return self._by_name.get(name)
 
-    def __hash__(self):
-        return hash((self.decls, self.main))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Program)
-            and self.decls == other.decls
-            and self.main == other.main
-        )
-
     def extend(self, other: "Program") -> "Program":
         """This program's decls followed by ``other``'s; other's main wins."""
         return Program(self.decls + other.decls, other.main or self.main)

@@ -107,8 +107,6 @@ def _show_result(r) -> str:
 
 
 def cmd_check(args) -> int:
-    import json
-
     bad = 0
     out = []
     for path in args.files:
@@ -124,6 +122,8 @@ def cmd_check(args) -> int:
         elif not args.json:
             print(f"{path}: ok")
     if args.json:
+        import json
+
         print(json.dumps(out, indent=2))
     return 1 if bad else 0
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from mfj.cli import main as cli_main
 from mfj.evaluator import EConf, Evaluator, VRes, WRONG
 from mfj.monads import (
     MONADS, Dist, LazyList, ListMonad, Pure, Raised, get_monad,
@@ -320,3 +321,40 @@ def test_report_serialization():
     s = rep.summary()
     assert s.startswith("2 checks, 1 failures")
     assert "FAIL p/exc/finitary/exc: bad" in s
+
+
+# -- what a raise raises ------------------------------------------------------
+
+# a raise is named after the receiver's parent that supplies the magic
+# method, which is also how its effect's excSet reads it
+RAISES = {
+    "throw-through-a-second-parent": (
+        "main = Failure[Nat] MyException { }.throw[Nat]()\n", "raise MyE"),
+    "fail-of-a-subclass": (
+        "MyFailure <| Failure[Nat] { }\nmain = MyFailure.fail()\n",
+        "raise MyFailure"),
+}
+
+
+@pytest.mark.parametrize("name", RAISES)
+def test_a_raise_is_named_after_the_parent_that_supplies_it(
+        name, tmp_path, capsys):
+    source, printed = RAISES[name]
+    path = tmp_path / f"{name}.mfj"
+    path.write_text(source)
+    assert cli_main(["check", str(path)]) == 0
+    assert cli_main(["run", str(path), "--monad", "exc"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == printed
+    rep = check_soundness(load_program(source), "exc", name=name)
+    assert rep.failures() == [], rep.summary()
+
+
+def test_a_failure_clause_catches_the_fail_of_a_subclass():
+    prog = load_program(
+        "MyFailure <| Failure[Nat] { }\n"
+        "main = try MyFailure.fail()\n"
+        "       with Failure[Nat].fail : <x, return 0> stop\n")
+    assert Checker(prog).check_program() == []
+    res = Evaluator(prog, "exc").finitary(prog.main)
+    assert res == Pure(VRes(numeral(0)))
+    assert check_soundness(prog, "exc").ok

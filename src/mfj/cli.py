@@ -27,14 +27,14 @@ import itertools
 import sys
 from typing import Optional
 
-from .evaluator import Diverged, Evaluator, PrefixExceeded, VRes
+from .evaluator import (
+    APPROX, FUEL, PREFIX, Diverged, Evaluator, PrefixExceeded, VRes,
+)
 from .monads import MONADS
 from .parser import ParseError, pretty, pretty_value
 from .prelude import load_program
 from .syntax import fv_expr
 from .typer import Checker
-
-FUEL = 10000
 
 
 def count(text: str) -> int:
@@ -54,13 +54,13 @@ def _arg_parser() -> argparse.ArgumentParser:
         sp.add_argument("files", nargs="+", help="source files (.mfj)")
     for sp in (run, snd):
         sp.add_argument("--monad", default="exc", choices=list(MONADS))
-        sp.add_argument("--prefix", type=count, default=256)
+        sp.add_argument("--prefix", type=count, default=PREFIX)
     run.add_argument("--fuel", type=count, default=None,
                      help=f"step bound (default {FUEL}); not with --approx")
     snd.add_argument("--fuel", type=count, default=FUEL)
     run.add_argument("--approx", type=count, default=None,
                      help="report the N-step approximation instead")
-    snd.add_argument("--approx", type=count, default=64,
+    snd.add_argument("--approx", type=count, default=APPROX,
                      help="length of the approximation chain to check")
     snd.add_argument("--interp", choices=["forall", "exists"], default=None)
     run.add_argument("--trace", action="store_true")

@@ -16,7 +16,8 @@ An ``Evaluator`` lifts the pure stepper into a chosen monad:
   a magic call, or do-return), looking only at the focus and its top frame,
   so a step costs the same at any context depth;
 * ``run_magic`` gives a magic call its result straight from the monad's
-  ``magic`` table, the one place a magic method gets its meaning;
+  ``magic`` table, the one place a magic method gets its meaning, from the
+  lookup ``mon_step`` has done;
 * ``step_config_traced``/``big_step`` run the step on configurations
   ``E e | R r``;
 * ``finitary`` iterates to a monadic *result* under a fuel bound and a
@@ -144,6 +145,9 @@ class PrefixExceeded(Exception):
 
 _CLAUSE_RULES = ("catch-stop", "catch-continue", "fwd")
 
+# a run's default step bound, prefix/support bound and approximation length
+FUEL, PREFIX, APPROX = 10000, 256, 64
+
 
 # ---------------------------------------------------------------------------
 # The evaluator
@@ -152,7 +156,7 @@ _CLAUSE_RULES = ("catch-stop", "catch-continue", "fwd")
 
 class Evaluator:
     def __init__(self, program: Program, monad: str = "exc",
-                 prefix: int = 256):
+                 prefix: int = PREFIX):
         self.program = program
         self.sigs = Sigs(program)
         self.monad: Monad = get_monad(monad)
@@ -182,7 +186,7 @@ class Evaluator:
             return self.monad.unit(EConf(e2, below)), StepInfo(label)
         # under a try, a magic call or a return has taken a pure rule above
         if isinstance(found, Magic):
-            mv = self.run_magic(f)
+            mv = self.run_magic(f, found)
             if mv is None:
                 return None
             atom = EffCall(erase_type(f.recv), f.method, f.targs)
@@ -193,14 +197,15 @@ class Evaluator:
             return self.monad.unit(EConf(e2, top.below)), StepInfo("ret")
         return None
 
-    def run_magic(self, call: Call):
-        """The monadic result of ``call``, whose method is magic: the monad's
-        ``magic`` entry for the method, or None (stuck) when the monad has
-        none or the call passes arguments."""
+    def run_magic(self, call: Call, found: Magic):
+        """The monadic result of ``call``, whose method ``mbody`` has
+        ``found`` magic: the monad's ``magic`` entry for the method, given
+        the name of the type it was found through, or None (stuck) when the
+        monad has none or the call passes arguments."""
         result = self.monad.magic.get(call.method)
         if result is None or call.args:
             return None
-        return result(call.recv)
+        return result(found.typeName)
 
     def step_config_traced(self, c) -> tuple:
         """stepConfig with its rule label: (monadic configurations, label)."""
@@ -241,7 +246,7 @@ class Evaluator:
                 f"more than {self.prefix} branches; raise --prefix")
         return elems
 
-    def finitary(self, e, fuel: int = 10000,
+    def finitary(self, e, fuel: int = FUEL,
                  trace: Optional[Callable[[TraceLine], Any]] = None):
         """Iterate ``big_step`` until every branch is a result.
 

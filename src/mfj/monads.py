@@ -7,12 +7,12 @@ evaluator, the soundness harness and the CLI name no monad.  The hooks:
 the monad (``unit``, ``bind``, ``map_m``, and ``bind_unless``, a bind that
 passes finished elements through) and its order (``bottom``, ``is_bottom``,
 ``leq``); observation (``elements``, ``force``, ``show`` for a trace line,
-``render`` for a result); ``magic``, the results of its magic methods and
-the only place they get a meaning; its predicate liftings (``quantifiers``,
-``forall`` with its test ``allowed`` on outcomes that are not elements,
-``exists``, and ``raise_witness`` for a raised outcome of a step); and
-``law_samples`` and ``outer_samples`` for the lifting laws.  Adding a monad
-is a subclass and an entry in ``MONADS``.
+``render`` for a result); ``magic``, the only place its magic methods get
+a meaning, each given the name of the type the method was found through;
+``quantifiers`` (which of forall and exists it has) and ``allowed``, its one
+lifting hook (``soundness.EffectInterp.lift`` builds both liftings from
+``elements`` and ``allowed``); and ``law_samples`` and ``outer_samples`` for
+the lifting laws.  Adding a monad is a subclass and an entry in ``MONADS``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from itertools import islice
 from typing import Any, Callable, Iterable, Iterator, Optional
 
 from . import faults
-from .syntax import NominalType, Obj, Value, record
+from .syntax import NominalType, Obj, record
 
 
 # ---------------------------------------------------------------------------
@@ -174,12 +174,9 @@ ID_BOTTOM = IdValue("bottom")
 EXC_NAMES = {"Exception": "E", "MyException": "MyE", "Failure": "Fail"}
 
 
-def exc_name_of(v: Value) -> str:
-    """The exception name associated with an exception object."""
-    if isinstance(v, Obj) and v.parents:
-        n = v.parents[0].name
-        return EXC_NAMES.get(n, n)
-    return "E"
+def exc_name(type_name: str) -> str:
+    """The name of the exception raised through the type ``type_name``."""
+    return EXC_NAMES.get(type_name, type_name)
 
 
 TRUE = Obj((NominalType("True"),))
@@ -200,7 +197,7 @@ class Monad:
     name: str
     # the predicate liftings it has, forall first
     quantifiers: tuple = ("forall", "exists")
-    # magic method name -> (receiver -> monadic value)
+    # magic method -> (name of the type it is found through -> monadic value)
     magic: dict = {}
 
     def unit(self, x):
@@ -246,39 +243,8 @@ class Monad:
         raise NotImplementedError
 
     def allowed(self, den, eff) -> Optional[Callable]:
-        """``(m, elements) -> bool`` on the rest of ``m``; None: all pass."""
-        return None
-
-    def forall(self, den, eff, pred: Callable, prefix: int) -> Callable:
-        """Every element satisfies ``pred``; ``eff`` allows the rest."""
-        # plain loops: cheaper than any/all over map on these short lists
-        elements, allowed = self.elements, self.allowed(den, eff)
-
-        def every(m) -> bool:
-            elems = elements(m, prefix)
-            if allowed is not None and not allowed(m, elems):
-                return False
-            for x in elems:
-                if not pred(x):
-                    return False
-            return True
-
-        return every
-
-    def exists(self, pred: Callable, prefix: int) -> Callable:
-        """Some observed element satisfies ``pred``."""
-        elements = self.elements
-
-        def some(m) -> bool:
-            for x in elements(m, prefix):
-                if pred(x):
-                    return True
-            return False
-
-        return some
-
-    def raise_witness(self, den, eff, m) -> Optional[str]:
-        """Why a step's outcome ``m`` raises what ``eff`` does not allow."""
+        """``(m, elements) -> bool``: does ``eff`` allow what ``m`` is beyond
+        its ``elements``?  None: every outcome is allowed."""
         return None
 
     def law_samples(self, X) -> list:
@@ -293,8 +259,8 @@ class Monad:
 class ExcMonad(Monad):
     name = "exc"
     quantifiers = ("forall",)
-    magic = {"throw": lambda recv: Raised(exc_name_of(recv)),
-             "fail": lambda recv: Raised("Fail")}
+    magic = dict.fromkeys(("throw", "fail"),
+                          lambda type_name: Raised(exc_name(type_name)))
 
     def unit(self, x):
         return Pure(x)
@@ -320,25 +286,14 @@ class ExcMonad(Monad):
             return show_elem(m.payload)
         return f"raise {m.payload}" if m.tag == "raised" else "bottom"
 
-    def forall(self, den, eff, pred, prefix):
-        # the one element is read directly, not through elements
+    def allowed(self, den, eff):
         names = den.exc_set(eff)
-
-        def every(m) -> bool:
-            if m.tag == "pure":
-                return pred(m.payload)
-            return m.tag == "bottom" or names is None or m.payload in names
-
-        return every
-
-    def raise_witness(self, den, eff, m):
-        # forall decides a raise without calling pred
-        if m.tag == "raised" and not self.forall(den, eff, None, 0)(m):
-            return f"raised {m.payload} outside excSet({eff!r})"
-        return None
+        if names is None:
+            return None
+        return lambda m, elems: m.tag != "raised" or m.payload in names
 
     def law_samples(self, X):
-        return ([Pure(x) for x in X] + [Raised(n) for n in EXC_NAMES.values()]
+        return ([Pure(x) for x in X] + [Raised(exc_name(n)) for n in EXC_NAMES]
                 + [EXC_BOTTOM])
 
     def outer_samples(self, samples):
@@ -348,7 +303,7 @@ class ExcMonad(Monad):
 
 class ListMonad(Monad):
     name = "list"
-    magic = {"choose": lambda recv: LazyList.of(TRUE, FALSE)}
+    magic = {"choose": lambda type_name: LazyList.of(TRUE, FALSE)}
 
     def unit(self, x):
         return LazyList.of(x)
@@ -380,11 +335,10 @@ class ListMonad(Monad):
     def is_bottom(self, m):
         return not m.take(1)
 
-    def leq(self, a, b, bound: int = 1024):
-        """Prefix order, decided on observed prefixes."""
-        pa = a.take(bound)
-        pb = b.take(bound)
-        return pa == pb[: len(pa)]
+    def leq(self, a, b):
+        """Prefix order, decided on the first 1024 elements."""
+        pa = a.take(1024)
+        return pa == b.take(1024)[: len(pa)]
 
     def elements(self, m, bound):
         return m.take(bound)
@@ -415,7 +369,7 @@ class ListMonad(Monad):
 
 class DistMonad(Monad):
     name = "dist"
-    magic = {"choose": lambda recv: _COIN}
+    magic = {"choose": lambda type_name: _COIN}
 
     def unit(self, x):
         return Dist._trusted([(x, _ONE)])
@@ -499,9 +453,6 @@ class IdMonad(Monad):
 
     def render(self, m, show_elem, bound):
         return "bottom" if m.tag == "bottom" else show_elem(m.payload)
-
-    def forall(self, den, eff, pred, prefix):
-        return lambda m: m.tag == "bottom" or pred(m.payload)
 
     def law_samples(self, X):
         return [IdValue("val", x) for x in X] + [ID_BOTTOM]

@@ -29,7 +29,8 @@ class DefBody:
 
 @record
 class Magic:
-    """The method resolved to a magic declaration in type ``typeName``."""
+    """The method resolved to a magic declaration, found through the
+    receiver's parent ``typeName``: what a raise raises is named after it."""
 
     typeName: str
 
@@ -54,13 +55,14 @@ def mbody(sigs: Sigs, v: Value, m: str) -> Optional[Union[DefBody, Magic]]:
 
 
 def _parents_lookup(sigs, parents, m, walk=frozenset()):
-    """The method ``m`` found above ``parents``; ``walk`` holds the names of
-    the declarations on the way here, so a cyclic hierarchy finds nothing."""
+    """The method ``m`` found above ``parents``, a magic one named after the
+    parent it was found through; ``walk`` holds the names of the
+    declarations on the way here, so a cyclic hierarchy finds nothing."""
     found = []
     for p in parents:
         r = _nominal_lookup(sigs, p, m, walk)
         if r is not None:
-            found.append(r)
+            found.append(Magic(p.name) if isinstance(r, Magic) else r)
     if not found:
         return None
     if len(found) > 1:

@@ -7,8 +7,9 @@ The theorems become decidable checks over observed prefixes and supports:
 * ``Denotation`` gives the exception-set and nondeterminism-flag readings of
   a ground simplified effect;
 * ``EffectInterp`` is a predicate lifting ``(effect, predicate on X) ->
-  predicate on M X``: a monad's forall or exists lifting (``Monad.forall``,
-  ``Monad.exists``) over one denotation;
+  predicate on M X``: the forall or exists lifting of a monad's
+  ``elements``, the forall one also asking the monad's ``allowed`` of the
+  rest of an outcome, over one denotation;
 * ``type_monadic_result`` types a monadic result value against ``T ! eff``;
 * ``check_progress`` / ``check_lifted_step`` monitor a single reduction of
   an evaluator configuration (``EConf``);
@@ -28,12 +29,12 @@ import json
 from itertools import compress, product
 from typing import Callable, List, Optional
 
-from .evaluator import Diverged, EConf, Evaluator, VRes
-from .monads import EXC_METHODS, EXC_NAMES, ND_METHODS, Monad, get_monad
+from .evaluator import APPROX, FUEL, PREFIX, Diverged, EConf, Evaluator, VRes
+from .monads import EXC_METHODS, ND_METHODS, Monad, exc_name, get_monad
 from .signatures import SigError, Sigs
 from .syntax import (
     MGC, PURE,
-    Effect, NominalType, ObjType, Program, Return, Type, eff_of, eff_union,
+    Effect, ObjType, Program, Return, Type, eff_of, eff_union,
     record,
 )
 from .typer import Checker, TypecheckError
@@ -59,8 +60,6 @@ class Denotation:
         """Parent names of the receiver; None means 'any' (Object)."""
         if isinstance(t, ObjType):
             return {p.name for p in t.parents} or None
-        if isinstance(t, NominalType):
-            return {t.name}
         raise UnknownAtom(f"non-ground effect receiver {t!r}")
 
     def _name_leq(self, name: str, uppers: Optional[set]) -> bool:
@@ -89,7 +88,7 @@ class Denotation:
                 if self._has_mgc(decl.name, a.method) and self._name_leq(
                     decl.name, uppers
                 ):
-                    out.add(EXC_NAMES.get(decl.name, decl.name))
+                    out.add(exc_name(decl.name))
         self._exc_sets[eff] = frozenset(out)
         return self._exc_sets[eff]
 
@@ -113,15 +112,36 @@ class EffectInterp:
     monad: Monad
     den: Denotation
     may: bool = False  # if set, type_monadic_result tolerates a bottom result
-    prefix: int = 256
+    prefix: int = PREFIX
 
     def lift(self, eff: Effect, pred: Callable) -> Callable:
+        """Some observed element satisfies ``pred`` (``may``), or every one
+        does and ``eff`` allows the rest (``Monad.allowed``).  Plain loops:
+        cheaper than any/all over map on these short lists."""
+        elements, prefix = self.monad.elements, self.prefix
         if self.may:
-            return self.monad.exists(pred, self.prefix)
-        return self.monad.forall(self.den, eff, pred, self.prefix)
+            def some(m) -> bool:
+                for x in elements(m, prefix):
+                    if pred(x):
+                        return True
+                return False
+
+            return some
+        allowed = self.monad.allowed(self.den, eff)
+
+        def every(m) -> bool:
+            elems = elements(m, prefix)
+            if allowed is not None and not allowed(m, elems):
+                return False
+            for x in elems:
+                if not pred(x):
+                    return False
+            return True
+
+        return every
 
 
-def interps_for(monad_name: str, den: Denotation, prefix: int = 256,
+def interps_for(monad_name: str, den: Denotation, prefix: int = PREFIX,
                 which: Optional[str] = None) -> List[EffectInterp]:
     """The interpretations applicable to a monad; ``which`` narrows
     'forall'/'exists' for a monad that has both."""
@@ -171,8 +191,7 @@ def type_monadic_result(checker: Checker, interp: EffectInterp, mres,
     return interp.lift(eff, well_typed)(mres)
 
 
-def check_progress(checker: Checker, ev: Evaluator, c: EConf,
-                   stepped) -> Verdict:
+def check_progress(c: EConf, stepped) -> Verdict:
     """Well-typed closed configurations are returns or can step; ``stepped``
     is ``ev.mon_step(c)``."""
     if isinstance(c.focus, Return) and c.frames is None:
@@ -183,29 +202,32 @@ def check_progress(checker: Checker, ev: Evaluator, c: EConf,
 
 
 def check_lifted_step(checker: Checker, den: Denotation, ev: Evaluator,
-                      c: EConf, T: Type, eff: Effect, stepped,
-                      prefix: int = 256) -> Verdict:
-    """Monadic subject reduction for one step of ``c : T ! eff``, whose
-    result ``ev.mon_step(c)`` is ``stepped``.
+                      T: Type, eff: Effect, stepped,
+                      prefix: int = PREFIX) -> Verdict:
+    """Monadic subject reduction for one step of a configuration of type
+    ``T ! eff``, whose result ``ev.mon_step`` is ``stepped``.
 
     Every configuration in the step result must retype at some T' ! eff'
     with T' <= T and ehat v eff' <= eff, where ehat is the canonical
-    call-effect of a magic step (and pure otherwise); a raised exception
-    must be in ``den``'s excSet of the effect.
+    call-effect of a magic step (and pure otherwise); the outcome of a magic
+    step must be one the monad's ``allowed`` test passes under the effect.
+    The outcome of any other step is a unit, which every lifting allows.
     """
     if stepped is None:
         return PASS  # no step: nothing to preserve
     mv, info = stepped
-    ehat = eff_of(info.mgc_atom) if info.mgc_atom is not None else PURE
-    if info.mgc_atom is not None and not checker.sigs.sub_eff({}, ehat, eff):
-        return Verdict(
-            False,
-            f"magic step raises {info.mgc_atom!r}, not allowed by {eff!r}",
-        )
-    witness = ev.monad.raise_witness(den, eff, mv)
-    if witness is not None:
-        return Verdict(False, witness)
-    for c2 in ev.monad.elements(mv, prefix):
+    monad, ehat = ev.monad, PURE
+    elems = monad.elements(mv, prefix)
+    if info.mgc_atom is not None:
+        ehat = eff_of(info.mgc_atom)
+        if not checker.sigs.sub_eff({}, ehat, eff):
+            return Verdict(False, f"magic step raises {info.mgc_atom!r}, "
+                                  f"not allowed by {eff!r}")
+        allowed = monad.allowed(den, eff)
+        if allowed is not None and not allowed(mv, elems):
+            return Verdict(False, f"magic step outcome {monad.show(mv, prefix)}"
+                                  f" not allowed by {eff!r}")
+    for c2 in elems:
         try:
             t2, f2 = checker.type_conf(c2)
         except TypecheckError as err:
@@ -317,8 +339,8 @@ class BrokenExcInterp(EffectInterp):
     """A deliberately broken interpretation: excSet(top) is empty, so
     widening an effect to top can shrink the lifted predicate (law 2)."""
 
-    def __init__(self, den, prefix=256):
-        super().__init__("exc", get_monad("exc"), den, False, prefix)
+    def __init__(self, den):
+        super().__init__("exc", get_monad("exc"), den)
 
     def lift(self, eff, pred):
         # top read as pure, whose excSet is empty
@@ -375,8 +397,8 @@ class IllTypedProgram(Exception):
 
 
 def check_soundness(program: Program, monad_name: str, *, name: str = "main",
-                    fuel: int = 10000, approx_to: int = 64,
-                    prefix: int = 256, which: Optional[str] = None,
+                    fuel: int = FUEL, approx_to: int = APPROX,
+                    prefix: int = PREFIX, which: Optional[str] = None,
                     report: Optional[SoundnessReport] = None) -> SoundnessReport:
     """Run every dynamic soundness check for one program under one monad."""
     rep = report if report is not None else SoundnessReport()
@@ -409,14 +431,14 @@ def check_soundness(program: Program, monad_name: str, *, name: str = "main",
             steps_ok = False
             continue
         stepped = ev.mon_step(cur)
-        v = check_progress(checker, ev, cur, stepped)
+        v = check_progress(cur, stepped)
         if not v:
             rep.add(name, monad_name, "progress", False, v.witness)
             steps_ok = False
         if stepped is None:
             continue
         budget -= 1
-        v = check_lifted_step(checker, den, ev, cur, t, f, stepped, prefix)
+        v = check_lifted_step(checker, den, ev, t, f, stepped, prefix)
         if not v:
             rep.add(name, monad_name, "subject-reduction", False, v.witness)
             steps_ok = False

@@ -276,25 +276,18 @@ class Checker:
 
         typed = [self._type_clause(phi, gamma, c) for c in h.clauses]
 
-        # the handler's result type T'': the final expression's type, unless a
-        # stop clause forces a join among declared nominals
+        # the result type T'': t_final or a join above every stop-clause body
+        # type under phi, so t-stop holds under each phi2 (phi + fresh binders)
         t2 = t_final
         stop_types = [tb for (c, _, _, tb, _) in typed if c.mode == STOP]
         if not all(self.sigs.sub_type(phi, tb, t2) for tb in stop_types):
             t2 = self._join(phi, [t_final, *stop_types])
         for c, mt, phi2, tb, _ in typed:
-            if c.mode == CONTINUE:
-                if not self.sigs.sub_type(phi2, tb, mt.ret):
-                    raise TypecheckError(
-                        "ClauseTypeMismatch", "t-continue",
-                        f"continue-clause body for {c.method!r} has type "
-                        f"{tb!r}, not a subtype of the magic result {mt.ret!r}")
-            else:
-                if not self.sigs.sub_type(phi2, tb, t2):
-                    raise TypecheckError(
-                        "ClauseTypeMismatch", "t-stop",
-                        f"stop-clause body for {c.method!r} has type {tb!r}, "
-                        f"not a subtype of the handler type {t2!r}")
+            if c.mode == CONTINUE and not self.sigs.sub_type(phi2, tb, mt.ret):
+                raise TypecheckError(
+                    "ClauseTypeMismatch", "t-continue",
+                    f"continue-clause body for {c.method!r} has type "
+                    f"{tb!r}, not a subtype of the magic result {mt.ret!r}")
         filters = tuple(
             ClauseFilter(c.ntype, c.method, tuple(x for x, _ in mt.typeParams),
                          beff)

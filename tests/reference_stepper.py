@@ -23,9 +23,10 @@ def reference_step(ev, e):
         label = rule if rule in _CLAUSE_RULES else "pure"
         return ev.monad.unit(e2), StepInfo(label)
     if isinstance(e, Call):
-        if not isinstance(mbody(ev.sigs, e.recv, e.method), Magic):
+        found = mbody(ev.sigs, e.recv, e.method)
+        if not isinstance(found, Magic):
             return None
-        mv = ev.run_magic(e)
+        mv = ev.run_magic(e, found)
         if mv is None:
             return None
         atom = EffCall(erase_type(e.recv), e.method, e.targs)

@@ -89,6 +89,14 @@ def test_monad_clients_name_no_monad(module):
     assert breaches(path.read_text()) == []
 
 
+@pytest.mark.parametrize("name", sorted(MONADS))
+def test_a_monad_lifts_only_through_allowed(name):
+    # both quantifiers are soundness.EffectInterp.lift, over elements and
+    # allowed; no monad, nor the Monad base, has a lifting of its own
+    own = {attr for cls in type(MONADS[name]).__mro__ for attr in vars(cls)}
+    assert own.isdisjoint({"forall", "exists", "raise_witness"})
+
+
 # -- a fifth monad: counting writer ------------------------------------------
 
 @dataclass(frozen=True)
@@ -105,7 +113,7 @@ class TickMonad(Monad):
 
     name = "tick"
     quantifiers = ("forall",)
-    magic = {"tick": lambda recv: Counted(TRUE, 1)}
+    magic = {"tick": lambda type_name: Counted(TRUE, 1)}
 
     def unit(self, x):
         return Counted(x, 0)

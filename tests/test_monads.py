@@ -10,10 +10,11 @@ from mfj import faults
 from mfj.evaluator import EConf, Evaluator
 from mfj.monads import (
     EXC_BOTTOM, ID_BOTTOM, MONADS, TRUE, FALSE,
-    Dist, ExcValue, IdValue, LazyList, Pure, Raised, exc_name_of, get_monad,
+    Dist, ExcValue, IdValue, LazyList, Pure, Raised, get_monad,
 )
 from mfj.parser import numeral
-from mfj.prelude import prelude_program
+from mfj.prelude import load_program, prelude_program
+from mfj.reducer import Magic, mbody
 from mfj.syntax import Call, NominalType, Obj, nominal
 
 
@@ -319,20 +320,27 @@ def evs():
     return {name: Evaluator(prelude_program(), name) for name in MONAD_NAMES}
 
 
-def test_exc_names():
-    assert exc_name_of(Obj((NominalType("MyException"),))) == "MyE"
-    assert exc_name_of(Obj((NominalType("Exception"),))) == "E"
-    assert exc_name_of(Obj((NominalType("Weird"),))) == "Weird"
+def run_magic(ev, call):
+    """``call``'s result under ``ev``, from ``mbody``'s lookup of it."""
+    return ev.run_magic(call, mbody(ev.sigs, call.recv, call.method))
 
 
 def test_registry_throw(evs):
-    exc = Obj((NominalType("MyException"),))
-    assert evs["exc"].run_magic(Call(exc, "throw")) == Raised("MyE")
+    # the raise is named after the receiver's parent, mapped by EXC_NAMES
+    for parent, raised in (("MyException", "MyE"), ("Exception", "E")):
+        exc = Obj((NominalType(parent),))
+        assert run_magic(evs["exc"], Call(exc, "throw")) == Raised(raised)
+
+
+def test_registry_throw_of_an_unlisted_exception():
+    ev = Evaluator(load_program("Weird <| Exception { }\n"), "exc")
+    weird = Obj((NominalType("Weird"),))
+    assert run_magic(ev, Call(weird, "throw")) == Raised("Weird")
 
 
 def test_registry_fail(evs):
     failure = Obj((NominalType("Failure", (nominal("Nat"),)),))
-    assert evs["exc"].run_magic(Call(failure, "fail")) == Raised("Fail")
+    assert run_magic(evs["exc"], Call(failure, "fail")) == Raised("Fail")
 
 
 def test_registry_partiality(evs):
@@ -340,15 +348,15 @@ def test_registry_partiality(evs):
     exc = Obj((NominalType("MyException"),))
     # wrong receiver, extra arguments, or no meaning in the monad: undefined
     assert ev.mon_step(EConf(Call(numeral(0), "throw"))) is None
-    assert ev.run_magic(Call(exc, "throw", (), (numeral(0),))) is None
-    assert ev.run_magic(Call(exc, "nope")) is None
+    assert run_magic(ev, Call(exc, "throw", (), (numeral(0),))) is None
+    assert ev.run_magic(Call(exc, "nope"), Magic("MyException")) is None
 
 
 def test_registry_choose_per_monad(evs):
     chooser = Call(Obj((NominalType("Chooser"),)), "choose")
-    assert evs["list"].run_magic(chooser).to_list() == [TRUE, FALSE]
+    assert run_magic(evs["list"], chooser).to_list() == [TRUE, FALSE]
     # the exception monad gives choose no meaning
-    assert evs["exc"].run_magic(chooser) is None
+    assert run_magic(evs["exc"], chooser) is None
 
-    d = evs["dist"].run_magic(chooser)
+    d = run_magic(evs["dist"], chooser)
     assert d.as_dict() == {TRUE: Fraction(1, 2), FALSE: Fraction(1, 2)}

@@ -42,7 +42,8 @@ def test_mbody_inherited_definition(sigs):
 
 
 def test_mbody_resolves_magic(sigs):
-    assert mbody(sigs, MY_EXC, "throw") == Magic("Exception")
+    # named after the receiver's parent it was found through
+    assert mbody(sigs, MY_EXC, "throw") == Magic("MyException")
     assert mbody(sigs, Obj((nominal("Failure", nominal("Nat")).parents[0],)),
                  "fail") == Magic("Failure")
 

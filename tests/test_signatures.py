@@ -111,6 +111,21 @@ def test_override_aligns_binder_names(sigs):
     assert sigs.override_sum({}, a, b).get("m")[0] == DEF
 
 
+@pytest.mark.parametrize("source,reason", [
+    ("A { m : abs [X] X -> X ! pure }\n"
+     "B <| A { m : abs Nat -> Nat ! pure }",
+     "method 'm': type-parameter arity differs"),
+    ("A { m : abs [X <: Nat] X -> X ! pure }\n"
+     "B <| A { m : abs [X] X -> X ! pure }",
+     "method 'm': type-parameter bounds differ"),
+    ("E2 <| Exception { throw : mgc [X] -> Nat }",
+     "method 'throw': magic overrides must keep the return type"),
+], ids=["arity", "bounds", "magic-return"])
+def test_an_override_must_keep_the_binders_and_a_magic_return(source, reason):
+    diags = Checker(load_program(source)).check_program()
+    assert list(map(str, diags)) == [f"[OverrideError/t-ntype] {reason}"]
+
+
 # B.m differs from A.m only in the names (and order) of its type binders
 SWAPPED = """
 G { go : abs -> Nat ! pure }

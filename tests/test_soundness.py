@@ -183,7 +183,7 @@ def ev():
 def test_progress(ck, ev):
     def progress(e):
         c = EConf(e)
-        return check_progress(ck, ev, c, ev.mon_step(c))
+        return check_progress(c, ev.mon_step(c))
 
     assert progress(parse_expr("return 0"))
     assert progress(Call(numeral(0), "succ"))
@@ -194,11 +194,11 @@ def test_progress(ck, ev):
 def test_progress_uses_a_precomputed_step(ck, ev):
     c = EConf(Call(numeral(0), "succ"))
     stepped = ev.mon_step(c)
-    assert check_progress(ck, ev, c, stepped)
+    assert check_progress(c, stepped)
     stuck = EConf(parse_expr("x.m()"))
     # a given step is taken as is, not recomputed
-    assert check_progress(ck, ev, stuck, stepped)
-    v = check_progress(ck, ev, stuck, ev.mon_step(stuck))
+    assert check_progress(stuck, stepped)
+    v = check_progress(stuck, ev.mon_step(stuck))
     assert not v and "stuck" in v.witness
 
 
@@ -215,7 +215,7 @@ def test_progress_does_not_restep_a_stuck_term(ck, monkeypatch):
         return real(c)
 
     monkeypatch.setattr(ev, "mon_step", counted)
-    assert not check_progress(ck, ev, c, stepped)
+    assert not check_progress(c, stepped)
     assert calls == []
 
 
@@ -223,22 +223,22 @@ def test_lifted_step_accepts_a_sound_step(ck, den, ev):
     e = Call(numeral(0), "succ")
     t, f = ck.type_expr({}, {}, e)
     c = EConf(e)
-    assert check_lifted_step(ck, den, ev, c, t, f, ev.mon_step(c))
+    assert check_lifted_step(ck, den, ev, t, f, ev.mon_step(c))
 
 
 def test_lifted_step_reads_excset_from_the_monitors_denotation(ck, ev):
     den = Denotation(ck.sigs)
     eff = parse_effect("Exception.throw[Nat]")
     c = EConf(parse_expr("Exception.throw[Nat]()"))
-    assert check_lifted_step(ck, den, ev, c, NAT, eff, ev.mon_step(c))
-    assert check_lifted_step(ck, den, ev, c, NAT, eff, ev.mon_step(c))
+    assert check_lifted_step(ck, den, ev, NAT, eff, ev.mon_step(c))
+    assert check_lifted_step(ck, den, ev, NAT, eff, ev.mon_step(c))
     # one denotation across steps keeps its excSet memo
     assert list(den._exc_sets) == [eff]
 
 
 def test_lifted_step_rejects_a_disallowed_raise(ck, den, ev):
     c = EConf(parse_expr("Exception.throw[Nat]()"))
-    v = check_lifted_step(ck, den, ev, c, NAT, PURE, ev.mon_step(c))
+    v = check_lifted_step(ck, den, ev, NAT, PURE, ev.mon_step(c))
     assert not v and "not allowed" in v.witness
 
 
@@ -299,7 +299,7 @@ def test_check_soundness_rejects_ill_typed_programs():
 class ChooseZeroListMonad(ListMonad):
     """A corrupted list monad: ``choose`` yields 0 where a Bool is due."""
 
-    magic = {"choose": lambda recv: LazyList.of(numeral(0))}
+    magic = {"choose": lambda type_name: LazyList.of(numeral(0))}
 
 
 def test_corrupted_registry_is_detected(monkeypatch):

@@ -5,12 +5,6 @@ run them under pluggable monads, and dynamically check the soundness
 theorems.  The soundness harness, ``mfj.soundness``, loads on first use.
 """
 
-import sys as _sys
-
-# numerals are deeply right-nested objects; the default limit is too shallow
-if _sys.getrecursionlimit() < 100000:
-    _sys.setrecursionlimit(100000)
-
 from .evaluator import Diverged, Evaluator
 from .monads import MONADS, get_monad
 from .parser import ParseError, parse_effect, parse_expr, parse_program, parse_type, pretty

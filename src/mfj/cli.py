@@ -12,8 +12,9 @@ Exit codes: 0 success, 1 parse error (a numeral above
 option the subcommand does not read, ``--trace`` or ``--fuel`` with ``run
 --approx``, a negative N or K), a file that is missing or cannot be read as
 UTF-8, precondition error (among them more branches than ``--prefix`` and a
-free variable under ``run --unchecked``), or, under any subcommand, a term
-nested too deeply for the recursive parser or typer ("term too deep").
+free variable under ``run --unchecked``), or, under any subcommand, source
+nested too deeply for the recursive parser, printer or typer ("term too
+deep"; a numeral, however large, is never too deep).
 ``run --trace`` prints each step as it is taken; with ``--json`` it prints
 JSON lines, one per step, then the result.
 ``--no-prelude`` (check, run, soundness) drops the standard prelude.
@@ -33,7 +34,7 @@ from .evaluator import (
 from .monads import MONADS
 from .parser import ParseError, pretty, pretty_value
 from .prelude import load_program
-from .syntax import fv_expr
+from .syntax import free
 from .typer import Checker
 
 
@@ -94,12 +95,17 @@ def _load(path: str, use_prelude: bool):
 
 @contextlib.contextmanager
 def _depth_guard(path: str):
-    """Turn running out of Python stack on ``path`` into exit 2."""
+    """Raise the recursion limit for the parser, ``pretty`` and ``type_expr``
+    on ``path``, and turn running out of it into exit 2."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 100_000))
     try:
         yield
     except RecursionError:
         print(f"mfj: {path}: term too deep", file=sys.stderr)
         raise SystemExit(2)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def _show_result(r) -> str:
@@ -143,9 +149,9 @@ def _unbound(prog) -> Optional[str]:
     bodies = [(f"{d.name}.{md.name}", md.body, (md.selfVar, *md.params))
               for d in prog.decls for md in d.methods if md.body is not None]
     for where, body, bound in [*bodies, ("main", prog.main, ())]:
-        free = fv_expr(body).difference(bound)
-        if free:
-            return f"unbound variable {min(free)} in {where}"
+        free_vars = free(body)[0].difference(bound)
+        if free_vars:
+            return f"unbound variable {min(free_vars)} in {where}"
     return None
 
 

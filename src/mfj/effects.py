@@ -8,7 +8,7 @@ from .signatures import SigError, Sigs, UnboundTypeVar, env_key
 from .syntax import (
     MGC, TOP,
     Effect, NominalType, ObjType, Sig, Type, TypeVar,
-    eff_of, record, subst_eff,
+    eff_of, record, subst,
 )
 
 
@@ -56,7 +56,7 @@ def _simplify(sigs, phi, eff) -> Effect:
             raise FuelExhausted("effect simplification ran out of fuel")
         fuel -= 1
         sub = {x: t for (x, _), t in zip(mt.typeParams, atom.targs)}
-        inner = subst_eff(mt.eff, sub)
+        inner = subst(mt.eff, sub)
         if inner.top:
             return TOP
         work.extend([*inner.atoms][::-1])
@@ -104,7 +104,7 @@ def apply_filter(
             out_atoms.add(a)
             continue
         sub = {x: t for x, t in zip(hit.typeParams, a.targs)}
-        f = subst_eff(hit.effect, sub)
+        f = subst(hit.effect, sub)
         out_atoms |= f.atoms
         out_top |= f.top
     out_atoms |= H.finalEffect.atoms

@@ -13,7 +13,7 @@ from .signatures import SigError, Sigs
 from .syntax import (
     DEF, MGC, STOP,
     Call, Clause, Do, Handler, NominalType, Obj, ObjType, Return, Sig, Try,
-    Value, erase_type, record, restrict, subst_expr, subst_type,
+    Value, erase_type, record, restrict, subst, subst_expr,
 )
 
 
@@ -89,7 +89,7 @@ def _nominal_lookup(sigs, n: NominalType, m: str, walk):
             return Magic(n.name)
         break  # abs: fall through to the parents
     return _parents_lookup(
-        sigs, tuple(subst_type(p, sub) for p in decl.parents), m,
+        sigs, tuple(subst(p, sub) for p in decl.parents), m,
         walk | {n.name}
     )
 

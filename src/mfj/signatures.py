@@ -13,7 +13,7 @@ from . import faults
 from .syntax import (
     ABS, DEF, MGC,
     EffCall, Effect, MethodType, NominalType, ObjType, Program, Sig, Type,
-    TypeVar, align_binders, alpha_eq_mtype, eff_of, subst_mtype, subst_type,
+    TypeVar, align_binders, alpha_eq_mtype, eff_of, subst,
 )
 
 
@@ -134,7 +134,7 @@ class Sigs:
                                     f"arguments, got {len(targs)}")
             sub = {x: t for (x, _), t in zip(params, targs)}
             hit = self._binds[params, targs] = (
-                sub, tuple(subst_type(b, sub) for _, b in params))
+                sub, tuple(subst(b, sub) for _, b in params))
         return hit
 
     def instantiate(self, n: NominalType) -> tuple:
@@ -164,7 +164,7 @@ class Sigs:
         _, sub = self.instantiate(n)
         sig = self.decl_sig(n.name)
         if sub:
-            sig = Sig((m, k, subst_mtype(mt, sub)) for m, k, mt in sig)
+            sig = Sig((m, k, subst(mt, sub)) for m, k, mt in sig)
         self._nominal_sig[n] = sig
         return sig
 
@@ -277,7 +277,7 @@ class Sigs:
         out = {n}
         self._supers[n] = frozenset(out)  # cycle guard; real value stored below
         for p in decl.parents:
-            out |= self.nominal_supers(subst_type(p, sub))
+            out |= self.nominal_supers(subst(p, sub))
         result = frozenset(out)
         self._supers[n] = result
         return result

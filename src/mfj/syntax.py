@@ -11,8 +11,10 @@ one way to build an effect.
 
 Every node is immutable and hash-consed (``node``): equal nodes are one
 object, so equality is identity and a hash is an id, however deep the term.
-Facts derived from a node (free variables, erasure, numeral value) are
-cached on it the first time they are asked for.
+Free variables (``free``) and capture-avoiding substitution (``subst``) are
+built on the ``shape`` each node class declares.  Facts derived from a node
+(free variables, erasure, numeral value) are cached on it the first time
+they are asked for.
 """
 
 from __future__ import annotations
@@ -25,6 +27,146 @@ MGC = "mgc"
 
 CONTINUE = "continue"
 STOP = "stop"
+
+
+# ---------------------------------------------------------------------------
+# Free variables and substitution, over each class's shape
+# ---------------------------------------------------------------------------
+
+
+NO_NAMES = frozenset()
+CLOSED = (NO_NAMES, NO_NAMES)  # the free names of every closed node
+
+
+def free(n) -> tuple:
+    """``(fv, ftv)``: the free value and the free type variables of ``n``.
+
+    One pass with an explicit stack, so a term of any depth costs no Python
+    recursion; the pair is cached on ``n`` and on every node under it."""
+    got = n._free
+    if got is not None:
+        return got
+    todo = [n]
+    while n._free is None:
+        m = todo[-1]
+        inner, scoped = m._kids()
+        fresh = [k for k in (*inner, *scoped) if k._free is None]
+        if fresh:
+            todo += fresh
+            continue
+        todo.pop()
+        pairs = [k._free for k in inner]
+        if scoped:
+            vb, tb = m._names()
+            pairs += [(k._free[0].difference(vb), k._free[1].difference(tb))
+                      for k in scoped]
+        if isinstance(m, Var):
+            pairs = [(frozenset([m.name]), NO_NAMES)]
+        elif isinstance(m, TypeVar):
+            pairs = [(NO_NAMES, frozenset([m.name]))]
+        # a node reached twice, through shared nodes, keeps its first pair
+        m.__dict__.setdefault("_free", _union(pairs))
+    return n._free
+
+
+def _union(pairs) -> tuple:
+    """The union of ``(fv, ftv)`` pairs; ``CLOSED`` when it is empty."""
+    fv, ftv = (NO_NAMES.union(*names) for names in zip(CLOSED, *pairs))
+    return (fv, ftv) if fv or ftv else CLOSED
+
+
+def restrict(sub: Mapping, bound: tuple) -> Mapping:
+    """``sub`` less the names ``bound``; ``sub`` itself when it has none."""
+    for x in bound:
+        if x in sub:
+            return {k: v for k, v in sub.items() if k not in bound}
+    return sub
+
+
+def subst(n, tsub: Mapping, vsub: Optional[Mapping] = None):
+    """``n[tsub][vsub]``, simultaneously and avoiding capture: a binder that
+    would capture a name free in a substituted term is renamed (``_fresh``).
+    A node in which neither substitution has a name free is returned itself,
+    and so is each such node under ``n``."""
+    if not tsub and not vsub:
+        return n
+    vsub = vsub or {}
+    sc = NO_NAMES  # the names free in a substituted term
+    for w in (*tsub.values(), *vsub.values()):
+        if free(w) is not CLOSED:
+            sc = sc.union(*free(w))
+    return _s(n, tsub, vsub, sc)
+
+
+# the name the reducer and the evaluator call it by
+subst_expr = subst
+
+
+def _s(n, ts, vs, sc):
+    """``subst`` below the root; ``sc`` holds the names free in the terms
+    of ``ts`` and ``vs``."""
+    f = n._free or free(n)
+    if f is CLOSED or ((not vs or f[0].isdisjoint(vs))
+                       and (not ts or f[1].isdisjoint(ts))):
+        return n
+    return n._sub(ts, vs, sc)
+
+
+def _enter(n, ts, vs, sc, ren) -> tuple:
+    """``(binder fields, ts, vs, sc)`` for substituting into ``n``: its
+    binder fields, renamed by ``ren``, or where they would capture a name
+    in ``sc``, and the substitution for the fields they scope over."""
+    vb, tb = n._names()
+    if ren is None and sc and not (sc.isdisjoint(vb) and sc.isdisjoint(tb)):
+        ren = _avoid(n, ts, vs, sc, vb, tb)
+    ts, vs = restrict(ts, tb), restrict(vs, vb)
+    fields = [getattr(n, f) for f, _ in n._binders]
+    if ren is None:
+        return fields, ts, vs, sc
+    for i, ((_, kind), x) in enumerate(zip(n._binders, fields)):
+        r = ren[kind]
+        if isinstance(x, str):
+            fields[i] = r.get(x, x)
+        elif isinstance(x, tuple):  # names, or (name, bound) pairs
+            fields[i] = tuple(r.get(y, y) if isinstance(y, str)
+                              else (r.get(y[0], y[0]), *y[1:]) for y in x)
+        elif x is not None and r:  # the method type whose binders these are
+            fields[i] = x._sub({}, {}, NO_NAMES, ({}, r))
+    vren, tren = ren
+    return (fields, {**ts, **{x: TypeVar(y) for x, y in tren.items()}},
+            {**vs, **{x: Var(y) for x, y in vren.items()}},
+            sc.union(vren.values(), tren.values()))
+
+
+def _avoid(n, ts, vs, sc, vb, tb) -> Optional[tuple]:
+    """``(value renaming, type renaming)`` of ``n``'s binders ``vb`` and
+    ``tb`` that keeps them from capturing a name free in what ``ts`` and
+    ``vs`` put under them, or None when they capture none."""
+    fv, ftv = _union(map(free, n._kids()[1]))
+    cv, ct = _union(map(free, [
+        *(w for k, w in vs.items() if k in fv and k not in vb),
+        *(t for k, t in ts.items() if k in ftv and k not in tb)]))
+    if cv.isdisjoint(vb) and ct.isdisjoint(tb):
+        return None
+    taken = {*sc, *fv, *ftv, *vb, *tb}
+    return ({x: _fresh(x, taken) for x in vb if x in cv},
+            {x: _fresh(x, taken) for x in tb if x in ct})
+
+
+def _fresh(x: str, taken: set) -> str:
+    """The first of ``x'1``, ``x'2``, ... not ``taken``, which now takes it:
+    every binder that is renamed is named here.  No identifier has a ``'``,
+    so it never meets a user's name."""
+    base, k = x.split("'")[0], 1
+    while f"{base}'{k}" in taken:
+        k += 1
+    taken.add(f"{base}'{k}")
+    return f"{base}'{k}"
+
+
+# ---------------------------------------------------------------------------
+# Records and nodes
+# ---------------------------------------------------------------------------
 
 
 def record(cls=None, *, frozen=True):
@@ -50,8 +192,75 @@ def node(cls):
     whose constructor normalises its fields defines ``canon(*args)``,
     returning the field tuple; the table is keyed on its result.  The tables
     hold every distinct node the process builds, for the life of the process.
+
+    A syntax node's ``shape`` reads ``CHILDREN; VALUE-BINDERS /
+    TYPE-BINDERS > SCOPED``.  A child field is ``f`` (a node), ``f?`` (a
+    node or None), ``f*`` (a tuple of nodes), ``f**`` (a tuple of tuples
+    ending in a node) or ``f{}`` (a frozenset of nodes).  A binder field
+    holds a name, a tuple of names (or None), ``(name, bound)`` pairs, or
+    the method type whose type parameters it binds; the binders scope over
+    the ``SCOPED`` children.  The shape gives ``_kids`` (the children outside
+    and inside the binders), ``_names`` (the names bound) and ``_sub``.
     """
     return _build(cls, True, True)
+
+
+# a child field's form -> (its nodes in a list display, the field substituted)
+_FORMS = {
+    "": ("{x}, ", "_s({x}, {s})"),
+    "?": ("*(() if {x} is None else ({x},)), ",
+          "None if {x} is None else _s({x}, {s})"),
+    "*": ("*{x}, ", "tuple([_s(c, {s}) for c in {x}])"),
+    "**": ("*[c[-1] for c in {x}], ",
+           "tuple([(*c[:-1], _s(c[-1], {s})) for c in {x}])"),
+    "{}": ("*{x}, ", "frozenset([_s(c, {s}) for c in {x}])"),
+}
+
+
+def _traversal(cls, names: tuple, shape: str) -> dict:
+    """The source of ``_kids``, ``_names`` and ``_sub`` for ``cls``'s
+    ``shape``, whose binder fields go to ``cls._binders``.  ``_sub`` builds
+    the node from locals named after them, which ``_enter`` may rename."""
+    kids, _, binds = shape.partition(";")
+    forms = {k.rstrip("?*{}"): k[len(k.rstrip("?*{}")):] for k in kids.split()}
+    vfields, _, rest = binds.partition("/")
+    tfields, _, scoped = rest.partition(">")
+    vfields, tfields, scoped = vfields.split(), tfields.split(), scoped.split()
+    binders = (*vfields, *tfields)
+    cls._binders = (*((f, 0) for f in vfields), *((f, 1) for f in tfields))
+    ann = cls.__dict__["__annotations__"]
+
+    def nodes(fs):
+        return "[" + "".join(_FORMS[forms[f]][0].format(x=f"self.{f}")
+                             for f in fs) + "]"
+
+    def bound(fs):  # the names that the binder fields ``fs`` hold
+        return "(" + "".join(
+            f"*[c[0] for c in self.{f}], " if forms.get(f) == "**" else
+            f"*self.{f}._names()[1], " if f in forms else
+            f"*(self.{f} or ()), " if "tuple" in ann[f] else f"self.{f}, "
+            for f in fs) + ")"
+
+    def field(f):
+        x = f if f in binders else f"self.{f}"
+        if f not in forms:
+            return x
+        s = "ts1, vs1, sc1" if f in scoped else "ts, vs, sc"
+        return _FORMS[forms[f]][1].format(x=x, s=s)
+
+    src = {"_kids": "def _kids(self):\n    return "
+                    f"{nodes(f for f in forms if f not in scoped)}, "
+                    f"{nodes(f for f in forms if f in scoped)}\n"}
+    built = f"    return _cls({', '.join(field(f) for f in names)})\n"
+    if not binders:
+        src["_sub"] = "def _sub(self, ts, vs, sc):\n" + built
+        return src
+    src["_names"] = (f"def _names(self):\n"
+                     f"    return {bound(vfields)}, {bound(tfields)}\n")
+    src["_sub"] = ("def _sub(self, ts, vs, sc, ren=None):\n"
+                   f"    ({', '.join(binders)},), ts1, vs1, sc1 = "
+                   "_enter(self, ts, vs, sc, ren)\n" + built)
+    return src
 
 
 def _build(cls, frozen: bool, hashcons: bool):
@@ -82,8 +291,11 @@ def _build(cls, frozen: bool, hashcons: bool):
                           "    n = _table.get(key)\n"
                           "    if n is None:\n"
                           "        n = _table[key] = _new(cls)\n"
-                          "        n.__dict__.update(zip(_names, key))\n"
+                          "        n.__dict__.update(zip(_order, key))\n"
                           "    return n\n")
+        if "shape" in cls.__dict__:  # a syntax node: the traversal too
+            src.update(_traversal(cls, names, cls.shape))
+            cls._free = None  # until ``free`` caches the pair on the node
     else:
         src["__init__"] = (f"def __init__(self, {params}):\n"
                            + "".join(f"    _set(self, {n!r}, {n})\n" for n in names))
@@ -95,7 +307,8 @@ def _build(cls, frozen: bool, hashcons: bool):
                            if frozen else "__hash__ = None\n")
     src = {k: code for k, code in src.items() if cls.__dict__.get(k) is None}
     ns = {"_table": {}, "_new": object.__new__, "_set": object.__setattr__,
-          "_names": names, "_defaults": defaults}
+          "_order": names, "_defaults": defaults, "_cls": cls, "_s": _s,
+          "_enter": _enter}
     exec("".join(src.values()), ns)
     for k in src:
         setattr(cls, k, ns[k])
@@ -123,6 +336,10 @@ class Type:
 @node
 class TypeVar(Type):
     name: str
+    shape = ""
+
+    def _sub(self, ts, vs, sc):
+        return ts[self.name]
 
 
 @node
@@ -131,6 +348,7 @@ class NominalType:
 
     name: str
     args: tuple = ()
+    shape = "args*"
 
 
 @node
@@ -139,6 +357,7 @@ class ObjType(Type):
 
     parents: tuple  # tuple[NominalType, ...] in ``_canon_parents`` order
     sig: "Sig"
+    shape = "parents* sig"
 
     @staticmethod
     def canon(parents, sig):
@@ -161,6 +380,7 @@ class EffCall:
     receiver: Type
     method: str
     targs: tuple = ()
+    shape = "receiver targs*"
 
 
 @node
@@ -170,6 +390,7 @@ class Effect:
 
     atoms: frozenset  # frozenset[EffCall], empty when top
     top: bool = False
+    shape = "atoms{}"
 
     def __repr__(self):
         # sorted, so that diagnostics do not depend on string hashing
@@ -208,6 +429,8 @@ class MethodType:
     paramTypes: tuple  # tuple[Type, ...]
     ret: Type
     eff: Effect
+    shape = ("typeParams** paramTypes* ret eff; "
+             "/ typeParams > typeParams paramTypes ret eff")
 
 
 @node
@@ -215,6 +438,7 @@ class Sig:
     """A signature: method name -> (kind, MethodType), order-insensitive."""
 
     entries: tuple  # tuple[(name, kind, MethodType), ...] sorted by name
+    shape = "entries**"
 
     @staticmethod
     def canon(entries: Iterable[tuple]):
@@ -260,6 +484,10 @@ class Expr:
 @node
 class Var(Value):
     name: str
+    shape = ""
+
+    def _sub(self, ts, vs, sc):
+        return vs[self.name]
 
 
 @node
@@ -272,6 +500,7 @@ class MethodDef:
     selfVar: Optional[str] = None
     params: tuple = ()
     body: Optional[Expr] = None
+    shape = "mtype body?; selfVar params / mtype > mtype body"
 
 
 @node
@@ -280,6 +509,7 @@ class Obj(Value):
 
     parents: tuple  # tuple[NominalType, ...] in ``_canon_parents`` order
     methods: tuple  # tuple[MethodDef, ...] sorted by name
+    shape = "parents* methods*"
 
     @staticmethod
     def canon(parents: Iterable[NominalType], methods: Iterable[MethodDef] = ()):
@@ -298,11 +528,13 @@ class Call(Expr):
     method: str
     targs: tuple = ()
     args: tuple = ()
+    shape = "recv targs* args*"
 
 
 @node
 class Return(Expr):
     value: Value
+    shape = "value"
 
 
 @node
@@ -310,6 +542,7 @@ class Do(Expr):
     var: str
     first: Expr
     rest: Expr
+    shape = "first rest; var / > rest"
 
 
 @node
@@ -327,6 +560,7 @@ class Clause:
     params: tuple
     body: Expr
     mode: str  # CONTINUE | STOP
+    shape = "ntype body; selfVar params / typeParams > body"
 
 
 @node
@@ -334,12 +568,14 @@ class Handler:
     clauses: tuple  # tuple[Clause, ...]
     finalVar: str
     finalExpr: Expr
+    shape = "clauses* finalExpr; finalVar / > finalExpr"
 
 
 @node
 class Try(Expr):
     body: Expr
     handler: Handler
+    shape = "body handler"
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +589,8 @@ class TypeDecl:
     typeParams: tuple  # tuple[(str, Type), ...]
     parents: tuple  # tuple[NominalType, ...]
     methods: tuple  # tuple[MethodDef, ...] in source order
+    shape = ("typeParams** parents* methods*; "
+             "/ typeParams > typeParams parents methods")
 
 
 @record
@@ -380,293 +618,6 @@ class Program:
 
 
 # ---------------------------------------------------------------------------
-# Free variables
-# ---------------------------------------------------------------------------
-
-
-def ftv_type(t) -> frozenset:
-    if isinstance(t, TypeVar):
-        return frozenset([t.name])
-    if isinstance(t, NominalType):
-        out = frozenset()
-        for a in t.args:
-            out |= ftv_type(a)
-        return out
-    if isinstance(t, ObjType):
-        out = frozenset()
-        for p in t.parents:
-            out |= ftv_type(p)
-        for _, _, mt in t.sig:
-            out |= ftv_mtype(mt)
-        return out
-    raise TypeError(f"not a type: {t!r}")
-
-
-def ftv_mtype(mt: MethodType) -> frozenset:
-    binders = frozenset(x for x, _ in mt.typeParams)
-    out = frozenset()
-    for _, bound in mt.typeParams:
-        out |= ftv_type(bound)
-    for p in mt.paramTypes:
-        out |= ftv_type(p)
-    out |= ftv_type(mt.ret)
-    out |= ftv_eff(mt.eff)
-    return out - binders
-
-
-def ftv_eff(e: Effect) -> frozenset:
-    out = frozenset()
-    for a in e.atoms:
-        out |= ftv_type(a.receiver)
-        for t in a.targs:
-            out |= ftv_type(t)
-    return out
-
-
-def ftv_value(v: Value) -> frozenset:
-    if isinstance(v, Var):
-        return frozenset()
-    if isinstance(v, Obj):
-        out = v.__dict__.get("_ftv")
-        if out is not None:
-            return out
-        out = frozenset()
-        for p in v.parents:
-            out |= ftv_type(p)
-        for md in v.methods:
-            out |= ftv_mtype(md.mtype)
-            if md.body is not None:
-                binders = frozenset(x for x, _ in md.mtype.typeParams)
-                out |= ftv_expr(md.body) - binders
-        object.__setattr__(v, "_ftv", out)
-        return out
-    raise TypeError(f"not a value: {v!r}")
-
-
-def ftv_expr(e: Expr) -> frozenset:
-    # cached on the node, which is shared by every equal term
-    out = e.__dict__.get("_ftv")
-    if out is None:
-        out = _ftv_expr(e)
-        object.__setattr__(e, "_ftv", out)
-    return out
-
-
-def _ftv_expr(e: Expr) -> frozenset:
-    if isinstance(e, Call):
-        out = ftv_value(e.recv)
-        for t in e.targs:
-            out |= ftv_type(t)
-        for a in e.args:
-            out |= ftv_value(a)
-        return out
-    if isinstance(e, Return):
-        return ftv_value(e.value)
-    if isinstance(e, Do):
-        return ftv_expr(e.first) | ftv_expr(e.rest)
-    if isinstance(e, Try):
-        h = e.handler
-        out = ftv_expr(e.body) | ftv_expr(h.finalExpr)
-        for c in h.clauses:
-            out |= ftv_type(c.ntype)
-            out |= ftv_expr(c.body) - frozenset(c.typeParams or ())
-        return out
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def fv_value(v: Value) -> frozenset:
-    if isinstance(v, Var):
-        return frozenset([v.name])
-    if isinstance(v, Obj):
-        out = v.__dict__.get("_fv")
-        if out is not None:
-            return out
-        out = frozenset()
-        for md in v.methods:
-            if md.body is not None:
-                out |= fv_expr(md.body) - frozenset((md.selfVar, *md.params))
-        object.__setattr__(v, "_fv", out)
-        return out
-    raise TypeError(f"not a value: {v!r}")
-
-
-def fv_expr(e: Expr) -> frozenset:
-    out = e.__dict__.get("_fv")
-    if out is None:
-        out = _fv_expr(e)
-        object.__setattr__(e, "_fv", out)
-    return out
-
-
-def _fv_expr(e: Expr) -> frozenset:
-    if isinstance(e, Call):
-        out = fv_value(e.recv)
-        for a in e.args:
-            out |= fv_value(a)
-        return out
-    if isinstance(e, Return):
-        return fv_value(e.value)
-    if isinstance(e, Do):
-        return fv_expr(e.first) | (fv_expr(e.rest) - {e.var})
-    if isinstance(e, Try):
-        h = e.handler
-        out = fv_expr(e.body)
-        for c in h.clauses:
-            out |= fv_expr(c.body) - frozenset((c.selfVar, *c.params))
-        out |= fv_expr(h.finalExpr) - {h.finalVar}
-        return out
-    raise TypeError(f"not an expression: {e!r}")
-
-
-# ---------------------------------------------------------------------------
-# Substitution
-# ---------------------------------------------------------------------------
-
-
-def restrict(sub: Mapping, bound: Iterable[str]) -> dict:
-    bound = set(bound)
-    return {k: v for k, v in sub.items() if k not in bound}
-
-
-def subst_type(t, sub: Mapping[str, Type]):
-    """Capture-avoiding ``t[sub]`` over types (also accepts NominalType)."""
-    if not sub:
-        return t
-    if isinstance(t, TypeVar):
-        return sub.get(t.name, t)
-    if isinstance(t, NominalType):
-        return NominalType(t.name, tuple(subst_type(a, sub) for a in t.args))
-    if isinstance(t, ObjType):
-        return ObjType(
-            tuple(subst_type(p, sub) for p in t.parents),
-            Sig((n, k, subst_mtype(mt, sub)) for n, k, mt in t.sig),
-        )
-    raise TypeError(f"not a type: {t!r}")
-
-
-def subst_mtype(mt: MethodType, sub: Mapping[str, Type]) -> MethodType:
-    sub = restrict(sub, (x for x, _ in mt.typeParams))
-    if not sub:
-        return mt
-    scope = set()
-    for v in sub.values():
-        scope |= ftv_type(v)
-    mt = open_binders(mt, (x for x, _ in mt.typeParams), scope)
-    sub = restrict(sub, (x for x, _ in mt.typeParams))
-    return MethodType(
-        tuple((x, subst_type(b, sub)) for x, b in mt.typeParams),
-        tuple(subst_type(p, sub) for p in mt.paramTypes),
-        subst_type(mt.ret, sub),
-        subst_eff(mt.eff, sub),
-    )
-
-
-def open_binders(mt: MethodType, names: Iterable[str], scope) -> MethodType:
-    """``mt`` with its type parameters renamed, in order, to ``names``; the
-    one place binder names are chosen.  A name in ``scope`` (the type
-    variables the result meets: an enclosing environment's, or those free in
-    the other side or in the substituted types) becomes the first of ``X'1``,
-    ``X'2``, ... that is not in scope, not free in ``mt`` and not another
-    binder's.  No identifier has a ``'``, so it never meets a user's name."""
-    names = list(names)
-    if any(n in scope for n in names):
-        taken = {*scope, *names, *ftv_mtype(mt)}
-        for i, n in enumerate(names):
-            if n in scope:
-                base, k = n.split("'")[0], 1
-                while f"{base}'{k}" in taken:
-                    k += 1
-                names[i] = f"{base}'{k}"
-                taken.add(names[i])
-    ren = {x: TypeVar(n) for (x, _), n in zip(mt.typeParams, names) if x != n}
-    if not ren:
-        return mt
-    return MethodType(
-        tuple((n, subst_type(b, ren)) for (_, b), n in zip(mt.typeParams, names)),
-        tuple(subst_type(p, ren) for p in mt.paramTypes),
-        subst_type(mt.ret, ren),
-        subst_eff(mt.eff, ren),
-    )
-
-
-def subst_eff(e: Effect, sub: Mapping[str, Type]) -> Effect:
-    if not sub or not e.atoms:
-        return e
-    return eff_of(*(
-        EffCall(subst_type(a.receiver, sub), a.method,
-                tuple(subst_type(t, sub) for t in a.targs))
-        for a in e.atoms
-    ))
-
-
-def subst_value(v: Value, tsub: Mapping[str, Type], vsub: Mapping[str, Value]) -> Value:
-    if isinstance(v, Var):
-        return vsub.get(v.name, v)
-    if vsub:
-        fv = fv_value(v)
-        vsub = {k: w for k, w in vsub.items() if k in fv}
-    if tsub:
-        ftv = ftv_value(v)
-        tsub = {k: t for k, t in tsub.items() if k in ftv}
-    if not tsub and not vsub:
-        return v
-    if isinstance(v, Obj):
-        return Obj(
-            tuple(subst_type(p, tsub) for p in v.parents),
-            tuple(_subst_methoddef(md, tsub, vsub) for md in v.methods),
-        )
-    raise TypeError(f"not a value: {v!r}")
-
-
-def _subst_methoddef(md: MethodDef, tsub, vsub) -> MethodDef:
-    mt = subst_mtype(md.mtype, tsub)
-    if md.body is None:
-        return MethodDef(md.name, md.kind, mt)
-    body = subst_expr(md.body, restrict(tsub, (x for x, _ in md.mtype.typeParams)),
-                      restrict(vsub, (md.selfVar, *md.params)))
-    return MethodDef(md.name, md.kind, mt, md.selfVar, md.params, body)
-
-
-def subst_expr(e: Expr, tsub: Mapping[str, Type], vsub: Mapping[str, Value]) -> Expr:
-    """Simultaneous ``e[tsub][vsub]``.  No value binder is renamed, so the
-    values must be closed, as every value a run substitutes is."""
-    if vsub:
-        fv = fv_expr(e)
-        vsub = {k: w for k, w in vsub.items() if k in fv}
-    if tsub:
-        ftv = ftv_expr(e)
-        tsub = {k: t for k, t in tsub.items() if k in ftv}
-    if not tsub and not vsub:
-        return e
-    if isinstance(e, Call):
-        return Call(
-            subst_value(e.recv, tsub, vsub),
-            e.method,
-            tuple(subst_type(t, tsub) for t in e.targs),
-            tuple(subst_value(a, tsub, vsub) for a in e.args),
-        )
-    if isinstance(e, Return):
-        return Return(subst_value(e.value, tsub, vsub))
-    if isinstance(e, Do):
-        return Do(e.var, subst_expr(e.first, tsub, vsub),
-                  subst_expr(e.rest, tsub, restrict(vsub, (e.var,))))
-    if isinstance(e, Try):
-        h = e.handler
-        return Try(subst_expr(e.body, tsub, vsub), Handler(
-            tuple(_subst_clause(c, tsub, vsub) for c in h.clauses),
-            h.finalVar,
-            subst_expr(h.finalExpr, tsub, restrict(vsub, (h.finalVar,)))))
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def _subst_clause(c: Clause, tsub, vsub) -> Clause:
-    body = subst_expr(c.body, restrict(tsub, c.typeParams or ()),
-                      restrict(vsub, (c.selfVar, *c.params)))
-    return Clause(subst_type(c.ntype, tsub), c.method, c.typeParams,
-                  c.selfVar, c.params, body, c.mode)
-
-
-# ---------------------------------------------------------------------------
 # Erasure and alpha-equivalence
 # ---------------------------------------------------------------------------
 
@@ -690,6 +641,19 @@ def erase_type(v: Value) -> ObjType:
     return t
 
 
+def open_binders(mt: MethodType, names: Iterable[str], scope) -> MethodType:
+    """``mt`` with its type parameters renamed, in order, to ``names``; a
+    name in ``scope`` (the type variables the result meets: an enclosing
+    environment's, or those free in the other side) becomes the ``_fresh``
+    one not in scope, not free in ``mt`` and not another binder's."""
+    names = list(names)
+    if any(n in scope for n in names):
+        taken = {*scope, *names, *free(mt)[1]}
+        names = [_fresh(n, taken) if n in scope else n for n in names]
+    ren = {x: n for (x, _), n in zip(mt.typeParams, names) if x != n}
+    return mt._sub({}, {}, NO_NAMES, ({}, ren)) if ren else mt
+
+
 def align_binders(a: MethodType, b: MethodType, scope=()) -> Optional[tuple]:
     """``(a, b)`` with one list of type-parameter names, or None when their
     arities differ.  The names are ``a``'s, opened where one of them is in
@@ -701,7 +665,7 @@ def align_binders(a: MethodType, b: MethodType, scope=()) -> Optional[tuple]:
     if names == tuple(x for x, _ in b.typeParams) \
             and not any(x in scope for x in names):
         return a, b
-    a = open_binders(a, names, {*scope, *ftv_mtype(b)})
+    a = open_binders(a, names, {*scope, *free(b)[1]})
     return a, open_binders(b, (x for x, _ in a.typeParams), ())
 
 

@@ -17,11 +17,10 @@ from .effects import ClauseFilter, HandlerFilter, apply_filter, simplify
 from .evaluator import TryFrame
 from .signatures import SigError, Sigs
 from .syntax import (
-    ABS, CONTINUE, DEF, MGC, OBJECT, PURE, STOP,
-    Call, Clause, Do, EffCall, Effect, Handler, MethodType, NominalType,
-    ObjType, Program, Return, Sig, Try, Type, TypeVar, Value, Var,
-    eff_of, eff_union, ftv_expr, ftv_value, fv_expr, fv_value, open_binders,
-    subst_expr, subst_type,
+    ABS, CLOSED, CONTINUE, DEF, MGC, OBJECT, PURE, STOP,
+    Call, Clause, Do, EffCall, Effect, Expr, Handler, MethodDef, MethodType,
+    NominalType, Obj, ObjType, Program, Return, Sig, Try, Type, TypeVar,
+    Value, Var, eff_of, eff_union, free, open_binders, subst,
 )
 
 
@@ -38,6 +37,9 @@ def _sig_error(e: SigError, rule: str) -> TypecheckError:
 
 
 class Checker:
+    # the depth in nested values where typing walks the value it is at
+    WALK_DEPTH = 16
+
     def __init__(self, program: Program):
         self.program = program
         self.sigs = Sigs(program)
@@ -48,6 +50,7 @@ class Checker:
         # (method type, type arguments) -> its parameter types and result
         # type with the arguments substituted
         self._inst_memo: dict = {}
+        self._depth = 0  # how many values the current typing is inside
 
     # -- values ----------------------------------------------------------------
 
@@ -70,10 +73,43 @@ class Checker:
                 raise TypecheckError("UnboundVar", "t-var",
                                      f"unbound variable {v.name}")
             return t
-        key = self._memo_key(phi, gamma, v, fv_value(v), ftv_value(v))
+        key = self._memo_key(phi, gamma, v, *free(v))
         hit = self._val_memo.get(key)
         if hit is not None:
             return hit
+        self._depth += 1
+        try:
+            if self._depth == self.WALK_DEPTH:
+                self._type_closed_inside(v)
+            t = self._val_memo[key] = self._type_obj(phi, gamma, v)
+        finally:
+            self._depth -= 1
+        return t
+
+    def _type_closed_inside(self, v) -> None:
+        """Type the closed objects in ``v``, each after those inside it, so
+        that typing recurses below ``v`` only as deep as the source nests.
+        Stop at an ill-typed one: the ordinary typing raises the
+        diagnostics in their order."""
+        terms = (Value, Expr, MethodDef, Handler, Clause)  # not types
+        found, todo, seen = [], [(v, False)], set()
+        while todo:  # depth first
+            n, done = todo.pop()
+            if done:
+                if n is not v and isinstance(n, Obj) and free(n) is CLOSED:
+                    found.append(n)
+            elif n not in seen:
+                seen.add(n)
+                todo.append((n, True))
+                todo += [(k, False) for kids in n._kids() for k in kids
+                         if isinstance(k, terms) and k not in self._val_memo]
+        for k in found:
+            try:
+                self.type_value({}, {}, k)
+            except TypecheckError:
+                return
+
+    def _type_obj(self, phi, gamma, v) -> Type:
         own = Sig((m.name, m.kind, m.mtype) for m in v.methods)
         for _, k, _ in own:
             if k == MGC:
@@ -94,7 +130,6 @@ class Checker:
             if md.kind == DEF:
                 self._type_body(phi, gamma, md, md.mtype, None, t,
                                 (md.name, "t-obj"))
-        self._val_memo[key] = t
         return t
 
     def _type_body(self, phi, gamma, m, mt: MethodType, names, self_t,
@@ -103,8 +138,8 @@ class Checker:
         ``mt``'s binders, which the body calls ``names`` (``mt``'s own when
         None), opened under ``phi`` and bound in ``phi2``, self and the
         parameters bound in ``gamma``.  With ``fits = (name, rule)`` the body
-        must fit ``mt``.  Called from ``type_value`` itself, so that a nested
-        object costs four Python frames."""
+        must fit ``mt``.  A nested object costs four Python frames here,
+        unless ``type_value`` has typed it first."""
         if names is None:
             names = [x for x, _ in mt.typeParams]
         mt = open_binders(mt, names, phi)
@@ -115,7 +150,7 @@ class Checker:
         gamma2[m.selfVar] = self_t
         gamma2.update(zip(m.params, mt.paramTypes))
         bt, beff = self.type_expr(phi2, gamma2,
-                                  subst_expr(m.body, ren, {}) if ren else m.body)
+                                  subst(m.body, ren) if ren else m.body)
         if fits is not None:
             name, rule = fits
             try:
@@ -139,7 +174,7 @@ class Checker:
     def type_expr(self, phi: Mapping[str, Type], gamma: Mapping[str, Type],
                   e) -> tuple:
         """(Type, Effect) of an expression; the effect comes out simplified."""
-        key = self._memo_key(phi, gamma, e, fv_expr(e), ftv_expr(e))
+        key = self._memo_key(phi, gamma, e, *free(e))
         hit = self._expr_memo.get(key)
         if hit is not None:
             return hit
@@ -199,8 +234,8 @@ class Checker:
         inst = self._inst_memo.get((mt, e.targs))
         if inst is None:
             inst = self._inst_memo[mt, e.targs] = (
-                tuple(subst_type(p, sub) for p in mt.paramTypes),
-                subst_type(mt.ret, sub))
+                tuple(subst(p, sub) for p in mt.paramTypes),
+                subst(mt.ret, sub))
         params, ret = inst
         for arg, pt in zip(e.args, params):
             at = self.type_value(phi, gamma, arg)

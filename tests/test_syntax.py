@@ -12,14 +12,14 @@ from hypothesis import given, settings, strategies as st
 
 import mfj
 
+from conftest import CORPUS, load
 from mfj.parser import numeral, parse_expr
 from mfj.syntax import (
     ABS, DEF, OBJECT, PURE, TOP,
     Call, Do, EffCall, MethodDef, MethodType, NominalType, Obj, ObjType,
     Program, Return, Sig, TypeDecl, TypeVar, Var, align_binders,
-    alpha_eq_mtype, eff_of, eff_union, erase_type, fv_expr, fv_value,
-    ftv_expr, ftv_type, nominal, open_binders, subst_eff, subst_expr,
-    subst_mtype, subst_type,
+    alpha_eq_mtype, eff_of, eff_union, erase_type, free, nominal,
+    open_binders, subst, subst_expr,
 )
 
 A = eff_of(EffCall(nominal("A"), "m"))
@@ -74,7 +74,7 @@ def test_equal_effects_are_shared():
 
 def test_subst_merges_atoms_that_become_equal():
     xy = eff_of(EffCall(TypeVar("X"), "m"), EffCall(TypeVar("Y"), "m"))
-    out = subst_eff(xy, {"X": nominal("A"), "Y": nominal("A")})
+    out = subst(xy, {"X": nominal("A"), "Y": nominal("A")})
     assert out == A
 
 
@@ -210,25 +210,25 @@ def test_equal_numerals_are_one_object():
 
 def test_fv_do_binds_its_variable():
     e = parse_expr("do y = x.m(); y.n(z)")
-    assert fv_expr(e) == {"x", "z"}
+    assert free(e)[0] == {"x", "z"}
 
 
 def test_fv_try_binds_clause_and_final_vars():
     e = parse_expr(
         "try x.m() with Exception.throw : <s, return s> stop "
         "final <r, return r>")
-    assert fv_expr(e) == {"x"}
+    assert free(e)[0] == {"x"}
 
 
 def test_ftv_collects_type_arguments():
     e = parse_expr("x.m[Y](z)", tvars=("Y",))
-    assert ftv_expr(e) == {"Y"}
-    assert ftv_type(nominal("Failure", TypeVar("Y"))) == {"Y"}
+    assert free(e)[1] == {"Y"}
+    assert free(nominal("Failure", TypeVar("Y")))[1] == {"Y"}
 
 
 def test_numerals_are_closed():
-    assert fv_value(numeral(7)) == frozenset()
-    assert ftv_expr(Return(numeral(7))) == frozenset()
+    assert free(numeral(7))[0] == frozenset()
+    assert free(Return(numeral(7)))[1] == frozenset()
 
 
 # -- substitution -------------------------------------------------------------
@@ -236,7 +236,7 @@ def test_numerals_are_closed():
 def test_subst_replaces_free_variables():
     e = parse_expr("do y = x.m(); y.n(x)")
     out = subst_expr(e, {}, {"x": numeral(0)})
-    assert fv_expr(out) == frozenset()
+    assert free(out)[0] == frozenset()
     assert out.first.recv == numeral(0)
 
 
@@ -263,10 +263,39 @@ def test_subst_type_in_effects():
 
 def test_subst_mtype_renames_clashing_binders():
     mt = MethodType((("X", OBJECT),), (TypeVar("X"),), TypeVar("Y"), PURE)
-    out = subst_mtype(mt, {"Y": TypeVar("X")})
+    out = subst(mt, {"Y": TypeVar("X")})
     assert out.typeParams == (("X'1", OBJECT),)
     assert out.ret == TypeVar("X")
     assert out.paramTypes == (TypeVar("X'1"),)
+
+
+def test_a_method_binder_is_renamed_in_its_body_too():
+    # A := X under the method's own [X]: the binder becomes X'1 in the
+    # method type and in the body, and the substituted X stays free
+    e = parse_expr("return Object{ m : def [X] -> Object ! pure "
+                   "<_, y.k[A X]()> }", tvars=("A",))
+    md = subst(e, {"A": TypeVar("X")}).value.methods[0]
+    assert md.mtype.typeParams == (("X'1", OBJECT),)
+    assert md.body.targs == (TypeVar("X"), TypeVar("X'1"))
+
+
+def test_a_clause_binder_is_renamed_in_its_body():
+    e = parse_expr(
+        "try y.m[A]() with Exception.throw : [X] "
+        "<_, do u = y.k[A X](); return u> stop final <r, return r>",
+        tvars=("A",))
+    out = subst(e, {"A": TypeVar("X")})
+    assert out.body.targs == (TypeVar("X"),)
+    (c,) = out.handler.clauses
+    assert c.typeParams == ("X'1",)
+    assert c.body.first.targs == (TypeVar("X"), TypeVar("X'1"))
+    assert free(out)[1] == {"X"}
+
+
+def test_a_value_binder_is_renamed_when_it_would_capture():
+    e = parse_expr("do x = return y; return z")
+    out = subst(e, {}, {"z": Var("x")})
+    assert out == Do("x'1", Return(Var("y")), Return(Var("x")))
 
 
 def test_open_binders_takes_the_first_name_out_of_scope():
@@ -279,6 +308,89 @@ def test_open_binders_takes_the_first_name_out_of_scope():
     assert out.paramTypes == (TypeVar("Y'2"), TypeVar("Y'1"))
     assert out.ret == TypeVar("W")
     assert open_binders(mt, ("Y", "Y'1", "Z"), ()) is mt
+
+
+# -- the laws of substitution, over every node of the corpus -------------------
+
+# terms in which a binder has a name free beneath it, which the corpus has
+# for value binders only
+BINDER_TERMS = [
+    parse_expr("return Object{ m : def [X] -> Object ! pure <_, y.k[A X]()> }",
+               tvars=("A",)),
+    parse_expr("try y.m[A]() with Exception.throw : [X] <_, y.k[A X]()> stop "
+               "final <r, return r>", tvars=("A",)),
+    MethodType((("X", OBJECT), ("Y", TypeVar("X"))), (TypeVar("A"),),
+               nominal("Failure", TypeVar("Y")), PURE),
+]
+
+
+def _nodes() -> list:
+    """Every distinct node of the prelude, the corpus and ``BINDER_TERMS``."""
+    seen = {}
+    todo = [*BINDER_TERMS]
+    for path in sorted(CORPUS.glob("*.mfj")):
+        prog = load(path.stem)
+        todo += [*prog.decls, prog.main]
+    while todo:
+        n = todo.pop()
+        if n is not None and id(n) not in seen:
+            seen[id(n)] = n
+            todo += [k for kids in n._kids() for k in kids]
+    return list(seen.values())
+
+
+NODES = _nodes()
+VALUE_NAMES = sorted(set().union(*(free(n)[0] for n in NODES)))
+TYPE_NAMES = sorted(set().union(*(free(n)[1] for n in NODES)))
+BOUND = [n._names() for n in NODES if hasattr(n, "_names")]
+law_values = st.one_of(
+    st.sampled_from([n for n in NODES if isinstance(n, Obj) and not any(free(n))]),
+    st.builds(Var, st.sampled_from(sorted({x for vb, _ in BOUND for x in vb if x}))))
+law_types = st.one_of(
+    st.sampled_from([n for n in NODES if isinstance(n, ObjType)]),
+    st.builds(TypeVar, st.sampled_from(sorted({x for _, tb in BOUND for x in tb}))),
+    st.builds(lambda x: nominal("Failure", TypeVar(x)), st.sampled_from(TYPE_NAMES)))
+
+
+def _freed(names, sub, kind) -> frozenset:
+    """What the terms of ``sub`` for ``names`` have free of ``kind``."""
+    return frozenset().union(*(free(sub[x])[kind] for x in names))
+
+
+def test_the_empty_substitution_is_the_node_itself():
+    assert len(NODES) > 300
+    for n in NODES:
+        assert subst(n, {}, {}) is n
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.sampled_from(VALUE_NAMES), law_values,
+                       min_size=1, max_size=3))
+def test_substituting_values_frees_what_they_replace(vsub):
+    # with closed values, fv(n[x := v]) is fv(n) less x
+    for n in NODES:
+        out = subst(n, {}, vsub)
+        fv, ftv = free(n)
+        hit = fv & vsub.keys()
+        if not hit:
+            assert out is n
+            continue
+        assert free(out) == ((fv - hit) | _freed(hit, vsub, 0),
+                             ftv | _freed(hit, vsub, 1)), n
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.sampled_from(TYPE_NAMES), law_types,
+                       min_size=1, max_size=3))
+def test_substituting_types_frees_what_they_replace(tsub):
+    for n in NODES:
+        out = subst(n, tsub)
+        fv, ftv = free(n)
+        hit = ftv & tsub.keys()
+        if not hit:
+            assert out is n
+            continue
+        assert free(out) == (fv, (ftv - hit) | _freed(hit, tsub, 1)), n
 
 
 # -- erasure and canonical forms ----------------------------------------------

@@ -45,7 +45,7 @@ from .syntax import (
 # ---------------------------------------------------------------------------
 
 
-@record
+@node
 class VRes:
     value: Any
 
@@ -110,7 +110,7 @@ class EConf:
         return f"E {pretty_expr(self.expr)}"
 
 
-@record
+@node
 class RConf:
     result: Any  # VRes | WRONG
 

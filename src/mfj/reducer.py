@@ -35,12 +35,17 @@ class Magic:
     typeName: str
 
 
+# not looked up yet: ``mbody``'s table entry, and ``pure_step``'s ``found``
+_UNLOOKED = object()
+
+
 class AmbiguousLookup(Exception):
     """More than one parent supplies the method; semantically 'undefined'."""
 
 
 def mbody(sigs: Sigs, v: Value, m: str) -> Optional[Union[DefBody, Magic]]:
-    """Method look-up on a value; None encodes 'undefined' (a stuck state)."""
+    """Method look-up on a value; None encodes 'undefined' (a stuck state).
+    A look-up above the parents is kept in the session's ``sigs.mbodies``."""
     if not isinstance(v, Obj):
         return None
     md = v.method(m)
@@ -48,10 +53,15 @@ def mbody(sigs: Sigs, v: Value, m: str) -> Optional[Union[DefBody, Magic]]:
         return DefBody(
             tuple(x for x, _ in md.mtype.typeParams), md.selfVar, md.params, md.body
         )
-    try:
-        return _parents_lookup(sigs, v.parents, m)
-    except AmbiguousLookup:
-        return None
+    key = (v.parents, m)
+    r = sigs.mbodies.get(key, _UNLOOKED)
+    if r is _UNLOOKED:
+        try:
+            r = _parents_lookup(sigs, v.parents, m)
+        except AmbiguousLookup:
+            r = None
+        sigs.mbodies[key] = r
+    return r
 
 
 def _parents_lookup(sigs, parents, m, walk=frozenset()):
@@ -117,10 +127,6 @@ def invk_subst(body, typeParams, targs, selfVar, recv, params, args):
     tsub = {} if faults.ACTIVE.skip_invk_type_subst else dict(zip(typeParams, targs))
     vsub = {selfVar: recv, **dict(zip(params, args))}
     return subst_expr(body, tsub, vsub)
-
-
-# ``found`` default: the method of the call at the redex not looked up yet
-_UNLOOKED = object()
 
 
 def pure_step(sigs: Sigs, e, found=_UNLOOKED) -> Optional[tuple]:

@@ -103,6 +103,7 @@ class Sigs:
         # successes only, so a failing lookup raises again on every call
         self._sig_memo: dict = {}  # (type, env key) -> Sig
         self.simplify_memo: dict = {}  # (effect, env key) -> effects.simplify
+        self.mbodies: dict = {}  # (parents, method) -> reducer.mbody
 
     # -- extraction ---------------------------------------------------------
 

@@ -17,10 +17,11 @@ The theorems become decidable checks over observed prefixes and supports:
 * ``check_soundness`` drives everything over one program and monad.
 
 The per-step monitor works on configurations, not plugged terms: it steps
-them with ``Evaluator.mon_step`` and types them with ``Checker.type_conf``,
-which retypes only the focus and the frames a step changed, so its cost per
-step does not grow with the depth of the evaluation context.  A
-configuration is plugged (``EConf.expr``) only to print a witness.
+them with ``Evaluator.mon_step`` and types each once with
+``Checker.type_conf``, which retypes only the focus and the frames a step
+changed, so its cost per step does not grow with the depth of the evaluation
+context.  A configuration is plugged (``EConf.expr``) only to print a
+witness.
 """
 
 from __future__ import annotations
@@ -202,10 +203,11 @@ def check_progress(c: EConf, stepped) -> Verdict:
 
 
 def check_lifted_step(checker: Checker, den: Denotation, ev: Evaluator,
-                      T: Type, eff: Effect, stepped,
-                      prefix: int = PREFIX) -> Verdict:
+                      T: Type, eff: Effect, stepped, prefix: int = PREFIX,
+                      typed: Optional[dict] = None) -> Verdict:
     """Monadic subject reduction for one step of a configuration of type
-    ``T ! eff``, whose result ``ev.mon_step`` is ``stepped``.
+    ``T ! eff``, whose result ``ev.mon_step`` is ``stepped``; ``typed``, if
+    given, collects the typing of each configuration in the result.
 
     Every configuration in the step result must retype at some T' ! eff'
     with T' <= T and ehat v eff' <= eff, where ehat is the canonical
@@ -233,6 +235,8 @@ def check_lifted_step(checker: Checker, den: Denotation, ev: Evaluator,
         except TypecheckError as err:
             return Verdict(False,
                            f"step result {c2.expr!r} is ill-typed: {err}")
+        if typed is not None:
+            typed[c2] = t2, f2
         if not checker.sigs.sub_type({}, t2, T):
             return Verdict(
                 False, f"step result type {t2!r} not below {T!r}")
@@ -415,16 +419,18 @@ def check_soundness(program: Program, monad_name: str, *, name: str = "main",
     t0, f0 = checker.type_expr({}, {}, e0)
 
     # per-step progress and subject reduction, over distinct reachable
-    # configurations (equal configurations are equal terms)
+    # configurations (equal configurations are equal terms), each typed once:
+    # a new one waits on the frontier with the typing its step's check gave it
     c0 = EConf(e0)
     seen = {c0}
-    frontier = [c0]
+    typed: dict = {}  # one step's results -> their typings
+    frontier = [(c0, None)]
     budget = fuel
     steps_ok = True
     while frontier and budget > 0:
-        cur = frontier.pop()
+        cur, typing = frontier.pop()
         try:
-            t, f = checker.type_conf(cur)
+            t, f = typing or checker.type_conf(cur)
         except TypecheckError as err:
             rep.add(name, monad_name, "subject-reduction", False,
                     f"reachable expression ill-typed: {err}")
@@ -438,7 +444,7 @@ def check_soundness(program: Program, monad_name: str, *, name: str = "main",
         if stepped is None:
             continue
         budget -= 1
-        v = check_lifted_step(checker, den, ev, t, f, stepped, prefix)
+        v = check_lifted_step(checker, den, ev, t, f, stepped, prefix, typed)
         if not v:
             rep.add(name, monad_name, "subject-reduction", False, v.witness)
             steps_ok = False
@@ -446,7 +452,8 @@ def check_soundness(program: Program, monad_name: str, *, name: str = "main",
         for nxt in ev.monad.elements(mv, prefix):
             if nxt not in seen:
                 seen.add(nxt)
-                frontier.append(nxt)
+                frontier.append((nxt, typed.get(nxt)))
+        typed.clear()
     if steps_ok:
         rep.add(name, monad_name, "per-step", True,
                 f"{fuel - budget} steps monitored")

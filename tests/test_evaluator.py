@@ -5,7 +5,7 @@ import pytest
 from mfj.evaluator import (
     Diverged, EConf, Evaluator, PrefixExceeded, RConf, TraceLine, VRes, WRONG,
 )
-from mfj.monads import Pure, Raised, get_monad
+from mfj.monads import Dist, Pure, Raised, get_monad
 from mfj.parser import numeral, parse_expr
 from mfj.prelude import load_program, prelude_program
 from mfj.syntax import Call
@@ -49,6 +49,26 @@ def test_mon_step_resolves_do_bindings(ev):
     mv, info = ev.mon_step(EConf(parse_expr("do n = return 1; n.succ()")))
     assert info.rule == "ret"
     assert mv == Pure(EConf(Call(numeral(1), "succ")))
+
+
+def test_results_are_hash_consed():
+    assert VRes(numeral(2)) is VRes(numeral(2))
+    assert RConf(VRes(numeral(2))) is RConf(VRes(numeral(2)))
+    assert RConf(WRONG) is RConf(WRONG)
+    assert VRes(numeral(2)) is not VRes(numeral(3))
+
+
+@pytest.mark.parametrize("monad", ["list", "dist"])
+def test_equal_results_merge_under_dist_and_keep_multiplicity_under_list(
+        monad):
+    prog = load_program("main = do b = Chooser.choose(); return 0")
+    res = Evaluator(prog, monad).finitary(prog.main, 20)
+    zero = VRes(numeral(0))
+    if monad == "dist":
+        assert res == Dist({zero: 1}) and res.weights[0][0] is zero
+    else:
+        assert res.to_list() == [zero, zero]
+        assert all(r is zero for r in res.to_list())
 
 
 def test_mon_step_propagates_through_do_contexts(ev):

@@ -3,17 +3,21 @@
 import pytest
 
 from mfj import faults
-from mfj.evaluator import Evaluator, VRes
-from mfj.monads import TRUE, get_monad
+from mfj.cli import main as cli_main
+from mfj.evaluator import Diverged, Evaluator, VRes
+from mfj.monads import MONADS, TRUE, Pure, Raised, get_monad
 from mfj.parser import numeral, parse_expr, pretty_expr
 from mfj.prelude import load_program, prelude_program
 from mfj.reducer import (
-    DefBody, Magic, cmatch, instance_of, mbody, pure_step,
+    AmbiguousLookup, DefBody, Magic, _parents_lookup, cmatch, instance_of,
+    mbody, pure_step,
 )
 from mfj.signatures import Sigs
 from mfj.syntax import (
     Call, Do, NominalType, Obj, Return, Try, TypeVar, Var, nominal, subst_expr,
 )
+
+from conftest import CORPUS
 
 MY_EXC = Obj((NominalType("MyException"),))
 
@@ -58,7 +62,9 @@ def test_mbody_ambiguous_is_undefined():
         "A { m : def -> Nat <s, return 0> } "
         "B { m : def -> Nat <s, return 1> }")
     v = Obj((NominalType("A"), NominalType("B")))
-    assert mbody(Sigs(prog), v, "m") is None
+    sigs = Sigs(prog)
+    assert mbody(sigs, v, "m") is None
+    assert mbody(sigs, v, "m") is None  # from the session's table
 
 
 def test_mbody_finds_a_diamond_method_along_both_paths():
@@ -66,7 +72,74 @@ def test_mbody_finds_a_diamond_method_along_both_paths():
     prog = load_program(
         "A { m : def -> Nat ! pure <_, return 0> } "
         "B <| A { }  C <| A { }  D <| B C { }")
-    assert mbody(Sigs(prog), Obj((NominalType("D"),)), "m") is None
+    sigs, v = Sigs(prog), Obj((NominalType("D"),))
+    assert mbody(sigs, v, "m") is None
+    assert sigs.mbodies == {(v.parents, "m"): None}
+    assert mbody(sigs, v, "m") is None
+
+
+def test_mbody_up_a_cyclic_hierarchy_is_undefined_every_time():
+    sigs = Sigs(load_program("A <| B { }  B <| A { }"))
+    v = Obj((NominalType("A"),))
+    assert [mbody(sigs, v, "m") for _ in range(2)] == [None, None]
+    assert sigs.mbodies == {(v.parents, "m"): None}
+
+
+# -- the lookup table is the session's --------------------------------------
+
+def test_two_programs_with_one_class_name_keep_their_own_lookups(capsys,
+                                                                 tmp_path):
+    # C's nominal type is one node in both programs; each run finds its own m
+    paths = []
+    for n in (1, 2):
+        paths.append(tmp_path / f"c{n}.mfj")
+        paths[-1].write_text(
+            f"C {{ m : def -> Nat ! pure <_, return {n}> }} main = C.m()")
+    outs = []
+    for path in [*paths, *paths]:
+        assert cli_main(["run", str(path)]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs == ["1\n", "2\n", "1\n", "2\n"]
+    progs = [load_program(p.read_text()) for p in paths]
+    evs = [Evaluator(p, "exc") for p in progs]
+    for _ in range(2):
+        assert [ev.finitary(p.main, 10) for ev, p in zip(evs, progs)] == [
+            Pure(VRes(numeral(1))), Pure(VRes(numeral(2)))]
+
+
+def test_a_generic_parent_at_two_type_arguments_finds_two_bodies():
+    prog = load_program(
+        "G[X] { m : def -> Nat ! top <_, try Failure[Nat].fail() "
+        "with Failure[X].fail : <_, return 7> stop> }")
+    ev = Evaluator(prog, "exc")
+    nat, bool_ = (Obj((NominalType("G", (nominal(t),)),)) for t in
+                  ("Nat", "Bool"))
+    bodies = [mbody(ev.sigs, v, "m") for v in (nat, bool_, nat, bool_)]
+    assert bodies[0] != bodies[1]
+    assert bodies[2:] == bodies[:2]
+    assert len(ev.sigs.mbodies) == 2
+    # G[Nat]'s clause catches Failure[Nat]; G[Bool]'s does not
+    for _ in range(2):
+        assert ev.finitary(Call(nat, "m"), 20) == Pure(VRes(numeral(7)))
+        assert ev.finitary(Call(bool_, "m"), 20) == Raised("Fail")
+
+
+@pytest.mark.parametrize("path", sorted(CORPUS.glob("*.mfj")),
+                         ids=lambda p: p.stem)
+def test_every_cached_lookup_the_corpus_reaches_is_a_fresh_lookup(path):
+    prog = load_program(path.read_text())
+    for monad in MONADS:
+        ev = Evaluator(prog, monad)
+        try:
+            ev.finitary(prog.main, 300)
+        except Diverged:
+            pass
+        for (parents, m), found in ev.sigs.mbodies.items():
+            try:
+                fresh = _parents_lookup(Sigs(prog), parents, m)
+            except AmbiguousLookup:
+                fresh = None
+            assert found == fresh
 
 
 def test_mbody_substitutes_declaration_parameters(sigs):

@@ -1,6 +1,7 @@
 """Effect denotations, predicate liftings, and the soundness harness."""
 
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -288,6 +289,29 @@ def test_check_soundness_flags_approximations_that_are_not_a_chain(
     rep = check_soundness(load("bool_not"), "exc", fuel=500)
     [rec] = [r for r in rep.records if r.check == "approx-chain-ascending"]
     assert not rec.ok and rec.witness == "approximations not a chain"
+
+
+@pytest.mark.parametrize("monad", ["list", "dist"])
+def test_the_monitor_types_each_configuration_once(monkeypatch, monad):
+    typed = Counter()
+    real = Checker.type_conf
+
+    def counted(self, c):
+        typed[c] += 1
+        return real(self, c)
+
+    monkeypatch.setattr(Checker, "type_conf", counted)
+    rep = check_soundness(load("nd_m2"), monad, fuel=200)
+    # the walk reaches 230 distinct configurations: the first is typed when
+    # popped, every other one as a step's result, and not again when popped
+    assert len(typed) == 230 and set(typed.values()) == {1}
+    assert rep.summary() == "5 checks, 0 failures"
+    assert [(r.check, r.witness) for r in rep.records] == [
+        ("per-step", "200 steps monitored"),
+        ("finitary", "diverged (vacuous)"),
+        ("approx-chain-ascending", ""),
+        (f"infinitary/{monad}-forall", ""),
+        (f"infinitary/{monad}-exists", "")]
 
 
 def test_check_soundness_rejects_ill_typed_programs():

@@ -72,11 +72,13 @@ class LazyList:
         return ll
 
     def _force(self, k: Optional[int]) -> None:
-        while self._it is not None and (k is None or len(self._memo) < k):
-            try:
-                self._memo.append(next(self._it))
-            except StopIteration:
-                self._it = None
+        if self._it is None or (k is not None and len(self._memo) >= k):
+            return
+        want = None if k is None else k - len(self._memo)
+        # what the source yields before it raises stays in the memo
+        self._memo.extend(islice(self._it, want))
+        if want is None or len(self._memo) < k:  # fewer came: it is done
+            self._it = None
 
     def take(self, k: int) -> list:
         """The first ``k`` elements (fewer if the list is shorter)."""
@@ -94,13 +96,16 @@ class LazyList:
         return list(self._memo)
 
     def __iter__(self):
+        # forced: the memo is complete and no longer grows
+        return iter(self._memo) if self._it is None else self._pull()
+
+    def _pull(self):
         i = 0
         while self._it is not None:
             self._force(i + 1)
             if i < len(self._memo):
                 yield self._memo[i]
                 i += 1
-        # forced: the memo is complete and no longer grows
         yield from islice(self._memo, i, None)
 
     def __repr__(self):

@@ -13,7 +13,7 @@ from .signatures import SigError, Sigs
 from .syntax import (
     DEF, MGC, STOP,
     Call, Clause, Do, Handler, NominalType, Obj, ObjType, Return, Sig, Try,
-    Value, erase_type, record, restrict, subst, subst_expr,
+    Value, erase_type, record, subst, subst_expr,
 )
 
 
@@ -93,8 +93,9 @@ def _nominal_lookup(sigs, n: NominalType, m: str, walk):
         if md.kind == DEF:
             binders = tuple(x for x, _ in md.mtype.typeParams)
             # the method's own binders shadow the declaration's
+            sub = {x: t for x, t in sub.items() if x not in binders}
             return DefBody(binders, md.selfVar, md.params,
-                           subst_expr(md.body, restrict(sub, binders), {}))
+                           subst_expr(md.body, sub, {}))
         if md.kind == MGC:
             return Magic(n.name)
         break  # abs: fall through to the parents

@@ -13,8 +13,8 @@ Every node is immutable and hash-consed (``node``): equal nodes are one
 object, so equality is identity and a hash is an id, however deep the term.
 Free variables (``free``) and capture-avoiding substitution (``subst``) are
 built on the ``shape`` each node class declares.  Facts derived from a node
-(free variables, erasure, numeral value) are cached on it the first time
-they are asked for.
+(free variables, substitution plans, erasure, numeral value) are cached on
+it the first time they are asked for.
 """
 
 from __future__ import annotations
@@ -75,82 +75,226 @@ def _union(pairs) -> tuple:
     return (fv, ftv) if fv or ftv else CLOSED
 
 
-def restrict(sub: Mapping, bound: tuple) -> Mapping:
-    """``sub`` less the names ``bound``; ``sub`` itself when it has none."""
-    for x in bound:
-        if x in sub:
-            return {k: v for k, v in sub.items() if k not in bound}
-    return sub
-
-
 def subst(n, tsub: Mapping, vsub: Optional[Mapping] = None):
     """``n[tsub][vsub]``, simultaneously and avoiding capture: a binder that
     would capture a name free in a substituted term is renamed (``_fresh``).
     A node in which neither substitution has a name free is returned itself,
-    and so is each such node under ``n``."""
-    if not tsub and not vsub:
-        return n
-    vsub = vsub or {}
-    sc = NO_NAMES  # the names free in a substituted term
-    for w in (*tsub.values(), *vsub.values()):
-        if free(w) is not CLOSED:
-            sc = sc.union(*free(w))
-    return _s(n, tsub, vsub, sc)
+    and so is each such node under ``n``.  Runs ``n``'s plan (``_plan``) for
+    the substituted names free in it."""
+    return _run(n, tsub, vsub or {}, None)
 
 
 # the name the reducer and the evaluator call it by
 subst_expr = subst
 
 
-def _s(n, ts, vs, sc):
-    """``subst`` below the root; ``sc`` holds the names free in the terms
-    of ``ts`` and ``vs``."""
-    f = n._free or free(n)
-    if f is CLOSED or ((not vs or f[0].isdisjoint(vs))
-                       and (not ts or f[1].isdisjoint(ts))):
+def _run(n, ts, vs, sc):
+    """``subst`` with ``sc``, the names free in the terms of ``ts`` and
+    ``vs`` (worked out here when None)."""
+    fv, ftv = n._free or free(n)
+    vk = fv.intersection(vs) if fv and vs else NO_NAMES
+    tk = ftv.intersection(ts) if ftv and ts else NO_NAMES
+    if not (vk or tk):
         return n
-    return n._sub(ts, vs, sc)
+    if sc is None:
+        sc = NO_NAMES
+        for sub in (ts, vs):
+            for w in sub.values():
+                f = w._free or free(w)
+                if f is not CLOSED:
+                    sc = sc.union(*f)
+    plans = n._plans
+    plan = plans.get((vk, tk)) if plans else None
+    return (plan or _plan(n, (vk, tk)))(ts, vs, sc)
 
 
-def _enter(n, ts, vs, sc, ren) -> tuple:
-    """``(binder fields, ts, vs, sc)`` for substituting into ``n``: its
-    binder fields, renamed by ``ren``, or where they would capture a name
-    in ``sc``, and the substitution for the fields they scope over."""
+def _plan(n, key):
+    """``n``'s plan for ``key``, the value and the type names substituted
+    and free in ``n``: a function of ``(ts, vs, sc)`` that rebuilds ``n``
+    and, calling the plans of their children, only the nodes on a path to
+    a free occurrence of a name in ``key``; the others are kept as they
+    are.  Built the first time it is asked for, with an explicit stack,
+    together with each plan it calls, and cached on its node."""
+    todo = [(n, key, _touched(n, key))]
+    while todo:
+        top = todo[-1]
+        for _, _, _, c, ck in top[2]:
+            if not (c._plans and ck in c._plans):
+                todo.append((c, ck, _touched(c, ck)))
+        if todo[-1] is top:  # its children are planned
+            m, k, kids = todo.pop()
+            plans = m._plans
+            if plans is None:
+                plans = m.__dict__["_plans"] = {}
+            if k not in plans:  # a node reached twice is planned once
+                plans[k] = _compose(m, k, kids)
+    return n._plans[key]
+
+
+def _touched(m, key) -> list:
+    """``(field index, position, form, child, child key)`` for each child
+    of ``m`` in which a name of ``key`` is free and not bound by ``m``."""
+    inner = key
+    if m._binders:  # the names m binds are not substituted below it
+        vb, tb = m._names()
+        if not (key[0].isdisjoint(vb) and key[1].isdisjoint(tb)):
+            inner = (key[0].difference(vb), key[1].difference(tb))
+    out = []
+    d = m.__dict__
+    for i, f, form, scoped in m._children:
+        k = inner if scoped else key
+        v, t = k
+        if not (v or t):  # m binds every name of key
+            continue
+        x = d[f]
+        for j, c in enumerate((x,) if form == "" else _nodes_of(form, x)):
+            fv, ftv = c._free
+            if v <= fv and t <= ftv:
+                out.append((i, j, form, c, k))
+            elif not (v.isdisjoint(fv) and t.isdisjoint(ftv)):
+                out.append((i, j, form, c, (v & fv, t & ftv)))
+    return out
+
+
+def _nodes_of(form: str, x) -> tuple:
+    """The nodes of a child field of the given form (see ``node``)."""
+    if form == "?":
+        return () if x is None else (x,)
+    if form == "**":
+        return [c[-1] for c in x]
+    return x
+
+
+# A plan holds what it was built from as default arguments rather than in
+# closure cells, which makes it cheaper to build and to run: many plans are
+# built for a node that is substituted once, such as a new ``try`` term.
+
+
+def _compose(m, key, kids):
+    """``m``'s plan for ``key`` from its children's (see ``_plan``)."""
+    if not kids:  # a variable
+        if isinstance(m, Var):
+            return lambda ts, vs, sc, x=m.name: vs[x]
+        return lambda ts, vs, sc, x=m.name: ts[x]
+    fields = m._values()
+    binder = m if m._binders else None
+    if len(kids) == 1 and kids[0][2] in ("", "?"):  # one child rebuilt
+        i, _, _, c, ck = kids[0]
+        return _seq(fields, [(i, c._plans[ck])], m.__class__, binder, key)
+    got = []  # (field index, the field's plan)
+    seqs = {}  # field index -> its form and [(position, the child's plan)]
+    for i, j, form, c, ck in kids:
+        if form == "" or form == "?":
+            got.append((i, c._plans[ck]))
+        else:
+            seqs.setdefault(i, (form, []))[1].append((j, c._plans[ck]))
+    for i, (form, plans) in seqs.items():
+        x = fields[i]
+        if form == "*":
+            got.append((i, _seq(x, plans)))
+        elif form == "**":
+            got.append((i, _seq(x, [(j, _seq(x[j], [(len(x[j]) - 1, p)]))
+                                    for j, p in plans])))
+        else:
+            got.append((i, _seq(tuple(x), plans, lambda *a: frozenset(a))))
+    return _seq(fields, got, m.__class__, binder, key)
+
+
+def _seq(items: tuple, plans: list, make=None, binder=None, key=None):
+    """The plan that gives ``items`` with ``items[i]`` replaced by what
+    ``p`` gives, for each ``(i, p)`` of ``plans``: as a tuple, or as the
+    node ``make(*items)``.  When that node has binders, ``binder`` is the
+    node, planned for ``key``, and the plan first asks ``_captured``."""
+    if len(plans) == 1:
+        [(i, p)] = plans
+        pre, post = items[:i], items[i + 1:]
+        if make is None:
+            return (lambda ts, vs, sc, a=pre, p=p, b=post:
+                    (*a, p(ts, vs, sc), *b))
+        if binder is None:
+            return (lambda ts, vs, sc, f=make, a=pre, p=p, b=post:
+                    f(*a, p(ts, vs, sc), *b))
+
+        def one(ts, vs, sc, f=make, a=pre, p=p, b=post, m=binder, k=key):
+            # only an open substitution can meet a binder: a run's are closed
+            if sc and (got := _captured(m, k, ts, vs, sc)) is not None:
+                return got
+            return f(*a, p(ts, vs, sc), *b)
+        return one
+
+    def run(ts, vs, sc, items=items, plans=plans, make=make, m=binder, k=key):
+        if m is not None and sc \
+                and (got := _captured(m, k, ts, vs, sc)) is not None:
+            return got
+        got = list(items)
+        for i, p in plans:
+            got[i] = p(ts, vs, sc)
+        return tuple(got) if make is None else make(*got)
+    return run
+
+
+def _captured(n, key, ts, vs, sc):
+    """``n`` substituted for ``key`` with a binder renamed, when one of its
+    binders would capture a name free in the substituted terms; else None."""
+    if not sc.isdisjoint(NO_NAMES.union(*n._names())):
+        ren = _avoid(n, key, ts, vs, sc)
+        if ren is not None:
+            return _rename(n, key, ts, vs, sc, ren)
+    return None
+
+
+def _avoid(n, key, ts, vs, sc) -> Optional[tuple]:
+    """``(value renaming, type renaming)`` of ``n``'s binders that keeps
+    them from capturing a name free in what the substitution of ``key``'s
+    names puts under them, or None when they capture none."""
     vb, tb = n._names()
-    if ren is None and sc and not (sc.isdisjoint(vb) and sc.isdisjoint(tb)):
-        ren = _avoid(n, ts, vs, sc, vb, tb)
-    ts, vs = restrict(ts, tb), restrict(vs, vb)
-    fields = [getattr(n, f) for f, _ in n._binders]
-    if ren is None:
-        return fields, ts, vs, sc
-    for i, ((_, kind), x) in enumerate(zip(n._binders, fields)):
-        r = ren[kind]
+    fv, ftv = _union(map(free, n._kids()[1]))
+    cv, ct = _union(map(free, [
+        *(vs[k] for k in key[0] if k in fv and k not in vb),
+        *(ts[k] for k in key[1] if k in ftv and k not in tb)]))
+    if cv.isdisjoint(vb) and ct.isdisjoint(tb):
+        return None
+    taken = {*sc, *fv, *ftv, *vb, *tb}
+    return ({x: _fresh(x, taken) for x in vb if x in cv},
+            {x: _fresh(x, taken) for x in tb if x in ct})
+
+
+def _rename(n, key, ts, vs, sc, ren):
+    """``n`` with ``key``'s names substituted and its binders renamed by
+    ``ren``, ``(value renaming, type renaming)``: in its binder fields, and,
+    as a substitution, in the fields they scope over, where the new names
+    join ``sc``."""
+    vb, tb = n._names()
+    (vk, tk), (vren, tren) = key, ren
+    ts0, vs0 = {x: ts[x] for x in tk}, {x: vs[x] for x in vk}
+    ts1 = {x: t for x, t in ts0.items() if x not in tb}
+    ts1.update((x, TypeVar(y)) for x, y in tren.items())
+    vs1 = {x: v for x, v in vs0.items() if x not in vb}
+    vs1.update((x, Var(y)) for x, y in vren.items())
+    sc1 = sc.union(vren.values(), tren.values())
+    fields = list(n._values())
+    for f, kind in n._binders:
+        i, x, r = n._fields.index(f), n.__dict__[f], ren[kind]
         if isinstance(x, str):
             fields[i] = r.get(x, x)
         elif isinstance(x, tuple):  # names, or (name, bound) pairs
             fields[i] = tuple(r.get(y, y) if isinstance(y, str)
                               else (r.get(y[0], y[0]), *y[1:]) for y in x)
         elif x is not None and r:  # the method type whose binders these are
-            fields[i] = x._sub({}, {}, NO_NAMES, ({}, r))
-    vren, tren = ren
-    return (fields, {**ts, **{x: TypeVar(y) for x, y in tren.items()}},
-            {**vs, **{x: Var(y) for x, y in vren.items()}},
-            sc.union(vren.values(), tren.values()))
-
-
-def _avoid(n, ts, vs, sc, vb, tb) -> Optional[tuple]:
-    """``(value renaming, type renaming)`` of ``n``'s binders ``vb`` and
-    ``tb`` that keeps them from capturing a name free in what ``ts`` and
-    ``vs`` put under them, or None when they capture none."""
-    fv, ftv = _union(map(free, n._kids()[1]))
-    cv, ct = _union(map(free, [
-        *(w for k, w in vs.items() if k in fv and k not in vb),
-        *(t for k, t in ts.items() if k in ftv and k not in tb)]))
-    if cv.isdisjoint(vb) and ct.isdisjoint(tb):
-        return None
-    taken = {*sc, *fv, *ftv, *vb, *tb}
-    return ({x: _fresh(x, taken) for x in vb if x in cv},
-            {x: _fresh(x, taken) for x in tb if x in ct})
+            fields[i] = _rename(x, CLOSED, {}, {}, NO_NAMES, ({}, r))
+    for i, _, form, scoped in n._children:
+        s = (ts1, vs1, sc1) if scoped else (ts0, vs0, sc)
+        x = fields[i]
+        if form == "":
+            fields[i] = _run(x, *s)
+        elif form == "?":
+            fields[i] = None if x is None else _run(x, *s)
+        elif form == "**":
+            fields[i] = tuple((*c[:-1], _run(c[-1], *s)) for c in x)
+        else:
+            fields[i] = (tuple if form == "*" else frozenset)(
+                _run(c, *s) for c in x)
+    return type(n)(*fields)
 
 
 def _fresh(x: str, taken: set) -> str:
@@ -201,38 +345,39 @@ def node(cls):
     holds a name, a tuple of names (or None), ``(name, bound)`` pairs, or
     the method type whose type parameters it binds; the binders scope over
     the ``SCOPED`` children.  The shape gives ``_kids`` (the children outside
-    and inside the binders), ``_names`` (the names bound) and ``_sub``.
+    and inside the binders), ``_names`` (the names bound), and the
+    ``_children`` and ``_binders`` that substitution plans are built from.
     """
     return _build(cls, True, True)
 
 
-# a child field's form -> (its nodes in a list display, the field substituted)
+# a child field's form -> its nodes in a list display
 _FORMS = {
-    "": ("{x}, ", "_s({x}, {s})"),
-    "?": ("*(() if {x} is None else ({x},)), ",
-          "None if {x} is None else _s({x}, {s})"),
-    "*": ("*{x}, ", "tuple([_s(c, {s}) for c in {x}])"),
-    "**": ("*[c[-1] for c in {x}], ",
-           "tuple([(*c[:-1], _s(c[-1], {s})) for c in {x}])"),
-    "{}": ("*{x}, ", "frozenset([_s(c, {s}) for c in {x}])"),
+    "": "{x}, ",
+    "?": "*(() if {x} is None else ({x},)), ",
+    "*": "*{x}, ",
+    "**": "*[c[-1] for c in {x}], ",
+    "{}": "*{x}, ",
 }
 
 
 def _traversal(cls, names: tuple, shape: str) -> dict:
-    """The source of ``_kids``, ``_names`` and ``_sub`` for ``cls``'s
-    ``shape``, whose binder fields go to ``cls._binders``.  ``_sub`` builds
-    the node from locals named after them, which ``_enter`` may rename."""
+    """The source of ``_kids`` and ``_names`` for ``cls``'s ``shape``, whose
+    child fields go to ``cls._children`` as ``(index, field, form, scoped)``
+    and binder fields to ``cls._binders`` as ``(field, 0 for a value or 1
+    for a type binder)``."""
     kids, _, binds = shape.partition(";")
     forms = {k.rstrip("?*{}"): k[len(k.rstrip("?*{}")):] for k in kids.split()}
     vfields, _, rest = binds.partition("/")
     tfields, _, scoped = rest.partition(">")
     vfields, tfields, scoped = vfields.split(), tfields.split(), scoped.split()
-    binders = (*vfields, *tfields)
     cls._binders = (*((f, 0) for f in vfields), *((f, 1) for f in tfields))
+    cls._children = tuple((i, f, forms[f], f in scoped)
+                          for i, f in enumerate(names) if f in forms)
     ann = cls.__dict__["__annotations__"]
 
     def nodes(fs):
-        return "[" + "".join(_FORMS[forms[f]][0].format(x=f"self.{f}")
+        return "[" + "".join(_FORMS[forms[f]].format(x=f"self.{f}")
                              for f in fs) + "]"
 
     def bound(fs):  # the names that the binder fields ``fs`` hold
@@ -242,25 +387,12 @@ def _traversal(cls, names: tuple, shape: str) -> dict:
             f"*(self.{f} or ()), " if "tuple" in ann[f] else f"self.{f}, "
             for f in fs) + ")"
 
-    def field(f):
-        x = f if f in binders else f"self.{f}"
-        if f not in forms:
-            return x
-        s = "ts1, vs1, sc1" if f in scoped else "ts, vs, sc"
-        return _FORMS[forms[f]][1].format(x=x, s=s)
-
     src = {"_kids": "def _kids(self):\n    return "
                     f"{nodes(f for f in forms if f not in scoped)}, "
                     f"{nodes(f for f in forms if f in scoped)}\n"}
-    built = f"    return _cls({', '.join(field(f) for f in names)})\n"
-    if not binders:
-        src["_sub"] = "def _sub(self, ts, vs, sc):\n" + built
-        return src
-    src["_names"] = (f"def _names(self):\n"
-                     f"    return {bound(vfields)}, {bound(tfields)}\n")
-    src["_sub"] = ("def _sub(self, ts, vs, sc, ren=None):\n"
-                   f"    ({', '.join(binders)},), ts1, vs1, sc1 = "
-                   "_enter(self, ts, vs, sc, ren)\n" + built)
+    if cls._binders:
+        src["_names"] = (f"def _names(self):\n"
+                         f"    return {bound(vfields)}, {bound(tfields)}\n")
     return src
 
 
@@ -296,7 +428,9 @@ def _build(cls, frozen: bool, hashcons: bool):
                           "    return n\n")
         if "shape" in cls.__dict__:  # a syntax node: the traversal too
             src.update(_traversal(cls, names, cls.shape))
+            src["_values"] = f"def _values(self):\n    return {mine}\n"
             cls._free = None  # until ``free`` caches the pair on the node
+            cls._plans = None  # until ``_plan`` caches one on the node
     else:
         src["__init__"] = (f"def __init__(self, {params}):\n"
                            + "".join(f"    _set(self, {n!r}, {n})\n" for n in names))
@@ -308,8 +442,7 @@ def _build(cls, frozen: bool, hashcons: bool):
                            if frozen else "__hash__ = None\n")
     src = {k: code for k, code in src.items() if cls.__dict__.get(k) is None}
     ns = {"_table": {}, "_new": object.__new__, "_set": object.__setattr__,
-          "_order": names, "_defaults": defaults, "_cls": cls, "_s": _s,
-          "_enter": _enter}
+          "_order": names, "_defaults": defaults}
     exec("".join(src.values()), ns)
     for k in src:
         setattr(cls, k, ns[k])
@@ -338,9 +471,6 @@ class Type:
 class TypeVar(Type):
     name: str
     shape = ""
-
-    def _sub(self, ts, vs, sc):
-        return ts[self.name]
 
 
 @node
@@ -486,9 +616,6 @@ class Expr:
 class Var(Value):
     name: str
     shape = ""
-
-    def _sub(self, ts, vs, sc):
-        return vs[self.name]
 
 
 @node
@@ -652,7 +779,7 @@ def open_binders(mt: MethodType, names: Iterable[str], scope) -> MethodType:
         taken = {*scope, *names, *free(mt)[1]}
         names = [_fresh(n, taken) if n in scope else n for n in names]
     ren = {x: n for (x, _), n in zip(mt.typeParams, names) if x != n}
-    return mt._sub({}, {}, NO_NAMES, ({}, ren)) if ren else mt
+    return _rename(mt, CLOSED, {}, {}, NO_NAMES, ({}, ren)) if ren else mt
 
 
 def align_binders(a: MethodType, b: MethodType, scope=()) -> Optional[tuple]:

@@ -1,0 +1,74 @@
+"""Dump what ``mfj`` prints for every corpus program, as one JSON file, so
+that a refactor's byte-identity is one ``diff`` between two checkouts:
+
+    PYTHONPATH=src python tests/outputs.py OUT.json
+
+It records the exit code, standard output and standard error of:
+
+- ``check --json`` of every corpus file, and ``run --trace``, ``run --trace
+  --json`` and ``soundness --json`` of every corpus file under every monad;
+- with each ``mfj.faults`` switch on: ``check --json`` of every corpus file,
+  and ``soundness --json`` and ``run --unchecked`` of every corpus file under
+  every monad.
+
+Commands run in-process, in this order, with paths relative to the
+repository root, so the output does not depend on where the checkout is.
+Not a test module: pytest does not collect it.
+"""
+
+import contextlib
+import io
+import json
+import os
+import pathlib
+import sys
+
+from mfj import faults
+from mfj.cli import main
+from mfj.monads import MONADS
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def outcome(argv: list) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def commands() -> list:
+    """``(fault or None, argv)`` for every output, in the order they run."""
+    files = sorted(str(p.relative_to(ROOT))
+                   for p in (ROOT / "corpus").glob("*.mfj"))
+    plain = [(None, ["check", "--json", f]) for f in files]
+    plain += [(None, argv) for f in files for m in MONADS for argv in (
+        ["run", "--trace", f, "--monad", m],
+        ["run", "--trace", "--json", f, "--monad", m],
+        ["soundness", "--json", f, "--monad", m])]
+    faulty = [(name, argv) for name in faults.NAMES for argv in (
+        *(["check", "--json", f] for f in files),
+        *(argv for f in files for m in MONADS for argv in (
+            ["soundness", "--json", f, "--monad", m],
+            ["run", "--unchecked", f, "--monad", m])))]
+    return plain + faulty
+
+
+def dump() -> dict:
+    got = {}
+    for fault, argv in commands():
+        key = " ".join(argv) if fault is None \
+            else f"[{fault}] {' '.join(argv)}"
+        with faults.inject(fault) if fault else contextlib.nullcontext():
+            got[key] = outcome(argv)
+    return got
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(f"usage: {sys.argv[0]} OUT.json")
+    target = os.path.abspath(sys.argv[1])
+    os.chdir(ROOT)
+    with open(target, "w", encoding="utf-8") as f:
+        json.dump(dump(), f, indent=1, sort_keys=True)
+        f.write("\n")

@@ -131,6 +131,36 @@ def test_lazylist_survives_unbounded_sources():
     assert not ll.exhausted_within(1000)
 
 
+def test_lazylist_take_pulls_exactly_what_it_returns():
+    pulls = []
+
+    def counting():
+        for i in range(10):
+            pulls.append(i)
+            yield i
+
+    ll = LazyList(counting())
+    for k, pulled in ((0, 0), (3, 3), (3, 3), (5, 5), (1, 5)):
+        assert ll.take(k) == list(range(k))
+        assert len(pulls) == pulled
+    assert not ll.exhausted_within(9) and len(pulls) == 10
+    assert ll.exhausted_within(10) and list(ll) == list(range(10))
+
+
+def test_lazylist_keeps_what_a_raising_source_gave():
+    def two_then_fail():
+        yield 1
+        yield 2
+        raise RuntimeError("source failed")
+
+    ll = LazyList(two_then_fail())
+    with pytest.raises(RuntimeError):
+        ll.take(5)
+    assert ll.take(2) == [1, 2]
+    # the source is finished, so the list ends with what it gave
+    assert ll.to_list() == [1, 2]
+
+
 def test_lazylist_prefix_order():
     monad = get_monad("list")
     assert monad.leq(LazyList.of(), LazyList.of(1, 2))

@@ -11,8 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mfj
+from mfj import syntax
 
 from conftest import CORPUS, load
+from mfj.evaluator import Diverged, Evaluator
 from mfj.parser import numeral, parse_expr
 from mfj.syntax import (
     ABS, DEF, OBJECT, PURE, TOP,
@@ -21,6 +23,7 @@ from mfj.syntax import (
     alpha_eq_mtype, eff_of, eff_union, erase_type, free, nominal,
     open_binders, subst, subst_expr,
 )
+from reference_subst import reference_subst
 
 A = eff_of(EffCall(nominal("A"), "m"))
 B = eff_of(EffCall(nominal("B"), "n"))
@@ -313,7 +316,8 @@ def test_open_binders_takes_the_first_name_out_of_scope():
 # -- the laws of substitution, over every node of the corpus -------------------
 
 # terms in which a binder has a name free beneath it, which the corpus has
-# for value binders only
+# for value binders only; in the last two, a name is bound below where it is
+# free, and a binder captures below another one
 BINDER_TERMS = [
     parse_expr("return Object{ m : def [X] -> Object ! pure <_, y.k[A X]()> }",
                tvars=("A",)),
@@ -321,6 +325,8 @@ BINDER_TERMS = [
                "final <r, return r>", tvars=("A",)),
     MethodType((("X", OBJECT), ("Y", TypeVar("X"))), (TypeVar("A"),),
                nominal("Failure", TypeVar("Y")), PURE),
+    parse_expr("do x = x.m(); x.n(z)"),
+    parse_expr("do y = return w; do x = return y; x.m(z)"),
 ]
 
 
@@ -391,6 +397,80 @@ def test_substituting_types_frees_what_they_replace(tsub):
             assert out is n
             continue
         assert free(out) == (fv, (ftv - hit) | _freed(hit, tsub, 1)), n
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.sampled_from(TYPE_NAMES), law_types, max_size=3),
+       st.dictionaries(st.sampled_from(VALUE_NAMES), law_values, max_size=3))
+def test_subst_gives_the_reference_node(tsub, vsub):
+    # open substitutions included: a Var or TypeVar named after a binder, or
+    # Failure[X], is free in what it substitutes, and may be captured
+    for n in NODES:
+        assert subst(n, tsub, vsub) is reference_subst(n, tsub, vsub), n
+
+
+@pytest.mark.parametrize("term", BINDER_TERMS)
+def test_a_binder_term_substitutes_as_the_reference_does(term):
+    closed = ({"A": nominal("Nat")},
+              {"x": numeral(2), "y": numeral(1), "z": numeral(0)})
+    # Y is free in no binder term, so X'1 is only taken, and every name
+    # with a ' is a binder renamed
+    capturing = ({"A": TypeVar("X"), "Y": TypeVar("X'1")},
+                 {"x": numeral(2), "y": numeral(1), "z": Var("x")})
+    for tsub, vsub in (closed, capturing):
+        assert subst(term, tsub, vsub) is reference_subst(term, tsub, vsub)
+    out = subst(term, *capturing)
+    assert "'" in repr(out) and "X'1" not in repr(out)
+
+
+def _plans(n) -> dict:
+    return dict(n._plans or {})
+
+
+def test_a_reused_plan_still_renames_a_binder_that_would_capture():
+    # the same names, first closed and then open: the plan built for the
+    # first substitution is run for the second, and it renames
+    e = parse_expr("return Object{ m : def [X] -> Object ! pure "
+                   "<_, y.k[A X]()> }", tvars=("A",))
+    closed = subst(e, {"A": nominal("Nat")})
+    assert closed.value.methods[0].mtype.typeParams == (("X", OBJECT),)
+    built = _plans(e)
+    out = subst(e, {"A": TypeVar("X")})
+    assert _plans(e) == built
+    md = out.value.methods[0]
+    assert md.mtype.typeParams == (("X'1", OBJECT),)
+    assert md.body.targs == (TypeVar("X"), TypeVar("X'1"))
+    d = parse_expr("do x = return y; return z")
+    assert subst(d, {}, {"z": numeral(0)}) == Do("x", Return(Var("y")),
+                                                 Return(numeral(0)))
+    built = _plans(d)
+    assert subst(d, {}, {"z": Var("x")}) == Do("x'1", Return(Var("y")),
+                                               Return(Var("x")))
+    assert _plans(d) == built
+
+
+@pytest.mark.parametrize("program, monad", [
+    ("nd_m2", "list"), ("nd_m2", "dist"), ("main = 400.sum(400)", "exc")])
+def test_a_second_run_builds_no_plan(monkeypatch, program, monad):
+    prog = load(program) if "=" not in program \
+        else mfj.load_program(program)
+    built = []
+    compose = syntax._compose
+
+    def counted(m, key, kids):
+        built.append(m)
+        return compose(m, key, kids)
+
+    monkeypatch.setattr(syntax, "_compose", counted)
+    outs = []
+    for _ in range(2):
+        try:
+            outs.append(Evaluator(prog, monad).finitary(prog.main, 400))
+        except Diverged as e:
+            outs.append(e.steps)
+        built.append(None)
+    assert built[built.index(None) + 1:] == [None]
+    assert repr(outs[0]) == repr(outs[1])
 
 
 # -- erasure and canonical forms ----------------------------------------------

@@ -281,3 +281,42 @@ def test_a_shadowing_binder_does_not_capture(i):
 def test_the_verdict_does_not_depend_on_binder_names(i, binder):
     # X or Y is the enclosing name in each program; Q and Y_1 are unused
     assert diagnostic_codes(shadowing_program(i, binder)) == [SHADOWING[i][2]]
+
+
+# -- the order of t-invk's diagnostics ------------------------------------------
+
+# t-invk checks the method lookup and the type arguments' bounds, then the
+# arity, then each argument in turn, then the call effect; each program
+# fails at one of those steps and must name that step, not a later one.
+CALL_ORDER = [
+    # the lookup fails before the unknown argument type is seen
+    ("main = 0.nosuch(Bogus{})", ["NoSuchMethod/t-invk"]),
+    # the arity fails before the unknown argument type is seen
+    ("main = 0.succ(Bogus{})", ["ArityMismatch/t-invk"]),
+    # the argument fails before the effect C.m, which never simplifies
+    ("C { m : def Nat -> Nat ! C.m <_ x, return x> }\nmain = C{}.m(True)",
+     ["NotMagic/t-ntype", "ArgTypeMismatch/t-invk"]),
+]
+
+
+@pytest.mark.parametrize("src,codes", CALL_ORDER)
+def test_a_call_reports_the_first_step_that_fails(src, codes):
+    assert diagnostic_codes(src) == codes
+
+
+def test_a_failed_call_fails_again_and_a_good_one_then_types():
+    # a call that fails is not remembered: the same call fails the same
+    # way twice, and the effect is simplified only once the arguments pass
+    ck = Checker(load_program(
+        "C { m : def Nat -> Nat ! C.m <_ x, return x> }\nmain = return 0"))
+    for src, code in [("C{}.m(True)", "ArgTypeMismatch"),
+                      ("C{}.m(True)", "ArgTypeMismatch"),
+                      ("C{}.m(0)", "FuelExhausted"),
+                      ("C{}.m(0)", "FuelExhausted"),
+                      ("C{}.m(True)", "ArgTypeMismatch"),
+                      ("True.if[Nat Nat](0)", "BoundViolation"),
+                      ("True.if[Nat Nat](0)", "BoundViolation")]:
+        with pytest.raises(TypecheckError) as e:
+            expr_type(ck, src)
+        assert e.value.code == code
+    assert expr_type(ck, "1.pred()") == expr_type(ck, "2.pred()")

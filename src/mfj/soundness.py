@@ -274,6 +274,10 @@ def interp_law_suite(interp: EffectInterp, sigs: Sigs, effects,
     2. effect-monotonicity: eff <= eff' implies lift_eff(A) <= lift_eff'(A);
     3. unit: x in A implies unit(x) in lift_pure(A);
     4. multiplication: lifting twice then flattening lands in lift_{eff v eff'}.
+
+    Each lifting ``interp.lift(eff, A)`` of a subset ``A`` is built once and
+    evaluated once per value: on each sample (laws 1 and 2) and, for a join
+    ``eff v eff'``, on each flattening (law 4).
     """
     monad = interp.monad
     X = tuple(X)
@@ -284,18 +288,20 @@ def interp_law_suite(interp: EffectInterp, sigs: Sigs, effects,
     # each image map_m(f, m) is built once; f is bound now, because list's
     # map_m is lazy and a closure would see a later f
     images = [[monad.map_m(f.__getitem__, m) for m in samples] for f in funcs]
-
+    joins = [eff_union(eff, eff2) for eff in effects for eff2 in effects]
+    lifts = {(eff, A): interp.lift(eff, A.__contains__)
+             for eff in dict.fromkeys([*effects, PURE, *joins]) for A in subsets}
+    # (eff, A) -> lift(eff, A) on each sample
+    on_samples = {(eff, A): [lifts[eff, A](m) for m in samples]
+                  for eff in effects for A in subsets}
     # 1: naturality
     for eff in effects:
         for f, f_images in zip(funcs, images):
             for A in subsets:
-                pre = frozenset(x for x in X if f[x] in A)
-                lift_pre = interp.lift(eff, lambda x: x in pre)
-                lift_A = interp.lift(eff, lambda x: x in A)
-                for m, image in zip(samples, f_images):
-                    lhs = lift_pre(m)
-                    rhs = lift_A(image)
-                    if lhs != rhs:
+                lhs_all = on_samples[eff, frozenset(x for x in X if f[x] in A)]
+                lift_A = lifts[eff, A]
+                for m, image, lhs in zip(samples, f_images, lhs_all):
+                    if lhs != lift_A(image):
                         viol.append(
                             f"naturality fails for {interp.name} at eff="
                             f"{eff!r}, f={f}, A={sorted(A)}, m={m!r}")
@@ -305,33 +311,31 @@ def interp_law_suite(interp: EffectInterp, sigs: Sigs, effects,
             if not sigs.sub_eff({}, eff, eff2):
                 continue
             for A in subsets:
-                lo = interp.lift(eff, lambda x: x in A)
-                hi = interp.lift(eff2, lambda x: x in A)
-                for m in samples:
-                    if lo(m) and not hi(m):
+                for m, lo, hi in zip(samples, on_samples[eff, A],
+                                     on_samples[eff2, A]):
+                    if lo and not hi:
                         viol.append(
                             f"monotonicity fails for {interp.name}: "
                             f"{eff!r} <= {eff2!r}, A={sorted(A)}, m={m!r}")
     # 3: unit
     for A in subsets:
-        lifted = interp.lift(PURE, lambda x: x in A)
         for x in A:
-            if not lifted(monad.unit(x)):
+            if not lifts[PURE, A](monad.unit(x)):
                 viol.append(
                     f"unit law fails for {interp.name}: x={x}, A={sorted(A)}")
     # 4: multiplication
     mm_samples = ([monad.unit(m) for m in samples]
                   + monad.outer_samples(samples))
     flats = [monad.bind(mm, lambda m: m) for mm in mm_samples]
+    on_flats = {(eff, A): [lifts[eff, A](m) for m in flats]  # as on_samples
+                for eff in dict.fromkeys(joins) for A in subsets}
     for eff in effects:
         for eff2 in effects:
-            joined = eff_union(eff, eff2)
             for A in subsets:
-                lift_in = interp.lift(eff2, lambda x: x in A)
-                lift_out = interp.lift(eff, lift_in)
-                lift_joined = interp.lift(joined, lambda x: x in A)
-                for mm, flat in zip(mm_samples, flats):
-                    if lift_out(mm) and not lift_joined(flat):
+                lift_out = interp.lift(eff, lifts[eff2, A])
+                oks = on_flats[eff_union(eff, eff2), A]
+                for mm, ok in zip(mm_samples, oks):
+                    if not ok and lift_out(mm):
                         viol.append(
                             f"multiplication fails for {interp.name}: "
                             f"eff={eff!r}, eff'={eff2!r}, A={sorted(A)}, "

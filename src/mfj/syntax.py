@@ -71,8 +71,11 @@ def free(n) -> tuple:
 
 def _union(pairs) -> tuple:
     """The union of ``(fv, ftv)`` pairs; ``CLOSED`` when it is empty."""
-    fv, ftv = (NO_NAMES.union(*names) for names in zip(CLOSED, *pairs))
-    return (fv, ftv) if fv or ftv else CLOSED
+    out = CLOSED
+    for p in pairs:  # mostly CLOSED, and a lone other pair is kept as it is
+        if p is not CLOSED and p is not out:
+            out = p if out is CLOSED else (out[0] | p[0], out[1] | p[1])
+    return out if out[0] or out[1] else CLOSED
 
 
 def subst(n, tsub: Mapping, vsub: Optional[Mapping] = None):

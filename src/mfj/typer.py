@@ -15,7 +15,7 @@ from typing import Mapping
 from . import faults
 from .effects import ClauseFilter, HandlerFilter, apply_filter, simplify
 from .evaluator import TryFrame
-from .signatures import SigError, Sigs
+from .signatures import SigError, Sigs, env_key
 from .syntax import (
     ABS, CLOSED, CONTINUE, DEF, MGC, OBJECT, PURE, STOP,
     Call, Clause, Do, EffCall, Effect, Expr, Handler, MethodDef, MethodType,
@@ -47,9 +47,9 @@ class Checker:
         self._expr_memo: dict = {}
         # (frame, hole typing, raw focus effect) -> the configuration's typing
         self._frame_memo: dict = {}
-        # (method type, type arguments) -> its parameter types and result
-        # type with the arguments substituted
-        self._inst_memo: dict = {}
+        # (env key, receiver type, method, type arguments) -> [parameter
+        # types, result type, call effect or None until arguments passed]
+        self._call_memo: dict = {}
         self._depth = 0  # how many values the current typing is inside
 
     # -- values ----------------------------------------------------------------
@@ -220,23 +220,24 @@ class Checker:
 
     def _type_call(self, phi, gamma, e: Call) -> tuple:
         t0 = self.type_value(phi, gamma, e.recv)
-        try:
-            kind, mt = self.sigs.mtype(phi, t0, e.method)
-            sub = self.sigs.check_targs(phi, repr(e.method), mt.typeParams,
-                                        e.targs)
-        except SigError as err:
-            raise _sig_error(err, "t-invk")
-        if len(e.args) != len(mt.paramTypes):
+        key = (env_key(phi), t0, e.method, e.targs)
+        hit = self._call_memo.get(key)
+        if hit is None:  # successes only, so a failing call fails again
+            try:
+                _, mt = self.sigs.mtype(phi, t0, e.method)
+                sub = self.sigs.check_targs(phi, repr(e.method),
+                                            mt.typeParams, e.targs)
+            except SigError as err:
+                raise _sig_error(err, "t-invk")
+            hit = self._call_memo[key] = [
+                tuple(subst(p, sub) for p in mt.paramTypes),
+                subst(mt.ret, sub), None]
+        params, ret, eff = hit
+        if len(e.args) != len(params):
             raise TypecheckError(
                 "ArityMismatch", "t-invk",
-                f"{e.method!r} expects {len(mt.paramTypes)} arguments, "
+                f"{e.method!r} expects {len(params)} arguments, "
                 f"got {len(e.args)}")
-        inst = self._inst_memo.get((mt, e.targs))
-        if inst is None:
-            inst = self._inst_memo[mt, e.targs] = (
-                tuple(subst(p, sub) for p in mt.paramTypes),
-                subst(mt.ret, sub))
-        params, ret = inst
         for arg, pt in zip(e.args, params):
             at = self.type_value(phi, gamma, arg)
             if not self.sigs.sub_type(phi, at, pt):
@@ -244,10 +245,12 @@ class Checker:
                     "ArgTypeMismatch", "t-invk",
                     f"argument {arg!r} of {e.method!r} has type {at!r}, "
                     f"expected a subtype of {pt!r}")
-        try:
-            eff = simplify(self.sigs, phi, eff_of(EffCall(t0, e.method, e.targs)))
-        except SigError as err:
-            raise _sig_error(err, "t-invk")
+        if eff is None:  # simplified only once the arguments pass
+            try:
+                eff = hit[2] = simplify(self.sigs, phi,
+                                        eff_of(EffCall(t0, e.method, e.targs)))
+            except SigError as err:
+                raise _sig_error(err, "t-invk")
         return ret, eff
 
     def _raw_effect(self, phi, gamma, e) -> Effect:

@@ -2,6 +2,10 @@
 that a refactor's byte-identity is one ``diff`` between two checkouts:
 
     PYTHONPATH=src python tests/outputs.py OUT.json
+    PYTHONPATH=src python tests/outputs.py --compare A.json B.json
+
+The second form prints the first keys whose outputs differ, or that only
+one of the two dumps has, and exits 1 if there are any.
 
 It records the exit code, standard output and standard error of:
 
@@ -64,9 +68,34 @@ def dump() -> dict:
     return got
 
 
+def compare(a: dict, b: dict, shown: int = 10) -> list:
+    """Lines naming the first ``shown`` keys where dumps ``a`` and ``b``
+    differ, in key order, and how many differ in all; empty if none."""
+    keys = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+    lines = []
+    for k in keys[:shown]:
+        if k not in a or k not in b:
+            lines.append(f"{k}: only in {'B' if k not in a else 'A'}")
+        else:
+            parts = [p for p in ("code", "stdout", "stderr")
+                     if a[k].get(p) != b[k].get(p)]
+            lines.append(f"{k}: {', '.join(parts)} differ")
+    if keys:
+        lines.append(f"{len(keys)} of {len(a.keys() | b.keys())} keys differ")
+    return lines
+
+
 if __name__ == "__main__":
+    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
+        dumps = []
+        for path in sys.argv[2:]:
+            with open(path, encoding="utf-8") as f:
+                dumps.append(json.load(f))
+        diff = compare(*dumps)
+        print("\n".join(diff) if diff else "identical")
+        sys.exit(1 if diff else 0)
     if len(sys.argv) != 2:
-        sys.exit(f"usage: {sys.argv[0]} OUT.json")
+        sys.exit(f"usage: {sys.argv[0]} OUT.json | --compare A.json B.json")
     target = os.path.abspath(sys.argv[1])
     os.chdir(ROOT)
     with open(target, "w", encoding="utf-8") as f:

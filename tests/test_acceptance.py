@@ -17,8 +17,8 @@ from mfj.monads import Pure, Raised
 from mfj.parser import numeral, parse_effect, parse_expr, parse_type
 from mfj.prelude import prelude_program
 from mfj.soundness import (
-    BrokenExcInterp, Denotation, IllTypedProgram, check_soundness,
-    interp_law_suite, interps_for,
+    BrokenExcInterp, Denotation, EffectInterp, IllTypedProgram,
+    check_soundness, interp_law_suite, interps_for,
 )
 from mfj.syntax import PURE
 from mfj.typer import Checker
@@ -198,6 +198,23 @@ def test_interp_laws_hold(monad, idx):
     sigs, den, effects = _law_setup()
     interp = interps_for(monad, den)[idx]
     assert interp_law_suite(interp, sigs, effects) == []
+
+
+def test_the_law_suite_builds_each_lifting_once(monkeypatch):
+    # one lifting per (effect, subset), the 7 effects and their 7 new
+    # joins, and one per (effect, effect, subset) for law 4's outer
+    # lifting: 8 * (7 + 7) + 8 * 7 * 7; two per law instance would be 4,560
+    built = []
+    real = EffectInterp.lift
+
+    def counted(self, eff, pred):
+        built.append(eff)
+        return real(self, eff, pred)
+
+    monkeypatch.setattr(EffectInterp, "lift", counted)
+    sigs, den, effects = _law_setup()
+    assert interp_law_suite(interps_for("exc", den)[0], sigs, effects) == []
+    assert len(built) == 504
 
 
 def test_broken_interp_fails_monotonicity():

@@ -471,3 +471,27 @@ def test_neither_import_nor_a_command_changes_the_recursion_limit(tmp_path):
     assert out[0] == "4 checks, 0 failures"
     before, after_import, after_main = out[1].split()
     assert before == after_import == after_main
+
+
+def test_outputs_compare_names_the_first_keys_that_differ(tmp_path):
+    a = {"check x": {"code": 0, "stdout": "ok\n", "stderr": ""},
+         "run x": {"code": 0, "stdout": "1\n", "stderr": ""}}
+    b = {"check x": {"code": 1, "stdout": "ok\n", "stderr": "no\n"},
+         "run y": {"code": 0, "stdout": "1\n", "stderr": ""}}
+    paths = []
+    for name, d in (("a", a), ("a2", a), ("b", b)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(d))
+
+    def compare(x, y):
+        return subprocess.run(
+            [sys.executable, str(ROOT / "tests" / "outputs.py"), "--compare",
+             str(x), str(y)], capture_output=True, text=True)
+
+    same = compare(paths[0], paths[1])
+    assert (same.returncode, same.stdout) == (0, "identical\n")
+    diff = compare(paths[0], paths[2])
+    assert diff.returncode == 1
+    assert diff.stdout.splitlines() == [
+        "check x: code, stderr differ", "run x: only in A",
+        "run y: only in B", "3 of 3 keys differ"]

@@ -13,6 +13,7 @@ from mfj.monads import (
 )
 from mfj.parser import numeral, parse_effect, parse_expr, parse_type
 from mfj.prelude import load_program, prelude_program
+from mfj.signatures import Sigs
 from mfj.soundness import (
     BrokenExcInterp, Denotation, IllTypedProgram, SoundnessReport, UnknownAtom,
     check_lifted_step, check_progress, check_soundness, interp_law_suite,
@@ -312,6 +313,22 @@ def test_the_monitor_types_each_configuration_once(monkeypatch, monad):
         ("approx-chain-ascending", ""),
         (f"infinitary/{monad}-forall", ""),
         (f"infinitary/{monad}-exists", "")]
+
+
+def test_the_monitor_looks_up_each_call_once_per_receiver(monkeypatch):
+    # t-invk's lookup is remembered per receiver type, so the walk's
+    # method lookups stop growing with its length
+    calls = Counter()
+    real = Sigs.mtype
+
+    def counted(self, phi, t, m):
+        calls[fuel] += 1
+        return real(self, phi, t, m)
+
+    monkeypatch.setattr(Sigs, "mtype", counted)
+    for fuel in (200, 10000):
+        check_soundness(load("nd_m2"), "list", fuel=fuel)
+    assert calls[200] == calls[10000] > 0
 
 
 def test_check_soundness_rejects_ill_typed_programs():

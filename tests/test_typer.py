@@ -306,17 +306,27 @@ def test_a_call_reports_the_first_step_that_fails(src, codes):
 
 def test_a_failed_call_fails_again_and_a_good_one_then_types():
     # a call that fails is not remembered: the same call fails the same
-    # way twice, and the effect is simplified only once the arguments pass
+    # way twice, the effect is simplified only once the arguments pass, and
+    # the arguments are checked on every call, also after one has passed
     ck = Checker(load_program(
-        "C { m : def Nat -> Nat ! C.m <_ x, return x> }\nmain = return 0"))
+        "C { m : def Nat -> Nat ! C.m <_ x, return x> }\n"
+        "D { m : def Nat -> Nat ! pure <_ x, return x> }\nmain = return 0"))
     for src, code in [("C{}.m(True)", "ArgTypeMismatch"),
                       ("C{}.m(True)", "ArgTypeMismatch"),
                       ("C{}.m(0)", "FuelExhausted"),
                       ("C{}.m(0)", "FuelExhausted"),
                       ("C{}.m(True)", "ArgTypeMismatch"),
                       ("True.if[Nat Nat](0)", "BoundViolation"),
-                      ("True.if[Nat Nat](0)", "BoundViolation")]:
+                      ("True.if[Nat Nat](0)", "BoundViolation"),
+                      ("D{}.m(True)", "ArgTypeMismatch"),
+                      ("D{}.m()", "ArityMismatch")]:
         with pytest.raises(TypecheckError) as e:
             expr_type(ck, src)
         assert e.value.code == code
-    assert expr_type(ck, "1.pred()") == expr_type(ck, "2.pred()")
+    t, eff = expr_type(ck, "D{}.m(0)")
+    assert eff == PURE and ck.sigs.sub_type({}, t, parse_type("Nat"))
+    for src, code in [("D{}.m(True)", "ArgTypeMismatch"),
+                      ("D{}.m(0, 0)", "ArityMismatch")]:
+        with pytest.raises(TypecheckError) as e:
+            expr_type(ck, src)
+        assert e.value.code == code

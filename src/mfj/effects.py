@@ -6,8 +6,8 @@ from typing import Mapping
 
 from .signatures import SigError, Sigs, UnboundTypeVar, env_key
 from .syntax import (
-    MGC, TOP,
-    Effect, NominalType, ObjType, Sig, Type, TypeVar,
+    EMPTY_SIG, MGC, TOP,
+    Effect, NominalType, ObjType, Type, TypeVar,
     eff_of, record, subst,
 )
 
@@ -96,7 +96,7 @@ def apply_filter(
         hit = None
         for cf in H.clauses:
             if cf.method == a.method and sigs.sub_type(
-                phi, a.receiver, ObjType((cf.ntype,), Sig(()))
+                phi, a.receiver, ObjType((cf.ntype,), EMPTY_SIG)
             ):
                 hit = cf
                 break

@@ -36,7 +36,7 @@ import re
 from typing import Optional
 
 from .syntax import (
-    ABS, CONTINUE, DEF, MGC, OBJECT, PURE, STOP, TOP,
+    ABS, CONTINUE, DEF, EMPTY_SIG, MGC, OBJECT, PURE, STOP, TOP,
     Call, Clause, Do, EffCall, Effect, Handler, MethodDef, MethodType,
     NominalType, Obj, ObjType, Program, Return, Sig, Try, Type, TypeDecl,
     TypeVar, Value, Var, eff_of, nominal,
@@ -363,7 +363,7 @@ class Parser:
                 entries.append((md.name, md.kind, md.mtype))
             self.expect("}")
             return ObjType((nt,), Sig(entries))
-        return ObjType((nt,), Sig(()))
+        return ObjType((nt,), EMPTY_SIG)
 
     def parse_effect(self) -> Effect:
         if self.at("pure"):

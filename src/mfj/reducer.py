@@ -11,8 +11,8 @@ from typing import Optional, Union
 from . import faults
 from .signatures import SigError, Sigs
 from .syntax import (
-    DEF, MGC, STOP,
-    Call, Clause, Do, Handler, NominalType, Obj, ObjType, Return, Sig, Try,
+    DEF, EMPTY_SIG, MGC, STOP,
+    Call, Clause, Do, Handler, NominalType, Obj, ObjType, Return, Try,
     Value, erase_type, record, subst, subst_expr,
 )
 
@@ -110,7 +110,7 @@ def instance_of(sigs: Sigs, v: Value, n: NominalType) -> bool:
     if not isinstance(v, Obj):
         return False
     try:
-        return sigs.sub_type({}, erase_type(v), ObjType((n,), Sig(())))
+        return sigs.sub_type({}, erase_type(v), ObjType((n,), EMPTY_SIG))
     except SigError:
         return False
 

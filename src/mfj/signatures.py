@@ -11,7 +11,7 @@ from typing import Mapping
 
 from . import faults
 from .syntax import (
-    ABS, DEF, MGC,
+    ABS, DEF, EMPTY_SIG, MGC,
     EffCall, Effect, MethodType, NominalType, ObjType, Program, Sig, Type,
     TypeVar, align_binders, alpha_eq_mtype, eff_of, subst,
 )
@@ -68,7 +68,11 @@ def sym_sum(s1: Sig, s2: Sig) -> Sig:
 
     Defined only when shared names carry alpha-equal method types and neither
     side is magic; the kind table is abs+abs = def+def = abs, abs+def = def.
+    Every ``s2`` is an extracted signature, so its names are distinct and
+    the empty sum gives it back as it is.
     """
+    if not s1.entries:
+        return s2
     out = {n: (k, mt) for n, k, mt in s1}
     for n, k2, mt2 in s2:
         if n not in out:
@@ -102,6 +106,7 @@ class Sigs:
         self._sub_memo: dict = {}
         # successes only, so a failing lookup raises again on every call
         self._sig_memo: dict = {}  # (type, env key) -> Sig
+        self._wf_memo: set = set()  # (node, env key) found well-formed
         self.simplify_memo: dict = {}  # (effect, env key) -> effects.simplify
         self.mbodies: dict = {}  # (parents, method) -> reducer.mbody
 
@@ -184,7 +189,7 @@ class Sigs:
                 raise UnboundTypeVar(f"unbound type variable {t.name}")
             return self.sig_of_type(phi, bound)
         if isinstance(t, ObjType):
-            combined = Sig(())
+            combined = EMPTY_SIG
             for p in t.parents:
                 combined = sym_sum(combined, self.sig_of_nominal(p))
             return self.override_sum(phi, combined, t.sig)
@@ -198,7 +203,13 @@ class Sigs:
         return entry
 
     def override_sum(self, phi: Mapping[str, Type], s1: Sig, s2: Sig) -> Sig:
-        """Right-preferential sum: ``s2`` overrides ``s1`` where both defined."""
+        """Right-preferential sum: ``s2`` overrides ``s1`` where both defined.
+
+        ``s1`` is a sum of extracted signatures, so an empty ``s2`` gives it
+        back as it is.  ``s2`` is a signature as written, and the loop reports
+        a name it declares twice, so an empty ``s1`` still runs the loop."""
+        if not s2.entries:
+            return s1
         out = {n: (k, mt) for n, k, mt in s1}
         for n, k2, mt2 in s2:
             if n in out:
@@ -384,7 +395,15 @@ class Sigs:
     # -- well-formedness --------------------------------------------------------
 
     def wf_check(self, phi: Mapping[str, Type], x) -> None:
-        """Raise a SigError when ``x`` is ill-formed under ``phi``."""
+        """Raise a SigError when ``x`` is ill-formed under ``phi``.  A check
+        that passes is remembered, so a node shared by many declarations is
+        checked once per environment; one that fails raises again."""
+        key = (x, env_key(phi))
+        if key not in self._wf_memo:
+            self._wf_check(phi, x)
+            self._wf_memo.add(key)
+
+    def _wf_check(self, phi, x) -> None:
         if isinstance(x, TypeVar):
             if x.name not in phi:
                 raise UnboundTypeVar(f"unbound type variable {x.name}")

@@ -1,7 +1,8 @@
 """The type-and-effect system: values, expressions, handlers, declarations.
 
 A ``Checker`` is a per-program session (it owns a ``Sigs`` context and memo
-tables keyed on a term plus the environment restricted to its free names).
+tables keyed on a term plus the environment restricted to its free names and
+the bounds they reach).
 All judgments are syntax-directed functions; there is no subsumption rule,
 so subtype checks happen exactly where the rules put side conditions.  The
 soundness monitor types evaluator configurations with ``type_conf``, which
@@ -17,7 +18,7 @@ from .effects import ClauseFilter, HandlerFilter, apply_filter, simplify
 from .evaluator import TryFrame
 from .signatures import SigError, Sigs, env_key
 from .syntax import (
-    ABS, CLOSED, CONTINUE, DEF, MGC, OBJECT, PURE, STOP,
+    ABS, CLOSED, CONTINUE, DEF, EMPTY_SIG, MGC, OBJECT, PURE, STOP,
     Call, Clause, Do, EffCall, Effect, Expr, Handler, MethodDef, MethodType,
     NominalType, Obj, ObjType, Program, Return, Sig, Try, Type, TypeVar,
     Value, Var, eff_of, eff_union, free, open_binders, subst,
@@ -56,14 +57,26 @@ class Checker:
 
     @staticmethod
     def _memo_key(phi, gamma, term, fvs, ftvs):
-        # typing depends only on the bindings for the term's free names; a
-        # closed term is its own key, and the free names are cached on the
-        # node, so they come in the same order every time
+        # typing depends only on the bindings for the term's free names and
+        # on the bounds of the type variables they reach: those free in the
+        # term and in the types of its free variables, closed under their
+        # bounds.  A closed term is its own key, and the free variables are
+        # cached on the node, so they come in the same order every time
         if not fvs and not ftvs:
             return term
-        return (term,
-                tuple((x, gamma[x]) for x in fvs if x in gamma),
-                tuple((a, phi[a]) for a in ftvs if a in phi))
+        env = tuple((x, gamma[x]) for x in fvs if x in gamma)
+        if not phi:
+            return term, env, ()
+        todo = [*ftvs]
+        for _, t in env:
+            todo += free(t)[1]
+        reached = {}
+        while todo:
+            a = todo.pop()
+            if a not in reached and a in phi:
+                reached[a] = phi[a]
+                todo += free(phi[a])[1]
+        return term, env, frozenset(reached.items())
 
     def type_value(self, phi: Mapping[str, Type], gamma: Mapping[str, Type],
                    v: Value) -> Type:
@@ -336,7 +349,7 @@ class Checker:
     def _type_clause(self, phi, gamma, c: Clause) -> tuple:
         """``(c, mt, phi2, body type, body effect)``: ``mt`` is the caught
         magic method's type, opened under ``phi`` with the clause's names."""
-        ntype_t = ObjType((c.ntype,), Sig(()))
+        ntype_t = ObjType((c.ntype,), EMPTY_SIG)
         try:
             self.sigs.wf_check(phi, c.ntype)
             kind, mt = self.sigs.mtype(phi, ntype_t, c.method)
@@ -363,7 +376,7 @@ class Checker:
         for decl in self.program.decls:
             if decl.typeParams:
                 continue
-            n = ObjType((NominalType(decl.name),), Sig(()))
+            n = ObjType((NominalType(decl.name),), EMPTY_SIG)
             if all(self.sigs.sub_type(phi, t, n) for t in types):
                 candidates.append(n)
         # prefer a candidate below every other candidate; otherwise any works
@@ -408,7 +421,7 @@ class Checker:
             self_t = ObjType(
                 (NominalType(decl.name,
                              tuple(TypeVar(x) for x, _ in decl.typeParams)),),
-                Sig(()),
+                EMPTY_SIG,
             )
             for md in decl.methods:
                 if md.kind == DEF:

@@ -15,6 +15,10 @@ It records the exit code, standard output and standard error of:
   and ``soundness --json`` and ``run --unchecked`` of every corpus file under
   every monad.
 
+It also records the diagnostics (``str`` and ``repr``, in order) of every
+``check_large`` benchmark program of seeds 1-6, built by the benchmark's own
+generator, ``perfbench/gen.py``.
+
 Commands run in-process, in this order, with paths relative to the
 repository root, so the output does not depend on where the checkout is.
 Not a test module: pytest does not collect it.
@@ -27,11 +31,15 @@ import os
 import pathlib
 import sys
 
+from conftest import perfbench_gen
 from mfj import faults
 from mfj.cli import main
 from mfj.monads import MONADS
+from mfj.prelude import load_program
+from mfj.typer import Checker
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+CHECK_LARGE_SEEDS = range(1, 7)
 
 
 def outcome(argv: list) -> dict:
@@ -65,6 +73,11 @@ def dump() -> dict:
             else f"[{fault}] {' '.join(argv)}"
         with faults.inject(fault) if fault else contextlib.nullcontext():
             got[key] = outcome(argv)
+    for seed in CHECK_LARGE_SEEDS:
+        for i, item in enumerate(perfbench_gen().check_large(seed)):
+            diags = Checker(load_program(item.source)).check_program()
+            got[f"check_large seed {seed} item {i} {item.name}"] = {
+                "diagnostics": [[str(d), repr(d)] for d in diags]}
     return got
 
 
@@ -77,7 +90,7 @@ def compare(a: dict, b: dict, shown: int = 10) -> list:
         if k not in a or k not in b:
             lines.append(f"{k}: only in {'B' if k not in a else 'A'}")
         else:
-            parts = [p for p in ("code", "stdout", "stderr")
+            parts = [p for p in ("code", "stdout", "stderr", "diagnostics")
                      if a[k].get(p) != b[k].get(p)]
             lines.append(f"{k}: {', '.join(parts)} differ")
     if keys:

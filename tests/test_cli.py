@@ -12,7 +12,7 @@ from mfj.parser import MAX_NUMERAL, parse_program
 
 from conftest import CORPUS, ROOT
 from golden import load_golden, run_output
-from test_typer import SHADOWING, shadowing_program
+from test_typer import SHADOWING, memo_hole_program, shadowing_program
 
 GOLDEN = load_golden()
 
@@ -47,6 +47,16 @@ def test_check_json(capsys):
     assert code == 0
     (rec,) = json.loads(out)
     assert rec["ok"] and rec["diagnostics"] == []
+
+
+@pytest.mark.parametrize("order", ["AB", "BA"])
+def test_check_retypes_a_body_under_another_bound(capsys, tmp_path, order):
+    path = tmp_path / "bounds.mfj"
+    path.write_text(memo_hole_program(order))
+    code, out, _ = mfj(capsys, "check", path)
+    assert code == 1
+    assert out == (f"{path}: [NoSuchMethod/t-invk] no method 'succ' in "
+                   "TypeVar(name='Y')\n")
 
 
 def test_missing_file(capsys):

@@ -1,5 +1,8 @@
 """Signatures: symmetric and override sums, subtyping, well-formedness."""
 
+import random
+from collections import Counter
+
 import pytest
 
 from mfj import faults
@@ -9,7 +12,7 @@ from mfj.parser import numeral, parse_effect, parse_program, parse_type
 from mfj.prelude import load_program
 from mfj.signatures import (
     ConflictError, CyclicInheritance, NoSuchMethod, OverrideError, Sigs,
-    UnboundTypeVar, UnknownType, sym_sum,
+    UnboundTypeVar, UnknownType, env_key, sym_sum,
 )
 from mfj.soundness import IllTypedProgram, check_soundness
 from mfj.syntax import (
@@ -18,7 +21,7 @@ from mfj.syntax import (
 )
 from mfj.typer import Checker
 
-from conftest import load
+from conftest import load, perfbench_gen
 
 MT = MethodType((), (), OBJECT, PURE)
 MT2 = MethodType((), (), nominal("Nat"), PURE)
@@ -391,3 +394,33 @@ def test_a_seeded_fault_is_caught_after_a_clean_run():
     with faults.inject("flip_symsum_kinds"):
         with pytest.raises(IllTypedProgram):
             check_soundness(load("diamond"), "exc", fuel=100)
+
+
+# -- the well-formedness memo -------------------------------------------------
+
+def test_each_type_is_checked_well_formed_once_per_environment(monkeypatch):
+    # a benchmark-style program: chains of overrides whose method types
+    # repeat, one of them broken
+    src, bad = perfbench_gen().large_program(random.Random(1), 120, True)
+    ck = Checker(load_program(src))
+    checked = Counter()
+    real = ck.sigs._wf_check
+
+    def counted(phi, x):
+        checked[x, env_key(phi)] += 1
+        return real(phi, x)
+
+    monkeypatch.setattr(ck.sigs, "_wf_check", counted)
+    diags = ck.check_program()
+    assert [(d.code, d.rule) for d in diags] == [("OverrideError", "t-ntype")]
+    assert f"method {bad[1]!r}" in str(diags[0])
+    assert checked and max(checked.values()) == 1
+
+
+def test_a_type_well_formed_in_one_environment_is_checked_in_another(sigs):
+    # only a check that passes is remembered, and only for its environment
+    t = ObjType((NominalType("Failure", (TypeVar("Z"),)),), Sig(()))
+    for _ in range(2):
+        with pytest.raises(UnboundTypeVar):
+            sigs.wf_check({}, t)
+        sigs.wf_check({"Z": parse_type("Nat")}, t)

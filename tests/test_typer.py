@@ -330,3 +330,61 @@ def test_a_failed_call_fails_again_and_a_good_one_then_types():
         with pytest.raises(TypecheckError) as e:
             expr_type(ck, src)
         assert e.value.code == code
+
+
+# -- the typing memo keys on the bounds a term reaches --------------------------
+
+# ``y.succ()`` has only ``y`` free, but its typing depends on the bound of
+# ``Y``, the type of ``y``: a typing memoized under ``Y <: Nat`` must not be
+# reused under ``Y <: Bool``, whichever declaration comes first.
+MEMO_HOLE = {
+    "A": "A { m : def [Y <: Nat] Y -> Nat ! top <s y, y.succ()> }\n",
+    "B": "B { m : def [Y <: Bool] Y -> Nat ! top <s y, y.succ()> }\n",
+}
+
+
+def memo_hole_program(order: str) -> str:
+    return "".join(MEMO_HOLE[d] for d in order) + "main = B{}.m[Bool](True)"
+
+
+@pytest.mark.parametrize("order", ["AB", "BA"])
+def test_a_body_is_retyped_under_another_bound_of_its_variables(order):
+    diags = Checker(load_program(memo_hole_program(order))).check_program()
+    assert [str(d) for d in diags] == [
+        "[NoSuchMethod/t-invk] no method 'succ' in TypeVar(name='Y')"]
+
+
+# Declarations with no ``try`` (``_join`` reads the other declarations): each
+# takes a ``y`` of type ``Y`` under one of three bounds, has one of two
+# effects, and one of four bodies, which type under some bounds and effects.
+BODIES = ["y.succ()", "do b = y.not(); return 0", "return y",
+          "do z = y.succ(); Exception.throw[Nat]()"]
+FAMILY = [f"{{name}} {{{{ m : def [Y <: {bound}] Y -> Nat ! {eff} <s y, {body}> }}}}\n"
+          for body in BODIES for bound in ("Nat", "Bool", "Object")
+          for eff in ("pure", "top")]
+
+
+def family_diagnostics(*decls) -> list:
+    src = "".join(FAMILY[i].format(name=f"D{i}") for i in decls)
+    return [str(d) for d in Checker(load_program(src)).check_program()]
+
+
+def test_a_declaration_checks_the_same_after_any_other():
+    alone = [family_diagnostics(i) for i in range(len(FAMILY))]
+    assert any(alone) and not all(alone)
+    for i in range(len(FAMILY)):
+        for j in range(len(FAMILY)):
+            if i != j:
+                assert family_diagnostics(i, j) == alone[i] + alone[j], (i, j)
+
+
+# -- a signature that names a method twice ----------------------------------------
+
+@pytest.mark.parametrize("src, diagnostic", [
+    ("main = return Object{ p : def -> Nat ! pure <_, return 0>  "
+     "p : def -> Bool ! pure <_, return True> }", "OverrideError/t-obj"),
+    ("A { m : def Nat{ p : def -> Nat ! pure  p : def -> Bool ! pure } -> Nat "
+     "! pure <_ x, return 0> }\nmain = return 0", "OverrideError/t-ntype"),
+])
+def test_a_method_named_twice_is_an_override_error(src, diagnostic):
+    assert diagnostic_codes(src) == [diagnostic]

@@ -22,9 +22,10 @@ The grammar (informally):
 Type names and type variables start with an uppercase letter; a name is a type
 variable exactly when a binder for it is in scope.  Term variables start
 lowercase (or are ``_`` wildcards, which get deterministic positional names).
-Decimal numerals up to ``MAX_NUMERAL`` desugar to the Zero/Succ encoding (a
-larger one is a parse error); string literals desugar to String objects;
-``fn (x: T) => e`` desugars to a single-``apply`` object.
+Decimal numerals up to ``MAX_NUMERAL`` desugar to the Zero/Succ encoding
+(``syntax.numeral``; a larger one is a parse error); string literals
+desugar to String objects; ``fn (x: T) => e`` desugars to a
+single-``apply`` object.
 Magic methods must not carry a ``!`` annotation: their canonical effect is
 synthesized from the declaration.
 """
@@ -39,7 +40,7 @@ from .syntax import (
     ABS, CONTINUE, DEF, EMPTY_SIG, MGC, OBJECT, PURE, STOP, TOP,
     Call, Clause, Do, EffCall, Effect, Handler, MethodDef, MethodType,
     NominalType, Obj, ObjType, Program, Return, Sig, Try, Type, TypeDecl,
-    TypeVar, Value, Var, eff_of, nominal,
+    TypeVar, Value, Var, eff_of, nominal, numeral, numeral_value,
 )
 
 
@@ -98,12 +99,10 @@ NAT_T = nominal("Nat")
 FAIL_EFF = eff_of(EffCall(nominal("Failure", NAT_T), "fail", ()))
 
 
-# numerals are Succ towers built level by level; a larger one is a parse error
+# numerals are Succ towers built level by level, in time and memory linear in
+# their value (at this limit, 1-2 s and 170 MB in a fresh process); a larger
+# one is a parse error
 MAX_NUMERAL = 200_000
-
-_ZERO = (NominalType("Zero"),)
-_SUCC = (NominalType("Succ"),)
-_PRED_T = MethodType((), (), NAT_T, PURE)
 
 
 def _decimal(digits: str) -> int:
@@ -111,41 +110,6 @@ def _decimal(digits: str) -> int:
     of digits, so leading zeros (of any script) go first."""
     digits = digits.lstrip("".join(c for c in set(digits) if int(c) == 0))
     return int(digits or "0") if len(digits) <= len(str(MAX_NUMERAL)) else MAX_NUMERAL + 1
-
-
-def numeral(n: int) -> Obj:
-    """The n-hat encoding; built exactly the way ``Nat.succ`` builds values."""
-    v = Obj(_ZERO)
-    for _ in range(n):
-        v = Obj(_SUCC, (MethodDef("pred", DEF, _PRED_T, "_", (), Return(v)),))
-    return v
-
-
-def numeral_value(v: Value) -> Optional[int]:
-    """Inverse of ``numeral`` where it applies, else None.
-
-    The answer is cached on every level of the object, the way
-    ``erase_type`` caches ``_erased``, so a walk stops at the first level
-    already classified.
-    """
-    path = []  # the unclassified Succ levels above v, outermost first
-    while isinstance(v, Obj) and "_numeral" not in v.__dict__:
-        md = v.methods[0] if len(v.methods) == 1 else None
-        if (
-            v.parents == _SUCC and md is not None and md.name == "pred"
-            and md.kind == DEF and not md.params and md.selfVar == "_"
-            and md.mtype == _PRED_T and isinstance(md.body, Return)
-        ):
-            path.append(v)
-            v = md.body.value
-        else:
-            zero = v.parents == _ZERO and not v.methods
-            object.__setattr__(v, "_numeral", 0 if zero else None)
-    n = v.__dict__["_numeral"] if isinstance(v, Obj) else None
-    for w in reversed(path):
-        n = None if n is None else n + 1
-        object.__setattr__(w, "_numeral", n)
-    return n
 
 
 def string_object(s: str) -> Obj:

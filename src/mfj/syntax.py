@@ -14,7 +14,8 @@ object, so equality is identity and a hash is an id, however deep the term.
 Free variables (``free``) and capture-avoiding substitution (``subst``) are
 built on the ``shape`` each node class declares.  Facts derived from a node
 (free variables, substitution plans, erasure, numeral value) are cached on
-it the first time they are asked for.
+it the first time they are asked for; ``numeral`` sets the free variables
+and the value of each level of a tower as it builds it.
 """
 
 from __future__ import annotations
@@ -422,12 +423,14 @@ def _build(cls, frozen: bool, hashcons: bool):
             params, key = "*args, **kw", "cls.canon(*args, **kw)"
         else:
             key = mine.replace("self.", "")
+        fill = "".join(f"        _set(n, {f!r}, key[{i}])\n"
+                       for i, f in enumerate(names))
         src["__new__"] = (f"def __new__(cls, {params}):\n"
                           f"    key = {key}\n"
                           "    n = _table.get(key)\n"
                           "    if n is None:\n"
                           "        n = _table[key] = _new(cls)\n"
-                          "        n.__dict__.update(zip(_order, key))\n"
+                          f"{fill}"
                           "    return n\n")
         if "shape" in cls.__dict__:  # a syntax node: the traversal too
             src.update(_traversal(cls, names, cls.shape))
@@ -445,7 +448,7 @@ def _build(cls, frozen: bool, hashcons: bool):
                            if frozen else "__hash__ = None\n")
     src = {k: code for k, code in src.items() if cls.__dict__.get(k) is None}
     ns = {"_table": {}, "_new": object.__new__, "_set": object.__setattr__,
-          "_order": names, "_defaults": defaults}
+          "_defaults": defaults}
     exec("".join(src.values()), ns)
     for k in src:
         setattr(cls, k, ns[k])
@@ -644,7 +647,10 @@ class Obj(Value):
 
     @staticmethod
     def canon(parents: Iterable[NominalType], methods: Iterable[MethodDef] = ()):
-        return _canon_parents(parents), tuple(sorted(methods, key=lambda m: m.name))
+        methods = tuple(methods)
+        if len(methods) > 1:
+            methods = tuple(sorted(methods, key=lambda m: m.name))
+        return _canon_parents(parents), methods
 
     def method(self, name: str) -> Optional[MethodDef]:
         for m in self.methods:
@@ -803,3 +809,61 @@ def align_binders(a: MethodType, b: MethodType, scope=()) -> Optional[tuple]:
 def alpha_eq_mtype(a: MethodType, b: MethodType) -> bool:
     aligned = align_binders(a, b)
     return aligned is not None and aligned[0] == aligned[1]
+
+
+# ---------------------------------------------------------------------------
+# Numerals
+# ---------------------------------------------------------------------------
+
+
+_ZERO = (NominalType("Zero"),)
+_SUCC = (NominalType("Succ"),)
+_PRED_T = MethodType((), (), nominal("Nat"), PURE)
+
+
+def numeral(n: int) -> Obj:
+    """The n-hat encoding, built exactly the way ``Nat.succ`` builds values.
+
+    Each level's new nodes are marked closed, and the level with its value,
+    as they are built, so that neither ``free`` nor ``numeral_value`` walks
+    a tower built here."""
+    mark = object.__setattr__
+    v = Obj(_ZERO)
+    mark(v, "_free", CLOSED)
+    mark(v, "_numeral", 0)
+    for k in range(1, n + 1):
+        r = Return(v)
+        md = MethodDef("pred", DEF, _PRED_T, "_", (), r)
+        v = Obj(_SUCC, (md,))
+        mark(r, "_free", CLOSED)
+        mark(md, "_free", CLOSED)
+        mark(v, "_free", CLOSED)
+        mark(v, "_numeral", k)
+    return v
+
+
+def numeral_value(v: Value) -> Optional[int]:
+    """Inverse of ``numeral`` where it applies, else None.
+
+    The answer is cached on every level of the object, the way
+    ``erase_type`` caches ``_erased``, so a walk stops at the first level
+    already classified.
+    """
+    path = []  # the unclassified Succ levels above v, outermost first
+    while isinstance(v, Obj) and "_numeral" not in v.__dict__:
+        md = v.methods[0] if len(v.methods) == 1 else None
+        if (
+            v.parents == _SUCC and md is not None and md.name == "pred"
+            and md.kind == DEF and not md.params and md.selfVar == "_"
+            and md.mtype == _PRED_T and isinstance(md.body, Return)
+        ):
+            path.append(v)
+            v = md.body.value
+        else:
+            zero = v.parents == _ZERO and not v.methods
+            object.__setattr__(v, "_numeral", 0 if zero else None)
+    n = v.__dict__["_numeral"] if isinstance(v, Obj) else None
+    for w in reversed(path):
+        n = None if n is None else n + 1
+        object.__setattr__(w, "_numeral", n)
+    return n

@@ -21,7 +21,8 @@ from .syntax import (
     ABS, CLOSED, CONTINUE, DEF, EMPTY_SIG, MGC, OBJECT, PURE, STOP,
     Call, Clause, Do, EffCall, Effect, Expr, Handler, MethodDef, MethodType,
     NominalType, Obj, ObjType, Program, Return, Sig, Try, Type, TypeVar,
-    Value, Var, eff_of, eff_union, free, open_binders, subst,
+    Value, Var, eff_of, eff_union, free, numeral, numeral_value,
+    open_binders, subst,
 )
 
 
@@ -90,6 +91,12 @@ class Checker:
         hit = self._val_memo.get(key)
         if hit is not None:
             return hit
+        if (numeral_value(v) or 0) > 2:
+            # above level 2 every level runs level 2's t-obj check (its pred
+            # returns a Succ), so by induction a tower types as numeral(2)
+            # does, to the same type or the same diagnostic
+            t = self._val_memo[key] = self.type_value(phi, gamma, numeral(2))
+            return t
         self._depth += 1
         try:
             if self._depth == self.WALK_DEPTH:
@@ -418,6 +425,14 @@ class Checker:
             except SigError as e:
                 diags.append(_sig_error(e, "t-ntype"))
                 continue
+            for md in decl.methods:
+                # a magic call is interpreted by its monad, which passes it
+                # no arguments
+                if md.kind == MGC and md.mtype.paramTypes:
+                    diags.append(TypecheckError(
+                        "MgcWithParams", "t-ntype",
+                        f"magic method {decl.name}.{md.name} declares "
+                        "parameters; a magic method takes none"))
             self_t = ObjType(
                 (NominalType(decl.name,
                              tuple(TypeVar(x) for x, _ in decl.typeParams)),),

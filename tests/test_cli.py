@@ -59,6 +59,16 @@ def test_check_retypes_a_body_under_another_bound(capsys, tmp_path, order):
                    "TypeVar(name='Y')\n")
 
 
+def test_check_refuses_a_magic_method_with_parameters(capsys, tmp_path):
+    # it used to check ok and then run to wrong, its call stuck
+    path = tmp_path / "magic.mfj"
+    path.write_text("Out { choose : mgc Nat -> Bool }\nmain = Out.choose(3)\n")
+    assert mfj(capsys, "check", path) == (
+        1, f"{path}: [MgcWithParams/t-ntype] magic method Out.choose declares "
+           "parameters; a magic method takes none\n", "")
+    assert mfj(capsys, "run", path, "--monad", "list")[:2] == (2, "")
+
+
 def test_missing_file(capsys):
     code, _, err = mfj(capsys, "check", corpus("nope"))
     assert code == 2
@@ -429,10 +439,10 @@ def _run_all(src, cmds=("check", "run", "soundness")) -> dict:
             p.kill()
 
 
-@pytest.mark.parametrize("n", [5000, 20000, 100000])
+@pytest.mark.parametrize("n", [5000, 20000, 100000, MAX_NUMERAL])
 def test_a_deep_numeral_ends_in_a_result_or_a_clean_diagnostic(tmp_path, n):
     # a numeral's depth is a run-time depth, which no traversal recurses on,
-    # so every numeral now ends in a result
+    # so every numeral up to the limit ends in a result
     src = tmp_path / "deep.mfj"
     src.write_text(f"main = {n}.succ()\n")
     done = _run_all(src)

@@ -6,7 +6,7 @@ ship, so the printer is a faithful serialization.
 
 import pytest
 
-from mfj import parser
+from mfj import syntax
 from mfj.evaluator import Evaluator
 from mfj.parser import (
     MAX_NUMERAL, ParseError, numeral, numeral_value, parse_effect, parse_expr,
@@ -56,7 +56,7 @@ def test_a_printed_numeral_is_classified_once(monkeypatch):
     # 300.sum(0) is 300 Succ levels that Nat.succ built at run time
     ev = Evaluator(prelude_program(), "id")
     v = ev.finitary(parse_expr("300.sum(0)")).payload.value
-    real = parser._PRED_T
+    real = syntax._PRED_T
     classified = []
 
     class CountingPredType:
@@ -64,7 +64,7 @@ def test_a_printed_numeral_is_classified_once(monkeypatch):
             classified.append(other)
             return other == real
 
-    monkeypatch.setattr(parser, "_PRED_T", CountingPredType())
+    monkeypatch.setattr(syntax, "_PRED_T", CountingPredType())
     # levels shared with numerals built earlier may be classified already
     assert pretty_value(v) == "300"
     assert len(classified) <= 300

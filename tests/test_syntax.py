@@ -23,6 +23,7 @@ from mfj.syntax import (
     alpha_eq_mtype, eff_of, eff_union, erase_type, free, nominal,
     open_binders, subst, subst_expr,
 )
+from reference_free import reference_free
 from reference_subst import reference_subst
 
 A = eff_of(EffCall(nominal("A"), "m"))
@@ -361,6 +362,35 @@ law_types = st.one_of(
 def _freed(names, sub, kind) -> frozenset:
     """What the terms of ``sub`` for ``names`` have free of ``kind``."""
     return frozenset().union(*(free(sub[x])[kind] for x in names))
+
+
+def test_free_gives_the_reference_names_on_every_corpus_node():
+    for n in NODES:
+        assert free(n) == reference_free(n), n
+
+
+def tower(base, levels: int):
+    """``levels`` Succ levels over ``base``, each built as ``numeral`` builds
+    one but with no marks."""
+    pred_t = MethodType((), (), nominal("Nat"), PURE)
+    for _ in range(levels):
+        base = Obj((NominalType("Succ"),),
+                   (MethodDef("pred", DEF, pred_t, "_", (), Return(base)),))
+    return base
+
+
+# towers over a numeral, which share its marked levels, and over a variable,
+# whose levels are open
+towers = st.builds(tower, st.one_of(st.builds(numeral, st.integers(0, 12)),
+                                    st.builds(Var, st.sampled_from("xy"))),
+                   st.integers(0, 12))
+
+
+@settings(max_examples=40, deadline=None)
+@given(towers)
+def test_free_gives_the_reference_names_on_a_tower(v):
+    for n in subnodes(v):
+        assert free(n) == reference_free(n), n
 
 
 def test_the_empty_substitution_is_the_node_itself():

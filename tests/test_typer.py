@@ -3,7 +3,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mfj.parser import numeral, parse_effect, parse_expr, parse_type
+from mfj import typer
+from mfj.parser import (
+    numeral, numeral_value, parse_effect, parse_expr, parse_program,
+    parse_type,
+)
 from mfj.prelude import load_program, prelude_program
 from mfj.syntax import (
     MGC, OBJECT, PURE, TOP,
@@ -229,16 +233,19 @@ def test_ill_typed_main_reported():
 # Each program opens an inner binder, written @, inside the scope of an
 # enclosing type variable (the second field).  When @ is that variable's
 # name, the inner binder shadows it; the program must get the diagnostic
-# (the third field) that it gets with any other name for @.
+# (the third field) that it gets with any other name for @.  A magic method
+# takes no parameters, so a clause reaches the enclosing variable through
+# the method's bound (the first program) or through a variable of the
+# enclosing method.
 SHADOWING = [
-    ("Op[T] { op : mgc [S] T -> S }\n"
-     "G { go : def [Y] Y -> Nat ! pure <_ y, try Op[Y].op[Nat](y) "
-     "with Op[Y].op : [@] <s p, return p> continue> }\n"
+    ("Op[T] { op : mgc [S <: T] -> S }\n"
+     "G { go : def [Y] Y -> Y ! pure <_ y, try Op[Y].op[Y]() "
+     "with Op[Y].op : [@] <s, return y> continue> }\n"
      "main = G.go[Bool](True)",
      "Y", "ClauseTypeMismatch/t-continue"),
-    ("Op[T] { op : mgc [S] T -> S }\n"
-     "G { go : def [Y] Y -> Nat ! pure <_ y, try Op[Nat].op[Nat](0) "
-     "with Op[Nat].op : [@] <s p, return y> continue> }\n"
+    ("Op { op : mgc [S] -> S }\n"
+     "G { go : def [Y] Y -> Nat ! pure <_ y, try Op.op[Nat]() "
+     "with Op.op : [@] <s, return y> continue> }\n"
      "main = G.go[Bool](True)",
      "Y", "ClauseTypeMismatch/t-continue"),
     ("Get { get : abs [Y] -> Y ! pure }\n"
@@ -251,10 +258,11 @@ SHADOWING = [
      "BB <| Box[Bool] { get : def -> Bool ! pure <_, return True> }\n"
      "main = BB.m[Nat]()",
      "X", "BodyTypeMismatch/t-meth"),
-    ("Op2 { op : mgc [S] S -> S }\n"
-     "G { go : def [X] X -> X ! pure <_ y, try Op2.op[Nat](0) "
-     "with Op2.op : [@] <s p, return p> stop final <r, return y>> }\n"
-     "main = do b = G.go[Bool](True); b.not()",
+    ("Op2 { op : mgc [S] -> S }\n"
+     "Mk { mk : abs [S] -> S ! pure }\n"
+     "G { go : def [X] X Mk -> X ! pure <_ y m, try Op2.op[Nat]() "
+     "with Op2.op : [@] <s, m.mk[@]()> stop final <r, return y>> }\n"
+     "main = return 0",
      "X", "BodyTypeMismatch/t-meth"),
 ]
 
@@ -388,3 +396,118 @@ def test_a_declaration_checks_the_same_after_any_other():
 ])
 def test_a_method_named_twice_is_an_override_error(src, diagnostic):
     assert diagnostic_codes(src) == [diagnostic]
+
+
+# -- magic methods ------------------------------------------------------------
+
+def test_a_magic_method_with_parameters_is_refused():
+    # a monad interprets a magic call and passes it no arguments, so such a
+    # method could only be stuck
+    src = "Out { choose : mgc Nat -> Bool }\nmain = Out.choose(3)"
+    assert diagnostic_codes(src) == ["MgcWithParams/t-ntype"]
+    assert diagnostic_codes("Out { choose : mgc -> Bool }\n"
+                            "main = Out.choose()") == []
+
+
+# -- numerals: a tower is typed as numeral(2) is ------------------------------
+
+def twin(monkeypatch, f):
+    """``f()``, and ``f()`` again with no value recognised as a numeral, so
+    that the checker walks every tower level by level."""
+    real = f()
+    with monkeypatch.context() as m:
+        m.setattr(typer, "numeral_value", lambda v: None)
+        return real, f()
+
+
+def type_or_diagnostic(prog, v):
+    """The type of ``v`` in a new checker of ``prog``, or its diagnostic."""
+    try:
+        return Checker(prog).type_value({}, {}, v)
+    except TypecheckError as e:
+        return str(e)
+
+
+def test_a_numeral_types_as_the_walk_types_it(monkeypatch):
+    prog = prelude_program()
+    for n in range(51):
+        real, walked = twin(monkeypatch,
+                            lambda: type_or_diagnostic(prog, numeral(n)))
+        assert real is walked, n
+
+
+def over(base: str, levels: int) -> str:
+    """``levels`` Succ levels, each as a numeral's, over the value ``base``."""
+    for _ in range(levels):
+        base = f"Succ {{ pred : def -> Nat ! pure <_, return {base}> }}"
+    return base
+
+
+# objects that look like a tower and are not one: a Succ whose pred has
+# another body, a named self, another effect or an extra method, and bases
+# that are not Zero, ill-typed or not
+LOOKALIKES = [
+    "Succ { pred : def -> Nat ! pure <_, do x = return 3; return x> }",
+    "Succ { pred : def -> Nat ! pure <s, return 3> }",
+    "Succ { pred : def -> Nat ! top <_, return 3> }",
+    "Succ { pred : def -> Nat ! pure <_, return 3>  "
+    "sum : def Nat -> Nat ! pure <_ m, return m> }",
+    "True",
+    "Succ { pred : def -> Nat ! pure <s, return s> }",
+    "Zero { sum : def Nat -> Nat ! pure <_ m, return 4> }",
+]
+
+
+@pytest.mark.parametrize("base", LOOKALIKES)
+@pytest.mark.parametrize("levels", [0, 1, 4])
+def test_a_lookalike_types_as_the_walk_types_it(monkeypatch, base, levels):
+    v = parse_expr(f"return {over(base, levels)}").value
+    assert numeral_value(v) is None
+    real, walked = twin(monkeypatch,
+                        lambda: type_or_diagnostic(prelude_program(), v))
+    assert real == walked
+
+
+# without the prelude: no Succ, a Nat that numerals fit, a Zero that is not
+# a Nat, and a Succ that is not one (so level 2 fails where level 1 passes);
+# the declaration A puts two more numerals in bodies
+NO_PRELUDE = [
+    ("", "UnknownType/t-obj"),
+    ("Nat { }  Zero <| Nat { }  Succ <| Nat { pred : abs -> Nat ! pure }",
+     None),
+    ("Nat { }  Zero { }  Succ <| Nat { pred : abs -> Nat ! pure }",
+     "BodyTypeMismatch/t-obj"),
+    ("Nat { }  Zero <| Nat { }  Succ { pred : abs -> Nat ! pure }",
+     "BodyTypeMismatch/t-obj"),
+]
+
+
+@pytest.mark.parametrize("decls, code", NO_PRELUDE)
+def test_a_numeral_without_the_prelude_checks_as_the_walk_checks_it(
+        monkeypatch, decls, code):
+    for n in (0, 1, 2, 3, 7):
+        prog = parse_program(
+            f"{decls}\nA {{ m : def -> Object ! pure <_, return 5>\n"
+            f"  n : def -> Object ! pure <_, return 2> }}\nmain = return {n}")
+        real, walked = twin(monkeypatch, lambda: [
+            (d.code, d.rule, d.msg) for d in Checker(prog).check_program()])
+        assert real == walked, n
+    assert [f"{c}/{r}" for c, r, _ in real] == ([code] * 3 if code else [])
+
+
+def test_typing_a_numeral_costs_the_same_at_any_size(monkeypatch):
+    calls = []
+    real = Checker._type_obj
+
+    def counted(self, *args):
+        calls.append(args[-1])
+        return real(self, *args)
+
+    monkeypatch.setattr(Checker, "_type_obj", counted)
+    counts = {}
+    for n in (3, 5000):
+        v = numeral(n)
+        calls.clear()
+        Checker(prelude_program()).type_value({}, {}, v)
+        counts[n] = len(calls)
+    assert counts[5000] == counts[3] == 3  # levels 2, 1 and 0

@@ -13,8 +13,8 @@ option the subcommand does not read, ``--trace`` or ``--fuel`` with ``run
 --approx``, a negative N or K), a file that is missing or cannot be read as
 UTF-8, precondition error (among them more branches than ``--prefix`` and a
 free variable under ``run --unchecked``), or, under any subcommand, source
-nested too deeply for the recursive parser, printer or typer ("term too
-deep"; a numeral, however large, is never too deep).
+nested too deeply for the recursive parser or typer ("term too deep"; a
+numeral, however large, is never too deep).
 ``run --trace`` prints each step as it is taken; with ``--json`` it prints
 JSON lines, one per step, then the result.
 ``--no-prelude`` (check, run, soundness) drops the standard prelude.
@@ -32,7 +32,7 @@ from .evaluator import (
     APPROX, FUEL, PREFIX, Diverged, Evaluator, PrefixExceeded, VRes,
 )
 from .monads import MONADS
-from .parser import ParseError, pretty, pretty_value
+from .parser import ParseError, pretty
 from .prelude import load_program
 from .syntax import free
 from .typer import Checker
@@ -95,8 +95,8 @@ def _load(path: str, use_prelude: bool):
 
 @contextlib.contextmanager
 def _depth_guard(path: str):
-    """Raise the recursion limit for the parser, ``pretty`` and ``type_expr``
-    on ``path``, and turn running out of it into exit 2."""
+    """Raise the recursion limit for the parser and ``type_expr`` on
+    ``path``, and turn running out of it into exit 2."""
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, 100_000))
     try:
@@ -109,7 +109,7 @@ def _depth_guard(path: str):
 
 
 def _show_result(r) -> str:
-    return pretty_value(r.value) if isinstance(r, VRes) else "wrong"
+    return pretty(r.value) if isinstance(r, VRes) else "wrong"
 
 
 def cmd_check(args) -> int:

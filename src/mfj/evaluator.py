@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from .monads import Monad, get_monad
-from .parser import pretty_expr, pretty_value
+from .parser import pretty
 from .reducer import Magic, mbody, pure_step
 from .signatures import Sigs
 from .syntax import (
@@ -50,7 +50,7 @@ class VRes:
     value: Any
 
     def __repr__(self):
-        return f"V {pretty_value(self.value)}"
+        return f"V {pretty(self.value)}"
 
 
 class _Wrong:
@@ -107,7 +107,7 @@ class EConf:
         return e
 
     def __repr__(self):
-        return f"E {pretty_expr(self.expr)}"
+        return f"E {pretty(self.expr)}"
 
 
 @node

@@ -1,4 +1,5 @@
-"""Concrete ASCII syntax: tokenizer, recursive-descent parser, pretty-printer.
+"""Concrete ASCII syntax: tokenizer, recursive-descent parser, and a
+pretty-printer that keeps its own stack instead of recursing.
 
 The grammar (informally):
 
@@ -527,142 +528,110 @@ def parse_effect(text: str, tvars: tuple = ()) -> Effect:
 
 
 def pretty(node) -> str:
-    """Deterministic, reparseable rendering of any syntax node."""
-    if isinstance(node, Program):
-        parts = [pretty(d) for d in node.decls]
-        if node.main is not None:
-            parts.append(f"main = {pretty(node.main)}")
-        return "\n\n".join(parts) + "\n"
-    if isinstance(node, TypeDecl):
-        head = node.name + _pretty_tparams(node.typeParams)
-        if node.parents:
-            head += " <| " + " ".join(_pretty_ntype(p) for p in node.parents)
-        body = "\n".join("  " + _pretty_methoddef(m) for m in node.methods)
-        return f"{head} {{\n{body}\n}}" if body else f"{head} {{ }}"
-    if isinstance(node, MethodDef):
-        return _pretty_methoddef(node)
-    if isinstance(node, Type) or isinstance(node, NominalType):
-        return pretty_type(node)
-    if isinstance(node, Effect):
-        return pretty_eff(node)
-    if isinstance(node, Value):
-        return pretty_value(node)
-    return pretty_expr(node)
+    """Deterministic, reparseable rendering of any syntax node.
+
+    One loop pops an explicit stack of pieces: a string is output, a tuple
+    is replaced by its pieces, and a node by its ``_pieces``.  Only the sort
+    keys of a parent list or an effect with two or more entries are printed
+    apart (``_sorted``); nothing else costs Python recursion on the depth
+    of a term, and printing takes time linear in the text."""
+    out, todo = [], [node]
+    while todo:
+        p = todo.pop()
+        if p.__class__ is str:
+            out.append(p)
+        elif p.__class__ is tuple:
+            todo += p[::-1]
+        else:
+            todo.append(_pieces(p))
+    return "".join(out)
 
 
-def _pretty_tparams(tps) -> str:
-    if not tps:
-        return ""
-    bits = []
-    for x, b in tps:
-        bits.append(x if b == OBJECT else f"{x} <: {pretty_type(b)}")
-    return "[" + " ".join(bits) + "]"
-
-
-def _pretty_ntype(n: NominalType) -> str:
-    if not n.args:
+def _pieces(n):
+    """What node ``n`` prints as: a string, or a tuple of strings, nodes and
+    tuples, in order."""
+    cls = n.__class__
+    if cls is Var or cls is TypeVar:
         return n.name
-    return n.name + "[" + " ".join(pretty_type(a) for a in n.args) + "]"
-
-
-def pretty_type(t) -> str:
-    if isinstance(t, NominalType):
-        return _pretty_ntype(t)
-    if isinstance(t, TypeVar):
-        return t.name
-    if isinstance(t, ObjType):
-        if not t.parents and not len(t.sig):
-            return "Object"
-        parents = " ".join(_pretty_ntype(p) for p in sorted(t.parents, key=_pretty_ntype))
-        if not len(t.sig):
+    if cls is NominalType:
+        return (n.name, _targs(n.args)) if n.args else n.name
+    if cls is ObjType:
+        parents = _sorted(n.parents, " ", "Object")
+        if not len(n.sig):
             return parents
-        sigs = "  ".join(
-            _pretty_sig_entry(n, k, mt) for n, k, mt in t.sig
-        )
-        return f"{parents or 'Object'}{{{sigs}}}"
-    raise TypeError(f"not a type: {t!r}")
+        return parents, "{", _joined("  ", [_entry(*e) for e in n.sig]), "}"
+    if cls is Obj:
+        k = numeral_value(n)
+        if k is not None:
+            return str(k)
+        if not n.methods:
+            return _sorted(n.parents, " ", "Object{}")
+        return _sorted(n.parents, " ", "Object"), "{", _joined("  ", n.methods), "}"
+    if cls is MethodDef:
+        return _entry(n.name, n.kind, n.mtype), "" if n.body is None else _body(n)
+    if cls is Effect:
+        return "top" if n.top else _sorted(n.atoms, " \\/ ", "pure")
+    if cls is EffCall:
+        return n.receiver, ".", n.method, _targs(n.targs)
+    if cls is Return:
+        return "return ", n.value
+    if cls is Call:
+        return n.recv, ".", n.method, _targs(n.targs), "(", _joined(" ", n.args), ")"
+    if cls is Do:
+        return "do ", n.var, " = ", n.first, "; ", n.rest
+    if cls is Try:
+        h = n.handler
+        return ("try ", n.body, " with ", _joined(" ", h.clauses),
+                " final <", h.finalVar, ", ", h.finalExpr, ">")
+    if cls is Clause:
+        if n.typeParams is None:
+            return n.ntype, ".", n.method, " ", n.mode
+        tps = (" [", " ".join(n.typeParams), "]") if n.typeParams else ""
+        return n.ntype, ".", n.method, " :", tps, _body(n), " ", n.mode
+    if cls is TypeDecl:
+        head = n.name, _tparams(n.typeParams), \
+            (" <| ", _joined(" ", n.parents)) if n.parents else ""
+        if not n.methods:
+            return head, " { }"
+        return head, " {\n", _joined("\n", [("  ", m) for m in n.methods]), "\n}"
+    if cls is Program:
+        main = () if n.main is None else (("main = ", n.main),)
+        return _joined("\n\n", (*n.decls, *main)), "\n"
+    raise TypeError(f"cannot print a {cls.__name__}")
 
 
-def _pretty_mtype(kind: str, mt: MethodType) -> str:
-    out = kind
-    tp = _pretty_tparams(mt.typeParams)
-    if tp:
-        out += " " + tp
-    for p in mt.paramTypes:
-        out += " " + pretty_type(p)
-    out += " -> " + pretty_type(mt.ret)
-    if kind != MGC:
-        out += " ! " + pretty_eff(mt.eff)
-    return out
+def _joined(sep: str, items) -> tuple:
+    """The pieces ``items`` with ``sep`` between each two."""
+    out = [sep] * (2 * len(items) - 1)
+    out[::2] = items
+    return tuple(out)
 
 
-def _pretty_sig_entry(name: str, kind: str, mt: MethodType) -> str:
-    return f"{name} : {_pretty_mtype(kind, mt)}"
+def _sorted(nodes, sep: str, none: str):
+    """``nodes``, a parent list or a set of effect atoms, in the order of
+    their printed text with ``sep`` between each two, or ``none``."""
+    if len(nodes) < 2:
+        return tuple(nodes) or none
+    return sep.join(sorted(map(pretty, nodes)))
 
 
-def _pretty_methoddef(m: MethodDef) -> str:
-    out = _pretty_sig_entry(m.name, m.kind, m.mtype)
-    if m.body is not None:
-        vars_ = " ".join((m.selfVar, *m.params))
-        out += f" <{vars_}, {pretty_expr(m.body)}>"
-    return out
+def _targs(ts):
+    return ("[", _joined(" ", ts), "]") if ts else ""
 
 
-def pretty_eff(e: Effect) -> str:
-    if e.top:
-        return "top"
-    if not e.atoms:
-        return "pure"
-    return " \\/ ".join(sorted(_pretty_eatom(a) for a in e.atoms))
+def _tparams(tps):
+    bound = [x if b == OBJECT else (x, " <: ", b) for x, b in tps]
+    return ("[", _joined(" ", bound), "]") if tps else ""
 
 
-def _pretty_eatom(a: EffCall) -> str:
-    out = f"{pretty_type(a.receiver)}.{a.method}"
-    if a.targs:
-        out += "[" + " ".join(pretty_type(t) for t in a.targs) + "]"
-    return out
+def _entry(name: str, kind: str, mt: MethodType) -> tuple:
+    """A method's signature, ``name : kind [X...] T... -> T ! eff``; a magic
+    method's effect is its canonical one, and is not printed."""
+    return (name, " : ", kind, (" ", _tparams(mt.typeParams)) if mt.typeParams else "",
+            tuple((" ", t) for t in mt.paramTypes), " -> ", mt.ret,
+            "" if kind == MGC else (" ! ", mt.eff))
 
 
-def pretty_value(v: Value) -> str:
-    if isinstance(v, Var):
-        return v.name
-    if isinstance(v, Obj):
-        n = numeral_value(v)
-        if n is not None:
-            return str(n)
-        parents = " ".join(_pretty_ntype(p) for p in sorted(v.parents, key=_pretty_ntype))
-        if not v.methods:
-            return parents or "Object{}"
-        body = "  ".join(_pretty_methoddef(m) for m in v.methods)
-        return f"{parents or 'Object'}{{{body}}}"
-    raise TypeError(f"not a value: {v!r}")
-
-
-def pretty_expr(e) -> str:
-    if isinstance(e, Return):
-        return f"return {pretty_value(e.value)}"
-    if isinstance(e, Do):
-        return f"do {e.var} = {pretty_expr(e.first)}; {pretty_expr(e.rest)}"
-    if isinstance(e, Call):
-        out = f"{pretty_value(e.recv)}.{e.method}"
-        if e.targs:
-            out += "[" + " ".join(pretty_type(t) for t in e.targs) + "]"
-        return out + "(" + " ".join(pretty_value(a) for a in e.args) + ")"
-    if isinstance(e, Try):
-        h = e.handler
-        out = f"try {pretty_expr(e.body)} with "
-        out += " ".join(_pretty_clause(c) for c in h.clauses)
-        out += f" final <{h.finalVar}, {pretty_expr(h.finalExpr)}>"
-        return out
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def _pretty_clause(c: Clause) -> str:
-    out = f"{_pretty_ntype(c.ntype)}.{c.method}"
-    if c.typeParams is not None:
-        out += " :"
-        if c.typeParams:
-            out += " [" + " ".join(c.typeParams) + "]"
-        vars_ = " ".join((c.selfVar, *c.params))
-        out += f" <{vars_}, {pretty_expr(c.body)}>"
-    return out + f" {c.mode}"
+def _body(m) -> tuple:
+    """A method's or a clause's ``<self params..., body>``, after a space."""
+    return " <", " ".join((m.selfVar, *m.params)), ", ", m.body, ">"

@@ -16,6 +16,7 @@ from typing import Mapping
 from . import faults
 from .effects import ClauseFilter, HandlerFilter, apply_filter, simplify
 from .evaluator import TryFrame
+from .parser import pretty
 from .signatures import SigError, Sigs, env_key
 from .syntax import (
     ABS, CLOSED, CONTINUE, DEF, EMPTY_SIG, MGC, OBJECT, PURE, STOP,
@@ -263,7 +264,7 @@ class Checker:
             if not self.sigs.sub_type(phi, at, pt):
                 raise TypecheckError(
                     "ArgTypeMismatch", "t-invk",
-                    f"argument {arg!r} of {e.method!r} has type {at!r}, "
+                    f"argument {pretty(arg)} of {e.method!r} has type {at!r}, "
                     f"expected a subtype of {pt!r}")
         if eff is None:  # simplified only once the arguments pass
             try:

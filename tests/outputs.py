@@ -9,8 +9,9 @@ one of the two dumps has, and exits 1 if there are any.
 
 It records the exit code, standard output and standard error of:
 
-- ``check --json`` of every corpus file, and ``run --trace``, ``run --trace
-  --json`` and ``soundness --json`` of every corpus file under every monad;
+- ``parse`` and ``check --json`` of every corpus file, and ``run --trace``,
+  ``run --trace --json`` and ``soundness --json`` of every corpus file under
+  every monad;
 - with each ``mfj.faults`` switch on: ``check --json`` of every corpus file,
   and ``soundness --json`` and ``run --unchecked`` of every corpus file under
   every monad.
@@ -53,7 +54,8 @@ def commands() -> list:
     """``(fault or None, argv)`` for every output, in the order they run."""
     files = sorted(str(p.relative_to(ROOT))
                    for p in (ROOT / "corpus").glob("*.mfj"))
-    plain = [(None, ["check", "--json", f]) for f in files]
+    plain = [(None, argv) for f in files
+             for argv in (["parse", f], ["check", "--json", f])]
     plain += [(None, argv) for f in files for m in MONADS for argv in (
         ["run", "--trace", f, "--monad", m],
         ["run", "--trace", "--json", f, "--monad", m],

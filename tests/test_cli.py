@@ -427,7 +427,7 @@ def _run_all(src, cmds=("check", "run", "soundness")) -> dict:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     procs = {
         cmd: subprocess.Popen(
-            [sys.executable, "-m", "mfj", cmd, str(src)], env=env,
+            [sys.executable, "-m", "mfj", *cmd.split(), str(src)], env=env,
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
         for cmd in cmds
     }
@@ -455,8 +455,8 @@ def test_a_deep_numeral_ends_in_a_result_or_a_clean_diagnostic(tmp_path, n):
 
 @pytest.mark.parametrize("kind", ["do chain", "nested objects"])
 def test_deep_source_nesting_passes_under_the_cli_limit(tmp_path, kind):
-    # the parser, pretty and type_expr follow source nesting; the CLI raises
-    # the recursion limit for them
+    # the parser and type_expr follow source nesting; the CLI raises the
+    # recursion limit for them
     n = 3000
     if kind == "do chain":
         main = "do x = " * n + "return 0" + "; return x" * n
@@ -469,6 +469,39 @@ def test_deep_source_nesting_passes_under_the_cli_limit(tmp_path, kind):
     for cmd, (out, err, code) in _run_all(src).items():
         assert (code, err) == (0, ""), (cmd, code, err[-500:])
         assert out, cmd
+
+
+# a 20,001-deep result that is not a numeral: each Succ level wraps the
+# Box of its predecessor in one more Box
+BOX_TOWER = """\
+Box { get : abs -> Object ! pure }
+Mk <| NatMatch[Box] {
+  zero : def -> Box ! pure
+    <_, return Box{ get : def -> Object ! pure <_, return Object{}> }>
+  succ : def Nat -> Box ! pure
+    <self p, do b = p.match[Box Mk](self);
+             return Box{ get : def -> Object ! pure <_, return b> }> }
+main = 20000.match[Box Mk](Mk{})
+"""
+
+
+def test_a_deep_result_prints(tmp_path):
+    # the printer keeps its own stack, so a result of any depth prints
+    src = tmp_path / "box.mfj"
+    src.write_text(BOX_TOWER)
+    ((out, err, code),) = _run_all(src, ["run --fuel 1000000"]).values()
+    assert (code, err) == (0, ""), err[-500:]
+    assert out == ("Box{get : def -> Object ! pure <_, return " * 20001
+                   + "Object{}" + ">}" * 20001 + "\n")
+
+
+def test_a_deep_argument_is_quoted_as_source(tmp_path):
+    src = tmp_path / "arg.mfj"
+    src.write_text("A { m : def Bool -> Bool ! pure <_ b, return b> }\n"
+                   "main = A.m(20000)\n")
+    ((out, err, code),) = _run_all(src, ["check"]).values()
+    assert code == 1 and "Traceback" not in err, err[-500:]
+    assert "[ArgTypeMismatch/t-invk] argument 20000 of 'm' has type " in out
 
 
 def test_neither_import_nor_a_command_changes_the_recursion_limit(tmp_path):

@@ -10,14 +10,13 @@ from mfj import syntax
 from mfj.evaluator import Evaluator
 from mfj.parser import (
     MAX_NUMERAL, ParseError, numeral, numeral_value, parse_effect, parse_expr,
-    parse_program, parse_type, pretty, pretty_eff, pretty_expr, pretty_value,
-    string_object,
+    parse_program, parse_type, pretty, string_object,
 )
 from mfj.prelude import prelude_program
 from mfj.syntax import (
-    OBJECT, PURE, TOP,
-    Call, Do, EffCall, NominalType, Obj, Return, Try, TypeVar, Var, eff_of,
-    nominal,
+    DEF, OBJECT, PURE, TOP,
+    Call, Do, EffCall, MethodDef, MethodType, NominalType, Obj, Return, Try,
+    TypeVar, Var, eff_of, nominal,
 )
 
 from conftest import CORPUS
@@ -37,6 +36,18 @@ def test_prelude_round_trips():
     assert parse_program(pretty(prog)) == prog
 
 
+def test_a_deep_value_prints_at_the_default_recursion_limit():
+    # printing pops an explicit stack of pieces, so a value nested far
+    # deeper than the recursion limit prints in one call
+    get_t = MethodType((), (), OBJECT, PURE)
+    v = Obj(())
+    for _ in range(20000):
+        v = Obj((NominalType("Box"),),
+                (MethodDef("get", DEF, get_t, "_", (), Return(v)),))
+    assert pretty(v) == ("Box{get : def -> Object ! pure <_, return " * 20000
+                         + "Object{}" + ">}" * 20000)
+
+
 # -- sugar --------------------------------------------------------------------
 
 def test_numerals_desugar_to_successor_towers():
@@ -48,8 +59,8 @@ def test_numerals_desugar_to_successor_towers():
 
 
 def test_numerals_print_as_decimals():
-    assert pretty_value(numeral(12)) == "12"
-    assert pretty_expr(Return(numeral(0))) == "return 0"
+    assert pretty(numeral(12)) == "12"
+    assert pretty(Return(numeral(0))) == "return 0"
 
 
 def test_a_printed_numeral_is_classified_once(monkeypatch):
@@ -66,10 +77,10 @@ def test_a_printed_numeral_is_classified_once(monkeypatch):
 
     monkeypatch.setattr(syntax, "_PRED_T", CountingPredType())
     # levels shared with numerals built earlier may be classified already
-    assert pretty_value(v) == "300"
+    assert pretty(v) == "300"
     assert len(classified) <= 300
     classified.clear()
-    assert pretty_value(v) == "300"
+    assert pretty(v) == "300"
     # rebuilding a level gives the same, already classified, node
     assert Obj(v.parents, v.methods) is v
     assert classified == []
@@ -145,7 +156,7 @@ def test_parsed_effects_are_normalized():
     a = parse_effect("Chooser.choose \\/ Failure[Nat].fail")
     b = parse_effect("Failure[Nat].fail \\/ Chooser.choose")
     assert a == b
-    assert parse_effect(pretty_eff(a)) == a
+    assert parse_effect(pretty(a)) == a
 
 
 def test_magic_methods_get_canonical_effects():

@@ -6,7 +6,7 @@ from mfj import faults
 from mfj.cli import main as cli_main
 from mfj.evaluator import Diverged, Evaluator, VRes
 from mfj.monads import MONADS, TRUE, Pure, Raised, get_monad
-from mfj.parser import numeral, parse_expr, pretty_expr
+from mfj.parser import numeral, parse_expr
 from mfj.prelude import load_program, prelude_program
 from mfj.reducer import (
     AmbiguousLookup, DefBody, Magic, _parents_lookup, cmatch, instance_of,

@@ -15,7 +15,8 @@ from mfj import syntax
 
 from conftest import CORPUS, load
 from mfj.evaluator import Diverged, Evaluator
-from mfj.parser import numeral, parse_expr
+from mfj.parser import numeral, parse_expr, pretty
+from mfj.prelude import prelude_program
 from mfj.syntax import (
     ABS, DEF, OBJECT, PURE, TOP,
     Call, Do, EffCall, MethodDef, MethodType, NominalType, Obj, ObjType,
@@ -24,6 +25,7 @@ from mfj.syntax import (
     open_binders, subst, subst_expr,
 )
 from reference_free import reference_free
+from reference_pretty import reference_pretty
 from reference_subst import reference_subst
 
 A = eff_of(EffCall(nominal("A"), "m"))
@@ -451,6 +453,41 @@ def test_a_binder_term_substitutes_as_the_reference_does(term):
         assert subst(term, tsub, vsub) is reference_subst(term, tsub, vsub)
     out = subst(term, *capturing)
     assert "'" in repr(out) and "X'1" not in repr(out)
+
+
+# -- the printer against the reference ----------------------------------------
+
+def _prints_as_the_reference(n) -> bool:
+    """Whether the reference prints ``n`` (it prints no signature, method
+    type, handler or effect atom on its own), asserting that ``pretty``
+    prints the same."""
+    try:
+        want = reference_pretty(n)
+    except TypeError:
+        return False
+    assert pretty(n) == want, n
+    return True
+
+
+def test_pretty_prints_what_the_reference_prints_on_every_corpus_node():
+    programs = [prelude_program(),
+                *(load(p.stem) for p in sorted(CORPUS.glob("*.mfj")))]
+    assert sum(map(_prints_as_the_reference, NODES + programs)) > 300
+
+
+# values and types, towers, and corpus nodes after a substitution, which
+# may have renamed a binder
+printable = st.one_of(
+    law_values, law_types, towers,
+    st.builds(subst, st.sampled_from(NODES),
+              st.dictionaries(st.sampled_from(TYPE_NAMES), law_types, max_size=3),
+              st.dictionaries(st.sampled_from(VALUE_NAMES), law_values, max_size=3)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(printable)
+def test_pretty_prints_what_the_reference_prints(n):
+    _prints_as_the_reference(n)
 
 
 def _plans(n) -> dict:

@@ -194,6 +194,17 @@ def test_clause_arity_must_match_the_magic_method(ck, clause):
     assert (e.value.code, e.value.rule) == ("ArityMismatch", "t-handler")
 
 
+@pytest.mark.parametrize("src, code", [
+    # the unknown type is in a method's declared effect
+    ("main = return Object{ m : def -> Object ! Bogus.m <_, return Object{}> }",
+     "UnknownType/t-obj"),
+    # the unknown type is a clause's
+    ("main = try 0.succ() with Bogus.throw stop", "UnknownType/t-handler"),
+])
+def test_an_unknown_type_is_reported_by_the_rule_that_meets_it(src, code):
+    assert diagnostic_codes(src) == [code]
+
+
 # -- whole programs -----------------------------------------------------------
 
 def test_prelude_checks_clean():

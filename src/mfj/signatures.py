@@ -13,7 +13,7 @@ from . import faults
 from .syntax import (
     ABS, DEF, EMPTY_SIG, MGC,
     EffCall, Effect, MethodType, NominalType, ObjType, Program, Sig, Type,
-    TypeVar, align_binders, alpha_eq_mtype, eff_of, subst,
+    TypeVar, align_binders, alpha_eq_mtype, eff_of, sorted_atoms, subst,
 )
 
 
@@ -432,9 +432,7 @@ class Sigs:
             self.wf_check(phi2, x.eff)
             return
         if isinstance(x, Effect):
-            # sorted, so the atom reported first does not depend on hashing
-            atoms = x.atoms if len(x.atoms) < 2 else sorted(x.atoms, key=repr)
-            for a in atoms:
+            for a in sorted_atoms(x):
                 self._wf_call(phi, a)
             return
         raise TypeError(f"cannot well-formedness-check {x!r}")

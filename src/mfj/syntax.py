@@ -13,9 +13,11 @@ Every node is immutable and hash-consed (``node``): equal nodes are one
 object, so equality is identity and a hash is an id, however deep the term.
 Free variables (``free``) and capture-avoiding substitution (``subst``) are
 built on the ``shape`` each node class declares.  Facts derived from a node
-(free variables, substitution plans, erasure, numeral value) are cached on
-it the first time they are asked for; ``numeral`` sets the free variables
-and the value of each level of a tower as it builds it.
+(free variables, substitution plans, erasure, numeral value, typing shape,
+an effect's atom order) are cached on it the first time they are asked for;
+``numeral`` sets the free variables and the value of each level of a tower
+as it builds it.  ``repr`` keeps its own stack, so a node of any depth has
+one.
 """
 
 from __future__ import annotations
@@ -410,15 +412,14 @@ def _build(cls, frozen: bool, hashcons: bool):
     params = ", ".join(f"{n}=_defaults[{n!r}]" if n in defaults else n
                        for n in names)
     mine = "(" + "".join(f"self.{n}, " for n in names) + ")"
-    shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
-    src = {"__repr__": "def __repr__(self):\n    return "
-                       f"f'{{self.__class__.__qualname__}}({shown})'\n"}
+    src = {}
     if frozen:
         src["__setattr__"] = ("def __setattr__(self, name, value):\n    raise "
                               "AttributeError(f'cannot assign to field {name!r}')\n")
         src["__delattr__"] = ("def __delattr__(self, name):\n    raise "
                               "AttributeError(f'cannot delete field {name!r}')\n")
     if hashcons:
+        cls._tshape = None  # until ``tshape`` caches it on the node
         if "canon" in cls.__dict__:
             params, key = "*args, **kw", "cls.canon(*args, **kw)"
         else:
@@ -452,8 +453,55 @@ def _build(cls, frozen: bool, hashcons: bool):
     exec("".join(src.values()), ns)
     for k in src:
         setattr(cls, k, ns[k])
+    if "__repr__" not in cls.__dict__:
+        cls.__repr__ = _repr
     cls._fields = names
     return cls
+
+
+_LEAVES = frozenset((str, int, bool, type(None)))  # shown at once
+
+
+def _repr(x) -> str:
+    """``Cls(f=..., ...)`` for a record or node ``x``, each field shown with
+    ``repr``, from one loop over an explicit stack, so that a term of any
+    depth costs no Python recursion.  A string on the stack is output; any
+    other entry is a value still to show, and a leaf (a string, a number,
+    None or ``()``) is shown as soon as it is met.  An effect shows its
+    atoms in ``sorted_atoms`` order."""
+    out, todo = [], [x]
+    while todo:
+        v = todo.pop()
+        cls = v.__class__
+        names = None
+        if cls is str:
+            out.append(v)
+            continue
+        if cls is Effect:
+            head, items, tail = "Effect(atoms={", sorted_atoms(v), \
+                f"}}, top={v.top})"
+        elif cls is tuple:
+            head, items, tail = "(", v, ",)" if len(v) == 1 else ")"
+        elif cls.__repr__ is _repr:
+            head, tail, names = f"{cls.__qualname__}(", ")", cls._fields
+            items = [getattr(v, f) for f in names]
+        else:
+            out.append(repr(v))
+            continue
+        got, text = [], head
+        for i, y in enumerate(items):
+            if i:
+                text += ", "
+            if names:
+                text += f"{names[i]}="
+            if y.__class__ in _LEAVES or y == ():
+                text += repr(y)
+            else:
+                got += (text, y)
+                text = ""
+        got.append(text + tail)
+        todo += reversed(got)
+    return "".join(out)
 
 
 def _canon_parents(parents) -> tuple:
@@ -528,11 +576,17 @@ class Effect:
     atoms: frozenset  # frozenset[EffCall], empty when top
     top: bool = False
     shape = "atoms{}"
+    _sorted = None  # until ``sorted_atoms`` caches the atoms' order
 
-    def __repr__(self):
-        # sorted, so that diagnostics do not depend on string hashing
-        atoms = ", ".join(sorted(map(repr, self.atoms)))
-        return f"Effect(atoms={{{atoms}}}, top={self.top})"
+
+def sorted_atoms(e: Effect) -> tuple:
+    """``e``'s atoms in the order of their ``repr``, so that the first one
+    shown or reported does not depend on string hashing; cached on ``e``."""
+    got = e._sorted
+    if got is None:
+        got = tuple(sorted(e.atoms, key=_repr) if len(e.atoms) > 1 else e.atoms)
+        object.__setattr__(e, "_sorted", got)
+    return got
 
 
 PURE = Effect(frozenset())
@@ -867,3 +921,53 @@ def numeral_value(v: Value) -> Optional[int]:
         n = None if n is None else n + 1
         object.__setattr__(w, "_numeral", n)
     return n
+
+
+# ---------------------------------------------------------------------------
+# Typing shapes
+# ---------------------------------------------------------------------------
+
+
+COLLAPSED = numeral(3)  # the one tower that stands for every tower above 2
+_TERMS = (Value, Expr, MethodDef, Handler, Clause)  # types hold no values
+
+
+def tshape(n):
+    """``n`` with every numeral tower above 2 replaced by ``COLLAPSED``.
+
+    Every such tower types as ``numeral(2)`` does, and a closed value enters
+    a typing only through its type, so ``n`` and its shape type alike: the
+    checker keys its memos on the shape.  One pass with an explicit stack
+    that skips types; the result is cached on ``n`` and on every term under
+    it, the way ``free`` caches its pair."""
+    got = n._tshape
+    if got is not None:
+        return got
+    todo = [n]
+    while n._tshape is None:
+        m = todo[-1]
+        if isinstance(m, Obj) and (k := numeral_value(m)) is not None:
+            todo.pop()
+            object.__setattr__(m, "_tshape", COLLAPSED if k > 2 else m)
+            continue
+        inner, scoped = m._kids()
+        fresh = [c for c in (*inner, *scoped)
+                 if c._tshape is None and isinstance(c, _TERMS)]
+        if fresh:
+            todo += fresh
+            continue
+        todo.pop()
+        fields, moved = list(m._values()), False
+        for i, _, form, _ in m._children:
+            x = fields[i]
+            if form == "*":  # the only forms that terms have: types are kept
+                y = tuple(c._tshape or c for c in x)
+            elif x is not None:
+                y = x._tshape or x
+            else:
+                continue
+            if y != x:  # nodes compare by identity, and so their tuples
+                fields[i], moved = y, True
+        if m._tshape is None:  # a node reached twice is shaped once
+            object.__setattr__(m, "_tshape", type(m)(*fields) if moved else m)
+    return n._tshape

@@ -1,8 +1,9 @@
 """The type-and-effect system: values, expressions, handlers, declarations.
 
 A ``Checker`` is a per-program session (it owns a ``Sigs`` context and memo
-tables keyed on a term plus the environment restricted to its free names and
-the bounds they reach).
+tables keyed on a term's typing shape, ``syntax.tshape``, plus the
+environment restricted to its free names and the bounds they reach).  The
+memos keep only successes, so a term that fails is typed as itself.
 All judgments are syntax-directed functions; there is no subsumption rule,
 so subtype checks happen exactly where the rules put side conditions.  The
 soundness monitor types evaluator configurations with ``type_conf``, which
@@ -15,7 +16,7 @@ from typing import Mapping
 
 from . import faults
 from .effects import ClauseFilter, HandlerFilter, apply_filter, simplify
-from .evaluator import TryFrame
+from .evaluator import DoFrame, TryFrame
 from .parser import pretty
 from .signatures import SigError, Sigs, env_key
 from .syntax import (
@@ -23,7 +24,7 @@ from .syntax import (
     Call, Clause, Do, EffCall, Effect, Expr, Handler, MethodDef, MethodType,
     NominalType, Obj, ObjType, Program, Return, Sig, Try, Type, TypeVar,
     Value, Var, eff_of, eff_union, free, numeral, numeral_value,
-    open_binders, subst,
+    open_binders, subst, tshape,
 )
 
 
@@ -39,6 +40,22 @@ def _sig_error(e: SigError, rule: str) -> TypecheckError:
     return TypecheckError(type(e).__name__, rule, str(e))
 
 
+def _frame_shape(frame):
+    """The frame chain ``frame`` with the ``tshape`` of each frame's ``rest``
+    or ``handler``; cached on each frame, so a step shapes only the frames
+    it pushed."""
+    todo, k = [], frame
+    while k is not None and k._tshape is None:
+        todo.append(k)
+        k = k.below
+    for k in reversed(todo):  # outermost first
+        below = k.below and k.below._tshape
+        object.__setattr__(k, "_tshape", TryFrame(tshape(k.handler), below)
+                           if isinstance(k, TryFrame)
+                           else DoFrame(k.var, tshape(k.rest), below))
+    return frame._tshape
+
+
 class Checker:
     # the depth in nested values where typing walks the value it is at
     WALK_DEPTH = 16
@@ -48,7 +65,8 @@ class Checker:
         self.sigs = Sigs(program)
         self._val_memo: dict = {}
         self._expr_memo: dict = {}
-        # (frame, hole typing, raw focus effect) -> the configuration's typing
+        # (frame shape, hole typing, raw focus effect) -> the configuration's
+        # typing
         self._frame_memo: dict = {}
         # (env key, receiver type, method, type arguments) -> [parameter
         # types, result type, call effect or None until arguments passed]
@@ -59,16 +77,19 @@ class Checker:
 
     @staticmethod
     def _memo_key(phi, gamma, term, fvs, ftvs):
-        # typing depends only on the bindings for the term's free names and
-        # on the bounds of the type variables they reach: those free in the
-        # term and in the types of its free variables, closed under their
-        # bounds.  A closed term is its own key, and the free variables are
-        # cached on the node, so they come in the same order every time
+        # typing depends only on the term's shape (``tshape``: its towers
+        # above 2 collapsed, as they all type alike), on the bindings for its
+        # free names and on the bounds of the type variables they reach:
+        # those free in the term and in the types of its free variables,
+        # closed under their bounds.  A closed term's shape is its key, and
+        # the free variables are cached on the node, so they come in the
+        # same order every time
+        shape = term._tshape or tshape(term)
         if not fvs and not ftvs:
-            return term
+            return shape
         env = tuple((x, gamma[x]) for x in fvs if x in gamma)
         if not phi:
-            return term, env, ()
+            return shape, env, ()
         todo = [*ftvs]
         for _, t in env:
             todo += free(t)[1]
@@ -78,7 +99,7 @@ class Checker:
             if a not in reached and a in phi:
                 reached[a] = phi[a]
                 todo += free(phi[a])[1]
-        return term, env, frozenset(reached.items())
+        return shape, env, frozenset(reached.items())
 
     def type_value(self, phi: Mapping[str, Type], gamma: Mapping[str, Type],
                    v: Value) -> Type:
@@ -123,7 +144,8 @@ class Checker:
                 seen.add(n)
                 todo.append((n, True))
                 todo += [(k, False) for kids in n._kids() for k in kids
-                         if isinstance(k, terms) and k not in self._val_memo]
+                         if isinstance(k, terms)
+                         and (k._tshape or tshape(k)) not in self._val_memo]
         for k in found:
             try:
                 self.type_value({}, {}, k)
@@ -298,9 +320,10 @@ class Checker:
 
         The focus is typed with ``type_expr``; its typing is then pushed out
         through the frames, innermost first, with t-do and t-try.  Each
-        frame's result is memoized on (frame, hole typing); a frame holds the
-        frames below it, so a hit types the rest of the configuration at once
-        and a step retypes only the focus and the frames it changed.
+        frame's result is memoized on (frame shape, hole typing); a frame
+        holds the frames below it, so a hit types the rest of the
+        configuration at once and a step retypes only the focus and the
+        frames it changed.
         """
         hole = self.type_expr({}, {}, c.focus)
         # read only by the seeded t-try fault: the raw body effect of every
@@ -310,7 +333,7 @@ class Checker:
             if faults.ACTIVE.filter_before_simplify else None
         k, missed = c.frames, []
         while k is not None:
-            key = (k, hole, raw)
+            key = (_frame_shape(k), hole, raw)
             hit = self._frame_memo.get(key)
             if hit is not None:
                 hole = hit

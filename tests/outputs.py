@@ -18,7 +18,10 @@ It records the exit code, standard output and standard error of:
 
 It also records the diagnostics (``str`` and ``repr``, in order) of every
 ``check_large`` benchmark program of seeds 1-6, built by the benchmark's own
-generator, ``perfbench/gen.py``.
+generator, ``perfbench/gen.py``, and the ``type_conf`` typing (the ``repr``
+of the type and of the effect, or the diagnostic) of every configuration
+along the first ``WALK_STEPS`` steps of a monitored walk of every corpus
+program under every monad, so that the typing memos are compared directly.
 
 Commands run in-process, in this order, with paths relative to the
 repository root, so the output does not depend on where the checkout is.
@@ -37,10 +40,13 @@ from mfj import faults
 from mfj.cli import main
 from mfj.monads import MONADS
 from mfj.prelude import load_program
-from mfj.typer import Checker
+from mfj.typer import Checker, TypecheckError
+
+from test_memo_twin import walk
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CHECK_LARGE_SEEDS = range(1, 7)
+WALK_STEPS = 200
 
 
 def outcome(argv: list) -> dict:
@@ -80,7 +86,24 @@ def dump() -> dict:
             diags = Checker(load_program(item.source)).check_program()
             got[f"check_large seed {seed} item {i} {item.name}"] = {
                 "diagnostics": [[str(d), repr(d)] for d in diags]}
+    for f in sorted((ROOT / "corpus").glob("*.mfj")):
+        prog = load_program(f.read_text())
+        for m in MONADS:
+            got[f"type_conf {f.relative_to(ROOT)} --monad {m}"] = {
+                "typings": typings(prog, m)}
     return got
+
+
+def typings(prog, monad: str) -> list:
+    """The ``type_conf`` typing of each configuration along the walk."""
+    ck, out = Checker(prog), []
+    for c in walk(prog, monad, WALK_STEPS):
+        try:
+            t, f = ck.type_conf(c)
+            out.append(f"{t!r} ! {f!r}")
+        except TypecheckError as err:
+            out.append(str(err))
+    return out
 
 
 def compare(a: dict, b: dict, shown: int = 10) -> list:
@@ -92,7 +115,8 @@ def compare(a: dict, b: dict, shown: int = 10) -> list:
         if k not in a or k not in b:
             lines.append(f"{k}: only in {'B' if k not in a else 'A'}")
         else:
-            parts = [p for p in ("code", "stdout", "stderr", "diagnostics")
+            parts = [p for p in ("code", "stdout", "stderr", "diagnostics",
+                                 "typings")
                      if a[k].get(p) != b[k].get(p)]
             lines.append(f"{k}: {', '.join(parts)} differ")
     if keys:

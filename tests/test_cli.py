@@ -504,6 +504,21 @@ def test_a_deep_argument_is_quoted_as_source(tmp_path):
     assert "[ArgTypeMismatch/t-invk] argument 20000 of 'm' has type " in out
 
 
+def test_a_deep_parameter_type_is_quoted(tmp_path):
+    # a diagnostic shows types with repr, which keeps its own stack
+    t = "Bool"
+    for _ in range(6000):
+        t = f"Bool{{ m : def -> {t} ! pure }}"
+    src = tmp_path / "param.mfj"
+    src.write_text(f"A {{ m : def {t} -> Object ! pure <_ b, return b> }}\n"
+                   "main = A.m(True)\n")
+    ((out, err, code),) = _run_all(src, ["check"]).values()
+    assert code == 1 and "Traceback" not in err, err[-500:]
+    assert ("[ArgTypeMismatch/t-invk] argument True of 'm' has type "
+            "ObjType(parents=(NominalType(name='True', ") in out
+    assert out.count("ObjType(parents=(NominalType(name='Bool', ") == 6001
+
+
 def test_neither_import_nor_a_command_changes_the_recursion_limit(tmp_path):
     src = tmp_path / "p.mfj"
     src.write_text("main = 3.succ()\n")

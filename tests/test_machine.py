@@ -15,11 +15,12 @@ from mfj.monads import LazyList
 from mfj.parser import parse_expr
 from mfj.prelude import load_program, prelude_program
 from mfj.soundness import check_soundness
-from mfj.typer import Checker, TypecheckError
+from mfj.typer import Checker
 
 from conftest import load
 from reference_stepper import reference_step
 from test_acceptance import APPLICABLE
+from test_memo_twin import typing_or_error, walk
 
 HANDLER = "Exception.throw : [X] <x, return 0> stop"
 
@@ -167,13 +168,6 @@ def test_a_step_looks_its_method_up_once(monkeypatch, src, rule):
 # -- typing configurations ---------------------------------------------------------
 
 
-def typing_or_error(type_of, arg):
-    try:
-        return type_of(arg)
-    except TypecheckError as err:
-        return str(err)
-
-
 @pytest.mark.parametrize("fault", [None, "filter_before_simplify"])
 @pytest.mark.parametrize("name, monad", CASES)
 def test_frame_typing_agrees_with_typing_the_plugged_term(name, monad, fault):
@@ -182,29 +176,18 @@ def test_frame_typing_agrees_with_typing_the_plugged_term(name, monad, fault):
     ``type_expr`` on its plugged term, also under the seeded t-try fault."""
     with faults.inject(fault) if fault else contextlib.nullcontext():
         prog = program(name)
-        ev = Evaluator(prog, monad)
         framed, whole = Checker(prog), Checker(prog)
-        start = EConf(prog.main)
-        seen, frontier = {start}, [start]
-        steps = 0
-        while frontier and steps < 600:
-            c = frontier.pop()
+        confs = 0
+        for c in walk(prog, monad):
             assert typing_or_error(framed.type_conf, c) == typing_or_error(
                 lambda e: whole.type_expr({}, {}, e), c.expr), c
-            stepped = ev.mon_step(c)
-            if stepped is None:
-                continue
-            steps += 1
-            for c2 in ev.monad.elements(stepped[0], 256):
-                if c2 not in seen:
-                    seen.add(c2)
-                    frontier.append(c2)
-    assert steps > 0
+            confs += 1
+    assert confs > 1
 
 
-def monitor_typings_per_step(n, monkeypatch):
-    """``Checker._type_expr`` calls per step the monitor checks, over a whole
-    ``check_soundness`` of ``n.sum(n)`` under exc."""
+def monitor_typings(prog, monad, monkeypatch, **kw) -> tuple:
+    """The report of a ``check_soundness`` of ``prog`` under ``monad``, and
+    the ``Checker._type_expr`` calls it made."""
     calls = []
     real = Checker._type_expr
 
@@ -213,13 +196,20 @@ def monitor_typings_per_step(n, monkeypatch):
         return real(self, *args)
 
     monkeypatch.setattr(Checker, "_type_expr", counted)
-    rep = check_soundness(load_program(f"main = {n}.sum({n})"), "exc",
-                          approx_to=0)
+    rep = check_soundness(prog, monad, **kw)
     monkeypatch.undo()
     assert rep.ok
+    return rep, len(calls)
+
+
+def monitor_typings_per_step(n, monkeypatch):
+    """``Checker._type_expr`` calls per step the monitor checks, over a whole
+    ``check_soundness`` of ``n.sum(n)`` under exc."""
+    rep, calls = monitor_typings(load_program(f"main = {n}.sum({n})"), "exc",
+                                 monkeypatch, approx_to=0)
     [per_step] = [r for r in rep.records if r.check == "per-step"]
     assert per_step.witness == f"{5 * n + 1} steps monitored"
-    return len(calls) / (5 * n + 1)
+    return calls / (5 * n + 1)
 
 
 def test_monitor_cost_per_step_does_not_grow_with_depth(monkeypatch):
@@ -227,3 +217,14 @@ def test_monitor_cost_per_step_does_not_grow_with_depth(monkeypatch):
     shallow = monitor_typings_per_step(100, monkeypatch)
     deep = monitor_typings_per_step(400, monkeypatch)
     assert deep <= shallow < 2
+
+
+def test_monitor_typings_do_not_grow_with_the_walk(monkeypatch):
+    # each round of nd_m2 builds the same terms around a new numeral, and
+    # every numeral above 2 has one typing shape; keyed on the terms
+    # themselves, 10,000 steps took 12,884 typings and 1,000 took 1,311
+    prog = load("nd_m2")
+    counts = {(monad, fuel): monitor_typings(prog, monad, monkeypatch,
+                                             fuel=fuel)[1]
+              for monad in ("dist", "list") for fuel in (1000, 10000)}
+    assert len(set(counts.values())) == 1, counts

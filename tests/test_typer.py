@@ -9,9 +9,10 @@ from mfj.parser import (
     parse_type,
 )
 from mfj.prelude import load_program, prelude_program
+from mfj.evaluator import Evaluator
 from mfj.syntax import (
-    MGC, OBJECT, PURE, TOP,
-    MethodDef, MethodType, Obj, TypeVar, nominal,
+    COLLAPSED, MGC, OBJECT, PURE, TOP,
+    MethodDef, MethodType, Obj, TypeVar, nominal, tshape,
 )
 from mfj.typer import Checker, TypecheckError
 
@@ -522,3 +523,34 @@ def test_typing_a_numeral_costs_the_same_at_any_size(monkeypatch):
         Checker(prelude_program()).type_value({}, {}, v)
         counts[n] = len(calls)
     assert counts[5000] == counts[3] == 3  # levels 2, 1 and 0
+
+
+# -- typing shapes: every tower above 2 is one node ---------------------------
+
+def test_every_tower_above_2_has_one_shape():
+    run = load_program("main = do x = 1233.succ(); x.succ()")
+    built = Evaluator(run, "id").finitary(run.main, 100).payload.value
+    assert numeral_value(built) == 1235
+    towers = [numeral(3), numeral(4), numeral(5000), built,
+              *(parse_expr(f"return {n}").value for n in (3, 9, 100000))]
+    assert {id(tshape(v)) for v in towers} == {id(COLLAPSED)}
+    assert COLLAPSED is numeral(3)
+    for n in range(3):
+        assert tshape(numeral(n)) is numeral(n)
+    # a tower inside a term, an open one included, becomes the one tower
+    for src, shape in [("My.m2(7)", "My.m2(3)"),
+                       ("do x = return 12; x.sum(0)",
+                        "do x = return 3; x.sum(0)"),
+                       ("My.m2[Nat](y 2 4)", "My.m2[Nat](y 2 3)")]:
+        assert tshape(parse_expr(src)) is parse_expr(shape)
+
+
+@pytest.mark.parametrize("base", LOOKALIKES)
+@pytest.mark.parametrize("levels", [0, 1, 4])
+def test_a_lookalike_keeps_its_shape(base, levels):
+    # a lookalike is not a tower: only a tower inside it (the last one
+    # returns 4) becomes the collapsed one, 3
+    v = parse_expr(f"return {over(base, levels)}").value
+    shape = parse_expr(f"return {over(base.replace('4', '3'), levels)}").value
+    assert tshape(v) is shape
+    assert (shape is v) == ("4" not in base)

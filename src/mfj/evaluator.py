@@ -68,6 +68,7 @@ class DoFrame:
     var: str
     rest: Any
     below: Any  # the next frame out, or None
+    shape = "rest below?; var / > rest"
 
 
 @node
@@ -76,6 +77,7 @@ class TryFrame:
 
     handler: Handler
     below: Any
+    shape = "handler below?"
 
 
 @record

@@ -99,10 +99,8 @@ class Sigs:
         self.program = program
         self._decl_sig: dict = {}
         self._decl_busy: set = set()
-        self._nominal_sig: dict = {}
         self._binds: dict = {}  # (binders, type arguments) -> self._bind
         self._supers: dict = {}
-        self._ancestors: dict = {}
         self._sub_memo: dict = {}
         # successes only, so a failing lookup raises again on every call
         self._sig_memo: dict = {}  # (type, env key) -> Sig
@@ -163,16 +161,11 @@ class Sigs:
         return sub
 
     def sig_of_nominal(self, n: NominalType) -> Sig:
-        """Signature of an instantiated nominal type ``N[T...]``."""
-        cached = self._nominal_sig.get(n)
-        if cached is not None:
-            return cached
+        """Signature of an instantiated nominal type ``N[T...]``, not kept:
+        ``sig_of_type`` keeps that of each type with ``N`` among its parents."""
         _, sub = self.instantiate(n)
         sig = self.decl_sig(n.name)
-        if sub:
-            sig = Sig((m, k, subst(mt, sub)) for m, k, mt in sig)
-        self._nominal_sig[n] = sig
-        return sig
+        return Sig((m, k, subst(mt, sub)) for m, k, mt in sig) if sub else sig
 
     def sig_of_type(self, phi: Mapping[str, Type], t: Type) -> Sig:
         """typeof: the full signature of a type."""
@@ -264,21 +257,17 @@ class Sigs:
 
     def ancestors(self, name: str) -> frozenset:
         """Names reachable from ``name`` along declared parent edges
-        (inclusive), ignoring type arguments; undeclared names are leaves."""
-        cached = self._ancestors.get(name)
-        if cached is None:
-            # a whole worklist per root, memoized only when complete, so the
-            # closure stays exact on cyclic (unchecked) hierarchies
-            seen, work = set(), [name]
-            while work:
-                n = work.pop()
-                if n not in seen:
-                    seen.add(n)
-                    decl = self.program.decl(n)
-                    if decl is not None:
-                        work.extend(p.name for p in decl.parents)
-            cached = self._ancestors[name] = frozenset(seen)
-        return cached
+        (inclusive), ignoring type arguments; undeclared names are leaves.
+        Not kept: only a miss of ``Denotation.exc_set``'s memo reads it."""
+        seen, work = set(), [name]
+        while work:
+            n = work.pop()
+            if n not in seen:
+                seen.add(n)
+                decl = self.program.decl(n)
+                if decl is not None:
+                    work.extend(p.name for p in decl.parents)
+        return frozenset(seen)
 
     def nominal_supers(self, n: NominalType) -> frozenset:
         """Transitive closure of parent edges starting at ``n`` (inclusive)."""

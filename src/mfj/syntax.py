@@ -344,7 +344,7 @@ def node(cls):
     returning the field tuple; the table is keyed on its result.  The tables
     hold every distinct node the process builds, for the life of the process.
 
-    A syntax node's ``shape`` reads ``CHILDREN; VALUE-BINDERS /
+    A syntax node's (or a frame's) ``shape`` reads ``CHILDREN; VALUE-BINDERS /
     TYPE-BINDERS > SCOPED``.  A child field is ``f`` (a node), ``f?`` (a
     node or None), ``f*`` (a tuple of nodes), ``f**`` (a tuple of tuples
     ending in a node) or ``f{}`` (a frozenset of nodes).  A binder field
@@ -504,12 +504,21 @@ def _repr(x) -> str:
     return "".join(out)
 
 
+def _parent_key(p) -> tuple:
+    """A parent's place in a parent set: by name, then printed arguments."""
+    return p.name, repr(p.args)
+
+
 def _canon_parents(parents) -> tuple:
-    """A parent set in one order: by name, then by printed arguments."""
+    """A parent set in one order, ``_parent_key``'s; each parent's key is
+    cached on it, as ``sorted_atoms`` caches an effect's order."""
     parents = tuple(parents)
     if len(parents) < 2:
         return parents
-    return tuple(sorted(set(parents), key=lambda p: (p.name, repr(p.args))))
+    for p in parents:
+        if p._key is None:
+            object.__setattr__(p, "_key", _parent_key(p))
+    return tuple(sorted(set(parents), key=lambda p: p._key))
 
 
 # ---------------------------------------------------------------------------
@@ -534,6 +543,7 @@ class NominalType:
     name: str
     args: tuple = ()
     shape = "args*"
+    _key = None  # until ``_canon_parents`` caches ``_parent_key`` on it
 
 
 @node
@@ -929,17 +939,17 @@ def numeral_value(v: Value) -> Optional[int]:
 
 
 COLLAPSED = numeral(3)  # the one tower that stands for every tower above 2
-_TERMS = (Value, Expr, MethodDef, Handler, Clause)  # types hold no values
+TYPES = (Type, NominalType, MethodType, Sig, EffCall, Effect)  # hold no values
 
 
 def tshape(n):
-    """``n`` with every numeral tower above 2 replaced by ``COLLAPSED``.
+    """``n``, a term or frame chain, with every tower above 2 ``COLLAPSED``.
 
     Every such tower types as ``numeral(2)`` does, and a closed value enters
     a typing only through its type, so ``n`` and its shape type alike: the
     checker keys its memos on the shape.  One pass with an explicit stack
-    that skips types; the result is cached on ``n`` and on every term under
-    it, the way ``free`` caches its pair."""
+    that skips types; the result is cached on ``n`` and on every term and
+    frame under it, the way ``free`` caches its pair."""
     got = n._tshape
     if got is not None:
         return got
@@ -952,7 +962,7 @@ def tshape(n):
             continue
         inner, scoped = m._kids()
         fresh = [c for c in (*inner, *scoped)
-                 if c._tshape is None and isinstance(c, _TERMS)]
+                 if c._tshape is None and not isinstance(c, TYPES)]
         if fresh:
             todo += fresh
             continue

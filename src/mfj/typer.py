@@ -1,9 +1,9 @@
 """The type-and-effect system: values, expressions, handlers, declarations.
 
-A ``Checker`` is a per-program session (it owns a ``Sigs`` context and memo
-tables keyed on a term's typing shape, ``syntax.tshape``, plus the
-environment restricted to its free names and the bounds they reach).  The
-memos keep only successes, so a term that fails is typed as itself.
+A ``Checker`` is a per-program session: it owns a ``Sigs`` context and one
+typing memo, keyed on the typing shape (``syntax.tshape``) of a term or frame
+chain plus the environment restricted to its free names and the bounds they
+reach.  It keeps only successes, so a term that fails is typed as itself.
 All judgments are syntax-directed functions; there is no subsumption rule,
 so subtype checks happen exactly where the rules put side conditions.  The
 soundness monitor types evaluator configurations with ``type_conf``, which
@@ -16,15 +16,14 @@ from typing import Mapping
 
 from . import faults
 from .effects import ClauseFilter, HandlerFilter, apply_filter, simplify
-from .evaluator import DoFrame, TryFrame
+from .evaluator import TryFrame
 from .parser import pretty
-from .signatures import SigError, Sigs, env_key
+from .signatures import SigError, Sigs
 from .syntax import (
-    ABS, CLOSED, CONTINUE, DEF, EMPTY_SIG, MGC, OBJECT, PURE, STOP,
-    Call, Clause, Do, EffCall, Effect, Expr, Handler, MethodDef, MethodType,
-    NominalType, Obj, ObjType, Program, Return, Sig, Try, Type, TypeVar,
-    Value, Var, eff_of, eff_union, free, numeral, numeral_value,
-    open_binders, subst, tshape,
+    ABS, CLOSED, CONTINUE, DEF, EMPTY_SIG, MGC, OBJECT, PURE, STOP, TYPES,
+    Call, Clause, Do, EffCall, Effect, Handler, MethodType, NominalType, Obj,
+    ObjType, Program, Return, Sig, Try, Type, TypeVar, Value, Var, eff_of,
+    eff_union, free, numeral, numeral_value, open_binders, subst, tshape,
 )
 
 
@@ -40,22 +39,6 @@ def _sig_error(e: SigError, rule: str) -> TypecheckError:
     return TypecheckError(type(e).__name__, rule, str(e))
 
 
-def _frame_shape(frame):
-    """The frame chain ``frame`` with the ``tshape`` of each frame's ``rest``
-    or ``handler``; cached on each frame, so a step shapes only the frames
-    it pushed."""
-    todo, k = [], frame
-    while k is not None and k._tshape is None:
-        todo.append(k)
-        k = k.below
-    for k in reversed(todo):  # outermost first
-        below = k.below and k.below._tshape
-        object.__setattr__(k, "_tshape", TryFrame(tshape(k.handler), below)
-                           if isinstance(k, TryFrame)
-                           else DoFrame(k.var, tshape(k.rest), below))
-    return frame._tshape
-
-
 class Checker:
     # the depth in nested values where typing walks the value it is at
     WALK_DEPTH = 16
@@ -63,14 +46,10 @@ class Checker:
     def __init__(self, program: Program):
         self.program = program
         self.sigs = Sigs(program)
-        self._val_memo: dict = {}
-        self._expr_memo: dict = {}
-        # (frame shape, hole typing, raw focus effect) -> the configuration's
-        # typing
-        self._frame_memo: dict = {}
-        # (env key, receiver type, method, type arguments) -> [parameter
-        # types, result type, call effect or None until arguments passed]
-        self._call_memo: dict = {}
+        # a value's ``_memo_key`` -> its type, an expression's -> its typing,
+        # (frame chain shape, hole typing, raw focus effect) -> the typing of
+        # the configuration; the keys of the three kinds never collide
+        self._memo: dict = {}
         self._depth = 0  # how many values the current typing is inside
 
     # -- values ----------------------------------------------------------------
@@ -110,20 +89,20 @@ class Checker:
                                      f"unbound variable {v.name}")
             return t
         key = self._memo_key(phi, gamma, v, *free(v))
-        hit = self._val_memo.get(key)
+        hit = self._memo.get(key)
         if hit is not None:
             return hit
         if (numeral_value(v) or 0) > 2:
             # above level 2 every level runs level 2's t-obj check (its pred
             # returns a Succ), so by induction a tower types as numeral(2)
             # does, to the same type or the same diagnostic
-            t = self._val_memo[key] = self.type_value(phi, gamma, numeral(2))
+            t = self._memo[key] = self.type_value(phi, gamma, numeral(2))
             return t
         self._depth += 1
         try:
             if self._depth == self.WALK_DEPTH:
                 self._type_closed_inside(v)
-            t = self._val_memo[key] = self._type_obj(phi, gamma, v)
+            t = self._memo[key] = self._type_obj(phi, gamma, v)
         finally:
             self._depth -= 1
         return t
@@ -133,7 +112,6 @@ class Checker:
         that typing recurses below ``v`` only as deep as the source nests.
         Stop at an ill-typed one: the ordinary typing raises the
         diagnostics in their order."""
-        terms = (Value, Expr, MethodDef, Handler, Clause)  # not types
         found, todo, seen = [], [(v, False)], set()
         while todo:  # depth first
             n, done = todo.pop()
@@ -144,8 +122,8 @@ class Checker:
                 seen.add(n)
                 todo.append((n, True))
                 todo += [(k, False) for kids in n._kids() for k in kids
-                         if isinstance(k, terms)
-                         and (k._tshape or tshape(k)) not in self._val_memo]
+                         if not isinstance(k, TYPES)
+                         and (k._tshape or tshape(k)) not in self._memo]
         for k in found:
             try:
                 self.type_value({}, {}, k)
@@ -218,12 +196,10 @@ class Checker:
                   e) -> tuple:
         """(Type, Effect) of an expression; the effect comes out simplified."""
         key = self._memo_key(phi, gamma, e, *free(e))
-        hit = self._expr_memo.get(key)
-        if hit is not None:
-            return hit
-        r = self._type_expr(phi, gamma, e)
-        self._expr_memo[key] = r
-        return r
+        hit = self._memo.get(key)
+        if hit is None:
+            hit = self._memo[key] = self._type_expr(phi, gamma, e)
+        return hit
 
     def _type_expr(self, phi, gamma, e) -> tuple:
         if isinstance(e, Return):
@@ -263,38 +239,30 @@ class Checker:
 
     def _type_call(self, phi, gamma, e: Call) -> tuple:
         t0 = self.type_value(phi, gamma, e.recv)
-        key = (env_key(phi), t0, e.method, e.targs)
-        hit = self._call_memo.get(key)
-        if hit is None:  # successes only, so a failing call fails again
-            try:
-                _, mt = self.sigs.mtype(phi, t0, e.method)
-                sub = self.sigs.check_targs(phi, repr(e.method),
-                                            mt.typeParams, e.targs)
-            except SigError as err:
-                raise _sig_error(err, "t-invk")
-            hit = self._call_memo[key] = [
-                tuple(subst(p, sub) for p in mt.paramTypes),
-                subst(mt.ret, sub), None]
-        params, ret, eff = hit
-        if len(e.args) != len(params):
+        try:
+            _, mt = self.sigs.mtype(phi, t0, e.method)
+            sub = self.sigs.check_targs(phi, repr(e.method), mt.typeParams,
+                                        e.targs)
+        except SigError as err:
+            raise _sig_error(err, "t-invk")
+        if len(e.args) != len(mt.paramTypes):
             raise TypecheckError(
                 "ArityMismatch", "t-invk",
-                f"{e.method!r} expects {len(params)} arguments, "
+                f"{e.method!r} expects {len(mt.paramTypes)} arguments, "
                 f"got {len(e.args)}")
-        for arg, pt in zip(e.args, params):
+        for arg, p in zip(e.args, mt.paramTypes):
             at = self.type_value(phi, gamma, arg)
+            pt = subst(p, sub)
             if not self.sigs.sub_type(phi, at, pt):
                 raise TypecheckError(
                     "ArgTypeMismatch", "t-invk",
                     f"argument {pretty(arg)} of {e.method!r} has type {at!r}, "
                     f"expected a subtype of {pt!r}")
-        if eff is None:  # simplified only once the arguments pass
-            try:
-                eff = hit[2] = simplify(self.sigs, phi,
-                                        eff_of(EffCall(t0, e.method, e.targs)))
-            except SigError as err:
-                raise _sig_error(err, "t-invk")
-        return ret, eff
+        try:  # simplified only once the arguments pass
+            eff = simplify(self.sigs, phi, eff_of(EffCall(t0, e.method, e.targs)))
+        except SigError as err:
+            raise _sig_error(err, "t-invk")
+        return subst(mt.ret, sub), eff
 
     def _raw_effect(self, phi, gamma, e) -> Effect:
         """The body effect before simplification (fault-injection path only)."""
@@ -333,8 +301,8 @@ class Checker:
             if faults.ACTIVE.filter_before_simplify else None
         k, missed = c.frames, []
         while k is not None:
-            key = (_frame_shape(k), hole, raw)
-            hit = self._frame_memo.get(key)
+            key = (k._tshape or tshape(k), hole, raw)
+            hit = self._memo.get(key)
             if hit is not None:
                 hole = hit
                 break
@@ -345,7 +313,7 @@ class Checker:
                 hole = self._t_do({}, {}, *hole, k.var, k.rest)
             k = k.below
         for key in missed:
-            self._frame_memo[key] = hole
+            self._memo[key] = hole
         return hole
 
     # -- handlers ----------------------------------------------------------------

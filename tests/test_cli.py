@@ -12,7 +12,9 @@ from mfj.parser import MAX_NUMERAL, parse_program
 
 from conftest import CORPUS, ROOT
 from golden import load_golden, run_output
-from test_typer import SHADOWING, memo_hole_program, shadowing_program
+from test_typer import (
+    BOX_TOWER, SHADOWING, memo_hole_program, shadowing_program,
+)
 
 GOLDEN = load_golden()
 
@@ -469,20 +471,6 @@ def test_deep_source_nesting_passes_under_the_cli_limit(tmp_path, kind):
     for cmd, (out, err, code) in _run_all(src).items():
         assert (code, err) == (0, ""), (cmd, code, err[-500:])
         assert out, cmd
-
-
-# a 20,001-deep result that is not a numeral: each Succ level wraps the
-# Box of its predecessor in one more Box
-BOX_TOWER = """\
-Box { get : abs -> Object ! pure }
-Mk <| NatMatch[Box] {
-  zero : def -> Box ! pure
-    <_, return Box{ get : def -> Object ! pure <_, return Object{}> }>
-  succ : def Nat -> Box ! pure
-    <self p, do b = p.match[Box Mk](self);
-             return Box{ get : def -> Object ! pure <_, return b> }> }
-main = 20000.match[Box Mk](Mk{})
-"""
 
 
 def test_a_deep_result_prints(tmp_path):

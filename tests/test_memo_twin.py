@@ -1,21 +1,28 @@
-"""The checker's memo tables against a twin that has none.
+"""The checker's and the signature session's memo tables against a twin
+that has none.
 
 A wrong memo key is a soundness bug, not a slowdown: the checker would give
-one term the typing of another.  The twin is a ``Checker`` whose typing
-memos store and never hit, so it types every term from scratch; the real
-checker must give the same diagnostics, in order, and the same typing of
-every configuration along a monitored walk."""
+one term the typing of another.  The twin is a ``Checker`` whose typing memo
+and ``Sigs`` memos store and never hit, so it types every term and extracts
+every signature from scratch; the real checker must give the same
+diagnostics, in order, and the same typing of every configuration along a
+monitored walk, and an evaluator whose ``Sigs`` memos never hit must give
+the same ``finitary`` result.  ``Sigs._sub_memo`` and ``Sigs._supers`` keep
+their tables: they are cycle guards, whose in-progress entries stop the
+recursion through a cyclic subtyping question or hierarchy, so without them
+that recursion would not end."""
 
 import pytest
 
-from mfj.evaluator import EConf, Evaluator
+from mfj.evaluator import Diverged, EConf, Evaluator, PrefixExceeded
 from mfj.prelude import load_program
 from mfj.typer import Checker, TypecheckError
 
 from conftest import CORPUS, load, perfbench_gen
 from test_acceptance import APPLICABLE
 
-MEMOS = ("_val_memo", "_expr_memo", "_frame_memo", "_call_memo")
+MEMOS = ("_memo",)
+SIG_MEMOS = ("_sig_memo", "simplify_memo", "_decl_sig", "_binds", "mbodies")
 
 
 class Forgetful(dict):
@@ -28,11 +35,26 @@ class Forgetful(dict):
         return False
 
 
+class ForgetfulSet(set):
+    """A set-like memo table that stores and never holds anything."""
+
+    def __contains__(self, key):
+        return False
+
+
+def forget(sigs):
+    """``sigs`` with its memos, the cycle guards aside, forgetful."""
+    for name in SIG_MEMOS:
+        setattr(sigs, name, Forgetful())
+    sigs._wf_memo = ForgetfulSet()
+
+
 def twin(prog) -> Checker:
-    """A checker of ``prog`` whose typing memos never hit."""
+    """A checker of ``prog`` whose typing and signature memos never hit."""
     ck = Checker(prog)
     for name in MEMOS:
         setattr(ck, name, Forgetful())
+    forget(ck.sigs)
     return ck
 
 
@@ -40,10 +62,25 @@ def diagnostics(ck: Checker) -> list:
     return [(d.code, d.rule, d.msg) for d in ck.check_program()]
 
 
+# the same nodes under two bounds of X: ``Box[X]`` is well-formed under C's
+# and not under D's, and the signature of ``X`` has ``a`` under F's and not
+# under H's
+BOUNDS = """
+Box[Y <: Nat] { get : abs -> Y ! pure }
+C[X <: Nat] { b : abs -> Box[X] ! pure }
+D[X <: Bool] { b : abs -> Box[X] ! pure }
+P { a : def -> Nat ! pure <_, return 0> }
+R { c : def -> Nat ! pure <_, return 0> }
+F[X <: P] { f : def X -> Nat ! pure <_ x, x.a()> }
+H[X <: R] { f : def X -> Nat ! pure <_ x, x.a()> }
+main = return 0
+"""
+
 CHECKED = [(f.stem, f.read_text()) for f in sorted(CORPUS.glob("*.mfj"))] + [
     (f"check_large-{seed}-{i}", item.source)
     for seed in (1, 2, 3)
-    for i, item in enumerate(perfbench_gen().check_large(seed))]
+    for i, item in enumerate(perfbench_gen().check_large(seed))] + [
+    ("bounds", BOUNDS)]
 
 
 @pytest.mark.parametrize("name, src", CHECKED, ids=[n for n, _ in CHECKED])
@@ -102,3 +139,21 @@ def test_the_twin_types_every_configuration_alike(name, monad):
             forgetful.type_conf, c), c
         confs += 1
     assert confs > 1
+
+
+def outcome(ev, prog) -> tuple:
+    """The ``finitary`` result of ``prog`` (or why there is none), and its
+    64-step approximation."""
+    approx = ev.monad.show(ev.approx(prog.main, 64), ev.prefix)
+    try:
+        return ev.monad.show(ev.finitary(prog.main), ev.prefix), approx
+    except (Diverged, PrefixExceeded) as err:
+        return repr(err), approx
+
+
+@pytest.mark.parametrize("name, monad", WALKS)
+def test_the_twin_runs_every_program_alike(name, monad):
+    prog = load_program(OUTER_FRAMES) if name == "outer_frames" else load(name)
+    forgetful = Evaluator(prog, monad)
+    forget(forgetful.sigs)
+    assert outcome(Evaluator(prog, monad), prog) == outcome(forgetful, prog)

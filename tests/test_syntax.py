@@ -554,6 +554,28 @@ def test_erase_drops_bodies():
     assert ObjType(ba, Sig(())).parents == ab
 
 
+def test_a_parent_keeps_its_sort_key(monkeypatch):
+    # each parent's key is computed once and cached on it, so building the
+    # same parent set again prints no arguments
+    keys = []
+
+    def counted(p, real=syntax._parent_key):
+        keys.append(p)
+        return real(p)
+
+    monkeypatch.setattr(syntax, "_parent_key", counted)
+    nat, boolean = nominal("Nat"), nominal("Bool")
+    box, pair = NominalType("KeyBox", (nat,)), NominalType("KeyPair",
+                                                           (boolean, nat))
+    t = ObjType((pair, box), Sig(()))
+    assert t.parents == (box, pair) and keys == [pair, box]
+    assert ObjType((box, pair), Sig(())) is t and keys == [pair, box]
+    # one name: by printed arguments
+    boxes = [box, NominalType("KeyBox", (boolean,))]
+    assert ObjType(boxes, Sig(())).parents == tuple(
+        sorted(boxes, key=lambda p: (p.name, repr(p.args)))) == (boxes[1], box)
+
+
 def test_erase_keeps_own_methods():
     v = parse_expr("return Object { m : def -> Object <s, return s> }").value
     t = erase_type(v)

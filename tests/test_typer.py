@@ -1,5 +1,7 @@
 """The type-and-effect checker."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,7 +14,7 @@ from mfj.prelude import load_program, prelude_program
 from mfj.evaluator import Evaluator
 from mfj.syntax import (
     COLLAPSED, MGC, OBJECT, PURE, TOP,
-    MethodDef, MethodType, Obj, TypeVar, nominal, tshape,
+    MethodDef, MethodType, Obj, TypeVar, erase_type, nominal, tshape,
 )
 from mfj.typer import Checker, TypecheckError
 
@@ -419,6 +421,38 @@ def test_a_magic_method_with_parameters_is_refused():
     assert diagnostic_codes(src) == ["MgcWithParams/t-ntype"]
     assert diagnostic_codes("Out { choose : mgc -> Bool }\n"
                             "main = Out.choose()") == []
+
+
+# -- deep run-time values -------------------------------------------------------
+
+# a 20,001-deep result that is not a numeral: each Succ level wraps the
+# Box of its predecessor in one more Box
+BOX_TOWER = """\
+Box { get : abs -> Object ! pure }
+Mk <| NatMatch[Box] {
+  zero : def -> Box ! pure
+    <_, return Box{ get : def -> Object ! pure <_, return Object{}> }>
+  succ : def Nat -> Box ! pure
+    <self p, do b = p.match[Box Mk](self);
+             return Box{ get : def -> Object ! pure <_, return b> }> }
+main = 20000.match[Box Mk](Mk{})
+"""
+
+
+def test_a_deep_value_types_at_the_default_recursion_limit():
+    # 300 levels of Box objects, each returning the next from its method
+    # body: typing them one inside the other would recurse past the default
+    # limit, so at ``Checker.WALK_DEPTH`` the checker types the closed
+    # objects inside first, innermost first, and reads them from its memo
+    prog = load_program(BOX_TOWER.replace("20000", "300"))
+    v = Evaluator(prog, "id").finitary(prog.main, 100000).payload.value
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        t = Checker(prog).type_value({}, {}, v)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert t is erase_type(v)
 
 
 # -- numerals: a tower is typed as numeral(2) is ------------------------------

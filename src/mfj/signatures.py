@@ -258,7 +258,7 @@ class Sigs:
     def ancestors(self, name: str) -> frozenset:
         """Names reachable from ``name`` along declared parent edges
         (inclusive), ignoring type arguments; undeclared names are leaves.
-        Not kept: only a miss of ``Denotation.exc_set``'s memo reads it."""
+        Not kept: only ``Denotation.exc_set`` reads it."""
         seen, work = set(), [name]
         while work:
             n = work.pop()

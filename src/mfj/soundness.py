@@ -55,7 +55,6 @@ class Denotation:
 
     def __init__(self, sigs: Sigs):
         self.sigs = sigs
-        self._exc_sets: dict = {}  # effect -> exc_set(effect)
 
     def _receiver_names(self, t: Type) -> Optional[set]:
         """Parent names of the receiver; None means 'any' (Object)."""
@@ -78,8 +77,6 @@ class Denotation:
         """Exception names the effect allows; None encodes 'all' (top)."""
         if eff.top:
             return None
-        if eff in self._exc_sets:
-            return self._exc_sets[eff]
         out = set()
         for a in eff.atoms:
             if a.method not in EXC_METHODS:
@@ -90,8 +87,7 @@ class Denotation:
                     decl.name, uppers
                 ):
                     out.add(exc_name(decl.name))
-        self._exc_sets[eff] = frozenset(out)
-        return self._exc_sets[eff]
+        return frozenset(out)
 
     def nd_flag(self, eff: Effect) -> int:
         if eff.top:

@@ -22,6 +22,7 @@ one.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Iterable, Mapping, Optional
 
 ABS = "abs"
@@ -504,21 +505,20 @@ def _repr(x) -> str:
     return "".join(out)
 
 
+# one key per parent, kept as ``sorted_atoms`` keeps an effect's order: a
+# hash-consed parent is its own cache key
+@cache
 def _parent_key(p) -> tuple:
     """A parent's place in a parent set: by name, then printed arguments."""
     return p.name, repr(p.args)
 
 
 def _canon_parents(parents) -> tuple:
-    """A parent set in one order, ``_parent_key``'s; each parent's key is
-    cached on it, as ``sorted_atoms`` caches an effect's order."""
+    """A parent set in one order, ``_parent_key``'s."""
     parents = tuple(parents)
     if len(parents) < 2:
         return parents
-    for p in parents:
-        if p._key is None:
-            object.__setattr__(p, "_key", _parent_key(p))
-    return tuple(sorted(set(parents), key=lambda p: p._key))
+    return tuple(sorted(set(parents), key=_parent_key))
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +543,6 @@ class NominalType:
     name: str
     args: tuple = ()
     shape = "args*"
-    _key = None  # until ``_canon_parents`` caches ``_parent_key`` on it
 
 
 @node

@@ -230,12 +230,14 @@ def test_lifted_step_accepts_a_sound_step(ck, den, ev):
 
 def test_lifted_step_reads_excset_from_the_monitors_denotation(ck, ev):
     den = Denotation(ck.sigs)
+    read = []
+    den.exc_set = lambda e, real=den.exc_set: read.append(e) or real(e)
     eff = parse_effect("Exception.throw[Nat]")
     c = EConf(parse_expr("Exception.throw[Nat]()"))
     assert check_lifted_step(ck, den, ev, NAT, eff, ev.mon_step(c))
     assert check_lifted_step(ck, den, ev, NAT, eff, ev.mon_step(c))
-    # one denotation across steps keeps its excSet memo
-    assert list(den._exc_sets) == [eff]
+    # each step reads the excSet of its effect from the denotation it is given
+    assert read == [eff, eff]
 
 
 def test_lifted_step_rejects_a_disallowed_raise(ck, den, ev):

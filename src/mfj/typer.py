@@ -4,6 +4,8 @@ A ``Checker`` is a per-program session: it owns a ``Sigs`` context and one
 typing memo, keyed on the typing shape (``syntax.tshape``) of a term or frame
 chain plus the environment restricted to its free names and the bounds they
 reach.  It keeps only successes, so a term that fails is typed as itself.
+A closed value is typed after the closed objects inside it, so typing
+recurses only as deep as the source nests.
 All judgments are syntax-directed functions; there is no subsumption rule,
 so subtype checks happen exactly where the rules put side conditions.  The
 soundness monitor types evaluator configurations with ``type_conf``, which
@@ -20,10 +22,10 @@ from .evaluator import TryFrame
 from .parser import pretty
 from .signatures import SigError, Sigs
 from .syntax import (
-    ABS, CLOSED, CONTINUE, DEF, EMPTY_SIG, MGC, OBJECT, PURE, STOP, TYPES,
-    Call, Clause, Do, EffCall, Effect, Handler, MethodType, NominalType, Obj,
-    ObjType, Program, Return, Sig, Try, Type, TypeVar, Value, Var, eff_of,
-    eff_union, free, numeral, numeral_value, open_binders, subst, tshape,
+    ABS, CLOSED, COLLAPSED, CONTINUE, DEF, EMPTY_SIG, MGC, OBJECT, PURE, STOP,
+    TYPES, Call, Clause, Do, EffCall, Effect, Handler, MethodType,
+    NominalType, Obj, ObjType, Program, Return, Sig, Try, Type, TypeVar,
+    Value, Var, eff_of, eff_union, free, open_binders, subst, tshape,
 )
 
 
@@ -40,9 +42,6 @@ def _sig_error(e: SigError, rule: str) -> TypecheckError:
 
 
 class Checker:
-    # the depth in nested values where typing walks the value it is at
-    WALK_DEPTH = 16
-
     def __init__(self, program: Program):
         self.program = program
         self.sigs = Sigs(program)
@@ -50,7 +49,6 @@ class Checker:
         # (frame chain shape, hole typing, raw focus effect) -> the typing of
         # the configuration; the keys of the three kinds never collide
         self._memo: dict = {}
-        self._depth = 0  # how many values the current typing is inside
 
     # -- values ----------------------------------------------------------------
 
@@ -92,25 +90,23 @@ class Checker:
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        if (numeral_value(v) or 0) > 2:
-            # above level 2 every level runs level 2's t-obj check (its pred
-            # returns a Succ), so by induction a tower types as numeral(2)
-            # does, to the same type or the same diagnostic
-            t = self._memo[key] = self.type_value(phi, gamma, numeral(2))
-            return t
-        self._depth += 1
-        try:
-            if self._depth == self.WALK_DEPTH:
-                self._type_closed_inside(v)
-            t = self._memo[key] = self._type_obj(phi, gamma, v)
-        finally:
-            self._depth -= 1
+        if key is COLLAPSED and v is not COLLAPSED:
+            # every level of a tower above 2 runs level 2's t-obj check (its
+            # pred returns a Succ), so by induction the tower types as the
+            # one collapsed tower does, to the same type or diagnostic
+            return self.type_value(phi, gamma, COLLAPSED)
+        if key is v._tshape:  # closed
+            self._type_closed_inside(v)
+        t = self._memo[key] = self._type_obj(phi, gamma, v)
         return t
 
     def _type_closed_inside(self, v) -> None:
         """Type the closed objects in ``v``, each after those inside it, so
-        that typing recurses below ``v`` only as deep as the source nests.
-        Stop at an ill-typed one: the ordinary typing raises the
+        that typing ``v`` finds them in the memo and recurses only as deep
+        as the source nests: a run-time value is closed, and so is every
+        value a step substitutes into it.  The walk enters no term already
+        typed and no tower above 2, which types as ``COLLAPSED`` does.
+        Stop at an ill-typed object: the ordinary typing raises the
         diagnostics in their order."""
         found, todo, seen = [], [(v, False)], set()
         while todo:  # depth first
@@ -123,7 +119,8 @@ class Checker:
                 todo.append((n, True))
                 todo += [(k, False) for kids in n._kids() for k in kids
                          if not isinstance(k, TYPES)
-                         and (k._tshape or tshape(k)) not in self._memo]
+                         and (s := k._tshape or tshape(k)) is not COLLAPSED
+                         and s not in self._memo]
         for k in found:
             try:
                 self.type_value({}, {}, k)
@@ -159,8 +156,8 @@ class Checker:
         ``mt``'s binders, which the body calls ``names`` (``mt``'s own when
         None), opened under ``phi`` and bound in ``phi2``, self and the
         parameters bound in ``gamma``.  With ``fits = (name, rule)`` the body
-        must fit ``mt``.  A nested object costs four Python frames here,
-        unless ``type_value`` has typed it first."""
+        must fit ``mt``.  A nested object costs four Python frames here
+        unless it is closed, as ``type_value`` types closed ones first."""
         if names is None:
             names = [x for x, _ in mt.typeParams]
         mt = open_binders(mt, names, phi)

@@ -7,14 +7,14 @@ and ``Sigs`` memos store and never hit, so it types every term and extracts
 every signature from scratch; the real checker must give the same
 diagnostics, in order, and the same typing of every configuration along a
 monitored walk, and an evaluator whose ``Sigs`` memos never hit must give
-the same ``finitary`` result.  ``Sigs._sub_memo`` and ``Sigs._supers`` keep
-their tables: they are cycle guards, whose in-progress entries stop the
-recursion through a cyclic subtyping question or hierarchy, so without them
-that recursion would not end.  The checker's twins forget the ``Sigs`` memos
-in two groups, one twin each: with ``_sig_memo`` and ``_decl_sig`` forgetful
-together, every signature lookup extracts its whole inheritance chain again,
-and checking ``CHECKED``, whose generated programs have long chains, takes
-1.6 s instead of 0.3 s."""
+the same ``finitary`` result.  ``Sigs._sub_memo`` and ``Sigs._supers`` are
+cycle guards, whose in-progress entries stop the recursion through a cyclic
+subtyping question or hierarchy, so their twin tables keep an entry only
+while its question is open and forget the answer.  The checker's twins
+forget the ``Sigs`` memos in two groups, one twin each: with ``_sig_memo``
+and ``_decl_sig`` forgetful together, every signature lookup extracts its
+whole inheritance chain again, and checking ``CHECKED``, whose generated
+programs have long chains, takes 1.6 s instead of 0.3 s."""
 
 import pytest
 
@@ -26,9 +26,10 @@ from conftest import CORPUS, load, perfbench_gen
 from test_acceptance import APPLICABLE
 
 MEMOS = ("_memo",)
-# the ``Sigs`` memos, the cycle guards aside, in two groups, one twin each
-SIG_GROUPS = (("_sig_memo", "simplify_memo", "_wf_memo"),
-              ("_decl_sig", "_binds", "mbodies"))
+# the ``Sigs`` memos in two groups, one twin each, a cycle guard in each
+GUARDS = ("_sub_memo", "_supers")
+SIG_GROUPS = (("_sig_memo", "simplify_memo", "_wf_memo", "_sub_memo"),
+              ("_decl_sig", "_binds", "mbodies", "_supers"))
 
 
 class Forgetful(dict):
@@ -48,12 +49,24 @@ class ForgetfulSet(set):
         return False
 
 
+class OpenOnly(dict):
+    """A cycle guard's table that keeps an entry only while its question is
+    open: the first store of a key is the guard, the second the answer,
+    which the table drops."""
+
+    def __setitem__(self, key, value):
+        if key in self:
+            del self[key]
+        else:
+            super().__setitem__(key, value)
+
+
 def forget(sigs, names):
     """``sigs`` with its memos ``names`` forgetful."""
     for name in names:
         table = getattr(sigs, name)
-        setattr(sigs, name, ForgetfulSet() if isinstance(table, set)
-                else Forgetful())
+        setattr(sigs, name, OpenOnly() if name in GUARDS
+                else ForgetfulSet() if isinstance(table, set) else Forgetful())
 
 
 def twin(prog, sig_memos) -> Checker:
@@ -84,11 +97,21 @@ H[X <: R] { f : def X -> Nat ! pure <_ x, x.a()> }
 main = return 0
 """
 
+# one generic parent reached under two type arguments: A[Nat] is not below
+# B[Bool], and A[Bool] is
+TWO_ARGS = """
+B[X] { get : abs -> X ! pure }
+A[X] <| B[X] { }
+C { f : def A[Nat] -> B[Bool] ! pure <_ a, return a> }
+D { g : def A[Bool] -> B[Bool] ! pure <_ a, return a> }
+main = return 0
+"""
+
 CHECKED = [(f.stem, f.read_text()) for f in sorted(CORPUS.glob("*.mfj"))] + [
     (f"check_large-{seed}-{i}", item.source)
     for seed in (1, 2, 3)
     for i, item in enumerate(perfbench_gen().check_large(seed))] + [
-    ("bounds", BOUNDS)]
+    ("bounds", BOUNDS), ("two_args", TWO_ARGS)]
 
 
 @pytest.mark.parametrize("name, src", CHECKED, ids=[n for n, _ in CHECKED])

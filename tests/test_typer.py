@@ -442,8 +442,8 @@ main = 20000.match[Box Mk](Mk{})
 def test_a_deep_value_types_at_the_default_recursion_limit():
     # 300 levels of Box objects, each returning the next from its method
     # body: typing them one inside the other would recurse past the default
-    # limit, so at ``Checker.WALK_DEPTH`` the checker types the closed
-    # objects inside first, innermost first, and reads them from its memo
+    # limit, so the checker types the closed objects inside a closed value
+    # first, innermost first, and reads them from its memo
     prog = load_program(BOX_TOWER.replace("20000", "300"))
     v = Evaluator(prog, "id").finitary(prog.main, 100000).payload.value
     limit = sys.getrecursionlimit()
@@ -455,14 +455,35 @@ def test_a_deep_value_types_at_the_default_recursion_limit():
     assert t is erase_type(v)
 
 
-# -- numerals: a tower is typed as numeral(2) is ------------------------------
+def test_a_tower_deep_in_a_value_types_in_constant_time(monkeypatch):
+    # a value nested 20 deep around 100000: the walk that types the closed
+    # objects inside it first does not enter the tower, which types as the
+    # one collapsed tower does
+    value = "100000"
+    for _ in range(20):
+        value = f"Object{{ m : def -> Object ! pure <_, return {value}> }}"
+    prog = load_program(f"main = return {value}")
+    calls = []
+    real = Checker.type_value
+
+    def counted(self, *args):
+        calls.append(args[-1])
+        return real(self, *args)
+
+    monkeypatch.setattr(Checker, "type_value", counted)
+    assert Checker(prog).check_program() == []
+    assert len(calls) < 200
+
+
+# -- numerals: a tower is typed as numeral(3) is ------------------------------
 
 def twin(monkeypatch, f):
-    """``f()``, and ``f()`` again with no value recognised as a numeral, so
-    that the checker walks every tower level by level."""
+    """``f()``, and ``f()`` again with the tower rule off, so that the
+    checker walks every tower level by level, up to the first level whose
+    shape it has typed."""
     real = f()
     with monkeypatch.context() as m:
-        m.setattr(typer, "numeral_value", lambda v: None)
+        m.setattr(typer, "COLLAPSED", object())
         return real, f()
 
 
@@ -556,7 +577,7 @@ def test_typing_a_numeral_costs_the_same_at_any_size(monkeypatch):
         calls.clear()
         Checker(prelude_program()).type_value({}, {}, v)
         counts[n] = len(calls)
-    assert counts[5000] == counts[3] == 3  # levels 2, 1 and 0
+    assert counts[5000] == counts[3] == 4  # levels 3, 2, 1 and 0
 
 
 # -- typing shapes: every tower above 2 is one node ---------------------------

@@ -104,6 +104,7 @@ class Sigs:
         self._sub_memo: dict = {}
         # successes only, so a failing lookup raises again on every call
         self._sig_memo: dict = {}  # (type, env key) -> Sig
+        self._sig_busy: set = set()  # the keys of the signatures being built
         self._wf_memo: set = set()  # (node, env key) found well-formed
         self.simplify_memo: dict = {}  # (effect, env key) -> effects.simplify
         self.mbodies: dict = {}  # (parents, method) -> reducer.mbody
@@ -172,7 +173,16 @@ class Sigs:
         key = (t, env_key(phi))
         sig = self._sig_memo.get(key)
         if sig is None:
-            sig = self._sig_memo[key] = self._sig_of_type(phi, t)
+            # a bound's signature can ask for itself, through an override's
+            # effect that simplifies by looking the bound's methods up
+            if key in self._sig_busy:
+                raise CyclicInheritance(f"the signature of {t!r} depends "
+                                        "on itself")
+            self._sig_busy.add(key)
+            try:
+                sig = self._sig_memo[key] = self._sig_of_type(phi, t)
+            finally:
+                self._sig_busy.discard(key)
         return sig
 
     def _sig_of_type(self, phi, t) -> Sig:
@@ -277,8 +287,12 @@ class Sigs:
         decl, sub = self.instantiate(n)
         out = {n}
         self._supers[n] = frozenset(out)  # cycle guard; real value stored below
-        for p in decl.parents:
-            out |= self.nominal_supers(subst(p, sub))
+        try:
+            for p in decl.parents:
+                out |= self.nominal_supers(subst(p, sub))
+        except SigError:  # no answer: the guard must not stand for one
+            del self._supers[n]
+            raise
         result = frozenset(out)
         self._supers[n] = result
         return result

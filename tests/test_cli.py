@@ -12,6 +12,7 @@ from mfj.parser import MAX_NUMERAL, parse_program
 
 from conftest import CORPUS, ROOT
 from golden import load_golden, run_output
+from test_signatures import SELF_BOUND
 from test_typer import (
     BOX_TOWER, SHADOWING, memo_hole_program, shadowing_program,
 )
@@ -455,22 +456,36 @@ def test_a_deep_numeral_ends_in_a_result_or_a_clean_diagnostic(tmp_path, n):
     assert done["soundness"][0] == "4 checks, 0 failures\n"
 
 
-@pytest.mark.parametrize("kind", ["do chain", "nested objects"])
+@pytest.mark.parametrize("kind", ["do chain", "nested objects",
+                                  "deep substitution"])
 def test_deep_source_nesting_passes_under_the_cli_limit(tmp_path, kind):
-    # the parser and type_expr follow source nesting; the CLI raises the
-    # recursion limit for them
+    # the parser and type_expr follow source nesting, and so do building
+    # and running the plan of an invk that substitutes along all of it;
+    # the CLI raises the recursion limit for them
     n = 3000
+    decls = ""
     if kind == "do chain":
         main = "do x = " * n + "return 0" + "; return x" * n
     else:
-        main = "return Object{}"
+        main = "return Object{}" if kind == "nested objects" else "return o"
         for _ in range(n):
             main = f"return Object{{m : def -> Object ! pure <_, {main}>}}"
+    if kind == "deep substitution":
+        decls = f"A {{ m : def Object -> Object ! pure <_ o, {main}> }}\n"
+        main = "A.m(Object{})"
     src = tmp_path / "deep.mfj"
-    src.write_text(f"main = {main}\n")
+    src.write_text(f"{decls}main = {main}\n")
     for cmd, (out, err, code) in _run_all(src).items():
         assert (code, err) == (0, ""), (cmd, code, err[-500:])
         assert out, cmd
+
+
+def test_a_bound_whose_signature_asks_for_itself_is_a_diagnostic(tmp_path):
+    src = tmp_path / "bound.mfj"
+    src.write_text(SELF_BOUND)
+    ((out, err, code),) = _run_all(src, ["check"]).values()
+    assert code == 1 and "term too deep" not in err, err[-500:]
+    assert "[OverrideError/t-ntype] method 'm'" in out
 
 
 def test_a_deep_result_prints(tmp_path):

@@ -1,6 +1,7 @@
 """Signatures: symmetric and override sums, subtyping, well-formedness."""
 
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -324,6 +325,36 @@ def test_cyclic_inheritance_detected():
     prog = parse_program("A <| B { } B <| A { }")
     with pytest.raises(CyclicInheritance):
         Sigs(prog).decl_sig("A")
+
+
+def test_a_failed_supers_lookup_raises_on_every_call():
+    # the first lookup raises in B's parent; its cycle guard for A must not
+    # stay behind as A's answer
+    sigs = Sigs(parse_program("A <| B { } B <| Nope { }"))
+    for _ in range(2):
+        with pytest.raises(UnknownType):
+            sigs.nominal_supers(NominalType("A"))
+
+
+SELF_BOUND = """
+Foo { m : abs -> Nat ! pure }
+A[X <: Foo{ m : abs -> Nat ! X.m }] { n : def X -> Nat ! pure <_ x, x.m()> }
+main = return 0
+"""
+
+
+def test_a_bound_whose_signature_asks_for_itself_is_a_diagnostic():
+    # the bound's override effect X.m simplifies through X's bound, the
+    # signature being built: a lookup that asks for itself fails, so the
+    # override is not shown to be a subtype, at the default limit
+    prog = load_program(SELF_BOUND)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        diags = Checker(prog).check_program()
+    finally:
+        sys.setrecursionlimit(limit)
+    assert [(d.code, d.rule) for d in diags] == [("OverrideError", "t-ntype")]
 
 
 # -- name-level ancestors -----------------------------------------------------

@@ -391,14 +391,6 @@ class DistMonad(Monad):
                 acc[y] = acc[y] + p if y in acc else p
         return Dist._trusted(acc.items())
 
-    def map_m(self, f, m):
-        # native map: the same weights as bind's, without the products by 1
-        acc: dict = {}
-        for x, w in m.weights:
-            y = f(x)
-            acc[y] = acc[y] + w if y in acc else w
-        return Dist._trusted(acc.items())
-
     def bottom(self):
         return DIST_BOTTOM
 

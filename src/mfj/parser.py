@@ -161,9 +161,15 @@ class Parser:
     # -- programs ----------------------------------------------------------
 
     def parse_program(self) -> Program:
-        decls = []
+        decls, names = [], set()
         while self.at("typeid"):
-            decls.append(self.parse_decl())
+            start = self.pos
+            decl = self.parse_decl()
+            if decl.name in names:
+                self.pos = start
+                self.error(f"duplicate type declaration {decl.name}")
+            names.add(decl.name)
+            decls.append(decl)
         main = None
         if self.at("main"):
             self.next()

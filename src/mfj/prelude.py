@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from .parser import parse_program
+from .parser import ParseError, parse_program
 from .syntax import Program
 
 PRELUDE_TEXT = """\
@@ -88,5 +88,10 @@ def load_program(text: str, use_prelude: bool = True) -> Program:
     prog = parse_program(text)
     if not use_prelude:
         return prog
-    return prelude_program().extend(prog)
+    prelude = prelude_program()
+    for d in prog.decls:
+        if prelude.decl(d.name) is not None:
+            raise ParseError(f"type {d.name} is already declared by the "
+                             "prelude")
+    return prelude.extend(prog)
 

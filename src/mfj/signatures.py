@@ -191,12 +191,10 @@ class Sigs:
             if bound is None:
                 raise UnboundTypeVar(f"unbound type variable {t.name}")
             return self.sig_of_type(phi, bound)
-        if isinstance(t, ObjType):
-            combined = EMPTY_SIG
-            for p in t.parents:
-                combined = sym_sum(combined, self.sig_of_nominal(p))
-            return self.override_sum(phi, combined, t.sig)
-        raise UnknownType(f"not a type: {t!r}")
+        combined = EMPTY_SIG  # an ObjType, the other kind of type
+        for p in t.parents:
+            combined = sym_sum(combined, self.sig_of_nominal(p))
+        return self.override_sum(phi, combined, t.sig)
 
     def mtype(self, phi: Mapping[str, Type], t: Type, m: str):
         """(kind, MethodType) of ``m`` in ``t``; NoSuchMethod if absent."""
@@ -264,20 +262,6 @@ class Sigs:
         return mt1, mt2, phi2
 
     # -- subtyping ------------------------------------------------------------
-
-    def ancestors(self, name: str) -> frozenset:
-        """Names reachable from ``name`` along declared parent edges
-        (inclusive), ignoring type arguments; undeclared names are leaves.
-        Not kept: only ``Denotation.exc_set`` reads it."""
-        seen, work = set(), [name]
-        while work:
-            n = work.pop()
-            if n not in seen:
-                seen.add(n)
-                decl = self.program.decl(n)
-                if decl is not None:
-                    work.extend(p.name for p in decl.parents)
-        return frozenset(seen)
 
     def nominal_supers(self, n: NominalType) -> frozenset:
         """Transitive closure of parent edges starting at ``n`` (inclusive)."""
@@ -434,11 +418,8 @@ class Sigs:
             self.wf_check(phi2, x.ret)
             self.wf_check(phi2, x.eff)
             return
-        if isinstance(x, Effect):
-            for a in sorted_atoms(x):
-                self._wf_call(phi, a)
-            return
-        raise TypeError(f"cannot well-formedness-check {x!r}")
+        for a in sorted_atoms(x):  # an Effect, the last kind checked
+            self._wf_call(phi, a)
 
     def _wf_ntype(self, phi, n: NominalType) -> None:
         decl, _ = self.instantiate(n)

@@ -17,11 +17,12 @@ The theorems become decidable checks over observed prefixes and supports:
 * ``check_soundness`` drives everything over one program and monad.
 
 The per-step monitor works on configurations, not plugged terms: it steps
-them with ``Evaluator.mon_step`` and types each once with
-``Checker.type_conf``, which retypes only the focus and the frames a step
-changed, so its cost per step does not grow with the depth of the evaluation
-context.  A configuration is plugged (``EConf.expr``) only to print a
-witness.
+them with ``Evaluator.mon_step`` and types them with ``Checker.type_conf``,
+which retypes only the focus and the frames a step changed, so its cost per
+step does not grow with the depth of the evaluation context.  A
+configuration is typed as a step's result and again when it is stepped; the
+typing memo answers the second.  A configuration is plugged (``EConf.expr``)
+only to print a witness.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ from .monads import EXC_METHODS, ND_METHODS, Monad, exc_name, get_monad
 from .signatures import SigError, Sigs
 from .syntax import (
     MGC, PURE,
-    Effect, ObjType, Program, Return, Type, eff_of, eff_union,
+    Effect, NominalType, ObjType, Program, Return, Type, TypeDecl, TypeVar,
+    eff_of, eff_union,
     record,
 )
 from .typer import Checker, TypecheckError
@@ -62,16 +64,18 @@ class Denotation:
             return {p.name for p in t.parents} or None
         raise UnknownAtom(f"non-ground effect receiver {t!r}")
 
-    def _name_leq(self, name: str, uppers: Optional[set]) -> bool:
-        return uppers is None or not uppers.isdisjoint(self.sigs.ancestors(name))
-
-    def _has_mgc(self, decl_name: str, m: str) -> bool:
+    def _raises(self, d: TypeDecl, m: str, uppers: Optional[set]) -> bool:
+        """Does ``d`` have a magic ``m`` and, unless ``uppers`` is None ('any'),
+        one of ``uppers`` among the names of its supertypes?"""
         try:
-            s = self.sigs.decl_sig(decl_name)
+            entry = self.sigs.decl_sig(d.name).get(m)
+            if entry is None or entry[0] != MGC:
+                return False
+            own = NominalType(d.name, tuple(TypeVar(x) for x, _ in d.typeParams))
+            return uppers is None or not uppers.isdisjoint(
+                n.name for n in self.sigs.nominal_supers(own))
         except SigError:
             return False
-        entry = s.get(m)
-        return entry is not None and entry[0] == MGC
 
     def exc_set(self, eff: Effect) -> Optional[frozenset]:
         """Exception names the effect allows; None encodes 'all' (top)."""
@@ -83,9 +87,7 @@ class Denotation:
                 continue  # no exception reading; contributes nothing
             uppers = self._receiver_names(a.receiver)
             for decl in self.sigs.program.decls:
-                if self._has_mgc(decl.name, a.method) and self._name_leq(
-                    decl.name, uppers
-                ):
+                if self._raises(decl, a.method, uppers):
                     out.add(exc_name(decl.name))
         return frozenset(out)
 
@@ -199,11 +201,10 @@ def check_progress(c: EConf, stepped) -> Verdict:
 
 
 def check_lifted_step(checker: Checker, den: Denotation, ev: Evaluator,
-                      T: Type, eff: Effect, stepped, prefix: int = PREFIX,
-                      typed: Optional[dict] = None) -> Verdict:
+                      T: Type, eff: Effect, stepped,
+                      prefix: int = PREFIX) -> Verdict:
     """Monadic subject reduction for one step of a configuration of type
-    ``T ! eff``, whose result ``ev.mon_step`` is ``stepped``; ``typed``, if
-    given, collects the typing of each configuration in the result.
+    ``T ! eff``, whose result ``ev.mon_step`` is ``stepped``.
 
     Every configuration in the step result must retype at some T' ! eff'
     with T' <= T and ehat v eff' <= eff, where ehat is the canonical
@@ -231,8 +232,6 @@ def check_lifted_step(checker: Checker, den: Denotation, ev: Evaluator,
         except TypecheckError as err:
             return Verdict(False,
                            f"step result {c2.expr!r} is ill-typed: {err}")
-        if typed is not None:
-            typed[c2] = t2, f2
         if not checker.sigs.sub_type({}, t2, T):
             return Verdict(
                 False, f"step result type {t2!r} not below {T!r}")
@@ -419,18 +418,16 @@ def check_soundness(program: Program, monad_name: str, *, name: str = "main",
     t0, f0 = checker.type_expr({}, {}, e0)
 
     # per-step progress and subject reduction, over distinct reachable
-    # configurations (equal configurations are equal terms), each typed once:
-    # a new one waits on the frontier with the typing its step's check gave it
+    # configurations (equal configurations are equal terms)
     c0 = EConf(e0)
     seen = {c0}
-    typed: dict = {}  # one step's results -> their typings
-    frontier = [(c0, None)]
+    frontier = [c0]
     budget = fuel
     steps_ok = True
     while frontier and budget > 0:
-        cur, typing = frontier.pop()
+        cur = frontier.pop()
         try:
-            t, f = typing or checker.type_conf(cur)
+            t, f = checker.type_conf(cur)
         except TypecheckError as err:
             rep.add(name, monad_name, "subject-reduction", False,
                     f"reachable expression ill-typed: {err}")
@@ -444,7 +441,7 @@ def check_soundness(program: Program, monad_name: str, *, name: str = "main",
         if stepped is None:
             continue
         budget -= 1
-        v = check_lifted_step(checker, den, ev, t, f, stepped, prefix, typed)
+        v = check_lifted_step(checker, den, ev, t, f, stepped, prefix)
         if not v:
             rep.add(name, monad_name, "subject-reduction", False, v.witness)
             steps_ok = False
@@ -452,8 +449,7 @@ def check_soundness(program: Program, monad_name: str, *, name: str = "main",
         for nxt in ev.monad.elements(mv, prefix):
             if nxt not in seen:
                 seen.add(nxt)
-                frontier.append((nxt, typed.get(nxt)))
-        typed.clear()
+                frontier.append(nxt)
     if steps_ok:
         rep.add(name, monad_name, "per-step", True,
                 f"{fuel - budget} steps monitored")

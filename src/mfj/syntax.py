@@ -13,11 +13,10 @@ Every node is immutable and hash-consed (``node``): equal nodes are one
 object, so equality is identity and a hash is an id, however deep the term.
 Free variables (``free``) and capture-avoiding substitution (``subst``) are
 built on the ``shape`` each node class declares.  Facts derived from a node
-(free variables, substitution plans, erasure, numeral value, typing shape,
-an effect's atom order) are cached on it the first time they are asked for;
-``numeral`` sets the free variables and the value of each level of a tower
-as it builds it.  ``repr`` keeps its own stack, so a node of any depth has
-one.
+(free variables, substitution plans, erasure, numeral value, typing shape)
+are cached on it the first time they are asked for; ``numeral`` sets the
+free variables and the value of each level of a tower as it builds it.
+``repr`` keeps its own stack, so a node of any depth has one.
 """
 
 from __future__ import annotations
@@ -486,8 +485,7 @@ def _repr(x) -> str:
     return "".join(out)
 
 
-# one key per parent, kept as ``sorted_atoms`` keeps an effect's order: a
-# hash-consed parent is its own cache key
+# one key per parent, cached: a hash-consed parent is its own cache key
 @cache
 def _parent_key(p) -> tuple:
     """A parent's place in a parent set: by name, then printed arguments."""
@@ -566,17 +564,13 @@ class Effect:
     atoms: frozenset  # frozenset[EffCall], empty when top
     top: bool = False
     shape = "atoms{}"
-    _sorted = None  # until ``sorted_atoms`` caches the atoms' order
 
 
-def sorted_atoms(e: Effect) -> tuple:
+def sorted_atoms(e: Effect):
     """``e``'s atoms in the order of their ``repr``, so that the first one
-    shown or reported does not depend on string hashing; cached on ``e``."""
-    got = e._sorted
-    if got is None:
-        got = tuple(sorted(e.atoms, key=_repr) if len(e.atoms) > 1 else e.atoms)
-        object.__setattr__(e, "_sorted", got)
-    return got
+    shown or reported does not depend on string hashing.  Most effects have
+    at most one atom, which needs no ``repr``."""
+    return sorted(e.atoms, key=_repr) if len(e.atoms) > 1 else e.atoms
 
 
 PURE = Effect(frozenset())

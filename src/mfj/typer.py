@@ -206,11 +206,9 @@ class Checker:
         if isinstance(e, Do):
             t1, f1 = self.type_expr(phi, gamma, e.first)
             return self._t_do(phi, gamma, t1, f1, e.var, e.rest)
-        if isinstance(e, Try):
-            bt, beff = self.type_expr(phi, gamma, e.body)
-            return self._t_try(phi, gamma, bt, beff, e.handler,
-                               lambda: self._raw_effect(phi, gamma, e.body))
-        raise TypecheckError("NotAnExpr", "t-expr", f"not an expression: {e!r}")
+        bt, beff = self.type_expr(phi, gamma, e.body)  # a Try, the last kind
+        return self._t_try(phi, gamma, bt, beff, e.handler,
+                           lambda: self._raw_effect(phi, gamma, e.body))
 
     def _t_do(self, phi, gamma, t1, f1, var: str, rest) -> tuple:
         """t-do, given the typing ``t1 ! f1`` of the bound expression."""

@@ -323,6 +323,28 @@ def test_an_unreadable_file_is_a_clean_diagnostic(tmp_path, cmd, kind):
     assert done.stderr.startswith(f"mfj: {path}: cannot read: ")
 
 
+DUPLICATES = {"A": "A { }\nA { }\nmain = return 0\n",
+              "Nat": "Nat { }\nmain = return 0\n"}
+
+
+@pytest.mark.parametrize("cmd", ["check", "run", "soundness", "parse"])
+@pytest.mark.parametrize("name", sorted(DUPLICATES))
+def test_a_duplicate_type_declaration_is_a_parse_error(capsys, tmp_path, cmd,
+                                                       name):
+    path = tmp_path / "dup.mfj"
+    path.write_text(DUPLICATES[name])
+    code, out, err = mfj(capsys, cmd, path)
+    if cmd == "parse" and name == "Nat":  # parse reads no prelude
+        assert (code, out) == (0, DUPLICATES[name].replace("\n", "\n\n", 1))
+        return
+    assert (code, out) == (1, "")
+    assert "Traceback" not in err
+    assert err == {
+        "A": f"mfj: {path}: parse error: 2:1: duplicate type declaration A\n",
+        "Nat": f"mfj: {path}: parse error: type Nat is already declared by "
+               "the prelude\n"}[name]
+
+
 def test_python_dash_m_runs_the_cli():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(

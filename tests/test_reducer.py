@@ -244,6 +244,12 @@ def test_catch_stop_discards_the_handler(sigs):
     assert e2 == Return(numeral(7))
 
 
+def test_a_defaulted_clause_returns_its_receiver(sigs):
+    # a clause written without ':' binds no type parameters
+    e = with_receiver("try t.throw[Nat]() with MyException.throw stop")
+    assert pure_step(sigs, e) == (Return(MY_EXC), "catch-stop")
+
+
 def test_catch_continue_binds_the_final_var(sigs):
     e = with_receiver("try t.throw[Nat]() "
                       "with MyException.throw : <s, return 7> continue "

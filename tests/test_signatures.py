@@ -130,6 +130,13 @@ def test_an_override_must_keep_the_binders_and_a_magic_return(source, reason):
     assert list(map(str, diags)) == [f"[OverrideError/t-ntype] {reason}"]
 
 
+def test_a_magic_method_may_override_one_with_the_same_return_type():
+    prog = load_program("E2 <| Exception { throw : mgc [Y] -> Y }")
+    ck = Checker(prog)
+    assert ck.check_program() == []
+    assert ck.sigs.decl_sig("E2").get("throw")[0] == MGC
+
+
 # B.m differs from A.m only in the names (and order) of its type binders
 SWAPPED = """
 G { go : abs -> Nat ! pure }
@@ -248,6 +255,19 @@ def test_sub_type_through_parents(sigs):
     assert not sigs.sub_type({}, parse_type("True"), parse_type("Nat"))
 
 
+@pytest.mark.parametrize("a, b, below", [
+    ("G{ m : def -> Nat ! pure }", "G{ m : abs -> Nat ! pure }", True),
+    ("G{ m : abs -> Nat ! pure }", "G{ m : def -> Nat ! pure }", False),
+    ("G", "G{ m : abs -> Nat ! pure }", False),
+    ("G{ m : abs [X] -> Nat ! pure }", "G{ m : abs -> Nat ! pure }", False),
+], ids=["def-below-abs", "abs-not-below-def", "missing", "binders-differ"])
+def test_sub_type_compares_the_written_signatures(a, b, below):
+    # the kind order is def <= abs; a method b names must be in a, with a
+    # method type that aligns with b's
+    sigs = Sigs(load_program("G { }"))
+    assert sigs.sub_type({}, parse_type(a), parse_type(b)) is below
+
+
 def test_sub_type_typevar_uses_its_bound(sigs):
     phi = {"X": parse_type("True")}
     assert sigs.sub_type(phi, TypeVar("X"), parse_type("Bool"))
@@ -355,29 +375,6 @@ def test_a_bound_whose_signature_asks_for_itself_is_a_diagnostic():
     finally:
         sys.setrecursionlimit(limit)
     assert [(d.code, d.rule) for d in diags] == [("OverrideError", "t-ntype")]
-
-
-# -- name-level ancestors -----------------------------------------------------
-
-def test_ancestors_of_a_diamond():
-    sigs = Sigs(parse_program("A { } B <| A { } C <| A { } D <| B C { }"))
-    assert sigs.ancestors("D") == {"A", "B", "C", "D"}
-    assert sigs.ancestors("B") == {"A", "B"}
-
-
-def test_ancestors_stop_at_an_undeclared_parent():
-    # only a program run --unchecked can name a parent it never declares
-    sigs = Sigs(parse_program("A <| Ghost { } B <| A { }"))
-    assert sigs.ancestors("B") == {"A", "B", "Ghost"}
-    assert sigs.ancestors("Ghost") == {"Ghost"}
-
-
-def test_ancestors_of_a_cycle_are_exact_for_every_member():
-    # the first query walks through B and C; their own closures must still
-    # be the whole cycle, not what was known when the walk reached them
-    sigs = Sigs(parse_program("A <| C { } B <| A { } C <| B { }"))
-    for name in ("A", "B", "C"):
-        assert sigs.ancestors(name) == {"A", "B", "C"}
 
 
 # -- the signature memo -------------------------------------------------------

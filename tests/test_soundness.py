@@ -62,6 +62,24 @@ def test_a_magic_method_that_does_not_raise_has_no_exception_reading():
         == {"Fail"}
 
 
+def test_exc_set_of_an_exception_declared_through_a_diamond():
+    # Both reaches Root through two exception parents, one of them generic;
+    # a declaration whose signature cannot be built raises nothing
+    prog = load_program("Root { }\n"
+                        "Oops <| Root Exception { }\n"
+                        "Flop[X] <| Root Failure[X] { }\n"
+                        "Both <| Oops Flop[Nat] { }\n"
+                        "Lost <| Nowhere Exception { }\n")
+    den = Denotation(Sigs(prog))
+    assert den.exc_set(parse_effect("Exception.throw[Nat]")) == {
+        "E", "MyE", "Oops", "Both"}
+    assert den.exc_set(parse_effect("Root.throw[Nat]")) == {"Oops", "Both"}
+    assert den.exc_set(parse_effect("Failure[Nat].fail")) == {
+        "Fail", "Flop", "Both"}
+    assert den.exc_set(parse_effect("Flop[Nat].fail")) == {"Flop", "Both"}
+    assert den.exc_set(parse_effect("Both.fail")) == {"Both"}
+
+
 def test_exc_set_rejects_open_receivers(den):
     with pytest.raises(UnknownAtom):
         den.exc_set(eff_of(EffCall(TypeVar("Z"), "throw", ())))
@@ -295,19 +313,27 @@ def test_check_soundness_flags_approximations_that_are_not_a_chain(
 
 
 @pytest.mark.parametrize("monad", ["list", "dist"])
-def test_the_monitor_types_each_configuration_once(monkeypatch, monad):
-    typed = Counter()
-    real = Checker.type_conf
+def test_the_monitor_types_each_configuration_through_the_memo(monkeypatch,
+                                                               monad):
+    typed, exprs = Counter(), Counter()
+    real_conf, real_expr = Checker.type_conf, Checker._type_expr
 
-    def counted(self, c):
+    def counted_conf(self, c):
         typed[c] += 1
-        return real(self, c)
+        return real_conf(self, c)
 
-    monkeypatch.setattr(Checker, "type_conf", counted)
+    def counted_expr(self, *a):
+        exprs["calls"] += 1
+        return real_expr(self, *a)
+
+    monkeypatch.setattr(Checker, "type_conf", counted_conf)
+    monkeypatch.setattr(Checker, "_type_expr", counted_expr)
     rep = check_soundness(load("nd_m2"), monad, fuel=200)
-    # the walk reaches 230 distinct configurations: the first is typed when
-    # popped, every other one as a step's result, and not again when popped
-    assert len(typed) == 230 and set(typed.values()) == {1}
+    # the walk reaches 230 distinct configurations; each is typed as a
+    # step's result and again when popped, and the memo answers the second,
+    # so the expressions typed stay those of the walk's distinct terms
+    assert len(typed) == 230 and max(typed.values()) <= 2
+    assert exprs["calls"] == 59
     assert rep.summary() == "5 checks, 0 failures"
     assert [(r.check, r.witness) for r in rep.records] == [
         ("per-step", "200 steps monitored"),

@@ -431,13 +431,30 @@ def test_substituting_types_frees_what_they_replace(tsub):
         assert free(out) == (fv, (ftv - hit) | _freed(hit, tsub, 1)), n
 
 
+def _pick(rnd, names, terms) -> dict:
+    """Up to three of ``names``, each mapped to its term in ``terms``."""
+    names = sorted(names)
+    picked = rnd.sample(names, rnd.randint(0, min(3, len(names))))
+    return {x: terms[x] for x in picked}
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.dictionaries(st.sampled_from(TYPE_NAMES), law_types, max_size=3),
-       st.dictionaries(st.sampled_from(VALUE_NAMES), law_values, max_size=3))
-def test_subst_gives_the_reference_node(tsub, vsub):
+@given(st.fixed_dictionaries(dict.fromkeys(TYPE_NAMES, law_types)),
+       st.fixed_dictionaries(dict.fromkeys(VALUE_NAMES, law_values)),
+       st.randoms(use_true_random=True))
+def test_subst_gives_the_reference_node(ts, vs, rnd):
     # open substitutions included: a Var or TypeVar named after a binder, or
-    # Failure[X], is free in what it substitutes, and may be captured
+    # Failure[X], is free in what it substitutes, and may be captured; each
+    # node substitutes for names free in it, so keys that a binder splits
+    # between its children (x and z over do x = x.m(); x.n(z)) come up
+    # routinely.  The plans start afresh, so that each example builds the
+    # plans it runs (and reuses them across nodes) instead of running plans
+    # an earlier test built.
     for n in NODES:
+        n.__dict__["_plans"] = None
+    for n in NODES:
+        fv, ftv = free(n)
+        tsub, vsub = _pick(rnd, ftv, ts), _pick(rnd, fv, vs)
         assert subst(n, tsub, vsub) is reference_subst(n, tsub, vsub), n
 
 

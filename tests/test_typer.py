@@ -179,6 +179,16 @@ def test_stop_clause_joins_with_the_final_type(ck):
     assert t == OBJECT
 
 
+def test_a_join_with_no_least_candidate_takes_the_first_declared():
+    # C and D are below both A and B, which are unrelated
+    prog = load_program("A { }\nB { }\nC <| A B { }\nD <| A B { }\n")
+    t, _ = Checker(prog).type_expr({}, {}, parse_expr(
+        "try Exception.throw[C]() "
+        "with Exception.throw : [X] <_, return D{ }> stop "
+        "final <r, return r>"))
+    assert t == nominal("A")
+
+
 def test_clause_must_name_a_magic_method(ck):
     with pytest.raises(TypecheckError) as e:
         expr_type(ck, "try x.not() with Bool.not : <s, return True> stop",

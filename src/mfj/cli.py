@@ -144,12 +144,11 @@ def cmd_run(args) -> int:
 
 def _unbound(prog) -> Optional[str]:
     """Where the program is open: the first free value variable of a method
-    body (beyond self and the parameters) or of main.  A run renames no
-    binder when it substitutes, so it needs a closed program."""
-    bodies = [(f"{d.name}.{md.name}", md.body, (md.selfVar, *md.params))
-              for d in prog.decls for md in d.methods if md.body is not None]
-    for where, body, bound in [*bodies, ("main", prog.main, ())]:
-        free_vars = free(body)[0].difference(bound)
+    (whose shape binds self and the parameters) or of main.  A run renames
+    no binder when it substitutes, so it needs a closed program."""
+    methods = [(f"{d.name}.{md.name}", md) for d in prog.decls for md in d.methods]
+    for where, term in [*methods, ("main", prog.main)]:
+        free_vars = free(term)[0]
         if free_vars:
             return f"unbound variable {min(free_vars)} in {where}"
     return None

@@ -14,7 +14,7 @@ import contextlib
 from .syntax import record
 
 
-@record(frozen=False)
+@record
 class Faults:
     # cmatch scans clauses in reverse (last-match instead of first-match)
     reverse_clause_match: bool = False
@@ -35,12 +35,15 @@ NAMES = list(Faults._fields)
 
 @contextlib.contextmanager
 def inject(name: str):
-    """Enable one seeded bug for the duration of the block."""
+    """Enable one seeded bug for the duration of the block: ``ACTIVE`` is a
+    copy with the flag set, and the previous ``ACTIVE`` comes back when the
+    block ends, also when it raises.  Every site reads ``faults.ACTIVE``."""
+    global ACTIVE
     if name not in NAMES:
         raise ValueError(f"unknown fault {name!r}")
-    prev = getattr(ACTIVE, name)
-    setattr(ACTIVE, name, True)
+    prev = ACTIVE
+    ACTIVE = Faults(**{**prev.__dict__, name: True})
     try:
         yield
     finally:
-        setattr(ACTIVE, name, prev)
+        ACTIVE = prev

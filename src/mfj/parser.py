@@ -191,8 +191,9 @@ class Parser:
                 if not parents:
                     self.error("expected at least one parent type after '<|'")
             self.expect("{")
-            methods = []
+            methods, starts = [], []
             while not self.at("}"):
+                starts.append(self.pos)
                 methods.append(self.parse_method(context="decl"))
             self.expect("}")
         finally:
@@ -200,7 +201,9 @@ class Parser:
         names = [m.name for m in methods]
         if len(set(names)) < len(names):
             dupes = {n for n in names if names.count(n) > 1}
-            raise ParseError(f"duplicate methods in {name}: {sorted(dupes)}")
+            # at the first method that repeats an earlier one's name
+            self.pos = next(s for i, s in enumerate(starts) if names[i] in names[:i])
+            self.error(f"duplicate methods in {name}: {sorted(dupes)}")
         methods = [
             md if md.kind != MGC else MethodDef(
                 md.name, MGC,

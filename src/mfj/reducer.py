@@ -12,19 +12,9 @@ from . import faults
 from .signatures import SigError, Sigs
 from .syntax import (
     DEF, EMPTY_SIG, MGC, STOP,
-    Call, Clause, Do, Handler, NominalType, Obj, ObjType, Return, Try,
-    Value, erase_type, record, subst, subst_expr,
+    Call, Clause, Do, Handler, MethodDef, NominalType, Obj, ObjType, Return,
+    Try, Value, erase_type, record, subst, subst_expr,
 )
-
-
-@record
-class DefBody:
-    """A found method body: ``<X..., self, params..., e>``."""
-
-    typeParams: tuple  # tuple[str, ...]
-    selfVar: str
-    params: tuple
-    body: object
 
 
 @record
@@ -43,16 +33,17 @@ class AmbiguousLookup(Exception):
     """More than one parent supplies the method; semantically 'undefined'."""
 
 
-def mbody(sigs: Sigs, v: Value, m: str) -> Optional[Union[DefBody, Magic]]:
-    """Method look-up on a value; None encodes 'undefined' (a stuck state).
-    A look-up above the parents is kept in the session's ``sigs.mbodies``."""
+def mbody(sigs: Sigs, v: Value, m: str) -> Optional[Union[MethodDef, Magic]]:
+    """Method look-up on a value, as ``mbody`` in Featherweight GJ: the
+    ``def`` method itself, an object's own or an inherited one instantiated
+    at the receiver's type arguments, else the ``Magic`` it resolves to;
+    None encodes 'undefined' (a stuck state).  A look-up above the parents
+    is kept in the session's ``sigs.mbodies``."""
     if not isinstance(v, Obj):
         return None
     md = v.method(m)
     if md is not None and md.kind == DEF:
-        return DefBody(
-            tuple(x for x, _ in md.mtype.typeParams), md.selfVar, md.params, md.body
-        )
+        return md
     key = (v.parents, m)
     r = sigs.mbodies.get(key, _UNLOOKED)
     if r is _UNLOOKED:
@@ -81,6 +72,9 @@ def _parents_lookup(sigs, parents, m, walk=frozenset()):
 
 
 def _nominal_lookup(sigs, n: NominalType, m: str, walk):
+    """``m`` looked up in the declaration ``n`` names, then above it; a
+    ``def`` method is instantiated at ``n``'s type arguments by ``subst``,
+    under which the method's own type parameters stay bound."""
     if n.name in walk:
         return None
     try:
@@ -91,11 +85,7 @@ def _nominal_lookup(sigs, n: NominalType, m: str, walk):
         if md.name != m:
             continue
         if md.kind == DEF:
-            binders = tuple(x for x, _ in md.mtype.typeParams)
-            # the method's own binders shadow the declaration's
-            sub = {x: t for x, t in sub.items() if x not in binders}
-            return DefBody(binders, md.selfVar, md.params,
-                           subst_expr(md.body, sub, {}))
+            return subst_expr(md, sub, {})
         if md.kind == MGC:
             return Magic(n.name)
         break  # abs: fall through to the parents
@@ -109,10 +99,7 @@ def instance_of(sigs: Sigs, v: Value, n: NominalType) -> bool:
     """Purely syntactic runtime check: erase(v) <= N."""
     if not isinstance(v, Obj):
         return False
-    try:
-        return sigs.sub_type({}, erase_type(v), ObjType((n,), EMPTY_SIG))
-    except SigError:
-        return False
+    return sigs.sub_type({}, erase_type(v), ObjType((n,), EMPTY_SIG))
 
 
 def cmatch(sigs: Sigs, recv: Value, m: str, clauses: tuple) -> Optional[Clause]:
@@ -125,7 +112,8 @@ def cmatch(sigs: Sigs, recv: Value, m: str, clauses: tuple) -> Optional[Clause]:
 
 
 def invk_subst(body, typeParams, targs, selfVar, recv, params, args):
-    tsub = {} if faults.ACTIVE.skip_invk_type_subst else dict(zip(typeParams, targs))
+    tsub = {x: t for (x, _), t in zip(typeParams, targs)} \
+        if typeParams and not faults.ACTIVE.skip_invk_type_subst else {}
     vsub = {selfVar: recv, **dict(zip(params, args))}
     return subst_expr(body, tsub, vsub)
 
@@ -136,49 +124,47 @@ def pure_step(sigs: Sigs, e, found=_UNLOOKED) -> Optional[tuple]:
     Rules: invk, try-ret, try-do, catch-continue, catch-stop, fwd, try-ctx;
     the first six take priority over try-ctx.  ``found`` is ``mbody`` of the
     call ``e`` is or ends in under its ``try``s, when the caller has it
-    already.
+    already; invk substitutes into the found method's body, at its
+    ``mtype``'s type parameters.
     """
     if isinstance(e, Call):
         r = mbody(sigs, e.recv, e.method) if found is _UNLOOKED else found
-        if isinstance(r, DefBody):
+        if isinstance(r, MethodDef):
             if len(r.params) != len(e.args):
                 return None
             return (
-                invk_subst(
-                    r.body, r.typeParams, e.targs, r.selfVar, e.recv, r.params, e.args
-                ),
+                invk_subst(r.body, r.mtype.typeParams, e.targs, r.selfVar,
+                           e.recv, r.params, e.args),
                 "invk",
             )
         return None  # magic or undefined: a normal form for pure reduction
     if isinstance(e, (Return, Do)):
         return None
-    if isinstance(e, Try):
-        body, h = e.body, e.handler
-        if isinstance(body, Return):
-            return Do(h.finalVar, body, h.finalExpr), "try-ret"
-        if isinstance(body, Do):
-            inner_handler = Handler(h.clauses, body.var, Try(body.rest, h))
-            return Try(body.first, inner_handler), "try-do"
-        if isinstance(body, Call):
-            if found is _UNLOOKED:
-                found = mbody(sigs, body.recv, body.method)
-            if isinstance(found, Magic):
-                c = cmatch(sigs, body.recv, body.method, h.clauses)
-                if c is None:
-                    return Do(h.finalVar, body, h.finalExpr), "fwd"
-                tsub = (
-                    dict(zip(c.typeParams, body.targs))
-                    if c.typeParams is not None
-                    else {}
-                )
-                vsub = {c.selfVar: body.recv, **dict(zip(c.params, body.args))}
-                cbody = subst_expr(c.body, tsub, vsub)
-                if c.mode == STOP:
-                    return cbody, "catch-stop"
-                return Do(h.finalVar, cbody, h.finalExpr), "catch-continue"
-        inner = pure_step(sigs, body, found)
-        if inner is None:
-            return None
-        e2, rule = inner
-        return Try(e2, h), rule
-    raise TypeError(f"not an expression: {e!r}")
+    body, h = e.body, e.handler  # a Try, the last kind
+    if isinstance(body, Return):
+        return Do(h.finalVar, body, h.finalExpr), "try-ret"
+    if isinstance(body, Do):
+        inner_handler = Handler(h.clauses, body.var, Try(body.rest, h))
+        return Try(body.first, inner_handler), "try-do"
+    if isinstance(body, Call):
+        if found is _UNLOOKED:
+            found = mbody(sigs, body.recv, body.method)
+        if isinstance(found, Magic):
+            c = cmatch(sigs, body.recv, body.method, h.clauses)
+            if c is None:
+                return Do(h.finalVar, body, h.finalExpr), "fwd"
+            tsub = (
+                dict(zip(c.typeParams, body.targs))
+                if c.typeParams is not None
+                else {}
+            )
+            vsub = {c.selfVar: body.recv, **dict(zip(c.params, body.args))}
+            cbody = subst_expr(c.body, tsub, vsub)
+            if c.mode == STOP:
+                return cbody, "catch-stop"
+            return Do(h.finalVar, cbody, h.finalExpr), "catch-continue"
+    inner = pure_step(sigs, body, found)
+    if inner is None:
+        return None
+    e2, rule = inner
+    return Try(e2, h), rule

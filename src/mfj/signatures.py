@@ -300,17 +300,15 @@ class Sigs:
             return bound is not None and self.sub_type(phi, bound, b)
         if isinstance(b, TypeVar):
             return False
-        if isinstance(a, ObjType) and isinstance(b, ObjType):
-            supers = set()
-            try:
-                for p in a.parents:
-                    supers |= self.nominal_supers(p)
-            except SigError:
-                return False
-            if not all(q in supers for q in b.parents):
-                return False
-            return self.sub_sig(phi, a.sig, b.sig)
-        return False
+        supers = set()  # both are ObjTypes, the one other kind of type
+        try:
+            for p in a.parents:
+                supers |= self.nominal_supers(p)
+        except SigError:
+            return False
+        if not all(q in supers for q in b.parents):
+            return False
+        return self.sub_sig(phi, a.sig, b.sig)
 
     def sub_sig(self, phi, s: Sig, s2: Sig) -> bool:
         """s <= s2: wider signature, pointwise subtyped entries."""

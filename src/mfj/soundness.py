@@ -102,7 +102,7 @@ class Denotation:
 # ---------------------------------------------------------------------------
 
 
-@record(frozen=False)
+@record
 class EffectInterp:
     """A family of predicate liftings indexed by effects: the monad's forall
     lifting or, if ``may``, its exists lifting."""
@@ -364,12 +364,12 @@ class CheckRecord:
     witness: str = ""
 
 
-@record(frozen=False)
+@record
 class SoundnessReport:
     records: List[CheckRecord]
 
     def __init__(self, records: Optional[List[CheckRecord]] = None):
-        self.records = [] if records is None else records
+        object.__setattr__(self, "records", [] if records is None else records)
 
     def add(self, *a, **kw):
         self.records.append(CheckRecord(*a, **kw))

@@ -300,18 +300,15 @@ def _fresh(x: str, taken: set) -> str:
 # ---------------------------------------------------------------------------
 
 
-def record(cls=None, *, frozen=True):
-    """Make ``cls`` a record of the fields it annotates, in order.
+def record(cls):
+    """Make ``cls`` a frozen record of the fields it annotates, in order.
 
     Builds, except where ``cls`` defines its own: ``__init__`` (a class
     attribute is a field's default), ``__repr__`` as ``Cls(f=...)``, ``==``
-    by class and fields, and for a ``frozen`` record a structural
-    ``__hash__`` and an ``__setattr__``/``__delattr__`` that refuse; a record
-    that is not frozen has no hash.
+    by class and fields, a structural ``__hash__``, and an
+    ``__setattr__``/``__delattr__`` that refuse.
     """
-    if cls is None:
-        return lambda c: _build(c, frozen, False)
-    return _build(cls, frozen, False)
+    return _build(cls, False)
 
 
 def node(cls):
@@ -335,7 +332,7 @@ def node(cls):
     and inside the binders), ``_names`` (the names bound), and the
     ``_children`` and ``_binders`` that substitution plans are built from.
     """
-    return _build(cls, True, True)
+    return _build(cls, True)
 
 
 # a child field's form -> its nodes in a list display
@@ -383,7 +380,7 @@ def _traversal(cls, names: tuple, shape: str) -> dict:
     return src
 
 
-def _build(cls, frozen: bool, hashcons: bool):
+def _build(cls, hashcons: bool):
     """Write ``record``'s or ``node``'s methods for ``cls`` in one ``exec``,
     each one unless ``cls`` defines its own."""
     names = tuple(cls.__dict__.get("__annotations__", ()))
@@ -393,12 +390,12 @@ def _build(cls, frozen: bool, hashcons: bool):
     params = ", ".join(f"{n}=_defaults[{n!r}]" if n in defaults else n
                        for n in names)
     mine = "(" + "".join(f"self.{n}, " for n in names) + ")"
-    src = {}
-    if frozen:
-        src["__setattr__"] = ("def __setattr__(self, name, value):\n    raise "
-                              "AttributeError(f'cannot assign to field {name!r}')\n")
-        src["__delattr__"] = ("def __delattr__(self, name):\n    raise "
-                              "AttributeError(f'cannot delete field {name!r}')\n")
+    src = {
+        "__setattr__": ("def __setattr__(self, name, value):\n    raise "
+                        "AttributeError(f'cannot assign to field {name!r}')\n"),
+        "__delattr__": ("def __delattr__(self, name):\n    raise "
+                        "AttributeError(f'cannot delete field {name!r}')\n"),
+    }
     if hashcons:
         cls._tshape = None  # until ``tshape`` caches it on the node
         if "canon" in cls.__dict__:
@@ -426,8 +423,7 @@ def _build(cls, frozen: bool, hashcons: bool):
                          "    if other.__class__ is not self.__class__:\n"
                          "        return NotImplemented\n"
                          f"    return {mine} == {mine.replace('self.', 'other.')}\n")
-        src["__hash__"] = (f"def __hash__(self):\n    return hash({mine})\n"
-                           if frozen else "__hash__ = None\n")
+        src["__hash__"] = f"def __hash__(self):\n    return hash({mine})\n"
     src = {k: code for k, code in src.items() if cls.__dict__.get(k) is None}
     ns = {"_table": {}, "_new": object.__new__, "_set": object.__setattr__,
           "_defaults": defaults}
@@ -797,18 +793,12 @@ class Program:
 # ---------------------------------------------------------------------------
 
 
-class NotAnObject(Exception):
-    pass
-
-
-def erase_type(v: Value) -> ObjType:
+def erase_type(v: Obj) -> ObjType:
     """The dynamic type of an object: same parents, bodies dropped.
 
     No well-formedness check happens here; the extracted type may violate
     constraints.
     """
-    if not isinstance(v, Obj):
-        raise NotAnObject(f"cannot erase {v!r}")
     t = v.__dict__.get("_erased")
     if t is None:
         t = ObjType(v.parents, Sig((m.name, m.kind, m.mtype) for m in v.methods))

@@ -24,8 +24,8 @@ from .signatures import SigError, Sigs
 from .syntax import (
     ABS, CLOSED, COLLAPSED, CONTINUE, DEF, EMPTY_SIG, MGC, OBJECT, PURE, STOP,
     TYPES, Call, Clause, Do, EffCall, Effect, Handler, MethodType,
-    NominalType, Obj, ObjType, Program, Return, Sig, Try, Type, TypeVar,
-    Value, Var, eff_of, eff_union, free, open_binders, subst, tshape,
+    NominalType, Obj, ObjType, Program, Return, Type, TypeVar, Value, Var,
+    eff_of, eff_union, erase_type, free, open_binders, subst, tshape,
 )
 
 
@@ -128,13 +128,10 @@ class Checker:
                 return
 
     def _type_obj(self, phi, gamma, v) -> Type:
-        own = Sig((m.name, m.kind, m.mtype) for m in v.methods)
-        for _, k, _ in own:
-            if k == MGC:
-                raise TypecheckError(
-                    "MgcInObject", "t-obj",
-                    "objects cannot declare magic methods")
-        t = ObjType(v.parents, own)
+        if any(m.kind == MGC for m in v.methods):
+            raise TypecheckError(
+                "MgcInObject", "t-obj", "objects cannot declare magic methods")
+        t = erase_type(v)
         try:
             full = self.sigs.sig_of_type(phi, t)
         except SigError as e:
@@ -272,9 +269,7 @@ class Checker:
             gamma2[e.var] = t1
             return eff_union(self._raw_effect(phi, gamma, e.first),
                              self._raw_effect(phi, gamma2, e.rest))
-        if isinstance(e, Try):
-            return self._raw_effect(phi, gamma, e.body)
-        return PURE
+        return self._raw_effect(phi, gamma, e.body)  # a Try, the last kind
 
     # -- configurations ------------------------------------------------------------
 

@@ -345,6 +345,21 @@ def test_a_duplicate_type_declaration_is_a_parse_error(capsys, tmp_path, cmd,
                "the prelude\n"}[name]
 
 
+@pytest.mark.parametrize("methods, where, dupes", [
+    ("m m", "3:3", "['m']"),
+    ("m n k n m", "5:3", "['m', 'n']"),
+])
+def test_a_duplicate_method_is_a_parse_error_where_its_name_repeats(
+        capsys, tmp_path, methods, where, dupes):
+    path = tmp_path / "dup.mfj"
+    path.write_text("A {\n" + "".join(f"  {m} : abs -> Nat ! pure\n"
+                                     for m in methods.split()) + "}\n")
+    code, out, err = mfj(capsys, "check", path)
+    assert (code, out) == (1, "")
+    assert err == (f"mfj: {path}: parse error: {where}: "
+                   f"duplicate methods in A: {dupes}\n")
+
+
 def test_python_dash_m_runs_the_cli():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(

@@ -17,7 +17,7 @@ from mfj.evaluator import (
 )
 from mfj.monads import Dist, ExcValue, IdValue
 from mfj.parser import numeral
-from mfj.reducer import DefBody, Magic
+from mfj.reducer import Magic
 from mfj.soundness import CheckRecord, EffectInterp, SoundnessReport, Verdict
 from mfj.syntax import (
     DEF, OBJECT, PURE, STOP, TOP, Call, Clause, Do, EffCall, Handler,
@@ -113,8 +113,6 @@ RECORDS = [
     (Dist({1: Fraction(1, 2), 2: Fraction(1, 3)}), "{1/2: 1, 1/3: 2}"),
     (IdValue("val", 3), "Id(3)"),
     (IdValue("bottom"), "Bottom"),
-    (DefBody(("X",), "this", ("x",), BODY),
-     f"DefBody(typeParams=('X',), selfVar='this', params=('x',), body={R_BODY})"),
     (Magic("Failure"), "Magic(typeName='Failure')"),
     (EffectInterp("exc", "M", "D"),
      "EffectInterp(name='exc', monad='M', den='D', may=False, prefix=256)"),
@@ -141,7 +139,7 @@ def test_repr_is_pinned(obj, text):
 
 def test_every_record_class_is_pinned():
     pinned = {type(o) for o, _ in NODES + RECORDS}
-    assert len(pinned) == 37
+    assert len(pinned) == 36
 
 
 @pytest.mark.parametrize("obj, _", NODES, ids=[type(o).__name__ for o, _ in NODES])
@@ -162,22 +160,35 @@ def test_frozen_records_compare_by_structure():
         with pytest.raises(AttributeError):
             a.extra = 1
     assert StepInfo("pure") != StepInfo("ret")
-    assert Magic("E") != DefBody((), "this", (), BODY)
+    assert Magic("E") != MD
     assert ExcValue("bottom") != IdValue("bottom")
     assert RConf(VRes(numeral(1))) != VRes(numeral(1))
 
 
-def test_mutable_records_compare_by_structure_and_are_unhashable():
+def test_faults_reports_and_interps_compare_by_structure_and_are_frozen():
     assert faults.Faults() == faults.Faults()
     assert faults.Faults() != faults.Faults(swap_list_bind=True)
     assert SoundnessReport([REC]) == SoundnessReport([REC])
     assert EffectInterp("exc", "M", "D") != EffectInterp("exc", "M", "D", True)
-    for r in (faults.Faults(), SoundnessReport(), EffectInterp("exc", "M", "D")):
-        with pytest.raises(TypeError):
-            hash(r)
-    f = faults.Faults()
-    f.swap_list_bind = True
-    assert f == faults.Faults(swap_list_bind=True)
+    for r, field in [(faults.Faults(), "swap_list_bind"),
+                     (SoundnessReport(), "records"),
+                     (EffectInterp("exc", "M", "D"), "may")]:
+        with pytest.raises(AttributeError):
+            setattr(r, field, True)
+
+
+def test_inject_puts_the_previous_faults_back_also_when_its_block_raises():
+    before = faults.ACTIVE
+    with faults.inject("swap_list_bind"):
+        outer = faults.ACTIVE
+        assert outer == faults.Faults(swap_list_bind=True)
+        with pytest.raises(ZeroDivisionError), faults.inject("flip_symsum_kinds"):
+            assert faults.ACTIVE == faults.Faults(swap_list_bind=True,
+                                                  flip_symsum_kinds=True)
+            1 // 0
+        assert faults.ACTIVE is outer
+    assert faults.ACTIVE is before
+    assert before == faults.Faults()
 
 
 def test_a_check_record_holds_only_its_fields():

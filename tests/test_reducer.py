@@ -4,17 +4,18 @@ import pytest
 
 from mfj import faults
 from mfj.cli import main as cli_main
-from mfj.evaluator import Diverged, Evaluator, VRes
+from mfj.evaluator import WRONG, Diverged, Evaluator, VRes
 from mfj.monads import MONADS, TRUE, Pure, Raised, get_monad
 from mfj.parser import numeral, parse_expr
 from mfj.prelude import load_program, prelude_program
 from mfj.reducer import (
-    AmbiguousLookup, DefBody, Magic, _parents_lookup, cmatch, instance_of,
-    mbody, pure_step,
+    AmbiguousLookup, Magic, _parents_lookup, cmatch, instance_of, mbody,
+    pure_step,
 )
 from mfj.signatures import Sigs
 from mfj.syntax import (
-    Call, Do, NominalType, Obj, Return, Try, TypeVar, Var, nominal, subst_expr,
+    Call, Do, MethodDef, NominalType, Obj, Return, Try, TypeVar, Var, nominal,
+    subst_expr,
 )
 
 from conftest import CORPUS
@@ -36,12 +37,12 @@ def with_receiver(src, recv=MY_EXC):
 def test_mbody_own_definition(sigs):
     v = parse_expr("return Object { m : def -> Object <s, return s> }").value
     r = mbody(sigs, v, "m")
-    assert isinstance(r, DefBody) and r.selfVar == "s"
+    assert isinstance(r, MethodDef) and r.selfVar == "s"
 
 
 def test_mbody_inherited_definition(sigs):
     r = mbody(sigs, numeral(2), "sum")  # Succ supplies it
-    assert isinstance(r, DefBody)
+    assert isinstance(r, MethodDef)
     assert r.params == ("m",)
 
 
@@ -279,6 +280,16 @@ def test_try_ctx_steps_the_body(sigs):
 def test_stuck_states(sigs):
     assert pure_step(sigs, parse_expr("x.m()")) is None
     assert pure_step(sigs, parse_expr("return 0")) is None
+
+
+@pytest.mark.parametrize("main", [
+    "Nope{}.m()",  # the parent names no declaration
+    "0.succ(1)",  # one argument too many
+    "try Nope{}.m() with Exception.throw : [X] <x, return 0> stop",
+], ids=["unknown-parent", "arity", "under-a-try"])
+def test_an_unchecked_stuck_call_ends_in_wrong(main):
+    prog = load_program(f"main = {main}")
+    assert Evaluator(prog, "exc").finitary(prog.main, 100) == Pure(WRONG)
 
 
 def test_stepping_is_deterministic(sigs):

@@ -240,6 +240,20 @@ def test_ill_formed_declarations_are_diagnosed(src, diagnostic):
     assert [str(d) for d in diags] == [diagnostic]
 
 
+@pytest.mark.parametrize("src", [
+    "A { m : abs -> Nat ! pure }  B <| A { m : def -> Nope ! pure <_, return 0> }",
+    "A { m : abs -> Nat ! Exception.throw[Nat] }  "
+    "B <| A { m : def -> Nat ! Nope.throw[Nat] <_, return 0> }",
+], ids=["return-type", "call-effect"])
+def test_an_override_naming_an_unknown_type_is_not_a_subtype(src):
+    # subtyping and the magic test meet Nope and answer no; the override
+    # check runs before well-formedness, so Nope is not reported as unknown
+    diags = Checker(load_program(src)).check_program()
+    assert [str(d) for d in diags] == [
+        "[OverrideError/t-ntype] method 'm': overriding type-and-effect is "
+        "not a subtype of the declared one"]
+
+
 # -- subtyping ----------------------------------------------------------------
 
 def test_sub_type_reflexive_and_object_top(sigs):

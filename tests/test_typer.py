@@ -5,7 +5,8 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mfj import typer
+from mfj import faults, typer
+from mfj.effects import SIMPLIFY_FUEL
 from mfj.parser import (
     numeral, numeral_value, parse_effect, parse_expr, parse_program,
     parse_type,
@@ -301,6 +302,19 @@ def shadowing_program(i: int, binder=None) -> str:
 def diagnostic_codes(src: str) -> list:
     diags = Checker(load_program(src)).check_program()
     return [f"{d.code}/{d.rule}" for d in diags]
+
+
+def test_the_t_try_fault_runs_out_of_fuel_on_a_body_of_many_calls():
+    # the seeded fault simplifies the raw effect of the whole try body at
+    # once, one rewrite per distinct call; each call alone simplifies
+    n = SIMPLIFY_FUEL + 1
+    ms = " ".join(f"m{i} : abs -> Nat ! pure" for i in range(n))
+    body = "".join(f"do x{i} = d.m{i}(); " for i in range(n - 1))
+    src = (f"D {{ {ms} }}  T {{ run : def D -> Nat ! pure <_ d, try {body}"
+           f"d.m{n - 1}() with Exception.throw : [X] <x, return 0> stop> }}")
+    assert diagnostic_codes(src) == []
+    with faults.inject("filter_before_simplify"):
+        assert diagnostic_codes(src) == ["FuelExhausted/t-try"]
 
 
 @pytest.mark.parametrize("i", range(len(SHADOWING)))

@@ -14,7 +14,9 @@ An ``Evaluator`` lifts the pure stepper into a chosen monad:
 
 * ``mon_step`` performs one monadic step on a configuration (a pure rule,
   a magic call, or do-return), looking only at the focus and its top frame,
-  so a step costs the same at any context depth;
+  so a step costs the same at any context depth; a table of up to
+  ``prefix + 1`` recent steps, emptied when full, reduces equal branches of
+  a big step once, and they share its result, which must never change;
 * ``run_magic`` gives a magic call its result straight from the monad's
   ``magic`` table, the one place a magic method gets its meaning, from the
   lookup ``mon_step`` has done;
@@ -146,6 +148,8 @@ class PrefixExceeded(Exception):
 
 
 _CLAUSE_RULES = ("catch-stop", "catch-continue", "fwd")
+# the StepInfo of every rule but mgc, built once
+_INFO = {r: StepInfo(r) for r in ("pure", *_CLAUSE_RULES, "ret")}
 
 # a run's default step bound, prefix/support bound and approximation length
 FUEL, PREFIX, APPROX = 10000, 256, 64
@@ -163,17 +167,31 @@ class Evaluator:
         self.sigs = Sigs(program)
         self.monad: Monad = get_monad(monad)
         self.prefix = prefix
+        self._steps: dict = {}  # (focus, frames) -> mon_step's result
 
     # -- stepping ------------------------------------------------------------
 
     def mon_step(self, c: EConf) -> Optional[tuple]:
         """One monadic step: (monadic value of configurations, StepInfo), or
-        None when the configuration is a normal form or stuck.
+        None when the configuration is a normal form or stuck.  A step
+        depends only on its configuration, so ``_steps`` keeps recent ones,
+        keyed on the focus and frames (hash-consed: by identity).  One big
+        step has at most ``prefix + 1`` configurations; the table holds as
+        many and is emptied when full, so no eviction order is kept."""
+        key = c.focus, c.frames
+        steps = self._steps
+        stepped = steps.get(key, steps)  # the table itself: not there
+        if stepped is steps:
+            if len(steps) > self.prefix:
+                steps.clear()
+            stepped = steps[key] = self._reduce(c)
+        return stepped
 
-        The seven pure rules are ``pure_step`` on the focus, or on the focus
-        plugged into its top frame when that is a ``try``; the method of a
-        call in focus is looked up once, here.
-        """
+    def _reduce(self, c: EConf) -> Optional[tuple]:
+        """``mon_step`` without the table.  The seven pure rules are
+        ``pure_step`` on the focus, or on the focus plugged into its top
+        frame when that is a ``try``; the method of a call in focus is
+        looked up once, here."""
         f, top = c.focus, c.frames
         found = mbody(self.sigs, f.recv, f.method) if isinstance(f, Call) \
             else None
@@ -185,7 +203,7 @@ class Evaluator:
         if ps is not None:
             e2, rule = ps
             label = rule if rule in _CLAUSE_RULES else "pure"
-            return self.monad.unit(EConf(e2, below)), StepInfo(label)
+            return self.monad.unit(EConf(e2, below)), _INFO[label]
         # under a try, a magic call or a return has taken a pure rule above
         if isinstance(found, Magic):
             mv = self.run_magic(f, found)
@@ -196,7 +214,7 @@ class Evaluator:
                     StepInfo("mgc", atom))
         if isinstance(f, Return) and top is not None:
             e2 = subst_expr(top.rest, {}, {top.var: f.value})
-            return self.monad.unit(EConf(e2, top.below)), StepInfo("ret")
+            return self.monad.unit(EConf(e2, top.below)), _INFO["ret"]
         return None
 
     def run_magic(self, call: Call, found: Magic):

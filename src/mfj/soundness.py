@@ -204,7 +204,8 @@ def check_lifted_step(checker: Checker, den: Denotation, ev: Evaluator,
                       T: Type, eff: Effect, stepped,
                       prefix: int = PREFIX) -> Verdict:
     """Monadic subject reduction for one step of a configuration of type
-    ``T ! eff``, whose result ``ev.mon_step`` is ``stepped``.
+    ``T ! eff``, whose result ``ev.mon_step`` is ``stepped`` (not None: a
+    configuration that does not step is ``check_progress``'s question).
 
     Every configuration in the step result must retype at some T' ! eff'
     with T' <= T and ehat v eff' <= eff, where ehat is the canonical
@@ -212,8 +213,6 @@ def check_lifted_step(checker: Checker, den: Denotation, ev: Evaluator,
     step must be one the monad's ``allowed`` test passes under the effect.
     The outcome of any other step is a unit, which every lifting allows.
     """
-    if stepped is None:
-        return PASS  # no step: nothing to preserve
     mv, info = stepped
     monad, ehat = ev.monad, PURE
     elems = monad.elements(mv, prefix)

@@ -16,6 +16,12 @@ It records the exit code, standard output and standard error of:
   and ``soundness --json`` and ``run --unchecked`` of every corpus file under
   every monad.
 
+It also records ``run`` and ``run --trace`` (the ``finitary`` result as
+the monad renders it, and the trace text before it) of every coin program
+of the benchmark's ``wide_nd`` seeds 1-6 under list and dist, each written
+to a file of its own name in a temporary directory; their branches meet
+equal configurations, which the corpus programs almost never do.
+
 It also records the diagnostics (``str`` and ``repr``, in order) of every
 ``check_large`` benchmark program of seeds 1-6, built by the benchmark's own
 generator, ``perfbench/gen.py``, and the ``type_conf`` typing (the ``repr``
@@ -34,6 +40,7 @@ import json
 import os
 import pathlib
 import sys
+import tempfile
 
 from conftest import perfbench_gen
 from mfj import faults
@@ -46,6 +53,7 @@ from test_memo_twin import walk
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CHECK_LARGE_SEEDS = range(1, 7)
+WIDE_ND_SEEDS = range(1, 7)
 WALK_STEPS = 200
 
 
@@ -81,6 +89,7 @@ def dump() -> dict:
             else f"[{fault}] {' '.join(argv)}"
         with faults.inject(fault) if fault else contextlib.nullcontext():
             got[key] = outcome(argv)
+    got.update(coin_outputs())
     for seed in CHECK_LARGE_SEEDS:
         for i, item in enumerate(perfbench_gen().check_large(seed)):
             diags = Checker(load_program(item.source)).check_program()
@@ -91,6 +100,25 @@ def dump() -> dict:
         for m in MONADS:
             got[f"type_conf {f.relative_to(ROOT)} --monad {m}"] = {
                 "typings": typings(prog, m)}
+    return got
+
+
+def coin_outputs() -> dict:
+    """``run`` and ``run --trace`` of each distinct ``wide_nd`` coin program,
+    with the prefix the benchmark gives it."""
+    got = {}
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        for seed in WIDE_ND_SEEDS:
+            for item in perfbench_gen().wide_nd(seed, ""):
+                if item.kind != "coins":
+                    continue
+                path = f"{item.name.split('/')[0]}.mfj"
+                with open(path, "w", encoding="utf-8") as f:
+                    f.write(item.source)
+                for argv in (["run"], ["run", "--trace"]):
+                    argv += [path, "--monad", item.monad,
+                             "--prefix", str(2 ** item.params["k"])]
+                    got[" ".join(argv)] = outcome(argv)
     return got
 
 

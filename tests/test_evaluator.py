@@ -10,7 +10,7 @@ from mfj.parser import numeral, parse_expr
 from mfj.prelude import load_program, prelude_program
 from mfj.syntax import Call
 
-from conftest import load
+from conftest import load, perfbench_gen
 
 
 @pytest.fixture(scope="module")
@@ -167,3 +167,48 @@ def test_looping_program_diverges():
         "main = do l = return L; l.m()")
     with pytest.raises(Diverged):
         Evaluator(prog, "exc").finitary(prog.main, 100)
+
+
+# -- the table of recent steps ------------------------------------------------
+
+def step_counts(monkeypatch, item) -> list:
+    """[``mon_step`` calls, steps reduced without the table] of a
+    ``finitary`` run of a benchmark item, counted by wrapping the two
+    methods."""
+    counts = [0, 0]
+
+    def counted(i, method):
+        def wrapped(self, c):
+            counts[i] += 1
+            return method(self, c)
+        return wrapped
+
+    monkeypatch.setattr(Evaluator, "mon_step",
+                        counted(0, Evaluator.mon_step))
+    monkeypatch.setattr(Evaluator, "_reduce", counted(1, Evaluator._reduce))
+    prog = load_program(item.source)
+    prefix = 2 ** item.params["k"] if item.kind == "coins" else 256
+    Evaluator(prog, item.monad, prefix).finitary(prog.main)
+    return counts
+
+
+def benchmark_item(items, name):
+    (item,) = [i for i in items if i.name == name]
+    return item
+
+
+def test_equal_branches_are_reduced_once(monkeypatch):
+    # every branch still takes its step, but most are answered from the
+    # table: the 256 branches share their prefixes' configurations
+    items = perfbench_gen().wide_nd(1, "")
+    calls, reduced = step_counts(
+        monkeypatch, benchmark_item(items, "coins8[13212222]/list"))
+    assert calls == 5321
+    assert 2 * reduced < calls
+
+
+def test_a_deep_run_reduces_every_step(monkeypatch):
+    # one branch whose configurations never recur: no step is answered
+    item = benchmark_item(perfbench_gen().deep_eval(1), "395.sum(253)/exc")
+    calls, reduced = step_counts(monkeypatch, item)
+    assert calls == reduced == 1976

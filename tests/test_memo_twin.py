@@ -14,7 +14,9 @@ while its question is open and forget the answer.  The checker's twins
 forget the ``Sigs`` memos in two groups, one twin each: with ``_sig_memo``
 and ``_decl_sig`` forgetful together, every signature lookup extracts its
 whole inheritance chain again, and checking ``CHECKED``, whose generated
-programs have long chains, takes 1.6 s instead of 0.3 s."""
+programs have long chains, takes 1.6 s instead of 0.3 s.  The evaluator's
+table of recent steps has a twin too: an evaluator whose table never hits
+must run every program to the same result, approximations and trace."""
 
 import pytest
 
@@ -192,3 +194,71 @@ def test_the_twin_runs_every_program_alike(name, monad):
     forgetful = Evaluator(prog, monad)
     forget(forgetful.sigs, SIG_GROUPS[0] + SIG_GROUPS[1])
     assert outcome(Evaluator(prog, monad), prog) == outcome(forgetful, prog)
+
+
+# -- the evaluator's table of recent steps ------------------------------------
+
+class Sized(dict):
+    """A table that records the most entries it ever held."""
+
+    most = 0
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.most = max(self.most, len(self))
+
+
+class ForgetfulSized(Sized, Forgetful):
+    """A table that stores, never hits, and records its size."""
+
+
+def stepping(prog, monad: str, prefix: int, table: Sized) -> Evaluator:
+    ev = Evaluator(prog, monad, prefix)
+    ev._steps = table
+    return ev
+
+
+def runs(ev, prog, fuel: int) -> tuple:
+    """The ``finitary`` result of ``prog`` (or why there is none), its
+    64-step approximation chain and its trace text, from one evaluator."""
+    show = ev.monad.show
+
+    def result(trace=None):
+        try:
+            mres = ev.finitary(prog.main, fuel, trace)
+            return ev.monad.render(mres, repr, ev.prefix)
+        except (Diverged, PrefixExceeded) as err:
+            return repr(err)
+
+    lines = []
+    traced = result(lambda line: lines.append(line.render(len(lines) + 1)))
+    chain = [show(m, ev.prefix) for m in ev.approx_chain(prog.main, 64)]
+    return result(), chain, traced, lines
+
+
+# the coin programs of the benchmark's wide_nd seeds 1-3, each once (two
+# seeds may order the same weights)
+COINS = {item.name: (item.source, item.monad, 2 ** item.params["k"])
+         for seed in (1, 2, 3)
+         for item in perfbench_gen().wide_nd(seed, "")
+         if item.kind == "coins"}
+STEPPED = [(f"{name}/{m}", load(name), m, 256, 300) for name, m in WALKS
+           if name != "outer_frames"] + [
+    (name, load_program(src), m, prefix, 10000)
+    for name, (src, m, prefix) in COINS.items()]
+
+
+@pytest.mark.parametrize("name, prog, monad, prefix, fuel", STEPPED,
+                         ids=[s[0] for s in STEPPED])
+def test_the_step_table_twin_runs_every_program_alike(name, prog, monad,
+                                                      prefix, fuel):
+    """An evaluator whose table of recent steps never hits reduces every
+    configuration it steps; the real one must give the same results,
+    approximations and trace, and neither table may outgrow ``prefix + 1``
+    entries."""
+    real, twin_table = Sized(), ForgetfulSized()
+    expected = runs(stepping(prog, monad, prefix, real), prog, fuel)
+    assert runs(stepping(prog, monad, prefix, twin_table), prog, fuel) \
+        == expected
+    assert 0 < real.most <= prefix + 1
+    assert 0 < twin_table.most <= prefix + 1

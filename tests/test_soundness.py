@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from mfj.cli import main as cli_main
-from mfj.evaluator import EConf, Evaluator, VRes, WRONG
+from mfj.evaluator import EConf, Evaluator, StepInfo, VRes, WRONG
 from mfj.monads import (
     MONADS, Dist, LazyList, ListMonad, Pure, Raised, get_monad,
 )
@@ -262,6 +262,41 @@ def test_lifted_step_rejects_a_disallowed_raise(ck, den, ev):
     c = EConf(parse_expr("Exception.throw[Nat]()"))
     v = check_lifted_step(ck, den, ev, NAT, PURE, ev.mon_step(c))
     assert not v and "not allowed" in v.witness
+
+
+# hand-built step results: the evaluator's own steps of well-typed programs
+# never give these, so each verdict is reached with a step it could not take
+
+def pure_step_to(ev, src):
+    return ev.monad.unit(EConf(parse_expr(src))), StepInfo("pure")
+
+
+def test_lifted_step_rejects_an_outcome_the_effect_does_not_allow(ck, den, ev):
+    eff = parse_effect("Exception.throw[Nat]")
+    (atom,) = eff.atoms
+    # the call-effect allows the step, but it raises Fail, not E or MyE
+    v = check_lifted_step(ck, den, ev, NAT, eff,
+                          (Raised("Fail"), StepInfo("mgc", atom)))
+    assert not v and "magic step outcome Raised(Fail)" in v.witness
+
+
+@pytest.mark.parametrize("src, T, eff, witness", [
+    ("return True", NAT, PURE, "step result type"),
+    ("return Nope{}", NAT, PURE, "is ill-typed"),
+    ("Exception.throw[Nat]()", NAT, PURE, "step effect"),
+])
+def test_lifted_step_rejects_a_result_that_does_not_retype(ck, den, ev, src, T,
+                                                          eff, witness):
+    v = check_lifted_step(ck, den, ev, T, eff, pure_step_to(ev, src))
+    assert not v and witness in v.witness
+    assert check_lifted_step(ck, den, ev, T, TOP, pure_step_to(ev, "return 0"))
+
+
+def test_an_ill_typed_result_value_is_not_typed(ck, den):
+    itp = interps_for("exc", den)[0]
+    bad = Pure(VRes(parse_expr("return Nope{}").value))
+    assert not type_monadic_result(ck, itp, bad, NAT, PURE)
+    assert type_monadic_result(ck, itp, Pure(VRes(numeral(0))), NAT, PURE)
 
 
 # -- interpretation laws ------------------------------------------------------

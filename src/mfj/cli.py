@@ -159,7 +159,7 @@ def _run(args) -> int:
 
     prog = _load(args.files[0], not args.no_prelude)
     if prog.main is None:
-        print("mfj run: program has no main expression", file=sys.stderr)
+        print(f"mfj run: {args.files[0]}: no main expression", file=sys.stderr)
         return 2
     if not args.unchecked:
         diags = Checker(prog).check_program()

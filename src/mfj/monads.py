@@ -199,17 +199,17 @@ DIST_BOTTOM = Dist({})
 
 
 class Monad:
+    """Each subclass defines ``unit``, ``bind``, ``bottom``, ``elements``
+    (the observed elements of ``m``, prefix- or support-limited), ``render``
+    (``m`` as a result, each element rendered by ``show_elem``) and
+    ``law_samples`` (monadic values over ``X`` for the laws); the other
+    hooks have defaults here."""
+
     name: str
     # the predicate liftings it has, forall first
     quantifiers: tuple = ("forall", "exists")
     # magic method -> (name of the type it is found through -> monadic value)
     magic: dict = {}
-
-    def unit(self, x):
-        raise NotImplementedError
-
-    def bind(self, m, f):
-        raise NotImplementedError
 
     def map_m(self, f, m):
         """Functorial action; by default bind-derived."""
@@ -221,9 +221,6 @@ class Monad:
         unit = self.unit
         return self.bind(m, lambda x: unit(x) if isinstance(x, done) else f(x))
 
-    def bottom(self):
-        raise NotImplementedError
-
     def is_bottom(self, m) -> bool:
         """Is ``m`` the least element (no result, not even a partial one)?"""
         return m == self.bottom()
@@ -232,10 +229,6 @@ class Monad:
         """The order: by default flat, bottom below every other value."""
         return a == b or self.is_bottom(a)
 
-    def elements(self, m, bound: int) -> list:
-        """The observed elements of ``m`` (prefix/support-limited)."""
-        raise NotImplementedError
-
     def force(self, m, bound: int) -> None:
         """Do now the work that observing ``m`` up to ``bound`` would do."""
 
@@ -243,18 +236,10 @@ class Monad:
         """``m`` as one line of a trace."""
         return repr(m)
 
-    def render(self, m, show_elem: Callable, bound: int) -> str:
-        """``m`` as a result, each element rendered by ``show_elem``."""
-        raise NotImplementedError
-
     def allowed(self, den, eff) -> Optional[Callable]:
         """``(m, elements) -> bool``: does ``eff`` allow what ``m`` is beyond
         its ``elements``?  None: every outcome is allowed."""
         return None
-
-    def law_samples(self, X) -> list:
-        """Monadic values over ``X`` that the laws are checked on."""
-        raise NotImplementedError
 
     def outer_samples(self, samples) -> list:
         """Outer values for the multiplication law, besides units."""

@@ -847,27 +847,32 @@ def alpha_eq_mtype(a: MethodType, b: MethodType) -> bool:
 _ZERO = (NominalType("Zero"),)
 _SUCC = (NominalType("Succ"),)
 _PRED_T = MethodType((), (), nominal("Nat"), PURE)
+_TOWER = [Obj(_ZERO)]  # numeral(k) is _TOWER[k]
+object.__setattr__(_TOWER[0], "_free", CLOSED)
+object.__setattr__(_TOWER[0], "_numeral", 0)
 
 
 def numeral(n: int) -> Obj:
     """The n-hat encoding, built exactly the way ``Nat.succ`` builds values.
 
-    Each level's new nodes are marked closed, and the level with its value,
-    as they are built, so that neither ``free`` nor ``numeral_value`` walks
-    a tower built here."""
+    The levels built so far are kept, in order, in one list, so a numeral
+    already built is read by its index and a larger one is built only above
+    the top.  Each level's new nodes are marked closed, and the level with
+    its value, as they are built, so that neither ``free`` nor
+    ``numeral_value`` walks a tower built here."""
+    if n < 0:
+        raise ValueError(f"no numeral for {n}")
     mark = object.__setattr__
-    v = Obj(_ZERO)
-    mark(v, "_free", CLOSED)
-    mark(v, "_numeral", 0)
-    for k in range(1, n + 1):
-        r = Return(v)
+    while len(_TOWER) <= n:
+        r = Return(_TOWER[-1])
         md = MethodDef("pred", DEF, _PRED_T, "_", (), r)
         v = Obj(_SUCC, (md,))
         mark(r, "_free", CLOSED)
         mark(md, "_free", CLOSED)
         mark(v, "_free", CLOSED)
-        mark(v, "_numeral", k)
-    return v
+        mark(v, "_numeral", len(_TOWER))
+        _TOWER.append(v)
+    return _TOWER[n]
 
 
 def numeral_value(v: Value) -> Optional[int]:

@@ -4,6 +4,8 @@ A ``Checker`` is a per-program session: it owns a ``Sigs`` context and one
 typing memo, keyed on the typing shape (``syntax.tshape``) of a term or frame
 chain plus the environment restricted to its free names and the bounds they
 reach.  It keeps only successes, so a term that fails is typed as itself.
+Only the prelude's diagnostics outlive it: ``check_program`` checks the
+prelude once per process and seeded fault.
 A closed value is typed after the closed objects inside it, so typing
 recurses only as deep as the source nests.
 All judgments are syntax-directed functions; there is no subsumption rule,
@@ -20,6 +22,7 @@ from . import faults
 from .effects import ClauseFilter, HandlerFilter, apply_filter, simplify
 from .evaluator import TryFrame
 from .parser import pretty
+from .prelude import prelude_program
 from .signatures import SigError, Sigs
 from .syntax import (
     ABS, CLOSED, COLLAPSED, CONTINUE, DEF, EMPTY_SIG, MGC, OBJECT, PURE, STOP,
@@ -39,6 +42,11 @@ class TypecheckError(Exception):
 
 def _sig_error(e: SigError, rule: str) -> TypecheckError:
     return TypecheckError(type(e).__name__, rule, str(e))
+
+
+# ``faults.ACTIVE`` -> the prelude's diagnostics, filled by the first
+# ``check_program`` under those faults of a program that begins with them
+_PRELUDE_DIAGS: dict = {}
 
 
 class Checker:
@@ -383,14 +391,27 @@ class Checker:
 
     def check_program(self) -> list:
         """All diagnostics (``TypecheckError``s, without the frames they were
-        raised through) for the program; empty list means well-typed."""
-        diags: list = []
+        raised through) for the program; empty list means well-typed.
+
+        A program that begins with the prelude's declarations reads their
+        diagnostics from a full check of ``prelude_program()``, made once per
+        seeded fault: they name only prelude types, no program redeclares
+        one, and none has a ``try``, so none reaches ``_join``, which reads
+        every declaration of the program."""
+        prelude, decls = prelude_program(), self.program.decls
+        n, diags = len(prelude.decls), []
+        if self.program is not prelude and decls[:n] == prelude.decls:
+            done = _PRELUDE_DIAGS.get(faults.ACTIVE)
+            if done is None:
+                done = _PRELUDE_DIAGS[faults.ACTIVE] = tuple(
+                    Checker(prelude).check_program())
+            diags, decls = list(done), decls[n:]
 
         def caught(e: TypecheckError):
             e.__context__ = None
             diags.append(e.with_traceback(None))
 
-        for decl in self.program.decls:
+        for decl in decls:
             try:
                 self.sigs.decl_sig(decl.name)
             except SigError as e:

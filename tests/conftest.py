@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from mfj.prelude import load_program
+from mfj import typer
+from mfj.prelude import load_program, prelude_program
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -31,8 +32,22 @@ def load(name: str):
     return load_program(corpus_text(name))
 
 
+@pytest.fixture(autouse=True)
+def prelude_checked_afresh(request):
+    """Around a test that monkeypatches, the prelude's cached diagnostics
+    are cleared: before it, and then checked again unpatched, so that every
+    such test starts with the prelude checked as a whole run leaves it;
+    after it, so that nothing checked under its patches reaches another
+    test."""
+    if "monkeypatch" not in request.fixturenames:
+        yield
+        return
+    typer._PRELUDE_DIAGS.clear()
+    typer.Checker(load_program("")).check_program()
+    yield
+    typer._PRELUDE_DIAGS.clear()
+
+
 @pytest.fixture
 def prelude():
-    from mfj.prelude import prelude_program
-
     return prelude_program()

@@ -275,3 +275,10 @@ def test_fault_swap_list_bind_breaks_list_order():
 
 def test_all_faults_are_off_by_default():
     assert faults.ACTIVE == faults.Faults()
+
+
+def test_an_unknown_fault_is_refused_and_changes_nothing():
+    with pytest.raises(ValueError, match="^unknown fault 'no_such_fault'$"):
+        with faults.inject("no_such_fault"):
+            pass
+    assert faults.ACTIVE == faults.Faults()

@@ -280,6 +280,16 @@ def test_soundness_reports_an_exceeded_prefix(capsys):
                    "raise --prefix\n")
 
 
+@pytest.mark.parametrize("cmd", ["run", "soundness"])
+def test_a_program_without_main_is_refused_with_its_name(capsys, tmp_path,
+                                                         cmd):
+    path = tmp_path / "no_main.mfj"
+    path.write_text("My { m : def -> Nat ! pure <_, return 0> }\n")
+    code, out, err = mfj(capsys, cmd, path)
+    assert code == 2 and out == ""
+    assert err == f"mfj {cmd}: {path}: no main expression\n"
+
+
 # -- parse --------------------------------------------------------------------
 
 def test_parse_prints_a_reparsable_program(capsys):

@@ -16,12 +16,19 @@ and ``_decl_sig`` forgetful together, every signature lookup extracts its
 whole inheritance chain again, and checking ``CHECKED``, whose generated
 programs have long chains, takes 1.6 s instead of 0.3 s.  The evaluator's
 table of recent steps has a twin too: an evaluator whose table never hits
-must run every program to the same result, approximations and trace."""
+must run every program to the same result, approximations and trace.  So
+does the prelude's diagnostics cache: a check that reads it must give the
+diagnostics of a check of every declaration, under every seeded fault."""
+
+import contextlib
+import functools
 
 import pytest
 
+from mfj import faults, typer
 from mfj.evaluator import Diverged, EConf, Evaluator, PrefixExceeded
-from mfj.prelude import load_program
+from mfj.prelude import load_program, prelude_program
+from mfj.syntax import Program
 from mfj.typer import Checker, TypecheckError
 
 from conftest import CORPUS, load, perfbench_gen
@@ -113,15 +120,54 @@ CHECKED = [(f.stem, f.read_text()) for f in sorted(CORPUS.glob("*.mfj"))] + [
     (f"check_large-{seed}-{i}", item.source)
     for seed in (1, 2, 3)
     for i, item in enumerate(perfbench_gen().check_large(seed))] + [
-    ("bounds", BOUNDS), ("two_args", TWO_ARGS)]
+    ("bounds", BOUNDS), ("two_args", TWO_ARGS), ("prelude", None)]
+
+
+# the ``check_large`` programs are parsed once for the two tests that check
+# them
+load_once = functools.cache(load_program)
 
 
 @pytest.mark.parametrize("name, src", CHECKED, ids=[n for n, _ in CHECKED])
 def test_the_twin_gives_the_same_diagnostics(name, src):
-    prog = load_program(src)
+    # every other program reads the prelude's diagnostics from the cache,
+    # so the prelude is a case of its own, and its check types every body
+    prog = prelude_program() if src is None else load_once(src)
     expected = diagnostics(Checker(prog))
     for group in SIG_GROUPS:
         assert diagnostics(twin(prog, group)) == expected, group
+
+
+def shown(diags) -> list:
+    return [(str(d), repr(d)) for d in diags]
+
+
+def cached_and_bypassed(prog, monkeypatch) -> tuple:
+    """The diagnostics of ``prog`` with the prelude's read from the cache,
+    and with every declaration checked, as if the prelude had none."""
+    cached = shown(Checker(prog).check_program())
+    with monkeypatch.context() as m:
+        m.setattr(typer, "prelude_program", lambda: Program(()))
+        return cached, shown(Checker(prog).check_program())
+
+
+@pytest.mark.parametrize("fault", [None, *faults.NAMES])
+def test_the_prelude_cache_gives_every_corpus_diagnostic(fault, monkeypatch):
+    with faults.inject(fault) if fault else contextlib.nullcontext():
+        for f in sorted(CORPUS.glob("*.mfj")):
+            cached, bypassed = cached_and_bypassed(
+                load_program(f.read_text()), monkeypatch)
+            assert cached == bypassed, f.stem
+
+
+@pytest.mark.parametrize("seed", range(1, 7))
+def test_the_prelude_cache_gives_every_check_large_diagnostic(seed,
+                                                              monkeypatch):
+    for item in perfbench_gen().check_large(seed):
+        cached, bypassed = cached_and_bypassed(load_once(item.source),
+                                               monkeypatch)
+        assert cached == bypassed, item.label
+        assert bool(cached) == bool(item.expect), item.label
 
 
 def typing_or_error(type_of, arg):

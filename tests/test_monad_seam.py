@@ -97,6 +97,17 @@ def test_a_monad_lifts_only_through_allowed(name):
     assert own.isdisjoint({"forall", "exists", "raise_witness"})
 
 
+HOOKS = ("unit", "bind", "bottom", "elements", "render", "law_samples")
+
+
+@pytest.mark.parametrize("name", sorted(MONADS))
+def test_a_monad_defines_the_hooks_that_have_no_default(name):
+    # ``Monad`` gives these six no body, so each monad defines them itself
+    mine = vars(type(MONADS[name]))
+    assert [h for h in HOOKS if not callable(mine.get(h))] == []
+    assert not any(hasattr(Monad, h) for h in HOOKS)
+
+
 # -- a fifth monad: counting writer ------------------------------------------
 
 @dataclass(frozen=True)

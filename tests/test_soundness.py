@@ -368,7 +368,7 @@ def test_the_monitor_types_each_configuration_through_the_memo(monkeypatch,
     # step's result and again when popped, and the memo answers the second,
     # so the expressions typed stay those of the walk's distinct terms
     assert len(typed) == 230 and max(typed.values()) <= 2
-    assert exprs["calls"] == 59
+    assert exprs["calls"] == 46
     assert rep.summary() == "5 checks, 0 failures"
     assert [(r.check, r.witness) for r in rep.records] == [
         ("per-step", "200 steps monitored"),
@@ -398,6 +398,11 @@ def test_check_soundness_rejects_ill_typed_programs():
     with pytest.raises(IllTypedProgram) as e:
         check_soundness(load("bad_override"), "exc")
     assert e.value.diags
+
+
+def test_check_soundness_refuses_a_program_without_main():
+    with pytest.raises(ValueError, match="^program has no main expression$"):
+        check_soundness(prelude_program(), "exc")
 
 
 class ChooseZeroListMonad(ListMonad):

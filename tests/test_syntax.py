@@ -18,11 +18,11 @@ from mfj.evaluator import Diverged, Evaluator
 from mfj.parser import numeral, parse_expr, pretty
 from mfj.prelude import prelude_program
 from mfj.syntax import (
-    ABS, DEF, OBJECT, PURE, TOP,
+    ABS, CLOSED, DEF, OBJECT, PURE, TOP,
     Call, Do, EffCall, MethodDef, MethodType, NominalType, Obj, ObjType,
     Program, Return, Sig, TypeDecl, TypeVar, Var, align_binders,
     alpha_eq_mtype, eff_of, eff_union, erase_type, free, nominal,
-    open_binders, subst, subst_expr,
+    numeral_value, open_binders, subst, subst_expr,
 )
 from reference_free import reference_free
 from reference_pretty import reference_pretty
@@ -230,6 +230,20 @@ def test_ftv_collects_type_arguments():
     e = parse_expr("x.m[Y](z)", tvars=("Y",))
     assert free(e)[1] == {"Y"}
     assert free(nominal("Failure", TypeVar("Y")))[1] == {"Y"}
+
+
+def test_a_numeral_below_the_tallest_built_is_read_not_built(monkeypatch):
+    top = numeral(500)
+    with monkeypatch.context() as m:
+        m.setattr(syntax, "Obj", None)  # building a level would fail
+        read = [numeral(k) for k in range(500, -1, -1)]
+    assert read[0] is top
+    v = top
+    for k, w in zip(range(500, -1, -1), read):  # the levels, in order
+        assert w is v and numeral_value(v) == k and free(v) is CLOSED
+        v = v.methods[0].body.value if k else v
+    with pytest.raises(ValueError, match="^no numeral for -1$"):
+        numeral(-1)
 
 
 def test_numerals_are_closed():

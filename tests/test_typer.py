@@ -14,8 +14,9 @@ from mfj.parser import (
 from mfj.prelude import load_program, prelude_program
 from mfj.evaluator import Evaluator
 from mfj.syntax import (
-    COLLAPSED, MGC, OBJECT, PURE, TOP,
-    MethodDef, MethodType, Obj, TypeVar, erase_type, nominal, tshape,
+    COLLAPSED, DEF, MGC, OBJECT, PURE, TOP,
+    MethodDef, MethodType, NominalType, Obj, Try, TypeVar, erase_type,
+    nominal, tshape,
 )
 from mfj.typer import Checker, TypecheckError
 
@@ -633,3 +634,75 @@ def test_a_lookalike_keeps_its_shape(base, levels):
     shape = parse_expr(f"return {over(base.replace('4', '3'), levels)}").value
     assert tshape(v) is shape
     assert (shape is v) == ("4" not in base)
+
+
+# -- the prelude is checked once per process (and per seeded fault) -----------
+
+def test_the_prelude_names_only_itself_and_has_no_try():
+    # what makes its diagnostics the same in every program: its bodies
+    # mention only prelude types, and none reaches ``_join``, which reads
+    # every declaration of the program, since none has a ``try``
+    prelude = prelude_program()
+    names = {d.name for d in prelude.decls}
+    seen, todo = set(), list(prelude.decls)
+    while todo:
+        n = todo.pop()
+        if n not in seen:
+            seen.add(n)
+            assert not isinstance(n, Try)
+            assert not isinstance(n, NominalType) or n.name in names
+            todo += [k for kids in n._kids() for k in kids]
+    assert len(seen) > 100
+
+
+def body_typings(monkeypatch) -> list:
+    """The self types of the bodies ``Checker._type_body`` types from now on."""
+    calls = []
+    real = Checker._type_body
+
+    def counted(self, phi, gamma, m, mt, names, self_t, fits=None):
+        calls.append(self_t)
+        return real(self, phi, gamma, m, mt, names, self_t, fits)
+
+    monkeypatch.setattr(Checker, "_type_body", counted)
+    return calls
+
+
+def test_a_program_reads_the_prelude_diagnostics_of_its_fault(monkeypatch):
+    prog = load_program("My { m : def -> Nat ! pure <_, return 0> } "
+                        "main = My{}.m()")
+    calls = body_typings(monkeypatch)
+    assert Checker(prog).check_program() == []
+    assert calls == [parse_type("My")]  # the prelude is checked already
+    for name in faults.NAMES:
+        with faults.inject(name):
+            calls.clear()
+            assert Checker(prog).check_program() == []
+            # checked again under the fault, once
+            assert parse_type("True") in calls
+            calls.clear()
+            Checker(prog).check_program()
+            assert calls == [parse_type("My")]
+    # the prelude itself is checked in full every time
+    full = []
+    for _ in range(2):
+        calls.clear()
+        assert Checker(prelude_program()).check_program() == []
+        full.append(list(calls))
+    defs = [d for d in prelude_program().decls for md in d.methods
+            if md.kind == DEF]
+    assert full[0] == full[1] and len(full[0]) >= len(defs) == 9
+
+
+def test_a_check_that_raises_caches_nothing(monkeypatch):
+    prog = load_program("main = return 0")
+
+    def broken(*args):
+        raise RuntimeError("patched")
+
+    typer._PRELUDE_DIAGS.clear()
+    monkeypatch.setattr(Checker, "_type_body", broken)
+    with pytest.raises(RuntimeError):
+        Checker(prog).check_program()
+    monkeypatch.undo()
+    assert Checker(prog).check_program() == []

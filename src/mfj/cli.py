@@ -12,9 +12,9 @@ Exit codes: 0 success, 1 parse error (a numeral above
 option the subcommand does not read, ``--trace`` or ``--fuel`` with ``run
 --approx``, a negative N or K), a file that is missing or cannot be read as
 UTF-8, precondition error (among them more branches than ``--prefix`` and a
-free variable under ``run --unchecked``), or, under any subcommand, source
-nested too deeply for the recursive parser or typer ("term too deep"; a
-numeral, however large, is never too deep).
+free variable under ``run --unchecked``), or, under check, run and
+soundness, source nested too deeply for the recursive typer ("term too
+deep"; a numeral, however large, is never too deep).
 ``run --trace`` prints each step as it is taken; with ``--json`` it prints
 JSON lines, one per step, then the result.
 ``--no-prelude`` (check, run, soundness) drops the standard prelude.
@@ -95,8 +95,9 @@ def _load(path: str, use_prelude: bool):
 
 @contextlib.contextmanager
 def _depth_guard(path: str):
-    """Raise the recursion limit for the parser and ``type_expr`` on
-    ``path``, and turn running out of it into exit 2."""
+    """Raise the recursion limit for ``type_expr`` and substitution plans,
+    which recurse on the source nesting of ``path``, and turn running out of
+    it into exit 2.  Parsing and printing need no raised limit."""
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, 100_000))
     try:
@@ -233,9 +234,9 @@ def cmd_soundness(args) -> int:
 
 def cmd_parse(args) -> int:
     for path in args.files:
-        # parse the file alone (no prelude): the output should re-parse
-        with _depth_guard(path):
-            print(pretty(_load(path, False)), end="")
+        # parse the file alone (no prelude): the output should re-parse;
+        # neither parsing nor printing recurses on source nesting
+        print(pretty(_load(path, False)), end="")
     return 0
 
 

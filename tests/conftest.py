@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import pathlib
 import sys
@@ -25,6 +26,11 @@ def perfbench_gen():
         gen = sys.modules["perfbench_gen"] = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(gen)
     return gen
+
+
+# the ``check_large`` programs are parsed once for the tests that check them
+# or compare their parse with the reference parser's
+load_once = functools.cache(load_program)
 
 
 def load(name: str):

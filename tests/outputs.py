@@ -29,6 +29,12 @@ of the type and of the effect, or the diagnostic) of every configuration
 along the first ``WALK_STEPS`` steps of a monitored walk of every corpus
 program under every monad, so that the typing memos are compared directly.
 
+For the parser it records ``parse`` of every ``check_large`` program of
+seeds 1-6 (each written to a file of its own name in a temporary
+directory), and the outcome of ``parse_program`` (the ``ParseError`` text,
+or the printed program) of each corpus file with one of its tokens deleted,
+for every token, so that the parser's error paths are compared too.
+
 Commands run in-process, in this order, with paths relative to the
 repository root, so the output does not depend on where the checkout is.
 Not a test module: pytest does not collect it.
@@ -46,9 +52,11 @@ from conftest import perfbench_gen
 from mfj import faults
 from mfj.cli import main
 from mfj.monads import MONADS
+from mfj.parser import ParseError, parse_program, pretty
 from mfj.prelude import load_program
 from mfj.typer import Checker, TypecheckError
 
+from reference_tokenizer import token_spans
 from test_memo_twin import walk
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -90,6 +98,7 @@ def dump() -> dict:
         with faults.inject(fault) if fault else contextlib.nullcontext():
             got[key] = outcome(argv)
     got.update(coin_outputs())
+    got.update(parser_outputs())
     for seed in CHECK_LARGE_SEEDS:
         for i, item in enumerate(perfbench_gen().check_large(seed)):
             diags = Checker(load_program(item.source)).check_program()
@@ -122,6 +131,29 @@ def coin_outputs() -> dict:
     return got
 
 
+def parser_outputs() -> dict:
+    """``parse`` of each ``check_large`` program, and what each corpus file
+    with one token deleted parses to."""
+    got = {}
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        for seed in CHECK_LARGE_SEEDS:
+            for i, item in enumerate(perfbench_gen().check_large(seed)):
+                path = f"check_large-{seed}-{i}.mfj"
+                with open(path, "w", encoding="utf-8") as f:
+                    f.write(item.source)
+                got[f"parse {path} {item.name}"] = outcome(["parse", path])
+    for f in sorted((ROOT / "corpus").glob("*.mfj")):
+        text = f.read_text()
+        for n, (i, j) in enumerate(token_spans(text)):
+            try:
+                parsed = pretty(parse_program(text[:i] + text[j:]))
+            except ParseError as e:
+                parsed = str(e)
+            got[f"parse {f.relative_to(ROOT)} without token {n}"] = {
+                "parse": parsed}
+    return got
+
+
 def typings(prog, monad: str) -> list:
     """The ``type_conf`` typing of each configuration along the walk."""
     ck, out = Checker(prog), []
@@ -144,7 +176,7 @@ def compare(a: dict, b: dict, shown: int = 10) -> list:
             lines.append(f"{k}: only in {'B' if k not in a else 'A'}")
         else:
             parts = [p for p in ("code", "stdout", "stderr", "diagnostics",
-                                 "typings")
+                                 "typings", "parse")
                      if a[k].get(p) != b[k].get(p)]
             lines.append(f"{k}: {', '.join(parts)} differ")
     if keys:

@@ -3,9 +3,9 @@ with a single pattern and computed positions on demand.
 
 It walks the text one token or whitespace run at a time and records each
 token's line and column as it goes.  ``parser.tokenize`` must give the same
-``(kind, text)`` sequence and ``parser.Parser`` the same positions, and both
-must raise the same ``ParseError`` text; ``test_tokenizer.py`` checks that
-they do.
+``(kind, text)`` sequence and ``parser._token_line_col`` the same positions,
+and both must raise the same ``ParseError`` text; ``test_tokenizer.py``
+checks that they do.
 """
 
 import re
@@ -66,3 +66,13 @@ def reference_tokenize(text: str):
         toks.append(Token(kind, txt, line, col))
     toks.append(Token("eof", "", line, pos - linestart + 1))
     return toks
+
+
+def token_spans(text: str):
+    """The ``(start, end)`` of each token of ``text``, which must tokenize."""
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m.lastgroup != "ws":
+            yield m.span()
+        pos = m.end()

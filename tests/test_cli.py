@@ -305,16 +305,24 @@ def test_parse_of_the_simplest_program(capsys):
     assert out == "main = True.not()\n"
 
 
-def test_parse_of_a_term_too_deep_is_a_clean_diagnostic(tmp_path):
-    # in a child process, so that a C stack overflow cannot take pytest down
+def test_parse_prints_a_term_too_deep_to_check(tmp_path):
+    # in child processes, so that a C stack overflow cannot take pytest
+    # down: the parser and the printer keep their own stacks, so ``parse``
+    # prints the chain, while ``type_expr`` recurses on it, so ``check``
+    # runs out of the raised recursion limit and exits 2
     n = 110000
     src = tmp_path / "deep.mfj"
-    src.write_text("main = " + "do x = " * n + "return 0" + "; return x" * n)
+    text = "main = " + "do x = " * n + "return 0" + "; return x" * n
+    src.write_text(text)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run([sys.executable, "-m", "mfj", "parse", str(src)],
-                          env=env, capture_output=True, text=True, timeout=120)
-    assert (done.returncode, done.stdout) == (2, "")
-    assert done.stderr == f"mfj: {src}: term too deep\n"
+    done = {cmd: subprocess.run([sys.executable, "-m", "mfj", cmd, str(src)],
+                                env=env, capture_output=True, text=True,
+                                timeout=120)
+            for cmd in ("parse", "check")}
+    assert (done["parse"].returncode, done["parse"].stderr) == (0, "")
+    assert done["parse"].stdout == text + "\n"
+    assert (done["check"].returncode, done["check"].stdout) == (2, "")
+    assert done["check"].stderr == f"mfj: {src}: term too deep\n"
 
 
 @pytest.mark.parametrize("cmd", ["check", "run", "soundness", "parse"])
@@ -353,6 +361,31 @@ def test_a_duplicate_type_declaration_is_a_parse_error(capsys, tmp_path, cmd,
         "A": f"mfj: {path}: parse error: 2:1: duplicate type declaration A\n",
         "Nat": f"mfj: {path}: parse error: type Nat is already declared by "
                "the prelude\n"}[name]
+
+
+# a name repeated in one binder group, and where it is reported; these
+# checked ``ok`` (and the first ran to 2) while a binder group could repeat
+# a name
+REPEATED = {
+    "parameter": ("A { m : def Nat Nat -> Nat ! pure <_ x x, return x> }\n"
+                  "main = A.m(1, 2)\n", "1:40: duplicate variable x"),
+    "declaration type parameter": (
+        "A[X X] { }\nmain = return 0\n", "1:5: duplicate type parameter X"),
+    "method type parameter": (
+        "A { m : def [X X] -> Nat ! pure <_, return 0> }\nmain = A.m[Nat Nat]()\n",
+        "1:16: duplicate type parameter X"),
+}
+
+
+@pytest.mark.parametrize("cmd", ["parse", "check", "run"])
+@pytest.mark.parametrize("name", sorted(REPEATED))
+def test_a_repeated_binder_name_is_a_parse_error(capsys, tmp_path, cmd, name):
+    src, msg = REPEATED[name]
+    path = tmp_path / "repeated.mfj"
+    path.write_text(src)
+    code, out, err = mfj(capsys, cmd, path)
+    assert (code, out) == (1, "")
+    assert err == f"mfj: {path}: parse error: {msg}\n"
 
 
 @pytest.mark.parametrize("methods, where, dupes", [

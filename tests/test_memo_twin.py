@@ -21,7 +21,6 @@ does the prelude's diagnostics cache: a check that reads it must give the
 diagnostics of a check of every declaration, under every seeded fault."""
 
 import contextlib
-import functools
 
 import pytest
 
@@ -31,7 +30,7 @@ from mfj.prelude import load_program, prelude_program
 from mfj.syntax import Program
 from mfj.typer import Checker, TypecheckError
 
-from conftest import CORPUS, load, perfbench_gen
+from conftest import CORPUS, load, load_once, perfbench_gen
 from test_acceptance import APPLICABLE
 
 MEMOS = ("_memo",)
@@ -122,10 +121,6 @@ CHECKED = [(f.stem, f.read_text()) for f in sorted(CORPUS.glob("*.mfj"))] + [
     for i, item in enumerate(perfbench_gen().check_large(seed))] + [
     ("bounds", BOUNDS), ("two_args", TWO_ARGS), ("prelude", None)]
 
-
-# the ``check_large`` programs are parsed once for the two tests that check
-# them
-load_once = functools.cache(load_program)
 
 
 @pytest.mark.parametrize("name, src", CHECKED, ids=[n for n, _ in CHECKED])

@@ -206,6 +206,16 @@ def test_dist_drops_zero_weights():
     assert d.total() == Fraction(1, 2)
 
 
+def test_equal_distributions_hash_alike():
+    # ``==`` compares weights as a mapping, so their order must not reach
+    # the hash either
+    a = Dist([(1, Fraction(1, 2)), (2, Fraction(1, 4))])
+    b = Dist([(2, Fraction(1, 4)), (1, Fraction(1, 2))])
+    assert a.weights != b.weights
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
 def test_dist_bind_merges_outcomes():
     monad = get_monad("dist")
     coin = Dist({0: Fraction(1, 2), 1: Fraction(1, 2)})

@@ -1,10 +1,15 @@
 """Concrete syntax: tokenizing, parsing, sugar, and pretty-printing.
 
 The central property is that ``parse(pretty(p)) == p`` for every program we
-ship, so the printer is a faithful serialization.
+ship, so the printer is a faithful serialization.  The parser must also
+agree with ``reference_parser``, the recursive-descent parser it replaced:
+the same node, or the same ``ParseError`` text, on every input.
 """
 
+import sys
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mfj import syntax
 from mfj.evaluator import Evaluator
@@ -12,14 +17,16 @@ from mfj.parser import (
     MAX_NUMERAL, ParseError, numeral, numeral_value, parse_effect, parse_expr,
     parse_program, parse_type, pretty, string_object,
 )
-from mfj.prelude import prelude_program
+from mfj.prelude import PRELUDE_TEXT, load_program, prelude_program
 from mfj.syntax import (
     DEF, OBJECT, PURE, TOP,
-    Call, Do, EffCall, MethodDef, MethodType, NominalType, Obj, Return, Try,
+    Call, EffCall, MethodDef, MethodType, NominalType, Obj, Program, Return,
     TypeVar, Var, eff_of, nominal,
 )
 
-from conftest import CORPUS
+import reference_parser
+from conftest import CORPUS, load_once, perfbench_gen
+from reference_tokenizer import token_spans
 
 CORPUS_FILES = sorted(f.name for f in CORPUS.glob("*.mfj"))
 
@@ -34,6 +41,24 @@ def test_corpus_round_trips(fname):
 def test_prelude_round_trips():
     prog = prelude_program()
     assert parse_program(pretty(prog)) == prog
+
+
+@pytest.mark.parametrize("parse, src, printed", [
+    # two or more parents print before a body, even an empty one
+    (parse_expr, "return A B {}", "return A B{}"),
+    (parse_type, "Nat{ succ : def -> Nat ! pure }", "Nat{succ : def -> Nat ! pure}"),
+    (parse_expr, "try x.m() with Exception.throw stop",
+     "try x.m() with Exception.throw stop final <x, return x>"),
+], ids=["two parents, no methods", "signature entries", "defaulted clause"])
+def test_a_printed_node_parses_back(parse, src, printed):
+    node = parse(src)
+    assert pretty(node) == printed
+    assert parse(printed) is node
+
+
+def test_only_a_node_prints():
+    with pytest.raises(TypeError, match="cannot print a object"):
+        pretty(object())
 
 
 def test_a_deep_value_prints_at_the_default_recursion_limit():
@@ -219,6 +244,8 @@ def test_parse_error_carries_position():
     ("A {\n\tm : def -> Nat\n}", "3:1: def method 'm' needs a body"),
     ("main = return 0\n  A", "2:3: expected 'eof', found 'A'"),
     ("Main = 1", "1:6: expected '{', found '='"),
+    ("main = try x.m() with Object.throw stop",
+     "1:29: a clause names a nominal type"),
 ])
 def test_parse_error_messages_and_positions_are_exact(src, msg):
     with pytest.raises(ParseError) as exc:
@@ -231,3 +258,129 @@ def test_parse_error_messages_and_positions_are_exact(src, msg):
 ])
 def test_trailing_blanks_and_comments_parse(src):
     parse_program(src)
+
+
+@pytest.mark.parametrize("src, msg", [
+    ("A { m : def Nat Nat -> Nat ! pure <_ x x, return x> }",
+     "1:40: duplicate variable x"),
+    ("A { m : def Nat -> Nat ! pure <x x, return x> }", "1:34: duplicate variable x"),
+    # a wildcard's positional name is a name of the group too
+    ("A { m : def Nat Nat -> Nat ! pure <_ _2 _, return 0> }",
+     "1:41: duplicate variable _2"),
+    ("A[X X] { }", "1:5: duplicate type parameter X"),
+    ("A[X Y <: X X] { }", "1:12: duplicate type parameter X"),
+    ("A { m : def [X X] -> Nat ! pure <_, return 0> }",
+     "1:16: duplicate type parameter X"),
+    ("main = try x.m() with Exception.throw : [X X] <s, return 0> stop",
+     "1:44: duplicate type parameter X"),
+    ("main = try x.m() with Exception.throw : <s s, return 0> stop",
+     "1:44: duplicate variable s"),
+])
+def test_a_name_repeated_in_one_binder_group_is_an_error_at_its_position(
+        src, msg):
+    with pytest.raises(ParseError) as exc:
+        parse_program(src)
+    assert str(exc.value) == msg
+
+
+def test_wildcards_and_names_in_nested_groups_do_not_clash():
+    prog = parse_program(
+        "A[X] { m : def [X] X Nat -> Nat ! pure <_ _ _, return 0> }")
+    (md,) = prog.decl("A").methods
+    assert (md.selfVar, md.params) == ("_", ("_2", "_3"))
+    assert md.mtype.typeParams == (("X", OBJECT),)
+
+
+# -- the reference parser ------------------------------------------------------
+
+def outcome(parse, text, *args):
+    try:
+        return parse(text, *args)
+    except ParseError as e:
+        return str(e)
+
+
+def assert_agrees(text, got=None):
+    """``parse_program`` of ``text`` (or ``got``, a parse of it) has the
+    reference's declarations and main, node for node, or its error text."""
+    want = outcome(reference_parser.parse_program, text)
+    got = outcome(parse_program, text) if got is None else got
+    if isinstance(want, str):
+        assert got == want
+    else:
+        # nodes are hash-consed: equal tuples of nodes hold the same nodes
+        assert got.decls == want.decls and got.main is want.main
+
+
+def token_mutants(text: str):
+    """``text`` with each one of its tokens deleted, then doubled."""
+    for i, j in token_spans(text):
+        yield text[:i] + text[j:]
+        yield text[:j] + " " + text[i:j] + text[j:]
+
+
+def test_the_parser_agrees_with_the_reference_on_the_corpus_and_prelude():
+    for text in [*(f.read_text() for f in sorted(CORPUS.glob("*.mfj"))),
+                 PRELUDE_TEXT]:
+        assert_agrees(text)
+
+
+def test_the_parser_agrees_with_the_reference_on_check_large():
+    # the programs the twin tests check, parsed once for both
+    n = len(prelude_program().decls)
+    for seed in range(1, 7):
+        for item in perfbench_gen().check_large(seed):
+            prog = load_once(item.source)
+            assert_agrees(item.source, Program(prog.decls[n:], prog.main))
+
+
+@pytest.mark.parametrize("fname", CORPUS_FILES)
+def test_the_parser_agrees_with_the_reference_on_every_token_mutant(fname):
+    for text in token_mutants((CORPUS / fname).read_text()):
+        assert_agrees(text)
+
+
+SOUP = ["return", "do", "try", "with", "final", "continue", "stop", "pure",
+        "top", "abs", "def", "mgc", "main", "fn", "Object", "x", "_", "X",
+        "Nat", "A", "0", '"7"', "<|", "<:", "\\/", "->", "=>",
+        *":,;.[]{}()<>=!"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from(SOUP), max_size=30).map(" ".join))
+def test_the_parser_agrees_with_the_reference_on_token_soup(text):
+    assert_agrees(text)
+    for new, ref in [(parse_expr, reference_parser.parse_expr),
+                     (parse_type, reference_parser.parse_type),
+                     (parse_effect, reference_parser.parse_effect)]:
+        got, want = outcome(new, text, ("X",)), outcome(ref, text, ("X",))
+        assert got is want or isinstance(want, str) and got == want
+
+
+# -- source nesting -------------------------------------------------------------
+
+DEEP = 3000
+NESTED = {
+    "do chain in first": "do x = " * DEEP + "return 0" + "; return x" * DEEP,
+    "do chain in rest": "do x = return 0; " * DEEP + "return x",
+    "object literals": "return " + "Object{m : def -> Object ! pure <_, return "
+                       * DEEP + "Object{}" + ">}" * DEEP,
+    "try bodies": "try " * DEEP + "return 0"
+                  + " with Exception.throw stop final <x, return x>" * DEEP,
+    "type arguments": "return " + "A[" * DEEP + "Nat" + "]" * DEEP,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NESTED))
+def test_deep_source_parses_at_the_default_recursion_limit(kind):
+    # the parser keeps its pending productions on a stack of its own, and
+    # the printer its pieces, so neither needs the limit raised
+    main = NESTED[kind]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        prog = load_program(f"A[X] {{ }}\nmain = {main}\n")
+        printed = pretty(prog.main)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert printed == main

@@ -133,7 +133,7 @@ def test_parent_order_does_not_depend_on_the_build_order():
             for order in ("ab", "ba")
         ]
     assert outs[0] == outs[1] == (
-        "A B\n1: [ret] Pure(E A B.a())\n2: [pure] Pure(E return 1)\n"
+        "A B{}\n1: [ret] Pure(E A B{}.a())\n2: [pure] Pure(E return 1)\n"
         "3: [ret] Pure(R V 1)\n1\n")
 
 

@@ -1,10 +1,10 @@
 """The tokenizer against ``reference_tokenizer``, its former self.
 
-``parser.tokenize`` scans with one pattern and ``parser.Parser`` finds a
-token's line and column only when it reports an error.  For every input both
-must agree with the reference: the same ``(kind, text)`` sequence, the same
-position for every token, and the same ``ParseError`` text where either one
-raises.
+``parser.tokenize`` scans with one pattern, and the parser finds a token's
+line and column (``parser._token_line_col``) only when it reports an error.
+For every input both must agree with the reference: the same ``(kind,
+text)`` sequence, the same position for every token, and the same
+``ParseError`` text where either one raises.
 """
 
 import pytest

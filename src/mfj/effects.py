@@ -1,4 +1,5 @@
-"""Effect simplification and handler filters."""
+"""Effect simplification, and handler filters with the clause search they
+share with the run-time catch rule (``reducer.cmatch``)."""
 
 from __future__ import annotations
 
@@ -73,6 +74,16 @@ class ClauseFilter:
     effect: Effect
 
 
+def first_clause(sigs: Sigs, phi: Mapping[str, Type], t: Type, m: str,
+                 clauses):
+    """The first of ``clauses`` (``Clause``s or ``ClauseFilter``s) for the
+    method ``m`` whose nominal type is above ``t``, or None."""
+    for c in clauses:
+        if c.method == m and sigs.sub_type(phi, t, ObjType((c.ntype,), EMPTY_SIG)):
+            return c
+    return None
+
+
 @record
 class HandlerFilter:
     """The static image of a handler: clause filters plus the final effect."""
@@ -93,13 +104,7 @@ def apply_filter(
     """
     out_atoms, out_top = set(), eff.top
     for a in eff.atoms:
-        hit = None
-        for cf in H.clauses:
-            if cf.method == a.method and sigs.sub_type(
-                phi, a.receiver, ObjType((cf.ntype,), EMPTY_SIG)
-            ):
-                hit = cf
-                break
+        hit = first_clause(sigs, phi, a.receiver, a.method, H.clauses)
         if hit is None:
             out_atoms.add(a)
             continue

@@ -4,15 +4,16 @@ Four monads are built in: exceptions, lazy (possibly unbounded) lists,
 finite subdistributions with exact rational weights, and identity.  All
 that is particular to a monad is a hook of its ``Monad`` subclass, so the
 evaluator, the soundness harness and the CLI name no monad.  The hooks:
-the monad (``unit``, ``bind``, ``map_m``, and ``bind_unless``, a bind that
-passes finished elements through) and its order (``bottom``, ``is_bottom``,
-``leq``); observation (``elements``, ``force``, ``show`` for a trace line,
-``render`` for a result); ``magic``, the only place its magic methods get
-a meaning, each given the name of the type the method was found through;
-``quantifiers`` (which of forall and exists it has) and ``allowed``, its one
-lifting hook (``soundness.EffectInterp.lift`` builds both liftings from
-``elements`` and ``allowed``); and ``law_samples`` and ``outer_samples`` for
-the lifting laws.  Adding a monad is a subclass and an entry in ``MONADS``.
+the monad (``unit`` and ``bind_unless``, a bind that passes finished
+elements through, from which ``bind`` and ``map_m`` derive) and its order
+(``bottom``, ``is_bottom``, ``leq``); observation (``elements``, ``force``,
+``show`` for a trace line, ``render`` for a result); ``magic``, the only
+place its magic methods get a meaning, each given the name of the type the
+method was found through; ``quantifiers`` (which of forall and exists it
+has) and ``allowed``, its one lifting hook (``soundness.EffectInterp.lift``
+builds both liftings from ``elements`` and ``allowed``); and
+``law_samples`` and ``outer_samples`` for the lifting laws.  Adding a monad
+is a subclass and an entry in ``MONADS``.
 """
 
 from __future__ import annotations
@@ -142,12 +143,6 @@ class Dist:
     def as_dict(self) -> dict:
         return dict(self.weights)
 
-    def weight(self, v) -> Fraction:
-        return self.as_dict().get(v, Fraction(0))
-
-    def total(self) -> Fraction:
-        return sum((w for _, w in self.weights), Fraction(0))
-
     def support(self) -> list:
         return [v for v, _ in self.weights]
 
@@ -199,11 +194,13 @@ DIST_BOTTOM = Dist({})
 
 
 class Monad:
-    """Each subclass defines ``unit``, ``bind``, ``bottom``, ``elements``
-    (the observed elements of ``m``, prefix- or support-limited), ``render``
-    (``m`` as a result, each element rendered by ``show_elem``) and
-    ``law_samples`` (monadic values over ``X`` for the laws); the other
-    hooks have defaults here."""
+    """Each subclass defines ``unit``, ``bind_unless`` (``bind_unless(m, f,
+    done)`` binds ``m`` to ``f``, but passes an element of the class, or
+    tuple of classes, ``done`` through as its unit, without a call of
+    ``f``), ``bottom``, ``elements`` (the observed elements of ``m``, prefix-
+    or support-limited), ``render`` (``m`` as a result, each element
+    rendered by ``show_elem``) and ``law_samples`` (monadic values over
+    ``X`` for the laws); the other hooks have defaults here."""
 
     name: str
     # the predicate liftings it has, forall first
@@ -211,15 +208,13 @@ class Monad:
     # magic method -> (name of the type it is found through -> monadic value)
     magic: dict = {}
 
+    def bind(self, m, f):
+        """The monad's bind: ``bind_unless`` with nothing passed through."""
+        return self.bind_unless(m, f, ())
+
     def map_m(self, f, m):
         """Functorial action; by default bind-derived."""
         return self.bind(m, lambda x: self.unit(f(x)))
-
-    def bind_unless(self, m, f, done):
-        """``bind(m, f)``, but an element of the class (or tuple of classes)
-        ``done`` is passed through as its unit, without a call of ``f``."""
-        unit = self.unit
-        return self.bind(m, lambda x: unit(x) if isinstance(x, done) else f(x))
 
     def is_bottom(self, m) -> bool:
         """Is ``m`` the least element (no result, not even a partial one)?"""
@@ -254,11 +249,6 @@ class ExcMonad(Monad):
 
     def unit(self, x):
         return Pure(x)
-
-    def bind(self, m, f):
-        if m.tag == "pure":
-            return f(m.payload)
-        return m
 
     def bind_unless(self, m, f, done):
         if m.tag == "pure" and not isinstance(m.payload, done):
@@ -297,9 +287,6 @@ class ListMonad(Monad):
 
     def unit(self, x):
         return LazyList.of(x)
-
-    def bind(self, m, f):
-        return self.bind_unless(m, f, ())
 
     def bind_unless(self, m, f, done):
         if faults.ACTIVE.swap_list_bind:
@@ -364,9 +351,6 @@ class DistMonad(Monad):
     def unit(self, x):
         return Dist._trusted([(x, _ONE)])
 
-    def bind(self, m, f):
-        return self.bind_unless(m, f, ())
-
     def bind_unless(self, m, f, done):
         # no products by 1 and no zero start value
         acc: dict = {}
@@ -416,11 +400,6 @@ class IdMonad(Monad):
 
     def unit(self, x):
         return IdValue("val", x)
-
-    def bind(self, m, f):
-        if m.tag == "bottom":
-            return m
-        return f(m.payload)
 
     def bind_unless(self, m, f, done):
         if m.tag == "bottom" or isinstance(m.payload, done):

@@ -164,9 +164,10 @@ def string_object(s: str) -> Obj:
 # where it waits in its production is its tag, or which of its fields are
 # still None.
 (_EXPR, _VALUE, _TYPE, _EFFECT, _METHOD, _CLAUSE, _DECL, _TPARAMS, _TARGS,
- _END, _PROGRAM, _MAIN, _RETURN, _DO, _TRY, _CALL, _LAMBDA, _OBJECT, _METHODS,
- _NTYPE, _OBJTYPE, _SIG, _M_PARAMS, _M_RET, _M_EFF, _M_BODY, _D_TPARAMS,
- _D_PARENTS, _D_METHODS, _C_TYPE, _C_TPARAMS, _C_BODY, _C_MODE) = range(33)
+ _NOMINAL, _END, _PROGRAM, _MAIN, _RETURN, _DO, _TRY, _CALL, _LAMBDA, _OBJECT,
+ _METHODS, _NTYPE, _OBJTYPE, _SIG, _M_PARAMS, _M_RET, _M_EFF, _M_BODY,
+ _D_TPARAMS, _D_PARENTS, _D_METHODS, _C_TYPE, _C_TPARAMS, _C_BODY,
+ _C_MODE) = range(34)
 
 
 def _fail(text: str, i: int, msg: str) -> NoReturn:
@@ -175,6 +176,16 @@ def _fail(text: str, i: int, msg: str) -> NoReturn:
 
 def _expected(text: str, toks: list, i: int, kind: str) -> NoReturn:
     _fail(text, i, f"expected {kind!r}, found {toks[i][1]!r}")
+
+
+def _member(text: str, toks: list, i: int) -> tuple:
+    """The name of the ``"." id`` that starts at token ``i``, and the index
+    of the token after it."""
+    if toks[i][0] != ".":
+        _expected(text, toks, i, ".")
+    if toks[i + 1][0] != "id":
+        _expected(text, toks, i + 1, "id")
+    return toks[i + 1][1], i + 2
 
 
 def _binders(text: str, toks: list, i: int) -> tuple:
@@ -270,13 +281,9 @@ def _parse(text: str, goal: int, tvars: tuple = ()):
                 i += 1
                 val = numeral(n) if k == "num" else string_object(lit)
             elif k == "typeid":
-                i += 1
                 stack.append([_OBJECT, [], None])  # parents, where they end
-                if toks[i][0] == "[":
-                    stack.append((_NTYPE, t))
-                    want = _TARGS
-                    continue
-                val = NominalType(t)
+                want = _NOMINAL
+                continue
             elif k == "Object":
                 i += 1
                 if toks[i][0] != "{":
@@ -371,6 +378,13 @@ def _parse(text: str, goal: int, tvars: tuple = ()):
             stack.append((_TARGS, []))
             want = _TYPE
             continue
+        elif want == _NOMINAL:  # at its name
+            i += 1
+            if toks[i][0] == "[":
+                stack.append((_NTYPE, t))
+                want = _TARGS
+                continue
+            val = NominalType(t)
         elif want == _TPARAMS:  # at its "["
             i += 1
             # (name, bound) pairs, the names bound, the name whose bound is next
@@ -426,13 +440,8 @@ def _parse(text: str, goal: int, tvars: tuple = ()):
                     f[3].append(val)
                 k, t = toks[i]
                 if k == "typeid" and t not in tv:
-                    i += 1
-                    if toks[i][0] == "[":
-                        stack.append((_NTYPE, t))
-                        want = _TARGS
-                        break
-                    val = NominalType(t)
-                    continue
+                    want = _NOMINAL
+                    break
                 if not f[3]:
                     _fail(text, i, "expected at least one parent type after '<|'")
                 f[0] = _D_METHODS
@@ -440,13 +449,7 @@ def _parse(text: str, goal: int, tvars: tuple = ()):
             elif tag == _CALL:
                 if f[1] is None:  # val: the receiver
                     f[1] = val
-                    if toks[i][0] != ".":
-                        _expected(text, toks, i, ".")
-                    i += 1
-                    if toks[i][0] != "id":
-                        _expected(text, toks, i, "id")
-                    f[2] = toks[i][1]
-                    i += 1
+                    f[2], i = _member(text, toks, i)
                     if toks[i][0] == "[":
                         want = _TARGS
                         break
@@ -514,17 +517,12 @@ def _parse(text: str, goal: int, tvars: tuple = ()):
                 val = MethodDef(f[2], DEF, f[7], names[0], tuple(names[1:]), val)
             elif tag == _EFFECT:
                 if f[2] is None:  # val: an atom's receiver
-                    if toks[i][0] != ".":
-                        _expected(text, toks, i, ".")
-                    i += 1
-                    if toks[i][0] != "id":
-                        _expected(text, toks, i, "id")
-                    i += 1
+                    m, i = _member(text, toks, i)
                     if toks[i][0] == "[":
-                        f[2] = val, toks[i - 1][1]
+                        f[2] = val, m
                         want = _TARGS
                         break
-                    f[1].append(EffCall(val, toks[i - 1][1], ()))
+                    f[1].append(EffCall(val, m, ()))
                 else:  # val: its type arguments
                     f[1].append(EffCall(*f[2], val))
                     f[2] = None
@@ -613,15 +611,10 @@ def _parse(text: str, goal: int, tvars: tuple = ()):
                 parents.append(val)
                 if len(parents) == 1:
                     f[2] = i
-                k, t = toks[i]
+                k = toks[i][0]
                 if k == "typeid":
-                    i += 1
-                    if toks[i][0] == "[":
-                        stack.append((_NTYPE, t))
-                        want = _TARGS
-                        break
-                    val = NominalType(t)
-                    continue
+                    want = _NOMINAL
+                    break
                 stack.pop()
                 if k == "{":
                     i += 1
@@ -697,13 +690,7 @@ def _parse(text: str, goal: int, tvars: tuple = ()):
                         and not len(val.sig)):
                     _fail(text, i, "a clause names a nominal type")
                 f[1] = val.parents[0]
-                if toks[i][0] != ".":
-                    _expected(text, toks, i, ".")
-                i += 1
-                if toks[i][0] != "id":
-                    _expected(text, toks, i, "id")
-                f[2] = toks[i][1]
-                i += 1
+                f[2], i = _member(text, toks, i)
                 if toks[i][0] == ":":
                     i += 1
                     f[0] = _C_TPARAMS

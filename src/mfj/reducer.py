@@ -1,5 +1,8 @@
 """Pure reduction: method lookup, clause matching, and the seven-rule stepper.
 
+Clause matching is ``effects.first_clause``, the search the static handler
+filter makes, on the receiver's erased type.
+
 Magic calls and do-expressions not under a try are normal forms here; the
 monadic layer (mfj.evaluator) handles them.
 """
@@ -9,10 +12,11 @@ from __future__ import annotations
 from typing import Optional, Union
 
 from . import faults
+from .effects import first_clause
 from .signatures import SigError, Sigs
 from .syntax import (
-    DEF, EMPTY_SIG, MGC, STOP,
-    Call, Clause, Do, Handler, MethodDef, NominalType, Obj, ObjType, Return,
+    DEF, MGC, STOP,
+    Call, Clause, Do, Handler, MethodDef, NominalType, Obj, Return,
     Try, Value, erase_type, record, subst, subst_expr,
 )
 
@@ -95,20 +99,13 @@ def _nominal_lookup(sigs, n: NominalType, m: str, walk):
     )
 
 
-def instance_of(sigs: Sigs, v: Value, n: NominalType) -> bool:
-    """Purely syntactic runtime check: erase(v) <= N."""
-    if not isinstance(v, Obj):
-        return False
-    return sigs.sub_type({}, erase_type(v), ObjType((n,), EMPTY_SIG))
-
-
 def cmatch(sigs: Sigs, recv: Value, m: str, clauses: tuple) -> Optional[Clause]:
-    """First clause with the same method name matching the receiver's type."""
+    """The first clause for ``m`` whose type is above the receiver's erased
+    type; a receiver that is not an object matches none."""
+    if not isinstance(recv, Obj):
+        return None
     order = reversed(clauses) if faults.ACTIVE.reverse_clause_match else clauses
-    for c in order:
-        if c.method == m and instance_of(sigs, recv, c.ntype):
-            return c
-    return None
+    return first_clause(sigs, {}, erase_type(recv), m, order)
 
 
 def invk_subst(body, typeParams, targs, selfVar, recv, params, args):

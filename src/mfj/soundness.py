@@ -12,7 +12,8 @@ The theorems become decidable checks over observed prefixes and supports:
   rest of an outcome, over one denotation;
 * ``type_monadic_result`` types a monadic result value against ``T ! eff``;
 * ``check_progress`` / ``check_lifted_step`` monitor a single reduction of
-  an evaluator configuration (``EConf``);
+  an evaluator configuration (``EConf``), returning None when the check
+  holds and the witness of its failure otherwise;
 * ``interp_law_suite`` brute-forces the four lifting laws on small sets;
 * ``check_soundness`` drives everything over one program and monad.
 
@@ -156,18 +157,6 @@ def interps_for(monad_name: str, den: Denotation, prefix: int = PREFIX,
 # ---------------------------------------------------------------------------
 
 
-@record
-class Verdict:
-    ok: bool
-    witness: str = ""
-
-    def __bool__(self):
-        return self.ok
-
-
-PASS = Verdict(True)
-
-
 def type_monadic_result(checker: Checker, interp: EffectInterp, mres,
                         T: Type, eff: Effect) -> bool:
     """Does the monadic result satisfy ``T ! eff`` under the lifting?
@@ -190,22 +179,20 @@ def type_monadic_result(checker: Checker, interp: EffectInterp, mres,
     return interp.lift(eff, well_typed)(mres)
 
 
-def check_progress(c: EConf, stepped) -> Verdict:
+def check_progress(c: EConf, stepped) -> Optional[str]:
     """Well-typed closed configurations are returns or can step; ``stepped``
-    is ``ev.mon_step(c)``."""
-    if isinstance(c.focus, Return) and c.frames is None:
-        return PASS
-    if stepped is not None:
-        return PASS
-    return Verdict(False, f"well-typed expression is stuck: {c.expr!r}")
+    is ``ev.mon_step(c)``.  None if the check holds, else its witness."""
+    if stepped is None and not (isinstance(c.focus, Return) and c.frames is None):
+        return f"well-typed expression is stuck: {c.expr!r}"
+    return None
 
 
 def check_lifted_step(checker: Checker, den: Denotation, ev: Evaluator,
-                      T: Type, eff: Effect, stepped,
-                      prefix: int = PREFIX) -> Verdict:
+                      T: Type, eff: Effect, stepped) -> Optional[str]:
     """Monadic subject reduction for one step of a configuration of type
     ``T ! eff``, whose result ``ev.mon_step`` is ``stepped`` (not None: a
     configuration that does not step is ``check_progress``'s question).
+    None if the check holds, else its witness.
 
     Every configuration in the step result must retype at some T' ! eff'
     with T' <= T and ehat v eff' <= eff, where ehat is the canonical
@@ -214,31 +201,26 @@ def check_lifted_step(checker: Checker, den: Denotation, ev: Evaluator,
     The outcome of any other step is a unit, which every lifting allows.
     """
     mv, info = stepped
-    monad, ehat = ev.monad, PURE
+    monad, prefix, ehat = ev.monad, ev.prefix, PURE
     elems = monad.elements(mv, prefix)
     if info.mgc_atom is not None:
         ehat = eff_of(info.mgc_atom)
         if not checker.sigs.sub_eff({}, ehat, eff):
-            return Verdict(False, f"magic step raises {info.mgc_atom!r}, "
-                                  f"not allowed by {eff!r}")
+            return f"magic step raises {info.mgc_atom!r}, not allowed by {eff!r}"
         allowed = monad.allowed(den, eff)
         if allowed is not None and not allowed(mv, elems):
-            return Verdict(False, f"magic step outcome {monad.show(mv, prefix)}"
-                                  f" not allowed by {eff!r}")
+            return (f"magic step outcome {monad.show(mv, prefix)}"
+                    f" not allowed by {eff!r}")
     for c2 in elems:
         try:
             t2, f2 = checker.type_conf(c2)
         except TypecheckError as err:
-            return Verdict(False,
-                           f"step result {c2.expr!r} is ill-typed: {err}")
+            return f"step result {c2.expr!r} is ill-typed: {err}"
         if not checker.sigs.sub_type({}, t2, T):
-            return Verdict(
-                False, f"step result type {t2!r} not below {T!r}")
+            return f"step result type {t2!r} not below {T!r}"
         if not checker.sigs.sub_eff({}, eff_union(ehat, f2), eff):
-            return Verdict(
-                False,
-                f"step effect {eff_union(ehat, f2)!r} not below {eff!r}")
-    return PASS
+            return f"step effect {eff_union(ehat, f2)!r} not below {eff!r}"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -433,16 +415,16 @@ def check_soundness(program: Program, monad_name: str, *, name: str = "main",
             steps_ok = False
             continue
         stepped = ev.mon_step(cur)
-        v = check_progress(cur, stepped)
-        if not v:
-            rep.add(name, monad_name, "progress", False, v.witness)
+        w = check_progress(cur, stepped)
+        if w is not None:
+            rep.add(name, monad_name, "progress", False, w)
             steps_ok = False
         if stepped is None:
             continue
         budget -= 1
-        v = check_lifted_step(checker, den, ev, t, f, stepped, prefix)
-        if not v:
-            rep.add(name, monad_name, "subject-reduction", False, v.witness)
+        w = check_lifted_step(checker, den, ev, t, f, stepped)
+        if w is not None:
+            rep.add(name, monad_name, "subject-reduction", False, w)
             steps_ok = False
         mv, _ = stepped
         for nxt in ev.monad.elements(mv, prefix):

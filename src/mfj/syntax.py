@@ -631,9 +631,6 @@ class Sig:
                 return k, mt
         return None
 
-    def names(self):
-        return [e[0] for e in self.entries]
-
 
 EMPTY_SIG = Sig(())
 OBJECT = ObjType((), EMPTY_SIG)

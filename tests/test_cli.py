@@ -2,6 +2,7 @@
 
 import json
 import os
+import runpy
 import subprocess
 import sys
 
@@ -410,6 +411,27 @@ def test_python_dash_m_runs_the_cli():
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "main = 2.sum(3)\n"
+
+
+def test_the_dash_m_entry_exits_with_the_clis_code(monkeypatch, capsys):
+    # in this process, so that a line tracer sees ``mfj.__main__`` run
+    monkeypatch.setattr(sys, "argv",
+                        ["mfj", "parse", str(CORPUS / "nat_sum.mfj")])
+    monkeypatch.delitem(sys.modules, "mfj.__main__", raising=False)
+    with pytest.raises(SystemExit) as done:
+        runpy.run_module("mfj", run_name="__main__")
+    assert done.value.code == 0
+    assert capsys.readouterr().out == "main = 2.sum(3)\n"
+
+
+def test_the_package_lends_the_soundness_names():
+    import mfj
+    from mfj import soundness
+
+    for name in ("SoundnessReport", "check_soundness", "interp_law_suite"):
+        assert getattr(mfj, name) is getattr(soundness, name)
+    with pytest.raises(AttributeError, match="no attribute 'nosuch'"):
+        mfj.nosuch
 
 
 IMPORT_BOUNDARY = """

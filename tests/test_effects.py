@@ -93,6 +93,19 @@ def test_filter_passes_unmatched_atoms(sigs):
     assert apply_filter(sigs, {}, H, THROW) == THROW
 
 
+def test_filter_compares_the_method_name(sigs):
+    # a clause for another method of the receiver's type catches nothing
+    H = HandlerFilter((cf("Exception", "fail", PURE),), PURE)
+    assert apply_filter(sigs, {}, H, THROW) == THROW
+
+
+def test_filter_reads_a_variable_receivers_bound(sigs):
+    # X <: MyException <: Exception, so the Exception clause catches X.throw
+    atom = eff_of(EffCall(TypeVar("X"), "throw", (nominal("Nat"),)))
+    H = HandlerFilter((cf("Exception", "throw", PURE),), PURE)
+    assert apply_filter(sigs, {"X": nominal("MyException")}, H, atom) == PURE
+
+
 def test_filter_catches_subtypes_of_the_clause_type(sigs):
     H = HandlerFilter((cf("Exception", "throw", PURE),), PURE)
     assert apply_filter(sigs, {}, H, MY_THROW) == PURE

@@ -97,7 +97,7 @@ def test_a_monad_lifts_only_through_allowed(name):
     assert own.isdisjoint({"forall", "exists", "raise_witness"})
 
 
-HOOKS = ("unit", "bind", "bottom", "elements", "render", "law_samples")
+HOOKS = ("unit", "bind_unless", "bottom", "elements", "render", "law_samples")
 
 
 @pytest.mark.parametrize("name", sorted(MONADS))
@@ -106,6 +106,8 @@ def test_a_monad_defines_the_hooks_that_have_no_default(name):
     mine = vars(type(MONADS[name]))
     assert [h for h in HOOKS if not callable(mine.get(h))] == []
     assert not any(hasattr(Monad, h) for h in HOOKS)
+    # its bind is ``Monad``'s, derived from its ``bind_unless``
+    assert "bind" not in mine and "bind" in vars(Monad)
 
 
 # -- a fifth monad: counting writer ------------------------------------------
@@ -129,9 +131,9 @@ class TickMonad(Monad):
     def unit(self, x):
         return Counted(x, 0)
 
-    def bind(self, m, f):
-        if m is None:
-            return None
+    def bind_unless(self, m, f, done):
+        if m is None or isinstance(m.value, done):
+            return m
         r = f(m.value)
         return None if r is None else Counted(r.value, m.count + r.count)
 
@@ -159,8 +161,8 @@ class TickMonad(Monad):
 class DroppingTickMonad(TickMonad):
     """A broken bind: the count of the left side is lost."""
 
-    def bind(self, m, f):
-        return None if m is None else f(m.value)
+    def bind_unless(self, m, f, done):
+        return None if m is None or isinstance(m.value, done) else f(m.value)
 
 
 TICKER = """

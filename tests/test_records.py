@@ -18,7 +18,7 @@ from mfj.evaluator import (
 from mfj.monads import Dist, ExcValue, IdValue
 from mfj.parser import numeral
 from mfj.reducer import Magic
-from mfj.soundness import CheckRecord, EffectInterp, SoundnessReport, Verdict
+from mfj.soundness import CheckRecord, EffectInterp, SoundnessReport
 from mfj.syntax import (
     DEF, OBJECT, PURE, STOP, TOP, Call, Clause, Do, EffCall, Handler,
     MethodDef, MethodType, NominalType, Obj, ObjType, Program, Return, Sig,
@@ -116,8 +116,6 @@ RECORDS = [
     (Magic("Failure"), "Magic(typeName='Failure')"),
     (EffectInterp("exc", "M", "D"),
      "EffectInterp(name='exc', monad='M', den='D', may=False, prefix=256)"),
-    (Verdict(True), "Verdict(ok=True, witness='')"),
-    (Verdict(False, "stuck"), "Verdict(ok=False, witness='stuck')"),
     (CheckRecord("p.mfj", "exc", "progress", True),
      "CheckRecord(program='p.mfj', monad='exc', check='progress', ok=True, "
      "witness='')"),
@@ -139,7 +137,7 @@ def test_repr_is_pinned(obj, text):
 
 def test_every_record_class_is_pinned():
     pinned = {type(o) for o, _ in NODES + RECORDS}
-    assert len(pinned) == 36
+    assert len(pinned) == 35
 
 
 @pytest.mark.parametrize("obj, _", NODES, ids=[type(o).__name__ for o, _ in NODES])
@@ -154,7 +152,6 @@ def test_frozen_records_compare_by_structure():
     for a, b in [(StepInfo("mgc", ATOM), StepInfo("mgc", ATOM)),
                  (Magic("E"), Magic("E")), (EConf(DO), EConf(DO)),
                  (CF, ClauseFilter(N, "throw", ("X",), PURE)),
-                 (Verdict(False, "w"), Verdict(False, "w")),
                  (Program((), BODY), Program((), BODY))]:
         assert a == b and a is not b and hash(a) == hash(b)
         with pytest.raises(AttributeError):

@@ -9,7 +9,7 @@ from mfj.monads import MONADS, TRUE, Pure, Raised, get_monad
 from mfj.parser import numeral, parse_expr
 from mfj.prelude import load_program, prelude_program
 from mfj.reducer import (
-    AmbiguousLookup, Magic, _parents_lookup, cmatch, instance_of, mbody,
+    AmbiguousLookup, Magic, _parents_lookup, cmatch, mbody,
     pure_step,
 )
 from mfj.signatures import Sigs
@@ -161,15 +161,6 @@ def test_an_inherited_body_keeps_the_methods_own_binders(binder, monad):
     assert get_monad(monad).elements(m, 4) == [VRes(numeral(7))]
 
 
-# -- instance checks ----------------------------------------------------------
-
-def test_instance_of(sigs):
-    assert instance_of(sigs, numeral(3), NominalType("Nat"))
-    assert instance_of(sigs, TRUE, NominalType("Bool"))
-    assert not instance_of(sigs, TRUE, NominalType("Nat"))
-    assert not instance_of(sigs, Var("x"), NominalType("Nat"))
-
-
 # -- clause matching ----------------------------------------------------------
 
 def clauses_of(src):
@@ -191,6 +182,16 @@ def test_cmatch_respects_the_receiver_type(sigs):
     exc = Obj((NominalType("Exception"),))
     c = cmatch(sigs, exc, "throw", clauses_of(TWO_CLAUSES))
     assert c.body == Return(numeral(2))
+
+
+def test_cmatch_tests_the_receivers_erased_type(sigs):
+    nat, boolean = clauses_of("try t.m() with Nat.m : <s, return 1> stop "
+                              "Bool.m : <s, return 2> stop")
+    assert cmatch(sigs, numeral(3), "m", (nat, boolean)) is nat
+    assert cmatch(sigs, TRUE, "m", (nat, boolean)) is boolean
+    assert cmatch(sigs, TRUE, "m", (nat,)) is None
+    # a variable is not an object: no clause catches it
+    assert cmatch(sigs, Var("x"), "m", (nat, boolean)) is None
 
 
 def test_cmatch_no_clause(sigs):

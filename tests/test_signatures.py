@@ -47,7 +47,7 @@ def test_sym_sum_kind_table(k1, k2, expect):
 
 def test_sym_sum_disjoint_union():
     s = sym_sum(Sig((("a", DEF, MT),)), Sig((("b", ABS, MT),)))
-    assert s.names() == ["a", "b"]
+    assert [n for n, _, _ in s] == ["a", "b"]
 
 
 def test_sym_sum_rejects_magic_collisions():
@@ -332,7 +332,7 @@ def test_sub_var_call_does_not_make_a_call_effect_pure():
 # -- declaration signatures ---------------------------------------------------
 
 def test_prelude_decl_sigs(sigs):
-    assert sigs.decl_sig("Bool").names() == ["if", "not"]
+    assert [n for n, _, _ in sigs.decl_sig("Bool")] == ["if", "not"]
     assert sigs.decl_sig("True").get("not")[0] == DEF
     # Zero inherits Nat's interface and implements it
     zero = sigs.decl_sig("Zero")

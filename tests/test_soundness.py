@@ -205,21 +205,21 @@ def test_progress(ck, ev):
         c = EConf(e)
         return check_progress(c, ev.mon_step(c))
 
-    assert progress(parse_expr("return 0"))
-    assert progress(Call(numeral(0), "succ"))
+    assert progress(parse_expr("return 0")) is None
+    assert progress(Call(numeral(0), "succ")) is None
     v = progress(parse_expr("x.m()"))
-    assert not v and "stuck" in v.witness
+    assert "stuck" in v
 
 
 def test_progress_uses_a_precomputed_step(ck, ev):
     c = EConf(Call(numeral(0), "succ"))
     stepped = ev.mon_step(c)
-    assert check_progress(c, stepped)
+    assert check_progress(c, stepped) is None
     stuck = EConf(parse_expr("x.m()"))
     # a given step is taken as is, not recomputed
-    assert check_progress(stuck, stepped)
+    assert check_progress(stuck, stepped) is None
     v = check_progress(stuck, ev.mon_step(stuck))
-    assert not v and "stuck" in v.witness
+    assert "stuck" in v
 
 
 def test_progress_does_not_restep_a_stuck_term(ck, monkeypatch):
@@ -235,7 +235,7 @@ def test_progress_does_not_restep_a_stuck_term(ck, monkeypatch):
         return real(c)
 
     monkeypatch.setattr(ev, "mon_step", counted)
-    assert not check_progress(c, stepped)
+    assert check_progress(c, stepped) is not None
     assert calls == []
 
 
@@ -243,7 +243,7 @@ def test_lifted_step_accepts_a_sound_step(ck, den, ev):
     e = Call(numeral(0), "succ")
     t, f = ck.type_expr({}, {}, e)
     c = EConf(e)
-    assert check_lifted_step(ck, den, ev, t, f, ev.mon_step(c))
+    assert check_lifted_step(ck, den, ev, t, f, ev.mon_step(c)) is None
 
 
 def test_lifted_step_reads_excset_from_the_monitors_denotation(ck, ev):
@@ -252,8 +252,8 @@ def test_lifted_step_reads_excset_from_the_monitors_denotation(ck, ev):
     den.exc_set = lambda e, real=den.exc_set: read.append(e) or real(e)
     eff = parse_effect("Exception.throw[Nat]")
     c = EConf(parse_expr("Exception.throw[Nat]()"))
-    assert check_lifted_step(ck, den, ev, NAT, eff, ev.mon_step(c))
-    assert check_lifted_step(ck, den, ev, NAT, eff, ev.mon_step(c))
+    assert check_lifted_step(ck, den, ev, NAT, eff, ev.mon_step(c)) is None
+    assert check_lifted_step(ck, den, ev, NAT, eff, ev.mon_step(c)) is None
     # each step reads the excSet of its effect from the denotation it is given
     assert read == [eff, eff]
 
@@ -261,7 +261,7 @@ def test_lifted_step_reads_excset_from_the_monitors_denotation(ck, ev):
 def test_lifted_step_rejects_a_disallowed_raise(ck, den, ev):
     c = EConf(parse_expr("Exception.throw[Nat]()"))
     v = check_lifted_step(ck, den, ev, NAT, PURE, ev.mon_step(c))
-    assert not v and "not allowed" in v.witness
+    assert "not allowed" in v
 
 
 # hand-built step results: the evaluator's own steps of well-typed programs
@@ -277,7 +277,7 @@ def test_lifted_step_rejects_an_outcome_the_effect_does_not_allow(ck, den, ev):
     # the call-effect allows the step, but it raises Fail, not E or MyE
     v = check_lifted_step(ck, den, ev, NAT, eff,
                           (Raised("Fail"), StepInfo("mgc", atom)))
-    assert not v and "magic step outcome Raised(Fail)" in v.witness
+    assert "magic step outcome Raised(Fail)" in v
 
 
 @pytest.mark.parametrize("src, T, eff, witness", [
@@ -288,8 +288,9 @@ def test_lifted_step_rejects_an_outcome_the_effect_does_not_allow(ck, den, ev):
 def test_lifted_step_rejects_a_result_that_does_not_retype(ck, den, ev, src, T,
                                                           eff, witness):
     v = check_lifted_step(ck, den, ev, T, eff, pure_step_to(ev, src))
-    assert not v and witness in v.witness
-    assert check_lifted_step(ck, den, ev, T, TOP, pure_step_to(ev, "return 0"))
+    assert witness in v
+    assert check_lifted_step(ck, den, ev, T, TOP,
+                             pure_step_to(ev, "return 0")) is None
 
 
 def test_an_ill_typed_result_value_is_not_typed(ck, den):

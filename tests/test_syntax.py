@@ -606,7 +606,7 @@ def test_a_parent_keeps_its_sort_key():
 def test_erase_keeps_own_methods():
     v = parse_expr("return Object { m : def -> Object <s, return s> }").value
     t = erase_type(v)
-    assert t.sig.names() == ["m"]
+    assert [n for n, _, _ in t.sig] == ["m"]
 
 
 def test_alpha_eq_mtype_ignores_binder_names():

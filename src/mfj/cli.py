@@ -10,8 +10,8 @@
 Exit codes: 0 success, 1 parse error (a numeral above
 ``parser.MAX_NUMERAL`` among them) or check/soundness failure, 2 usage (an
 option the subcommand does not read, ``--trace`` or ``--fuel`` with ``run
---approx``, a negative N or K), a file that is missing or cannot be read as
-UTF-8, precondition error (among them more branches than ``--prefix`` and a
+--approx``, a negative N, a K below 1), a file that is missing or cannot be
+read as UTF-8, precondition error (among them more branches than ``--prefix`` and a
 free variable under ``run --unchecked``), or, under check, run and
 soundness, source nested too deeply for the recursive typer ("term too
 deep"; a numeral, however large, is never too deep).
@@ -46,6 +46,14 @@ def count(text: str) -> int:
     return n
 
 
+def positive(text: str) -> int:
+    """argparse type: a positive integer."""
+    n = count(text)
+    if n == 0:
+        raise argparse.ArgumentTypeError("must be positive: 0")
+    return n
+
+
 def _arg_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="mfj", description=__doc__.split("\n")[0])
     sub = p.add_subparsers(dest="command", required=True)
@@ -55,7 +63,7 @@ def _arg_parser() -> argparse.ArgumentParser:
         sp.add_argument("files", nargs="+", help="source files (.mfj)")
     for sp in (run, snd):
         sp.add_argument("--monad", default="exc", choices=list(MONADS))
-        sp.add_argument("--prefix", type=count, default=PREFIX)
+        sp.add_argument("--prefix", type=positive, default=PREFIX)
     run.add_argument("--fuel", type=count, default=None,
                      help=f"step bound (default {FUEL}); not with --approx")
     snd.add_argument("--fuel", type=count, default=FUEL)
@@ -196,7 +204,7 @@ def _run(args) -> int:
               if args.json else f"diverged (fuel {fuel})")
         return 0
     except PrefixExceeded as e:
-        print(f"mfj run: {e}", file=sys.stderr)
+        print(f"mfj run: {args.files[0]}: {e}", file=sys.stderr)
         return 2
     rendered = ev.monad.render(mres, _show_result, args.prefix)
     print(json.dumps({"result": rendered}) if args.json else rendered)

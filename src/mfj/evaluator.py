@@ -8,7 +8,8 @@ place where the next step of the semantics happens (refocusing, Danvy &
 Nielsen 2004): through every ``try``, and through a ``do`` unless the frame
 just outside it is a ``try`` (there ``try-do`` fires first).  So every
 configuration is in that one decomposition, and two configurations are equal
-exactly when their plugged terms, ``EConf.expr``, are equal.
+exactly when their plugged terms, ``EConf.expr``, are equal; ``EConf`` is a
+hash-consed node, so equal configurations are one object.
 
 An ``Evaluator`` lifts the pure stepper into a chosen monad:
 
@@ -82,23 +83,22 @@ class TryFrame:
     shape = "handler below?"
 
 
-@record
+@node
 class EConf:
     """An expression configuration: a focus and the frames around it."""
 
     focus: Any
     frames: Any  # DoFrame | TryFrame | None
 
-    def __init__(self, e, frames=None):
+    @staticmethod
+    def canon(e, frames=None):
         while True:
             if isinstance(e, Try):
                 frames, e = TryFrame(e.handler, frames), e.body
             elif isinstance(e, Do) and not isinstance(frames, TryFrame):
                 frames, e = DoFrame(e.var, e.rest, frames), e.first
             else:
-                break
-        object.__setattr__(self, "focus", e)
-        object.__setattr__(self, "frames", frames)
+                return e, frames
 
     @property
     def expr(self):
@@ -167,7 +167,7 @@ class Evaluator:
         self.sigs = Sigs(program)
         self.monad: Monad = get_monad(monad)
         self.prefix = prefix
-        self._steps: dict = {}  # (focus, frames) -> mon_step's result
+        self._steps: dict = {}  # configuration -> mon_step's result
 
     # -- stepping ------------------------------------------------------------
 
@@ -175,16 +175,15 @@ class Evaluator:
         """One monadic step: (monadic value of configurations, StepInfo), or
         None when the configuration is a normal form or stuck.  A step
         depends only on its configuration, so ``_steps`` keeps recent ones,
-        keyed on the focus and frames (hash-consed: by identity).  One big
+        keyed on the configuration (a node: by identity).  One big
         step has at most ``prefix + 1`` configurations; the table holds as
         many and is emptied when full, so no eviction order is kept."""
-        key = c.focus, c.frames
         steps = self._steps
-        stepped = steps.get(key, steps)  # the table itself: not there
+        stepped = steps.get(c, steps)  # the table itself: not there
         if stepped is steps:
             if len(steps) > self.prefix:
                 steps.clear()
-            stepped = steps[key] = self._reduce(c)
+            stepped = steps[c] = self._reduce(c)
         return stepped
 
     def _reduce(self, c: EConf) -> Optional[tuple]:

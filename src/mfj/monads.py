@@ -355,7 +355,10 @@ class DistMonad(Monad):
         # no products by 1 and no zero start value
         acc: dict = {}
         for x, w in m.weights:
-            for y, u in ((x, 1),) if isinstance(x, done) else f(x).weights:
+            if isinstance(x, done):
+                acc[x] = acc[x] + w if x in acc else w
+                continue
+            for y, u in f(x).weights:
                 p = w if u == 1 else w * u
                 acc[y] = acc[y] + p if y in acc else p
         return Dist._trusted(acc.items())

@@ -341,7 +341,7 @@ class Sigs:
 
     def sub_eff(self, phi, a: Effect, b: Effect, _depth: int = 0) -> bool:
         """Subeffecting on normal forms plus sub-mgc-call and sub-var-call."""
-        if b.top:
+        if a is b or b.top:
             return True
         if a.top:
             return False

@@ -399,7 +399,7 @@ def check_soundness(program: Program, monad_name: str, *, name: str = "main",
     t0, f0 = checker.type_expr({}, {}, e0)
 
     # per-step progress and subject reduction, over distinct reachable
-    # configurations (equal configurations are equal terms)
+    # configurations (nodes: an equal configuration is the same object)
     c0 = EConf(e0)
     seen = {c0}
     frontier = [c0]

@@ -313,7 +313,7 @@ def record(cls):
 
 def node(cls):
     """Make ``cls`` an immutable, hash-consed node: a syntax node, or a
-    value the machine builds from them (a frame, a result).
+    value the machine builds from them (a frame, a configuration, a result).
 
     Each class keeps one table from field tuples (defaults filled in) to
     nodes, so building a node equal to an existing one returns that node:

@@ -219,14 +219,16 @@ def test_run_trace_json_of_a_diverging_run(capsys):
 
 
 def test_run_trace_is_kept_when_the_prefix_is_exceeded(capsys):
-    code, out, err = mfj(capsys, "run", corpus("nd_m1"), "--monad", "list",
+    path = corpus("nd_m1")
+    code, out, err = mfj(capsys, "run", path, "--monad", "list",
                          "--trace", "--prefix", "1")
     assert code == 2
     lines = out.splitlines()
     assert lines and all(line.startswith(f"{i}: [")
                          for i, line in enumerate(lines, 1))
     assert lines[-1].endswith(", ...]")
-    assert "more than 1 branches" in err
+    assert err == (f"mfj run: {path}: more than 1 branches; "
+                   "raise --prefix\n")
 
 
 def test_run_json(capsys):
@@ -502,6 +504,19 @@ def test_negative_counts_are_rejected(capsys, argv):
         mfj(capsys, cmd, corpus("nat_sum"), *opts)
     assert exc.value.code == 2
     assert "must not be negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--prefix", "0"],
+    ["run", "--approx", "8", "--prefix", "0"],
+    ["soundness", "--prefix", "0"],
+])
+def test_a_zero_prefix_is_rejected(capsys, argv):
+    cmd, *opts = argv
+    with pytest.raises(SystemExit) as exc:
+        mfj(capsys, cmd, corpus("nd_m1"), "--monad", "list", *opts)
+    assert exc.value.code == 2
+    assert "must be positive: 0" in capsys.readouterr().err
 
 
 def test_zero_fuel_is_accepted(capsys):

@@ -73,7 +73,7 @@ def test_every_step_agrees_with_the_reference_stepper(name, monad):
     while queue and steps < 600:
         c = queue.popleft()
         e = c.expr
-        assert EConf(e) == c
+        assert EConf(e) is c
         got, want = ev.mon_step(c), reference_step(ev, e)
         assert (got is None) == (want is None), e
         if got is None:
@@ -98,8 +98,9 @@ def test_a_configuration_is_decomposed_to_its_next_redex():
     assert isinstance(c.frames, TryFrame)
     assert isinstance(c.frames.below, DoFrame) and c.frames.below.below is None
     assert c.focus == parse_expr("do y = 0.succ(); return y")
-    assert EConf(c.focus, c.frames) == c
-    assert EConf(c.expr) == c
+    # a configuration is a node: rebuilding it gives the same object
+    assert EConf(c.focus, c.frames) is c
+    assert EConf(c.expr) is c
 
 
 # -- cost of a step ---------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mfj import faults
-from mfj.evaluator import EConf, Evaluator
+from mfj.evaluator import EConf, Evaluator, RConf, VRes
 from mfj.monads import (
     EXC_BOTTOM, ID_BOTTOM, MONADS, TRUE, FALSE,
     Dist, ExcValue, IdValue, LazyList, Pure, Raised, get_monad,
@@ -295,6 +295,23 @@ def test_dist_bind_unless_is_bind_with_units(points, ks):
     want = bind_with_units(monad, m, f, str)
     assert list(got.weights) == list(want.weights)
     assert repr(got) == repr(want)
+
+
+def test_dist_bind_unless_merges_a_finished_branch_with_an_equal_stepped_one():
+    monad = get_monad("dist")
+    one, two = RConf(VRes(numeral(1))), RConf(VRes(numeral(2)))
+    steps = {"s": Dist([(two, Fraction(1, 3)), (one, Fraction(2, 3))])}
+    # the finished branch comes first: it keeps its place, and the stepped
+    # branch's equal result adds to its weight
+    got = monad.bind_unless(
+        Dist([(one, Fraction(1, 3)), ("s", Fraction(1, 2)),
+              (two, Fraction(1, 6))]), steps.__getitem__, RConf)
+    assert list(got.weights) == [(one, Fraction(2, 3)), (two, Fraction(1, 3))]
+    # the stepped branch comes first: its results keep their order
+    got = monad.bind_unless(
+        Dist([("s", Fraction(1, 2)), (one, Fraction(1, 3)),
+              (two, Fraction(1, 6))]), steps.__getitem__, RConf)
+    assert list(got.weights) == [(two, Fraction(1, 3)), (one, Fraction(2, 3))]
 
 
 @pytest.mark.parametrize("name", ["exc", "id"])

@@ -93,13 +93,13 @@ NODES = [
     (VRes(numeral(2)), "V 2"),
     (RConf(VRes(Obj(()))), "R V Object{}"),
     (RConf(WRONG), "R wrong"),
+    (EConf(DO), "E do y = o.m[X](z); return y"),
 ]
 
 RECORDS = [
     (CF, R_CF),
     (HandlerFilter((CF,), TOP),
      f"HandlerFilter(clauses=({R_CF},), finalEffect=Effect(atoms={{}}, top=True))"),
-    (EConf(DO), "E do y = o.m[X](z); return y"),
     (StepInfo("mgc", ATOM), f"StepInfo(rule='mgc', mgc_atom={R_ATOM})"),
     (StepInfo("pure"), "StepInfo(rule='pure', mgc_atom=None)"),
     (TraceLine("pure", "E return 1"), "TraceLine(rule='pure', text='E return 1')"),
@@ -150,7 +150,7 @@ def test_nodes_compare_by_identity_and_are_frozen(obj, _):
 
 def test_frozen_records_compare_by_structure():
     for a, b in [(StepInfo("mgc", ATOM), StepInfo("mgc", ATOM)),
-                 (Magic("E"), Magic("E")), (EConf(DO), EConf(DO)),
+                 (Magic("E"), Magic("E")),
                  (CF, ClauseFilter(N, "throw", ("X",), PURE)),
                  (Program((), BODY), Program((), BODY))]:
         assert a == b and a is not b and hash(a) == hash(b)

@@ -10,7 +10,8 @@
 Exit codes: 0 success, 1 parse error (a numeral above
 ``parser.MAX_NUMERAL`` among them) or check/soundness failure, 2 usage (an
 option the subcommand does not read, ``--trace`` or ``--fuel`` with ``run
---approx``, a negative N, a K below 1), a file that is missing or cannot be
+--approx``, a negative N, a K below 1, a ``soundness --fuel`` of 0, which
+would monitor no step), a file that is missing or cannot be
 read as UTF-8, precondition error (among them more branches than ``--prefix`` and a
 free variable under ``run --unchecked``), or, under check, run and
 soundness, source nested too deeply for the recursive typer ("term too
@@ -66,7 +67,7 @@ def _arg_parser() -> argparse.ArgumentParser:
         sp.add_argument("--prefix", type=positive, default=PREFIX)
     run.add_argument("--fuel", type=count, default=None,
                      help=f"step bound (default {FUEL}); not with --approx")
-    snd.add_argument("--fuel", type=count, default=FUEL)
+    snd.add_argument("--fuel", type=positive, default=FUEL)
     run.add_argument("--approx", type=count, default=None,
                      help="report the N-step approximation instead")
     snd.add_argument("--approx", type=count, default=APPROX,

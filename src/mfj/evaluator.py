@@ -17,12 +17,20 @@ An ``Evaluator`` lifts the pure stepper into a chosen monad:
   a magic call, or do-return), looking only at the focus and its top frame,
   so a step costs the same at any context depth; a table of up to
   ``prefix + 1`` recent steps, emptied when full, reduces equal branches of
-  a big step once, and they share its result, which must never change;
+  a big step once, and they share its result, which must never change.
+  Under a ``try`` frame it takes the ``try``'s own rules with the frame's
+  handler (``reducer.try_step``), and a call to a ``def`` method reduces in
+  place, under the same frames: that is try-ctx, and ``EConf`` makes the
+  result the same configuration as plugging it back into the ``try``;
 * ``run_magic`` gives a magic call its result straight from the monad's
   ``magic`` table, the one place a magic method gets its meaning, from the
   lookup ``mon_step`` has done;
-* ``step_config_traced``/``big_step`` run the step on configurations
-  ``E e | R r``;
+* ``step_config`` is stepConfig, the one map from a configuration to the
+  monadic configurations it steps to (a final return to ``R V``, a stuck
+  configuration to ``R wrong``, any other to ``mon_step``'s value), and
+  the stepper ``big_step`` binds, traced or not; it finds ``mon_step`` on
+  the evaluator each time it steps, so a wrapper installed later sees
+  every step;
 * ``finitary`` iterates to a monadic *result* under a fuel bound and a
   prefix/support bound, raising ``Diverged`` when fuel runs out;
 * ``approx`` / ``approx_chain`` give the n-step lower approximations of the
@@ -31,11 +39,12 @@ An ``Evaluator`` lifts the pure stepper into a chosen monad:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Optional
 
 from .monads import Monad, get_monad
 from .parser import pretty
-from .reducer import Magic, mbody, pure_step
+from .reducer import Magic, mbody, pure_step, try_step
 from .signatures import Sigs
 from .syntax import (
     Call, Do, EffCall, Handler, Program, Return, Try, erase_type, node,
@@ -147,9 +156,10 @@ class PrefixExceeded(Exception):
     pass
 
 
-_CLAUSE_RULES = ("catch-stop", "catch-continue", "fwd")
-# the StepInfo of every rule but mgc, built once
-_INFO = {r: StepInfo(r) for r in ("pure", *_CLAUSE_RULES, "ret")}
+# the StepInfo of each rule ``pure_step`` names, and of do-return, built once
+_INFO = {**dict.fromkeys(("invk", "try-ret", "try-do"), StepInfo("pure")),
+         **{r: StepInfo(r) for r in ("catch-stop", "catch-continue", "fwd",
+                                     "ret")}}
 
 # a run's default step bound, prefix/support bound and approximation length
 FUEL, PREFIX, APPROX = 10000, 256, 64
@@ -187,23 +197,25 @@ class Evaluator:
         return stepped
 
     def _reduce(self, c: EConf) -> Optional[tuple]:
-        """``mon_step`` without the table.  The seven pure rules are
-        ``pure_step`` on the focus, or on the focus plugged into its top
-        frame when that is a ``try``; the method of a call in focus is
-        looked up once, here."""
+        """``mon_step`` without the table.  The method of a call in focus
+        is looked up once, here.  Under a ``try`` frame the rules of the
+        ``try`` itself come first (``try_step``, given the frame's
+        handler); failing those, a call steps by invk in place, under the
+        same frames, which is try-ctx without rebuilding the ``try``."""
         f, top = c.focus, c.frames
         found = mbody(self.sigs, f.recv, f.method) if isinstance(f, Call) \
             else None
         if isinstance(top, TryFrame):
-            redex, below = Try(f, top.handler), top.below
-        else:
-            redex, below = f, top
-        ps = pure_step(self.sigs, redex, found)
+            ps = try_step(self.sigs, f, top.handler, found)
+            if ps is not None:
+                e2, rule = ps
+                return self.monad.unit(EConf(e2, top.below)), _INFO[rule]
+        # a call whose method is found: invk, if it is a def method
+        ps = pure_step(self.sigs, f, found) if found is not None else None
         if ps is not None:
             e2, rule = ps
-            label = rule if rule in _CLAUSE_RULES else "pure"
-            return self.monad.unit(EConf(e2, below)), _INFO[label]
-        # under a try, a magic call or a return has taken a pure rule above
+            return self.monad.unit(EConf(e2, top)), _INFO[rule]
+        # under a try, a magic call or a return has taken a rule above
         if isinstance(found, Magic):
             mv = self.run_magic(f, found)
             if mv is None:
@@ -226,29 +238,31 @@ class Evaluator:
             return None
         return result(found.typeName)
 
-    def step_config_traced(self, c) -> tuple:
-        """stepConfig with its rule label: (monadic configurations, label)."""
-        if isinstance(c, RConf):
-            return self.monad.unit(c), "res"
-        if isinstance(c.focus, Return) and c.frames is None:
-            return self.monad.unit(RConf(VRes(c.focus.value))), "ret"
-        stepped = self.mon_step(c)
-        if stepped is None:
-            return self.monad.unit(RConf(WRONG)), "wrong"
-        mv, info = stepped
-        return mv, info.rule
+    def step_config(self, c: EConf, labels: Optional[set] = None):
+        """stepConfig: the monadic configurations ``c`` steps to, a final
+        return its result, a stuck configuration ``wrong`` and any other
+        ``mon_step``'s value; ``labels``, if given, collects the rule."""
+        if c.frames is None and isinstance(c.focus, Return):
+            mv, rule = self.monad.unit(RConf(VRes(c.focus.value))), "ret"
+        else:
+            stepped = self.mon_step(c)
+            if stepped is None:
+                mv, rule = self.monad.unit(RConf(WRONG)), "wrong"
+            else:
+                mv, rule = stepped[0], stepped[1].rule
+        if labels is not None:
+            labels.add(rule)
+        return mv
 
     def big_step(self, mc, labels: Optional[set] = None):
         """Step every expression configuration of ``mc`` once and pass the
         results through; ``labels``, if given, collects the rule of each
         configuration stepped."""
-
-        def step(c):
-            m, rule = self.step_config_traced(c)
-            if labels is not None:
-                labels.add(rule)
-            return m
-
+        # the method itself, not a closure made per call; it is not kept on
+        # the evaluator, which would then be a reference cycle, freed only
+        # by the cyclic collector
+        step = self.step_config if labels is None \
+            else partial(self.step_config, labels=labels)
         mc2 = self.monad.bind_unless(mc, step, RConf)
         self.monad.force(mc2, self.prefix)
         return mc2
@@ -257,13 +271,6 @@ class Evaluator:
 
     def initial(self, e):
         return self.monad.unit(EConf(e))
-
-    def _configs(self, mc) -> list:
-        elems = self.monad.elements(mc, self.prefix + 1)
-        if len(elems) > self.prefix:
-            raise PrefixExceeded(
-                f"more than {self.prefix} branches; raise --prefix")
-        return elems
 
     def finitary(self, e, fuel: int = FUEL,
                  trace: Optional[Callable[[TraceLine], Any]] = None):
@@ -274,8 +281,16 @@ class Evaluator:
         soon as the step is taken.
         """
         mc = self.initial(e)
+        elements, prefix = self.monad.elements, self.prefix
         for n in range(fuel + 1):
-            if all(isinstance(c, RConf) for c in self._configs(mc)):
+            elems = elements(mc, prefix + 1)
+            if len(elems) > prefix:
+                raise PrefixExceeded(
+                    f"more than {prefix} branches; raise --prefix")
+            for c in elems:
+                if isinstance(c, EConf):
+                    break
+            else:
                 return self.monad.map_m(lambda c: c.result, mc)
             if n == fuel:
                 raise Diverged(fuel)
@@ -284,7 +299,7 @@ class Evaluator:
             if trace is not None:
                 # a lazy bind steps configurations as it is forced; showing
                 # forces one past the prefix, so either every configuration
-                # has been labelled or the next _configs raises
+                # has been labelled or the next elements raise
                 text = self.monad.show(mc, self.prefix)
                 trace(TraceLine(",".join(sorted(labels)), text))
 

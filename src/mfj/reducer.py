@@ -3,6 +3,11 @@
 Clause matching is ``effects.first_clause``, the search the static handler
 filter makes, on the receiver's erased type.
 
+The five rules of a ``try`` itself (try-ret, try-do, catch-stop,
+catch-continue, fwd) are ``try_step`` on its body and handler, so that the
+evaluator, which keeps a ``try`` as a frame, takes them without building
+the ``try`` term; ``pure_step`` calls it on a ``try`` term.
+
 Magic calls and do-expressions not under a try are normal forms here; the
 monadic layer (mfj.evaluator) handles them.
 """
@@ -138,30 +143,40 @@ def pure_step(sigs: Sigs, e, found=_UNLOOKED) -> Optional[tuple]:
     if isinstance(e, (Return, Do)):
         return None
     body, h = e.body, e.handler  # a Try, the last kind
+    if found is _UNLOOKED and isinstance(body, Call):
+        found = mbody(sigs, body.recv, body.method)
+    stepped = try_step(sigs, body, h, found)
+    if stepped is not None:
+        return stepped
+    inner = pure_step(sigs, body, found)  # try-ctx
+    if inner is None:
+        return None
+    e2, rule = inner
+    return Try(e2, h), rule
+
+
+def try_step(sigs: Sigs, body, h: Handler, found) -> Optional[tuple]:
+    """The rules of ``try body with h`` itself: try-ret, try-do, catch-stop,
+    catch-continue and fwd, as ``pure_step`` gives them, or None when none
+    applies (the body steps by try-ctx, or not at all).  ``found`` is
+    ``mbody`` of ``body`` when that is a call."""
     if isinstance(body, Return):
         return Do(h.finalVar, body, h.finalExpr), "try-ret"
     if isinstance(body, Do):
         inner_handler = Handler(h.clauses, body.var, Try(body.rest, h))
         return Try(body.first, inner_handler), "try-do"
-    if isinstance(body, Call):
-        if found is _UNLOOKED:
-            found = mbody(sigs, body.recv, body.method)
-        if isinstance(found, Magic):
-            c = cmatch(sigs, body.recv, body.method, h.clauses)
-            if c is None:
-                return Do(h.finalVar, body, h.finalExpr), "fwd"
-            tsub = (
-                dict(zip(c.typeParams, body.targs))
-                if c.typeParams is not None
-                else {}
-            )
-            vsub = {c.selfVar: body.recv, **dict(zip(c.params, body.args))}
-            cbody = subst_expr(c.body, tsub, vsub)
-            if c.mode == STOP:
-                return cbody, "catch-stop"
-            return Do(h.finalVar, cbody, h.finalExpr), "catch-continue"
-    inner = pure_step(sigs, body, found)
-    if inner is None:
-        return None
-    e2, rule = inner
-    return Try(e2, h), rule
+    if isinstance(body, Call) and isinstance(found, Magic):
+        c = cmatch(sigs, body.recv, body.method, h.clauses)
+        if c is None:
+            return Do(h.finalVar, body, h.finalExpr), "fwd"
+        tsub = (
+            dict(zip(c.typeParams, body.targs))
+            if c.typeParams is not None
+            else {}
+        )
+        vsub = {c.selfVar: body.recv, **dict(zip(c.params, body.args))}
+        cbody = subst_expr(c.body, tsub, vsub)
+        if c.mode == STOP:
+            return cbody, "catch-stop"
+        return Do(h.finalVar, cbody, h.finalExpr), "catch-continue"
+    return None

@@ -29,6 +29,7 @@ only to print a witness.
 from __future__ import annotations
 
 import json
+from collections import deque
 from itertools import compress, product
 from typing import Callable, List, Optional
 
@@ -399,14 +400,16 @@ def check_soundness(program: Program, monad_name: str, *, name: str = "main",
     t0, f0 = checker.type_expr({}, {}, e0)
 
     # per-step progress and subject reduction, over distinct reachable
-    # configurations (nodes: an equal configuration is the same object)
+    # configurations (nodes: an equal configuration is the same object),
+    # breadth first, so that one endless branch does not take the budget
+    # from the others
     c0 = EConf(e0)
     seen = {c0}
-    frontier = [c0]
+    frontier = deque([c0])
     budget = fuel
     steps_ok = True
     while frontier and budget > 0:
-        cur = frontier.pop()
+        cur = frontier.popleft()
         try:
             t, f = checker.type_conf(cur)
         except TypecheckError as err:

@@ -519,6 +519,14 @@ def test_a_zero_prefix_is_rejected(capsys, argv):
     assert "must be positive: 0" in capsys.readouterr().err
 
 
+def test_zero_fuel_is_rejected_by_soundness(capsys):
+    # a walk of no steps would pass every check it makes
+    with pytest.raises(SystemExit) as exc:
+        mfj(capsys, "soundness", corpus("nat_sum"), "--fuel", "0")
+    assert exc.value.code == 2
+    assert "must be positive: 0" in capsys.readouterr().err
+
+
 def test_zero_fuel_is_accepted(capsys):
     code, out, _ = mfj(capsys, "run", corpus("nat_sum"), "--fuel", "0")
     assert code == 0

@@ -21,27 +21,31 @@ def ev():
 # -- configuration stepping ---------------------------------------------------
 
 def test_results_are_fixed_points(ev):
+    # a big step passes a result through without stepping it
     c = RConf(VRes(numeral(0)))
-    mc, label = ev.step_config_traced(c)
-    assert mc == Pure(c)
-    assert label == "res"
+    labels = set()
+    assert ev.big_step(Pure(c), labels) == Pure(c)
+    assert labels == set()
 
 
 def test_returns_become_results(ev):
-    mc, label = ev.step_config_traced(EConf(parse_expr("return 3")))
+    labels = set()
+    mc = ev.step_config(EConf(parse_expr("return 3")), labels)
     assert mc == Pure(RConf(VRes(numeral(3))))
-    assert label == "ret"
+    assert labels == {"ret"}
 
 
 def test_stuck_expressions_become_wrong(ev):
-    mc, label = ev.step_config_traced(EConf(parse_expr("x.m()")))
-    assert label == "wrong"
+    labels = set()
+    mc = ev.step_config(EConf(parse_expr("x.m()")), labels)
+    assert labels == {"wrong"}
     assert mc == Pure(RConf(WRONG))
 
 
 def test_magic_call_runs_in_the_monad(ev):
-    mc, label = ev.step_config_traced(EConf(parse_expr("Failure[Nat].fail()")))
-    assert label == "mgc"
+    labels = set()
+    mc = ev.step_config(EConf(parse_expr("Failure[Nat].fail()")), labels)
+    assert labels == {"mgc"}
     assert mc == Raised("Fail")
 
 
@@ -212,3 +216,37 @@ def test_a_deep_run_reduces_every_step(monkeypatch):
     item = benchmark_item(perfbench_gen().deep_eval(1), "395.sum(253)/exc")
     calls, reduced = step_counts(monkeypatch, item)
     assert calls == reduced == 1976
+
+
+@pytest.mark.parametrize("traced", [False, True])
+@pytest.mark.parametrize("workload, name, calls", [
+    ("deep_eval", "395.sum(253)/exc", 1976),
+    ("deep_eval", "try-351.sum(250)/exc", 3162),
+    ("wide_nd", "coins8[13212222]/list", 5321),
+])
+def test_every_step_goes_through_mon_step_on_the_class(monkeypatch, workload,
+                                                       name, calls, traced):
+    # the stepper finds ``mon_step`` on the class when it takes a step, so
+    # a method patched in after the evaluator is built, as the benchmark's
+    # step counter may be, sees every step
+    gen = perfbench_gen()
+    items = gen.deep_eval(1) if workload == "deep_eval" else gen.wide_nd(1, "")
+    item = benchmark_item(items, name)
+    prog = load_program(item.source)
+    prefix = 2 ** item.params["k"] if item.kind == "coins" else 256
+    ev = Evaluator(prog, item.monad, prefix)
+    counted = []
+    real = Evaluator.mon_step
+
+    def wrapped(self, c):
+        counted.append(c)
+        return real(self, c)
+
+    monkeypatch.setattr(Evaluator, "mon_step", wrapped)
+    # big steps as ``finitary`` takes them, collecting labels when traced
+    # (without rendering each step, which costs more than the run)
+    mc, labels = ev.initial(prog.main), set()
+    while any(isinstance(c, EConf) for c in ev.monad.elements(mc, prefix)):
+        mc = ev.big_step(mc, labels if traced else None)
+    assert len(counted) == calls
+    assert bool(labels) == traced

@@ -6,6 +6,7 @@ plugged terms, at a cost per step that does not depend on depth either."""
 
 import collections
 import contextlib
+import functools
 
 import pytest
 
@@ -15,6 +16,7 @@ from mfj.monads import LazyList
 from mfj.parser import parse_expr
 from mfj.prelude import load_program, prelude_program
 from mfj.soundness import check_soundness
+from mfj.syntax import Try
 from mfj.typer import Checker
 
 from conftest import load
@@ -60,22 +62,27 @@ def observed(monad, mv):
     return mv.take(64) if isinstance(mv, LazyList) else mv
 
 
-@pytest.mark.parametrize("name, monad", CASES)
-def test_every_step_agrees_with_the_reference_stepper(name, monad):
-    """Each configuration the machine reaches is the canonical decomposition
-    of its term, and its step plugs to the reference step of that term, with
-    the same rule and magic atom."""
+@functools.cache
+def compared_steps(name, monad) -> frozenset:
+    """Walk the configurations the machine reaches from ``name``'s main
+    (up to 600 steps), checking that each is the canonical decomposition of
+    its term and that its step plugs to the reference step of that term,
+    with the same rule and magic atom.  Returns, for each configuration
+    compared, the kinds of its focus and of its top frame, and the rule of
+    its step (None if it takes none)."""
     prog = program(name)
     ev = Evaluator(prog, monad)
     start = EConf(prog.main)
     seen, queue = {start}, collections.deque([start])
-    steps = 0
+    steps, kinds = 0, set()
     while queue and steps < 600:
         c = queue.popleft()
         e = c.expr
         assert EConf(e) is c
         got, want = ev.mon_step(c), reference_step(ev, e)
         assert (got is None) == (want is None), e
+        kinds.add((type(c.focus).__name__, type(c.frames).__name__,
+                   got and got[1].rule))
         if got is None:
             continue
         steps += 1
@@ -88,6 +95,35 @@ def test_every_step_agrees_with_the_reference_stepper(name, monad):
                 seen.add(c2)
                 queue.append(c2)
     assert steps > 0
+    return frozenset(kinds)
+
+
+@pytest.mark.parametrize("name, monad", CASES)
+def test_every_step_agrees_with_the_reference_stepper(name, monad):
+    compared_steps(name, monad)
+
+
+def test_the_comparison_covers_every_step_under_a_try():
+    # under a try frame: the try rules on a return, a do and a magic call,
+    # and a call to a def method reduced in place
+    under_try = {(focus, rule) for name, monad in CASES
+                 for focus, top, rule in compared_steps(name, monad)
+                 if top == "TryFrame"}
+    assert under_try >= {
+        ("Return", "pure"), ("Do", "pure"), ("Call", "pure"),
+        ("Call", "catch-stop"), ("Call", "catch-continue"), ("Call", "fwd")}
+
+
+@pytest.mark.parametrize("e2", [
+    "Failure[Nat].fail()", "2.sum(1)", "do x = 0.succ(); return x",
+    "return 0"])
+def test_a_step_in_place_under_a_try_is_the_step_of_the_whole_try(e2):
+    # ``_reduce`` builds EConf(e2, frame) where the rules give
+    # EConf(try e2 with h, below): both are one configuration
+    h = parse_expr(f"try return 0 with {HANDLER}").handler
+    below = DoFrame("y", parse_expr("return y"), None)
+    e = parse_expr(e2)
+    assert EConf(e, TryFrame(h, below)) is EConf(Try(e, h), below)
 
 
 def test_a_configuration_is_decomposed_to_its_next_redex():

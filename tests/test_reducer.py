@@ -281,6 +281,9 @@ def test_try_ctx_steps_the_body(sigs):
 def test_stuck_states(sigs):
     assert pure_step(sigs, parse_expr("x.m()")) is None
     assert pure_step(sigs, parse_expr("return 0")) is None
+    # no rule of the try applies, and its body does not step (try-ctx)
+    assert pure_step(sigs, parse_expr(
+        "try x.m() with Exception.throw : [X] <x, return 0> stop")) is None
 
 
 @pytest.mark.parametrize("main", [

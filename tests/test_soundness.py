@@ -9,7 +9,7 @@ import pytest
 from mfj.cli import main as cli_main
 from mfj.evaluator import EConf, Evaluator, StepInfo, VRes, WRONG
 from mfj.monads import (
-    MONADS, Dist, LazyList, ListMonad, Pure, Raised, get_monad,
+    MONADS, TRUE, Dist, LazyList, ListMonad, Pure, Raised, get_monad,
 )
 from mfj.parser import numeral, parse_effect, parse_expr, parse_type
 from mfj.prelude import load_program, prelude_program
@@ -19,7 +19,7 @@ from mfj.soundness import (
     check_lifted_step, check_progress, check_soundness, interp_law_suite,
     interps_for, type_monadic_result,
 )
-from mfj.syntax import PURE, TOP, Call, TypeVar, EffCall, eff_of
+from mfj.syntax import PURE, TOP, Call, Return, TypeVar, EffCall, eff_of
 from mfj.typer import Checker
 
 from conftest import load
@@ -349,6 +349,33 @@ def test_check_soundness_flags_approximations_that_are_not_a_chain(
 
 
 @pytest.mark.parametrize("monad", ["list", "dist"])
+def test_the_walk_steps_every_branch_not_only_the_endless_one(monkeypatch,
+                                                             monad):
+    # nd_m2's else branch flips again for ever; a last-in-first-out walk
+    # followed it and never stepped a then branch nor reached a result
+    stepped, walking = [], [True]
+    real_step, real_run = Evaluator.mon_step, Evaluator.finitary
+
+    def recorded(self, c):
+        if walking[0]:
+            stepped.append(c)
+        return real_step(self, c)
+
+    def run(self, *args):  # the walk is over: the runs step every branch
+        walking[0] = False
+        return real_run(self, *args)
+
+    monkeypatch.setattr(Evaluator, "mon_step", recorded)
+    monkeypatch.setattr(Evaluator, "finitary", run)
+    rep = check_soundness(load("nd_m2"), monad, fuel=200, approx_to=0)
+    assert rep.ok
+    assert any(isinstance(c.focus, Call) and c.focus.method == "if"
+               and c.focus.recv == TRUE for c in stepped)
+    assert any(isinstance(c, EConf) and c.frames is None
+               and isinstance(c.focus, Return) for c in stepped)
+
+
+@pytest.mark.parametrize("monad", ["list", "dist"])
 def test_the_monitor_types_each_configuration_through_the_memo(monkeypatch,
                                                                monad):
     typed, exprs = Counter(), Counter()
@@ -365,11 +392,12 @@ def test_the_monitor_types_each_configuration_through_the_memo(monkeypatch,
     monkeypatch.setattr(Checker, "type_conf", counted_conf)
     monkeypatch.setattr(Checker, "_type_expr", counted_expr)
     rep = check_soundness(load("nd_m2"), monad, fuel=200)
-    # the walk reaches 230 distinct configurations; each is typed as a
+    # the walk reaches 221 distinct configurations; each is typed as a
     # step's result and again when popped, and the memo answers the second,
-    # so the expressions typed stay those of the walk's distinct terms
-    assert len(typed) == 230 and max(typed.values()) <= 2
-    assert exprs["calls"] == 46
+    # so the expressions typed stay those of the walk's distinct terms,
+    # the ``then`` branches' among them
+    assert len(typed) == 221 and max(typed.values()) <= 2
+    assert exprs["calls"] == 54
     assert rep.summary() == "5 checks, 0 failures"
     assert [(r.check, r.witness) for r in rep.records] == [
         ("per-step", "200 steps monitored"),

@@ -143,8 +143,16 @@ class Dist:
     def as_dict(self) -> dict:
         return dict(self.weights)
 
+    _support = None  # until ``support`` builds it
+
     def support(self) -> list:
-        return [v for v, _ in self.weights]
+        """The values of positive weight, in order: built on first use and
+        kept on this (immutable) value for its life; no caller mutates it."""
+        s = self._support
+        if s is None:
+            s = [v for v, _ in self.weights]
+            object.__setattr__(self, "_support", s)
+        return s
 
     def __eq__(self, other):
         return isinstance(other, Dist) and self.as_dict() == other.as_dict()

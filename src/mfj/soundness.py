@@ -20,10 +20,11 @@ The theorems become decidable checks over observed prefixes and supports:
 The per-step monitor works on configurations, not plugged terms: it steps
 them with ``Evaluator.mon_step`` and types them with ``Checker.type_conf``,
 which retypes only the focus and the frames a step changed, so its cost per
-step does not grow with the depth of the evaluation context.  A
-configuration is typed as a step's result and again when it is stepped; the
-typing memo answers the second.  A configuration is plugged (``EConf.expr``)
-only to print a witness.
+step does not grow with the depth of the evaluation context.  The walk reads
+each step's elements once and types a configuration once, as a step's
+result, keeping that typing until it pops the configuration to step it; a
+result whose typing raised is typed again when popped.  A configuration is
+plugged (``EConf.expr``) only to print a witness.
 """
 
 from __future__ import annotations
@@ -55,10 +56,15 @@ class UnknownAtom(Exception):
 
 
 class Denotation:
-    """excSet / ndFlag of ground simplified effects, relative to a program."""
+    """excSet / ndFlag of ground simplified effects, relative to a program.
+
+    ``exc_set`` is memoised per effect node in ``_exc`` for the life of the
+    denotation: effects are hash-consed, and a denotation reads one
+    program's declarations, so no entry is shared between programs."""
 
     def __init__(self, sigs: Sigs):
         self.sigs = sigs
+        self._exc: dict = {}
 
     def _receiver_names(self, t: Type) -> Optional[set]:
         """Parent names of the receiver; None means 'any' (Object)."""
@@ -83,15 +89,18 @@ class Denotation:
         """Exception names the effect allows; None encodes 'all' (top)."""
         if eff.top:
             return None
-        out = set()
-        for a in eff.atoms:
-            if a.method not in EXC_METHODS:
-                continue  # no exception reading; contributes nothing
-            uppers = self._receiver_names(a.receiver)
-            for decl in self.sigs.program.decls:
-                if self._raises(decl, a.method, uppers):
-                    out.add(exc_name(decl.name))
-        return frozenset(out)
+        names = self._exc.get(eff)
+        if names is None:
+            out = set()
+            for a in eff.atoms:
+                if a.method not in EXC_METHODS:
+                    continue  # no exception reading; contributes nothing
+                uppers = self._receiver_names(a.receiver)
+                for decl in self.sigs.program.decls:
+                    if self._raises(decl, a.method, uppers):
+                        out.add(exc_name(decl.name))
+            names = self._exc[eff] = frozenset(out)
+        return names
 
     def nd_flag(self, eff: Effect) -> int:
         if eff.top:
@@ -189,11 +198,14 @@ def check_progress(c: EConf, stepped) -> Optional[str]:
 
 
 def check_lifted_step(checker: Checker, den: Denotation, ev: Evaluator,
-                      T: Type, eff: Effect, stepped) -> Optional[str]:
+                      T: Type, eff: Effect, stepped, elems=None,
+                      typed: Optional[dict] = None) -> Optional[str]:
     """Monadic subject reduction for one step of a configuration of type
     ``T ! eff``, whose result ``ev.mon_step`` is ``stepped`` (not None: a
     configuration that does not step is ``check_progress``'s question).
-    None if the check holds, else its witness.
+    None if the check holds, else its witness.  ``elems`` are the step
+    result's elements, if the caller has read them; ``typed``, if given,
+    gets the typing of each element this check types, keyed by the element.
 
     Every configuration in the step result must retype at some T' ! eff'
     with T' <= T and ehat v eff' <= eff, where ehat is the canonical
@@ -203,7 +215,8 @@ def check_lifted_step(checker: Checker, den: Denotation, ev: Evaluator,
     """
     mv, info = stepped
     monad, prefix, ehat = ev.monad, ev.prefix, PURE
-    elems = monad.elements(mv, prefix)
+    if elems is None:
+        elems = monad.elements(mv, prefix)
     if info.mgc_atom is not None:
         ehat = eff_of(info.mgc_atom)
         if not checker.sigs.sub_eff({}, ehat, eff):
@@ -217,6 +230,8 @@ def check_lifted_step(checker: Checker, den: Denotation, ev: Evaluator,
             t2, f2 = checker.type_conf(c2)
         except TypecheckError as err:
             return f"step result {c2.expr!r} is ill-typed: {err}"
+        if typed is not None:
+            typed[c2] = t2, f2
         if not checker.sigs.sub_type({}, t2, T):
             return f"step result type {t2!r} not below {T!r}"
         if not checker.sigs.sub_eff({}, eff_union(ehat, f2), eff):
@@ -402,21 +417,25 @@ def check_soundness(program: Program, monad_name: str, *, name: str = "main",
     # per-step progress and subject reduction, over distinct reachable
     # configurations (nodes: an equal configuration is the same object),
     # breadth first, so that one endless branch does not take the budget
-    # from the others
+    # from the others; a frontier entry keeps the typing it got as a step's
+    # result until it is popped, so each is typed once
     c0 = EConf(e0)
     seen = {c0}
     frontier = deque([c0])
+    typings: dict = {}
     budget = fuel
     steps_ok = True
     while frontier and budget > 0:
         cur = frontier.popleft()
-        try:
-            t, f = checker.type_conf(cur)
-        except TypecheckError as err:
-            rep.add(name, monad_name, "subject-reduction", False,
-                    f"reachable expression ill-typed: {err}")
-            steps_ok = False
-            continue
+        typing = typings.pop(cur, None)
+        if typing is None:
+            try:
+                typing = checker.type_conf(cur)
+            except TypecheckError as err:
+                rep.add(name, monad_name, "subject-reduction", False,
+                        f"reachable expression ill-typed: {err}")
+                steps_ok = False
+                continue
         stepped = ev.mon_step(cur)
         w = check_progress(cur, stepped)
         if w is not None:
@@ -425,15 +444,18 @@ def check_soundness(program: Program, monad_name: str, *, name: str = "main",
         if stepped is None:
             continue
         budget -= 1
-        w = check_lifted_step(checker, den, ev, t, f, stepped)
+        t, f = typing
+        elems, typed = ev.monad.elements(stepped[0], prefix), {}
+        w = check_lifted_step(checker, den, ev, t, f, stepped, elems, typed)
         if w is not None:
             rep.add(name, monad_name, "subject-reduction", False, w)
             steps_ok = False
-        mv, _ = stepped
-        for nxt in ev.monad.elements(mv, prefix):
+        for nxt in elems:
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
+                if nxt in typed:  # not when its typing raised
+                    typings[nxt] = typed[nxt]
     if steps_ok:
         rep.add(name, monad_name, "per-step", True,
                 f"{fuel - budget} steps monitored")

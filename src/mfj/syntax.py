@@ -578,13 +578,14 @@ def eff_of(*atoms: EffCall, top: bool = False) -> Effect:
     return TOP if top else Effect(frozenset(atoms))
 
 
-def eff_union(*effs: Effect) -> Effect:
-    atoms = set()
-    for e in effs:
-        if e.top:
-            return TOP
-        atoms |= e.atoms
-    return eff_of(*atoms)
+def eff_union(a: Effect, b: Effect) -> Effect:
+    """``a \\/ b``.  An operand that adds nothing (``pure``, or the other
+    operand itself: effects are nodes) gives back the other one unbuilt."""
+    if b is PURE or a is b:
+        return a
+    if a is PURE:
+        return b
+    return TOP if a.top or b.top else Effect(a.atoms | b.atoms)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,12 @@ meets its images and flattenings.  Rewrite it, only for an intended change of
 output, with
 
     PYTHONPATH=src python tests/golden.py
+
+The script takes no arguments: ``--help`` prints its usage, and any other
+argument is refused with exit 2; neither writes the file.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -113,8 +117,18 @@ def record() -> dict:
     return out
 
 
+def rewrite(argv=None) -> None:
+    """The script: parse ``argv`` (none are taken), then rewrite ``GOLDEN``."""
+    argparse.ArgumentParser(
+        prog="golden.py",
+        description=f"Rewrite {GOLDEN.name} from what mfj prints and reports "
+                    "now; only for an intended change of output.",
+    ).parse_args(argv)
+    GOLDEN.write_text(json.dumps(record(), indent=1, sort_keys=True) + "\n")
+
+
 if __name__ == "__main__":
     import sys
 
     sys.path.insert(0, str(HERE))
-    GOLDEN.write_text(json.dumps(record(), indent=1, sort_keys=True) + "\n")
+    rewrite()

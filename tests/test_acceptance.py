@@ -6,6 +6,7 @@ the lifting laws, and the requirement that every seeded fault breaks at
 least one of the other checks.
 """
 
+import json
 import time
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from mfj.soundness import (
 from mfj.syntax import PURE
 from mfj.typer import Checker
 
+import golden
 from conftest import load
 from golden import broken_violations, load_golden
 
@@ -232,6 +234,22 @@ def test_broken_liftings_report_the_recorded_violations(monad):
     assert {v.split()[0] for v in violations} == {"naturality",
                                                   "multiplication"}
     assert violations == load_golden()[f"laws/broken-{monad}"]
+
+
+@pytest.mark.parametrize("argv, code, stream", [
+    (["--help"], 0, "out"), (["--regenerate"], 2, "err")])
+def test_the_golden_script_writes_nothing_for_an_argument(
+        monkeypatch, tmp_path, capsys, argv, code, stream):
+    target = tmp_path / "corpus_golden.json"
+    monkeypatch.setattr(golden, "GOLDEN", target)
+    monkeypatch.setattr(golden, "record", lambda: {"recorded": True})
+    with pytest.raises(SystemExit) as exit_:
+        golden.rewrite(argv)
+    assert exit_.value.code == code
+    assert getattr(capsys.readouterr(), stream).startswith("usage: golden.py")
+    assert not target.exists()
+    golden.rewrite([])  # no argument: the one way to write the file
+    assert json.loads(target.read_text()) == {"recorded": True}
 
 
 # -- criterion 9: every seeded fault is observable ----------------------------

@@ -16,9 +16,11 @@ and ``_decl_sig`` forgetful together, every signature lookup extracts its
 whole inheritance chain again, and checking ``CHECKED``, whose generated
 programs have long chains, takes 1.6 s instead of 0.3 s.  The evaluator's
 table of recent steps has a twin too: an evaluator whose table never hits
-must run every program to the same result, approximations and trace.  So
-does the prelude's diagnostics cache: a check that reads it must give the
-diagnostics of a check of every declaration, under every seeded fault."""
+must run every program to the same result, approximations and trace, and
+a soundness monitor whose denotation's excSet memo never hits must report
+the same checks and witnesses.  So does the prelude's diagnostics cache: a
+check that reads it must give the diagnostics of a check of every
+declaration, under every seeded fault."""
 
 import contextlib
 
@@ -27,6 +29,7 @@ import pytest
 from mfj import faults, typer
 from mfj.evaluator import Diverged, EConf, Evaluator, PrefixExceeded
 from mfj.prelude import load_program, prelude_program
+from mfj.soundness import Denotation, check_soundness
 from mfj.syntax import Program
 from mfj.typer import Checker, TypecheckError
 
@@ -217,6 +220,23 @@ def test_the_twin_types_every_configuration_alike(name, monad):
             assert typing_or_error(ck.type_conf, c) == expected, c
         confs += 1
     assert confs > 1
+
+
+@pytest.mark.parametrize("name, monad", WALKS)
+def test_the_denotation_twin_reports_every_program_alike(monkeypatch, name,
+                                                        monad):
+    """A denotation whose excSet memo never hits reads the declarations on
+    every call; the monitor must report the same checks and witnesses."""
+    prog = load_program(OUTER_FRAMES) if name == "outer_frames" else load(name)
+    expected = check_soundness(prog, monad, fuel=600).to_json()
+    real_init = Denotation.__init__
+
+    def forgetful(self, sigs):
+        real_init(self, sigs)
+        self._exc = Forgetful()
+
+    monkeypatch.setattr(Denotation, "__init__", forgetful)
+    assert check_soundness(prog, monad, fuel=600).to_json() == expected
 
 
 def outcome(ev, prog) -> tuple:

@@ -375,28 +375,37 @@ def test_the_walk_steps_every_branch_not_only_the_endless_one(monkeypatch,
                and isinstance(c.focus, Return) for c in stepped)
 
 
+def counted_typings(monkeypatch) -> Counter:
+    """The ``Checker.type_conf`` calls made from now on, per configuration."""
+    typed = Counter()
+    real = Checker.type_conf
+
+    def counted(self, c):
+        typed[c] += 1
+        return real(self, c)
+
+    monkeypatch.setattr(Checker, "type_conf", counted)
+    return typed
+
+
 @pytest.mark.parametrize("monad", ["list", "dist"])
 def test_the_monitor_types_each_configuration_through_the_memo(monkeypatch,
                                                                monad):
-    typed, exprs = Counter(), Counter()
-    real_conf, real_expr = Checker.type_conf, Checker._type_expr
-
-    def counted_conf(self, c):
-        typed[c] += 1
-        return real_conf(self, c)
+    typed, exprs = counted_typings(monkeypatch), Counter()
+    real_expr = Checker._type_expr
 
     def counted_expr(self, *a):
         exprs["calls"] += 1
         return real_expr(self, *a)
 
-    monkeypatch.setattr(Checker, "type_conf", counted_conf)
     monkeypatch.setattr(Checker, "_type_expr", counted_expr)
     rep = check_soundness(load("nd_m2"), monad, fuel=200)
-    # the walk reaches 221 distinct configurations; each is typed as a
-    # step's result and again when popped, and the memo answers the second,
-    # so the expressions typed stay those of the walk's distinct terms,
-    # the ``then`` branches' among them
-    assert len(typed) == 221 and max(typed.values()) <= 2
+    # the walk reaches 221 distinct configurations and types each once: the
+    # start when popped, every other one as a step's result, whose typing
+    # the walk keeps until it pops it; the memo answers equal terms, so the
+    # expressions typed stay those of the walk's distinct terms, the
+    # ``then`` branches' among them
+    assert len(typed) == 221 and sum(typed.values()) == 221
     assert exprs["calls"] == 54
     assert rep.summary() == "5 checks, 0 failures"
     assert [(r.check, r.witness) for r in rep.records] == [
@@ -405,6 +414,14 @@ def test_the_monitor_types_each_configuration_through_the_memo(monkeypatch,
         ("approx-chain-ascending", ""),
         (f"infinitary/{monad}-forall", ""),
         (f"infinitary/{monad}-exists", "")]
+
+
+@pytest.mark.parametrize("monad", ["list", "dist"])
+def test_a_long_walk_types_no_configuration_twice(monkeypatch, monad):
+    typed = counted_typings(monkeypatch)
+    rep = check_soundness(load("nd_m2"), monad, fuel=10000)
+    assert rep.records[0].witness == "10000 steps monitored"
+    assert len(typed) == 11001 and max(typed.values()) == 1
 
 
 def test_the_monitor_looks_up_each_call_once_per_receiver(monkeypatch):
@@ -446,6 +463,21 @@ def test_corrupted_registry_is_detected(monkeypatch):
     rep = check_soundness(prog, "list", fuel=500)
     assert not rep.ok
     assert any(r.check == "subject-reduction" for r in rep.failures())
+
+
+def test_an_ill_typed_step_result_is_typed_again_when_popped(monkeypatch):
+    # a step result whose typing raises is not kept: popped, it is typed
+    # again and reported as reachable and ill-typed, besides the step
+    prog = load("nd_m1")
+    monkeypatch.setitem(MONADS, "list", ChooseZeroListMonad())
+    typed = counted_typings(monkeypatch)
+    rep = check_soundness(prog, "list", fuel=500)
+    witnesses = [r.witness for r in rep.failures()]
+    assert any(w.startswith("step result ") and "is ill-typed" in w
+               for w in witnesses)
+    assert any(w.startswith("reachable expression ill-typed")
+               for w in witnesses)
+    assert max(typed.values()) == 2
 
 
 def test_report_serialization():

@@ -165,6 +165,16 @@ _INFO = {**dict.fromkeys(("invk", "try-ret", "try-do"), StepInfo("pure")),
 FUEL, PREFIX, APPROX = 10000, 256, 64
 
 
+def bound(n: int, least: int = 0) -> int:
+    """``n``, a step count or bound, if it is at least ``least`` (0 or 1);
+    else a ``ValueError`` worded as the CLI words it."""
+    if n < 0:
+        raise ValueError(f"must not be negative: {n}")
+    if n < least:
+        raise ValueError(f"must be positive: {n}")
+    return n
+
+
 # ---------------------------------------------------------------------------
 # The evaluator
 # ---------------------------------------------------------------------------
@@ -176,7 +186,7 @@ class Evaluator:
         self.program = program
         self.sigs = Sigs(program)
         self.monad: Monad = get_monad(monad)
-        self.prefix = prefix
+        self.prefix = bound(prefix, 1)
         self._steps: dict = {}  # configuration -> mon_step's result
 
     # -- stepping ------------------------------------------------------------
@@ -278,8 +288,11 @@ class Evaluator:
 
         Returns the monadic value of results (``VRes`` / ``WRONG``).  A trace
         callback, if given, is called with one ``TraceLine`` per step, as
-        soon as the step is taken.
+        soon as the step is taken.  Each step passes the settled prefix the
+        monad's ``bind_unless`` records through whole, and the test for a
+        running branch reads from the end, where those are not.
         """
+        bound(fuel)
         mc = self.initial(e)
         elements, prefix = self.monad.elements, self.prefix
         for n in range(fuel + 1):
@@ -287,7 +300,8 @@ class Evaluator:
             if len(elems) > prefix:
                 raise PrefixExceeded(
                     f"more than {prefix} branches; raise --prefix")
-            for c in elems:
+            # from the end: finished branches are passed through in front
+            for c in reversed(elems):
                 if isinstance(c, EConf):
                     break
             else:
@@ -305,6 +319,7 @@ class Evaluator:
 
     def approx(self, e, n: int):
         """The n-step approximation: unfinished branches become bottom."""
+        bound(n)
         mc = self.initial(e)
         for _ in range(n):
             mc = self.big_step(mc)
@@ -312,6 +327,7 @@ class Evaluator:
 
     def approx_chain(self, e, upto: int) -> list:
         """[approx(e, 0), ..., approx(e, upto)] computed incrementally."""
+        bound(upto)
         out = []
         mc = self.initial(e)
         out.append(self._truncate(mc))

@@ -34,7 +34,9 @@ from collections import deque
 from itertools import compress, product
 from typing import Callable, List, Optional
 
-from .evaluator import APPROX, FUEL, PREFIX, Diverged, EConf, Evaluator, VRes
+from .evaluator import (
+    APPROX, FUEL, PREFIX, Diverged, EConf, Evaluator, VRes, bound,
+)
 from .monads import EXC_METHODS, ND_METHODS, Monad, exc_name, get_monad
 from .signatures import SigError, Sigs
 from .syntax import (
@@ -267,33 +269,63 @@ def interp_law_suite(interp: EffectInterp, sigs: Sigs, effects,
     3. unit: x in A implies unit(x) in lift_pure(A);
     4. multiplication: lifting twice then flattening lands in lift_{eff v eff'}.
 
-    Each lifting ``interp.lift(eff, A)`` of a subset ``A`` is built once and
-    evaluated once per value: on each sample (laws 1 and 2) and, for a join
-    ``eff v eff'``, on each flattening (law 4).
+    Each lifting ``interp.lift(eff, A)`` is built once per subset ``A`` and
+    effect (the given ones, ``pure`` and each join of two), and its verdicts
+    are kept, for this call only, in a table over the distinct values the
+    laws read, told apart by ``monad.render(m, repr, prefix)``: an exact,
+    order-sensitive key (``Dist``'s equality ignores order; a ``LazyList``
+    has none).  So a lifting runs at most once per distinct value across
+    the four laws; law 4's outer liftings read their inner predicate from
+    the table.  Every law instance is checked, in the order of the laws.
     """
-    monad = interp.monad
+    monad, prefix = interp.monad, interp.prefix
     X = tuple(X)
     viol = []
-    samples = monad.law_samples(X)
-    subsets = _subsets(X)
-    funcs = _functions(X)
-    # each image map_m(f, m) is built once; f is bound now, because list's
-    # map_m is lazy and a closure would see a later f
-    images = [[monad.map_m(f.__getitem__, m) for m in samples] for f in funcs]
+    # a value's index is that of the first value met with its key; a value
+    # met before is found by identity, and ``met`` keeps each one alive, so
+    # that no id is reused within the call
+    firsts, by_key, by_id, met = [], {}, {}, []
+
+    def index(m) -> int:
+        i = by_id.get(id(m))
+        if i is None:
+            i = by_key.setdefault(monad.render(m, repr, prefix), len(firsts))
+            if i == len(firsts):
+                firsts.append(m)
+            by_id[id(m)] = i
+            met.append(m)
+        return i
+
     joins = [eff_union(eff, eff2) for eff in effects for eff2 in effects]
+    subsets = _subsets(X)
     lifts = {(eff, A): interp.lift(eff, A.__contains__)
              for eff in dict.fromkeys([*effects, PURE, *joins]) for A in subsets}
-    # (eff, A) -> lift(eff, A) on each sample
-    on_samples = {(eff, A): [lifts[eff, A](m) for m in samples]
-                  for eff in effects for A in subsets}
+    rows: dict = {}  # (eff, A) -> lift(eff, A) on each value index
+
+    def verdicts(ea) -> list:
+        """``lifts[ea]`` on every value indexed so far, each run once."""
+        row = rows.setdefault(ea, [])
+        if len(row) < len(firsts):
+            row.extend(map(lifts[ea], firsts[len(row):]))
+        return row
+
+    samples = monad.law_samples(X)
+    at = [index(m) for m in samples]
+    funcs = _functions(X)
+    # each image map_m(f, m) is built and indexed once; f is bound now,
+    # because list's map_m is lazy and a closure would see a later f
+    images = [[index(monad.map_m(f.__getitem__, m)) for m in samples]
+              for f in funcs]
+    # f^-1(A), once per (f, A)
+    preimages = [[frozenset(x for x in X if f[x] in A) for A in subsets]
+                 for f in funcs]
     # 1: naturality
     for eff in effects:
-        for f, f_images in zip(funcs, images):
-            for A in subsets:
-                lhs_all = on_samples[eff, frozenset(x for x in X if f[x] in A)]
-                lift_A = lifts[eff, A]
-                for m, image, lhs in zip(samples, f_images, lhs_all):
-                    if lhs != lift_A(image):
+        for f, f_images, f_pre in zip(funcs, images, preimages):
+            for A, pre in zip(subsets, f_pre):
+                lhs, rhs = verdicts((eff, pre)), verdicts((eff, A))
+                for m, j, i in zip(samples, at, f_images):
+                    if lhs[j] != rhs[i]:
                         viol.append(
                             f"naturality fails for {interp.name} at eff="
                             f"{eff!r}, f={f}, A={sorted(A)}, m={m!r}")
@@ -303,31 +335,39 @@ def interp_law_suite(interp: EffectInterp, sigs: Sigs, effects,
             if not sigs.sub_eff({}, eff, eff2):
                 continue
             for A in subsets:
-                for m, lo, hi in zip(samples, on_samples[eff, A],
-                                     on_samples[eff2, A]):
-                    if lo and not hi:
+                lo, hi = verdicts((eff, A)), verdicts((eff2, A))
+                for m, j in zip(samples, at):
+                    if lo[j] and not hi[j]:
                         viol.append(
                             f"monotonicity fails for {interp.name}: "
                             f"{eff!r} <= {eff2!r}, A={sorted(A)}, m={m!r}")
     # 3: unit
     for A in subsets:
         for x in A:
-            if not lifts[PURE, A](monad.unit(x)):
+            i = index(monad.unit(x))
+            if not verdicts((PURE, A))[i]:
                 viol.append(
                     f"unit law fails for {interp.name}: x={x}, A={sorted(A)}")
     # 4: multiplication
     mm_samples = ([monad.unit(m) for m in samples]
                   + monad.outer_samples(samples))
-    flats = [monad.bind(mm, lambda m: m) for mm in mm_samples]
-    on_flats = {(eff, A): [lifts[eff, A](m) for m in flats]  # as on_samples
-                for eff in dict.fromkeys(joins) for A in subsets}
+    flats = [index(monad.bind(mm, lambda m: m)) for mm in mm_samples]
+
+    def tabled(ea) -> Callable:
+        """``lifts[ea]`` as a predicate read from the table."""
+        def pred(m):
+            i = index(m)
+            return verdicts(ea)[i]
+
+        return pred
+
     for eff in effects:
         for eff2 in effects:
             for A in subsets:
-                lift_out = interp.lift(eff, lifts[eff2, A])
-                oks = on_flats[eff_union(eff, eff2), A]
-                for mm, ok in zip(mm_samples, oks):
-                    if not ok and lift_out(mm):
+                lift_out = interp.lift(eff, tabled((eff2, A)))
+                oks = verdicts((eff_union(eff, eff2), A))
+                for mm, i in zip(mm_samples, flats):
+                    if not oks[i] and lift_out(mm):
                         viol.append(
                             f"multiplication fails for {interp.name}: "
                             f"eff={eff!r}, eff'={eff2!r}, A={sorted(A)}, "
@@ -400,7 +440,13 @@ def check_soundness(program: Program, monad_name: str, *, name: str = "main",
                     fuel: int = FUEL, approx_to: int = APPROX,
                     prefix: int = PREFIX, which: Optional[str] = None,
                     report: Optional[SoundnessReport] = None) -> SoundnessReport:
-    """Run every dynamic soundness check for one program under one monad."""
+    """Run every dynamic soundness check for one program under one monad.
+    A ``fuel`` below 1, a negative ``approx_to``, a ``prefix`` below 1 or a
+    ``which`` other than 'forall', 'exists' or None is a ``ValueError``."""
+    bound(fuel, 1)
+    bound(approx_to)
+    if which not in ("forall", "exists", None):
+        raise ValueError(f"which must be 'forall', 'exists' or None: {which!r}")
     rep = report if report is not None else SoundnessReport()
     checker = Checker(program)
     diags = checker.check_program()

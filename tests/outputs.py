@@ -29,6 +29,11 @@ of the type and of the effect, or the diagnostic) of every configuration
 along the first ``WALK_STEPS`` steps of a monitored walk of every corpus
 program under every monad, so that the typing memos are compared directly.
 
+It records the violations ``interp_law_suite`` reports for every
+interpretation of every monad over the benchmark's ``LAW_EFFECTS``, and for
+the three broken liftings of ``golden.py``, with no fault and under each
+``mfj.faults`` switch.
+
 For the parser it records ``parse`` of every ``check_large`` program of
 seeds 1-6 (each written to a file of its own name in a temporary
 directory), and the outcome of ``parse_program`` (the ``ParseError`` text,
@@ -49,11 +54,13 @@ import sys
 import tempfile
 
 from conftest import perfbench_gen
+from golden import broken_violations
 from mfj import faults
 from mfj.cli import main
 from mfj.monads import MONADS
-from mfj.parser import ParseError, parse_program, pretty
-from mfj.prelude import load_program
+from mfj.parser import ParseError, parse_effect, parse_program, pretty
+from mfj.prelude import load_program, prelude_program
+from mfj.soundness import Denotation, interp_law_suite, interps_for
 from mfj.typer import Checker, TypecheckError
 
 from reference_tokenizer import token_spans
@@ -99,6 +106,9 @@ def dump() -> dict:
             got[key] = outcome(argv)
     got.update(coin_outputs())
     got.update(parser_outputs())
+    for fault in (None, *faults.NAMES):
+        with faults.inject(fault) if fault else contextlib.nullcontext():
+            got.update(law_outputs(f"[{fault}] " if fault else ""))
     for seed in CHECK_LARGE_SEEDS:
         for i, item in enumerate(perfbench_gen().check_large(seed)):
             diags = Checker(load_program(item.source)).check_program()
@@ -154,6 +164,20 @@ def parser_outputs() -> dict:
     return got
 
 
+def law_outputs(tag: str) -> dict:
+    """The law suite's violations for each interpretation of each monad and
+    for each broken lifting."""
+    sigs = Checker(prelude_program()).sigs
+    effects = [parse_effect(src) for src in perfbench_gen().LAW_EFFECTS]
+    got = {f"{tag}laws {interp.name}": {
+               "violations": interp_law_suite(interp, sigs, effects)}
+           for m in MONADS for interp in interps_for(m, Denotation(sigs))}
+    for which in ("exc", "list", "dist"):
+        got[f"{tag}laws broken-{which}"] = {
+            "violations": broken_violations(which)}
+    return got
+
+
 def typings(prog, monad: str) -> list:
     """The ``type_conf`` typing of each configuration along the walk."""
     ck, out = Checker(prog), []
@@ -176,7 +200,7 @@ def compare(a: dict, b: dict, shown: int = 10) -> list:
             lines.append(f"{k}: only in {'B' if k not in a else 'A'}")
         else:
             parts = [p for p in ("code", "stdout", "stderr", "diagnostics",
-                                 "typings", "parse")
+                                 "typings", "parse", "violations")
                      if a[k].get(p) != b[k].get(p)]
             lines.append(f"{k}: {', '.join(parts)} differ")
     if keys:

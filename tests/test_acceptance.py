@@ -219,6 +219,31 @@ def test_the_law_suite_builds_each_lifting_once(monkeypatch):
     assert len(built) == 504
 
 
+def test_the_law_suite_runs_each_lifting_once_per_distinct_value(monkeypatch):
+    # every built lifting is counted on each call, keyed as the suite keys
+    # a value (its rendering); none is asked twice about one value
+    calls = []
+    real = EffectInterp.lift
+
+    def counted(self, eff, pred):
+        lifting, asked = real(self, eff, pred), set()
+
+        def call(m):
+            key = self.monad.render(m, repr, self.prefix)
+            assert key not in asked, (eff, key)
+            asked.add(key)
+            calls.append(key)
+            return lifting(m)
+
+        return call
+
+    monkeypatch.setattr(EffectInterp, "lift", counted)
+    sigs, den, effects = _law_setup()
+    assert interp_law_suite(interps_for("exc", den)[0], sigs, effects) == []
+    # 14,596 when each law instance evaluated its lifting afresh
+    assert len(calls) == 2172
+
+
 def test_broken_interp_fails_monotonicity():
     sigs, den, effects = _law_setup()
     violations = interp_law_suite(BrokenExcInterp(den), sigs, effects)

@@ -114,6 +114,36 @@ def test_prefix_exceeded():
         Evaluator(prog, "list", prefix=1).finitary(prog.main, 100)
 
 
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda p: Evaluator(p).finitary(p.main, -1),
+                 "must not be negative: -1", id="finitary"),
+    pytest.param(lambda p: Evaluator(p, "list", prefix=-3),
+                 "must not be negative: -3", id="negative-prefix"),
+    pytest.param(lambda p: Evaluator(p, "list", prefix=0),
+                 "must be positive: 0", id="zero-prefix"),
+    pytest.param(lambda p: Evaluator(p).approx(p.main, -1),
+                 "must not be negative: -1", id="approx"),
+    pytest.param(lambda p: Evaluator(p).approx_chain(p.main, -2),
+                 "must not be negative: -2", id="approx_chain"),
+])
+def test_a_nonsense_bound_is_refused_as_the_cli_refuses_it(call, message):
+    # the in-process API once ran these: finitary at fuel -1 gave None, a
+    # prefix of -3 gave [] for 3.sum(2), and a chain of -2 gave [bottom]
+    prog = load_program("main = 3.sum(2)")
+    with pytest.raises(ValueError) as err:
+        call(prog)
+    assert str(err.value) == message
+
+
+def test_zero_fuel_and_zero_steps_are_valid():
+    prog = load_program("main = 3.sum(2)")
+    ev2 = Evaluator(prog, "list", prefix=1)
+    with pytest.raises(Diverged):
+        ev2.finitary(prog.main, 0)
+    assert ev2.approx(prog.main, 0).take(2) == []
+    assert [m.take(2) for m in ev2.approx_chain(prog.main, 0)] == [[]]
+
+
 # -- approximations -----------------------------------------------------------
 
 def test_approx_before_and_after_termination(ev):

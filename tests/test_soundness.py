@@ -528,3 +528,19 @@ def test_a_failure_clause_catches_the_fail_of_a_subclass():
     res = Evaluator(prog, "exc").finitary(prog.main)
     assert res == Pure(VRes(numeral(0)))
     assert check_soundness(prog, "exc").ok
+
+
+@pytest.mark.parametrize("kw, message", [
+    ({"fuel": -5}, "must not be negative: -5"),
+    ({"fuel": 0}, "must be positive: 0"),
+    ({"approx_to": -1}, "must not be negative: -1"),
+    ({"prefix": 0}, "must be positive: 0"),
+    ({"which": "bogus"},
+     "which must be 'forall', 'exists' or None: 'bogus'"),
+], ids=["negative-fuel", "zero-fuel", "approx_to", "prefix", "which"])
+def test_check_soundness_refuses_a_nonsense_bound(kw, message):
+    # fuel -5 once reported "0 steps monitored" and no finitary record,
+    # prefix 0 escaped as PrefixExceeded, and "bogus" ran both liftings
+    with pytest.raises(ValueError) as err:
+        check_soundness(load("nd_m1"), "list", **kw)
+    assert str(err.value) == message

@@ -30,7 +30,7 @@ import sys
 from typing import Optional
 
 from .evaluator import (
-    APPROX, FUEL, PREFIX, Diverged, Evaluator, PrefixExceeded, VRes, bound,
+    APPROX, FUEL, PREFIX, Diverged, Evaluator, PrefixExceeded, VRes,
 )
 from .monads import MONADS
 from .parser import ParseError, pretty
@@ -39,18 +39,20 @@ from .syntax import free
 from .typer import Checker
 
 
-def count(text: str, least: int = 0) -> int:
+def count(text: str) -> int:
     """argparse type: a non-negative integer."""
     n = int(text)
-    try:
-        return bound(n, least)
-    except ValueError as e:
-        raise argparse.ArgumentTypeError(str(e))
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {n}")
+    return n
 
 
 def positive(text: str) -> int:
     """argparse type: a positive integer."""
-    return count(text, 1)
+    n = count(text)
+    if n == 0:
+        raise argparse.ArgumentTypeError("must be positive: 0")
+    return n
 
 
 def _arg_parser() -> argparse.ArgumentParser:

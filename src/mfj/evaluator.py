@@ -288,9 +288,7 @@ class Evaluator:
 
         Returns the monadic value of results (``VRes`` / ``WRONG``).  A trace
         callback, if given, is called with one ``TraceLine`` per step, as
-        soon as the step is taken.  Each step passes the settled prefix the
-        monad's ``bind_unless`` records through whole, and the test for a
-        running branch reads from the end, where those are not.
+        soon as the step is taken.  A negative ``fuel`` is a ``ValueError``.
         """
         bound(fuel)
         mc = self.initial(e)
@@ -300,8 +298,7 @@ class Evaluator:
             if len(elems) > prefix:
                 raise PrefixExceeded(
                     f"more than {prefix} branches; raise --prefix")
-            # from the end: finished branches are passed through in front
-            for c in reversed(elems):
+            for c in elems:
                 if isinstance(c, EConf):
                     break
             else:

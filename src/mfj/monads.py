@@ -5,9 +5,7 @@ finite subdistributions with exact rational weights, and identity.  All
 that is particular to a monad is a hook of its ``Monad`` subclass, so the
 evaluator, the soundness harness and the CLI name no monad.  The hooks:
 the monad (``unit`` and ``bind_unless``, a bind that passes finished
-elements through, from which ``bind`` and ``map_m`` derive; list's and
-dist's record on the value they return how many leading elements are
-finished, so the next such bind copies that settled prefix whole) and its order
+elements through, from which ``bind`` and ``map_m`` derive) and its order
 (``bottom``, ``is_bottom``, ``leq``); observation (``elements``, ``force``,
 ``show`` for a trace line, ``render`` for a result); ``magic``, the only
 place its magic methods get a meaning, each given the name of the type the
@@ -63,14 +61,8 @@ class LazyList:
     """A possibly-unbounded list: a pull-based generator with a memoized
     prefix.  All observation goes through ``take``."""
 
-    # (done, k): the first k elements are of the class ``done``, as
-    # ``ListMonad.bind_unless`` found while building this list
-    settled: tuple = ((), 0)
-
-    def __init__(self, source: Iterable, head: Optional[list] = None):
-        """The elements of ``head`` (a list this one keeps), then those of
-        ``source``."""
-        self._memo: list = [] if head is None else head
+    def __init__(self, source: Iterable):
+        self._memo: list = []
         self._it: Optional[Iterator] = iter(source)
 
     @staticmethod
@@ -152,9 +144,6 @@ class Dist:
         return dict(self.weights)
 
     _support = None  # until ``support`` builds it
-    # (done, k): the first k values are of the class ``done``, as
-    # ``DistMonad.bind_unless`` found while building this distribution
-    settled: tuple = ((), 0)
 
     def support(self) -> list:
         """The values of positive weight, in order: built on first use and
@@ -216,13 +205,13 @@ class Monad:
     """Each subclass defines ``unit``, ``bind_unless`` (``bind_unless(m, f,
     done)`` binds ``m`` to ``f``, but passes an element of the class, or
     tuple of classes, ``done`` through as its unit, without a call of
-    ``f``; it may record on the value it returns how many of its leading
-    elements are of ``done``, and pass such a settled prefix of ``m``
-    through whole, unlooked at, when ``m`` records one for the same
-    ``done``), ``bottom``, ``elements`` (the observed elements of ``m``,
-    prefix- or support-limited), ``render`` (``m`` as a result, each element
-    rendered by ``show_elem``) and ``law_samples`` (monadic values over
-    ``X`` for the laws); the other hooks have defaults here."""
+    ``f``), ``bottom``, ``elements`` (the observed elements of ``m``, prefix-
+    or support-limited), ``render`` (``m`` as a result, each element
+    rendered by ``show_elem``; on the law suite's values it must be exact
+    and order-sensitive, two values rendering alike only if equal element
+    for element, because the suite keys its tables on it) and
+    ``law_samples`` (monadic values over ``X`` for the laws); the other
+    hooks have defaults here."""
 
     name: str
     # the predicate liftings it has, forall first
@@ -311,31 +300,18 @@ class ListMonad(Monad):
         return LazyList.of(x)
 
     def bind_unless(self, m, f, done):
-        """The settled prefix ``m`` records for ``done`` is copied as one
-        slice; from there each element is passed through or bound, and the
-        result records its own leading run of ``done`` elements."""
-        k = 0
         if faults.ACTIVE.swap_list_bind:
             # seeded bug: concatenate continuations right-to-left
             m = reversed(list(m))
-        elif m.settled[0] is done:
-            k = m.settled[1]
 
         def gen():
-            n = k  # the leading run of done elements; None once one is bound
-            for x in islice(m, k, None):
+            for x in m:
                 if isinstance(x, done):
-                    if n is not None:
-                        n += 1
-                        out.settled = done, n
                     yield x
                 else:
-                    n = None
                     yield from f(x)
 
-        out = LazyList(gen(), m.take(k) if k else None)
-        out.settled = done, k
-        return out
+        return LazyList(gen())
 
     def map_m(self, f, m):
         # native map: keeps laziness and is independent of bind's order
@@ -387,25 +363,16 @@ class DistMonad(Monad):
         return Dist._trusted([(x, _ONE)])
 
     def bind_unless(self, m, f, done):
-        """The settled prefix ``m`` records for ``done`` is copied as one
-        dict; the result records its values up to the first bound one."""
-        k = m.settled[1] if m.settled[0] is done else 0
-        ws = m.weights
-        acc = dict(ws[:k]) if k else {}
-        n = None  # the settled count, once a value has been bound
         # no products by 1 and no zero start value
-        for x, w in islice(ws, k, None):
+        acc: dict = {}
+        for x, w in m.weights:
             if isinstance(x, done):
                 acc[x] = acc[x] + w if x in acc else w
                 continue
-            if n is None:
-                n = len(acc)
             for y, u in f(x).weights:
                 p = w if u == 1 else w * u
                 acc[y] = acc[y] + p if y in acc else p
-        out = Dist._trusted(acc.items())
-        object.__setattr__(out, "settled", (done, len(acc) if n is None else n))
-        return out
+        return Dist._trusted(acc.items())
 
     def bottom(self):
         return DIST_BOTTOM

@@ -445,6 +445,7 @@ def check_soundness(program: Program, monad_name: str, *, name: str = "main",
     ``which`` other than 'forall', 'exists' or None is a ``ValueError``."""
     bound(fuel, 1)
     bound(approx_to)
+    bound(prefix, 1)
     if which not in ("forall", "exists", None):
         raise ValueError(f"which must be 'forall', 'exists' or None: {which!r}")
     rep = report if report is not None else SoundnessReport()

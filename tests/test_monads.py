@@ -314,102 +314,6 @@ def test_dist_bind_unless_merges_a_finished_branch_with_an_equal_stepped_one():
     assert list(got.weights) == [(two, Fraction(1, 3)), (one, Fraction(2, 3))]
 
 
-@pytest.mark.parametrize("fault", [None, "swap_list_bind"])
-@given(xs=st.lists(mixed, max_size=5), steps=st.integers(1, 4))
-def test_list_binds_in_a_row_pass_the_settled_prefix_through(fault, xs, steps):
-    # each bind_unless reads the settled prefix its argument records; the
-    # results are those of the definition, bound as many times, and the
-    # recorded prefix is finished elements only
-    monad = get_monad("list")
-
-    def f(x):
-        return LazyList(iter([x + 1, "ab"[x % 2]] if x < 6 else ["c"]))
-
-    with faults.inject(fault) if fault else contextlib.nullcontext():
-        got = want = LazyList(iter(xs))
-        for _ in range(steps):
-            got = monad.bind_unless(got, f, str)
-            want = bind_with_units(monad, want, f, str)
-            assert got.to_list() == want.to_list()
-            done, k = got.settled
-            assert done is str and all(isinstance(x, str)
-                                       for x in got.take(k))
-    # the binds read in a row, and a bind of another class, see every element
-    assert monad.bind(got, lambda x: LazyList.of(x, x)).to_list() == \
-        [x for x in want.to_list() for _ in "xx"]
-
-
-@given(points=st.lists(st.tuples(mixed, st.integers(1, 3)), max_size=4,
-                       unique_by=lambda p: p[0]),
-       ks=st.lists(small_dists(), min_size=4, max_size=4),
-       steps=st.integers(1, 4))
-def test_dist_binds_in_a_row_pass_the_settled_prefix_through(points, ks,
-                                                             steps):
-    monad = get_monad("dist")
-    total = sum(n for _, n in points) + 1
-    m = Dist([(v, Fraction(n, total)) for v, n in points])
-
-    def f(x):
-        return monad.map_m(lambda v: v if v <= 2 else "ab"[v % 2], ks[x])
-
-    got = want = m
-    for _ in range(steps):
-        got = monad.bind_unless(got, f, str)
-        want = bind_with_units(monad, want, f, str)
-        assert list(got.weights) == list(want.weights)
-        done, k = got.settled
-        assert done is str and all(isinstance(v, str)
-                                   for v, _ in got.weights[:k])
-    assert monad.bind(got, monad.unit) == want
-
-
-class CountedChecks(type):
-    """A metaclass that counts the ``isinstance`` checks of its classes."""
-
-    checks = 0
-
-    def __instancecheck__(cls, x):
-        CountedChecks.checks += 1
-        return super().__instancecheck__(x)
-
-
-class Finished(metaclass=CountedChecks):
-    pass
-
-
-class Settled(Finished):
-    """Checked against ``Finished``: not its exact class, so the check is
-    counted (an exact class is answered without ``__instancecheck__``)."""
-
-
-@pytest.mark.parametrize("name", ["list", "dist"])
-@pytest.mark.parametrize("n,k", [(50, 200), (200, 50), (200, 200)])
-def test_binds_in_a_row_check_each_element_once(name, n, k):
-    # n settled elements and one running one; each step finishes one and
-    # keeps one running, so checking every element on every step would be
-    # about k * n + k * k / 2 checks
-    monad = get_monad(name)
-    if name == "list":
-        m = LazyList.of(*(Settled() for _ in range(n)), 0)
-
-        def f(x):
-            return LazyList.of(Settled(), x + 1)
-    else:
-        m = Dist._trusted([*((Settled(), Fraction(1, 2 * n))
-                             for _ in range(n)), (0, Fraction(1, 2))])
-
-        def f(x):
-            return Dist._trusted([(Settled(), Fraction(1, 2)),
-                                  (x + 1, Fraction(1, 2))])
-
-    CountedChecks.checks = 0
-    for _ in range(k):
-        m = monad.bind_unless(m, f, Finished)
-        monad.force(m, n + k + 2)
-    assert len(monad.elements(m, n + k + 2)) == n + k + 1
-    assert CountedChecks.checks <= n + 2 * k
-
-
 @pytest.mark.parametrize("name", ["exc", "id"])
 @given(x=mixed)
 def test_bind_unless_is_bind_with_units(name, x):

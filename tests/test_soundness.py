@@ -538,9 +538,12 @@ def test_a_failure_clause_catches_the_fail_of_a_subclass():
     ({"which": "bogus"},
      "which must be 'forall', 'exists' or None: 'bogus'"),
 ], ids=["negative-fuel", "zero-fuel", "approx_to", "prefix", "which"])
-def test_check_soundness_refuses_a_nonsense_bound(kw, message):
+@pytest.mark.parametrize("program", ["nd_m1", "bad_override"])
+def test_check_soundness_refuses_a_nonsense_bound(kw, message, program):
     # fuel -5 once reported "0 steps monitored" and no finitary record,
-    # prefix 0 escaped as PrefixExceeded, and "bogus" ran both liftings
+    # prefix 0 escaped as PrefixExceeded, and "bogus" ran both liftings;
+    # the bounds are checked before the program is typed, so an ill-typed
+    # one is refused for its bound, not reported as IllTypedProgram
     with pytest.raises(ValueError) as err:
-        check_soundness(load("nd_m1"), "list", **kw)
+        check_soundness(load(program), "list", **kw)
     assert str(err.value) == message
